@@ -216,11 +216,9 @@ def check_envelope(seed=0):
     for q, eps in ((4, 0.01), (5, 0.01), (5, 0.5)):
         ch = Channel(q, eps)
         cap = chn.capacity(ch)
-        bad = []
-        for r in np.linspace(1e-3, cap, 200):
-            lo, up = upb.envelope(ch, float(r))
-            if math.isfinite(lo) and math.isfinite(up) and lo > up:
-                bad.append(float(r))
+        grid = np.linspace(1e-3, cap, 200)
+        lo, up = upb.envelope(ch, grid)
+        bad = [float(r) for r in grid[np.isfinite(lo) & np.isfinite(up) & (lo > up)]]
         rec.require(
             f"q={q} eps={eps}: lower envelope <= upper envelope wherever both finite",
             not bad,
@@ -316,15 +314,16 @@ def check_fig7_ordering(seed=0):
     ch = Channel(5, 0.5)
     lo = 0.5 * math.log2(5.0) + 0.01
     hi = math.log2(5.0) - 1.0 - 0.01
+    grid = np.linspace(lo, hi, 40)
+    low = upb.envelope(ch, grid, "lower")
     ok_order = True
     ok_env = True
-    for r in np.linspace(lo, hi, 40):
+    for r, low_r in zip(grid, low):
         r = float(r)
         spec_v = upb.spectrum_half_bound(5, r)
         dist_v = upb.min_distance_bound(ch, r)
-        low = upb.envelope(ch, r, "lower")
         ok_order &= spec_v <= dist_v + 1e-12
-        ok_env &= (spec_v >= low - 1e-12) and (dist_v >= low - 1e-12)
+        ok_env &= (spec_v >= low_r - 1e-12) and (dist_v >= low_r - 1e-12)
     rec.require("spectrum bound <= distance bound on the q=5, eps=1/2 grid", ok_order)
     rec.require("both converses dominate the lower envelope on the grid", ok_env)
     return rec

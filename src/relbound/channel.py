@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .solvers import bisect_root
 
 INF = math.inf
@@ -104,7 +106,8 @@ def entropy_h(q_prime, x):
 def entropy_h_inv(q_prime, y):
     """Inverse of entropy_h on the rising branch [0, (q'-1)/q'].
 
-    Bisection to absolute tolerance 1e-12.
+    Bisection to absolute tolerance 1e-12 * y, so small values keep
+    their relative precision.
     """
     top = math.log2(q_prime)
     if not -1e-12 <= y <= top + 1e-12:
@@ -114,7 +117,45 @@ def entropy_h_inv(q_prime, y):
         return 0.0
     if y >= top:
         return xmax
-    return bisect_root(lambda x: entropy_h(q_prime, x) - y, 0.0, xmax)
+    return bisect_root(lambda x: entropy_h(q_prime, x) - y, 0.0, xmax, tol=1e-12 * y)
+
+
+def _h2_open(x):
+    """Binary entropy of an array with every entry in (0, 1)."""
+    return -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+
+
+def h2_array(x):
+    """Binary entropy entropy_h(2, x) of an array in [0, 1], with 0 log 0 = 0."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0.0) & (x < 1.0)
+    out = np.zeros_like(x)
+    out[inside] = _h2_open(x[inside])
+    return out
+
+
+def h2_inv_bracket(y, lo=None):
+    """Elementwise bisection bracket [lo, hi] of h2's inverse on the rising branch [0, 1/2].
+
+    `lo` gives known lower ends with h2(lo) <= y (default 0); the upper
+    ends start at 1/2. A step moves hi only to points with h2 > y and lo
+    only to points with h2 <= y, as computed by h2_array, so `lo` is the
+    inverse rounded down and `hi` the inverse rounded up. Where y >= 1 no
+    point qualifies and hi stays 1/2.
+
+    The bisection halves the gap between the ends' bit patterns, which
+    for floats >= 0 are ordered like their values, so after 62 passes
+    over the array the ends are adjacent floats at any magnitude.
+    """
+    y = np.asarray(y, dtype=float)
+    lo = (np.zeros_like(y) if lo is None else np.array(lo, dtype=float)).view(np.int64)
+    hi = np.full_like(y, 0.5).view(np.int64)
+    for _ in range(62):  # 0.5 has a bit pattern below 2^62
+        mid = lo + (hi - lo + 1) // 2
+        up = _h2_open(mid.view(np.float64)) > y
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=~up)
+    return lo.view(np.float64), hi.view(np.float64)
 
 
 def gv_delta(q_prime, rate):

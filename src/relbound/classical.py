@@ -33,8 +33,12 @@ def eps_rho(epsilon, rho):
 
 
 def binary_divergence(p, eps):
-    """D(p || eps) in bits for p, eps in (0, 1)."""
-    return p * math.log2(p / eps) + (1.0 - p) * math.log2((1.0 - p) / (1.0 - eps))
+    """D(p || eps) in bits for p, eps in (0, 1).
+
+    Floored at 0, its true minimum: near p = eps the two terms cancel and
+    roundoff alone would leave a tiny negative value.
+    """
+    return max(p * math.log2(p / eps) + (1.0 - p) * math.log2((1.0 - p) / (1.0 - eps)), 0.0)
 
 
 def _rate_at_rho(ch, rho):

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
 Option precedence is flags over config file over built-in defaults; the
-config file is flat key=value text. RELBOUND_THREADS caps parallelism.
+config file is flat key=value text.
 """
 
 import argparse
@@ -74,7 +74,8 @@ def build_parser():
         _add_common(p)
         p.add_argument("--rmin", type=float, default=None, help="grid start (default C/50)")
         p.add_argument("--rmax", type=float, default=None, help="grid end (default capacity)")
-        p.add_argument("--points", type=int, default=None, help="grid size (>= 2)")
+        p.add_argument("--points", type=int, default=None,
+                       help=f"grid size (2 to {crv.MAX_GRID_POINTS})")
         p.add_argument("--bounds", type=str, default=None,
                        help="comma list of bound names, or 'all'")
         p.add_argument("--format", type=str, default=None, choices=("csv", "svg"))

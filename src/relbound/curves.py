@@ -22,7 +22,6 @@ from .classical import (
     sphere_packing_exponent,
 )
 from .lower_bounds import lower_bound_even, lower_bound_q5
-from .solvers import pmap
 from .upper_bounds import (
     LP2_ANCHOR_GATE,
     binary_reduction_bound,
@@ -57,50 +56,60 @@ class BoundCurve:
         return [p[1] for p in self.points]
 
 
-class BoundSpec(NamedTuple):
-    name: str
-    kind: str  # "lower" or "upper"
-    requires: str  # human-readable precondition
-    applies: Callable  # Channel -> bool
-    evaluate: Callable  # (Channel, float) -> float
-    params: Callable  # Channel -> dict
+def _always(ch):
+    return True
+
+
+def _whole_range(ch, rates):
+    return np.ones(rates.shape, dtype=bool)
 
 
 def _no_params(ch):
     return {}
 
 
-def _coset_even(ch, r):
-    shift = math.log2(ch.q / 2)
-    if r <= shift:
-        # zero-error communication exists at and below log2(q/2)
-        return INF
-    return lower_bound_even(ch, r)
+class BoundSpec(NamedTuple):
+    name: str
+    kind: str  # "lower" or "upper"
+    requires: str  # human-readable precondition
+    applies: Callable  # Channel -> bool
+    # (Channel, rates ndarray inside the domain) -> ndarray; None for the envelopes
+    evaluate: Callable | None
+    params: Callable  # Channel -> dict
+    # (Channel, rates ndarray) -> bool ndarray: outside it the curve reads inf
+    # and the envelope leaves it out
+    domain: Callable = _whole_range
+    # Channel -> bool, checked on top of `applies`: the envelope folds the curve in
+    envelope_rule: Callable = _always
+
+    def in_envelope(self, ch):
+        """Whether upper_bounds.envelope folds this curve in on channel ch."""
+        return self.evaluate is not None and self.applies(ch) and self.envelope_rule(ch)
+
+    def curve(self, ch, rates):
+        """The curve on a rate array: evaluated inside the domain, inf outside."""
+        out = np.full(rates.shape, INF)
+        inside = self.domain(ch, rates)
+        out[inside] = self.evaluate(ch, rates[inside])
+        return out
 
 
-def _coset_q5(ch, r):
-    lo = 0.5 * math.log2(5.0)
-    if r < lo:
-        return INF
-    return lower_bound_q5(ch.epsilon, r)
+def _per_point(bound):
+    """Array evaluator for a cheap scalar bound(ch, r), one call per rate."""
+
+    def evaluate(ch, rates):
+        return np.array([bound(ch, float(r)) for r in rates], dtype=float)
+
+    return evaluate
 
 
-def _binary_reduction(ch, r):
-    if r <= math.log2(ch.q / 2):
-        return INF
-    return binary_reduction_bound(ch, r)
+def _above_half_q(ch, rates):
+    # zero-error communication exists at and below log2(q/2) for even q
+    return rates > math.log2(ch.q / 2)
 
 
-def _min_distance(ch, r):
-    if r <= math.log2(cycle_constants(ch).theta):
-        return INF
-    return min_distance_bound(ch, r)
-
-
-def _spectrum_half(ch, r):
-    if not math.log2(cycle_constants(ch).theta) < r < math.log2(ch.q) - 1.0:
-        return INF
-    return spectrum_half_bound(ch.q, r)
+def _above_theta(ch, rates):
+    return rates > math.log2(cycle_constants(ch).theta)
 
 
 def _expurgated_params(ch):
@@ -111,59 +120,68 @@ def _line_params(line):
     return {"r1": format_value(line.r1), "r2": format_value(line.r2)}
 
 
+# The per-point bounds are called through their module names, so wrappers
+# put on those names (by tests or by tracing) see every call.
 BOUNDS = {
     "random_coding": BoundSpec(
         "random_coding", "lower", "always applicable",
-        lambda ch: True, random_coding_exponent, _no_params,
+        _always, _per_point(lambda ch, r: random_coding_exponent(ch, r)), _no_params,
     ),
     "sphere_packing": BoundSpec(
         "sphere_packing", "upper", "always applicable",
-        lambda ch: True, sphere_packing_exponent, _no_params,
+        _always, _per_point(lambda ch, r: sphere_packing_exponent(ch, r)), _no_params,
     ),
     "expurgated": BoundSpec(
         "expurgated", "lower", "always applicable (upper bound on itself for odd q >= 7)",
-        lambda ch: True, expurgated_exponent, _expurgated_params,
+        _always, _per_point(lambda ch, r: expurgated_exponent(ch, r)), _expurgated_params,
+        envelope_rule=lambda ch: expurgated_is_exact(ch.q),
     ),
     "coset_even": BoundSpec(
         "coset_even", "lower", "requires even q",
-        lambda ch: ch.q % 2 == 0, _coset_even, _no_params,
+        lambda ch: ch.q % 2 == 0, _per_point(lambda ch, r: lower_bound_even(ch, r)), _no_params,
+        domain=_above_half_q,
     ),
     "coset_q5": BoundSpec(
         "coset_q5", "lower", "requires q = 5",
-        lambda ch: ch.q == 5, _coset_q5, _no_params,
+        lambda ch: ch.q == 5, _per_point(lambda ch, r: lower_bound_q5(ch.epsilon, r)), _no_params,
+        domain=lambda ch, rates: rates >= 0.5 * math.log2(5.0),
     ),
     "binary_reduction": BoundSpec(
         "binary_reduction", "upper", "always applicable above log2(q/2)",
-        lambda ch: True, _binary_reduction, _no_params,
+        _always, binary_reduction_bound, _no_params,
+        domain=_above_half_q,
     ),
     "min_distance": BoundSpec(
         "min_distance", "upper", "requires odd q",
-        lambda ch: ch.q % 2 == 1, _min_distance, _no_params,
+        lambda ch: ch.q % 2 == 1, _per_point(lambda ch, r: min_distance_bound(ch, r)), _no_params,
+        domain=_above_theta,
     ),
     "spectrum_half": BoundSpec(
         "spectrum_half", "upper", "requires odd q and eps = 1/2",
-        lambda ch: ch.q % 2 == 1 and ch.epsilon == 0.5, _spectrum_half, _no_params,
+        lambda ch: ch.q % 2 == 1 and ch.epsilon == 0.5,
+        _per_point(lambda ch, r: spectrum_half_bound(ch.q, r)), _no_params,
+        domain=lambda ch, rates: _above_theta(ch, rates) & (rates < math.log2(ch.q) - 1.0),
     ),
     "straight_line_theta": BoundSpec(
         "straight_line_theta", "upper", "requires odd q",
         lambda ch: ch.q % 2 == 1,
-        lambda ch, r: theta_anchored_line(ch).value(r),
+        _per_point(lambda ch, r: theta_anchored_line(ch).value(r)),
         lambda ch: _line_params(theta_anchored_line(ch)),
     ),
     "straight_line_lp2": BoundSpec(
         "straight_line_lp2", "upper",
         f"requires eps < 1/2 - sqrt(3)/4 = {LP2_ANCHOR_GATE:.6f}",
         lambda ch: ch.epsilon < LP2_ANCHOR_GATE,
-        lambda ch, r: lp2_anchored_line(ch).value(r),
+        _per_point(lambda ch, r: lp2_anchored_line(ch).value(r)),
         lambda ch: _line_params(lp2_anchored_line(ch)),
+        envelope_rule=lambda ch: ch.q % 2 == 1,
     ),
+    # folded from the curves above by upper_bounds.envelope
     "envelope_lower": BoundSpec(
-        "envelope_lower", "lower", "always applicable",
-        lambda ch: True, lambda ch, r: envelope(ch, r, "lower"), _no_params,
+        "envelope_lower", "lower", "always applicable", _always, None, _no_params,
     ),
     "envelope_upper": BoundSpec(
-        "envelope_upper", "upper", "always applicable",
-        lambda ch: True, lambda ch, r: envelope(ch, r, "upper"), _no_params,
+        "envelope_upper", "upper", "always applicable", _always, None, _no_params,
     ),
 }
 
@@ -191,23 +209,41 @@ def resolve_selection(ch, selector):
     return names
 
 
+# grids are evaluated as whole arrays; this caps their size
+MAX_GRID_POINTS = 100_000
+
+
 def rate_grid(r_min, r_max, points):
-    if points < 2:
-        raise ValueError(f"need at least 2 grid points, got {points}")
+    if not 2 <= points <= MAX_GRID_POINTS:
+        raise ValueError(f"need 2 to {MAX_GRID_POINTS} grid points, got {points}")
     if not r_min < r_max:
         raise ValueError(f"need r_min < r_max, got {r_min} >= {r_max}")
     return np.linspace(r_min, r_max, points)
 
 
-def evaluate_curve(ch, name, grid, workers=None):
+def evaluate_curve(ch, name, grid, values=None):
+    """One registry curve on a rate grid.
+
+    `values` maps curve names to arrays already evaluated on this grid;
+    the curve is taken from it when present and added to it otherwise,
+    and the envelopes reuse and add their component curves the same way.
+    """
     spec = BOUNDS[name]
-    vals = pmap(lambda r: spec.evaluate(ch, float(r)), grid, workers=workers)
-    pts = tuple((float(r), float(v)) for r, v in zip(grid, vals))
+    rates = np.asarray(grid, dtype=float)
+    values = {} if values is None else values
+    if name not in values:
+        if spec.evaluate is None:
+            values[name] = envelope(ch, rates, spec.kind, values)
+        else:
+            values[name] = spec.curve(ch, rates)
+    pts = tuple((float(r), float(v)) for r, v in zip(rates, values[name]))
     return BoundCurve(name=name, points=pts, channel=ch, params=tuple(sorted(spec.params(ch).items())))
 
 
-def evaluate_curves(ch, names, grid, workers=None):
-    return [evaluate_curve(ch, n, grid, workers=workers) for n in names]
+def evaluate_curves(ch, names, grid):
+    """The named curves on one grid; each curve, envelope components included, is computed once."""
+    values = {}
+    return [evaluate_curve(ch, n, grid, values) for n in names]
 
 
 def format_value(x):

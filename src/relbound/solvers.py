@@ -1,8 +1,6 @@
 """Small numeric workhorses: bisection, golden-section search, simplex projection."""
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -69,23 +67,3 @@ def golden_min(f, lo, hi, tol=1e-10, scan=129):
             fd = f(d)
     x = float(0.5 * (a + b))
     return x, float(f(x))
-
-
-def worker_count():
-    """Parallelism cap from RELBOUND_THREADS (default 1, i.e. serial)."""
-    raw = os.environ.get("RELBOUND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def pmap(fn, items, workers=None):
-    """Map preserving input order; threads only when workers > 1."""
-    if workers is None:
-        workers = worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -18,78 +18,118 @@ from .channel import (
     cycle_constants,
     entropy_h,
     entropy_h_inv,
+    h2_array,
+    h2_inv_bracket,
 )
 from .classical import (
     RHO_CAP,
     _rate_at_rho,
     binary_divergence,
     eps_rho,
-    expurgated_exponent,
-    expurgated_is_exact,
-    random_coding_exponent,
-    sphere_packing_exponent,
 )
-from .lower_bounds import lower_bound_even, lower_bound_q5
-from .solvers import bisect_root, golden_min
+from .solvers import bisect_root
 
 # below this crossover the binary-reduction anchor improves sphere packing
 LP2_ANCHOR_GATE = 0.5 - math.sqrt(3.0) / 4.0
 
 
 class LP2Point(NamedTuple):
-    """Minimizing pair of the second binary LP bound and its objective."""
+    """Minimizing pair of the second binary LP bound and its objective.
+
+    Fields are floats for a scalar rate and arrays for an array of rates.
+    """
 
     alpha: float
     beta: float
     objective: float
 
 
-def _lp2_alpha_for(beta, r):
-    target = 1.0 - r + entropy_h(2.0, beta)
-    return 0.5 if target >= 1.0 else entropy_h_inv(2.0, target)
+# delta_lp2's search: a LP2_SCAN-point beta scan, shrunk LP2_ROUNDS times
+# to the two cells around its best point, on LP2_CHUNK rates at a time
+LP2_SCAN = 129
+LP2_ROUNDS = 4
+LP2_CHUNK = 256
 
 
-def delta_lp2_point(r, printed_constraint=False):
+def _lp2_objective(alpha, beta):
+    # a(1-a) - b(1-b) factored, so it cannot round below 0 when b <= a <= 1/2
+    num = (alpha - beta) * (1.0 - alpha - beta)
+    return 2.0 * num / (1.0 + 2.0 * np.sqrt(beta * (1.0 - beta)))
+
+
+def _lp2_rows(r):
+    """delta_lp2_point on a 1-D array of rates in [0, 1]."""
+    rows = np.arange(r.size)
+    beta_max = h2_inv_bracket(r)[0][:, None]
+    slack = 1.0 - r[:, None]
+    steps = np.linspace(0.0, 1.0, LP2_SCAN)
+    lo, hi = np.zeros_like(beta_max), beta_max
+    best = np.full(r.size, INF)
+    best_alpha = np.empty(r.size)
+    best_beta = np.empty(r.size)
+    for _ in range(LP2_ROUNDS):
+        beta = np.minimum(lo + (hi - lo) * steps, beta_max)
+        alpha = h2_inv_bracket(slack + h2_array(beta), lo=beta)[1]
+        value = _lp2_objective(alpha, beta)
+        i = np.argmin(value, axis=1)
+        better = value[rows, i] < best
+        pick = rows[better], i[better]
+        best[better] = value[pick]
+        best_alpha[better] = alpha[pick]
+        best_beta[better] = beta[pick]
+        lo = beta[rows, np.maximum(i - 1, 0)][:, None]
+        hi = beta[rows, np.minimum(i + 1, LP2_SCAN - 1)][:, None]
+    return best_alpha, best_beta, best
+
+
+def delta_lp2_point(r):
     """Second linear-programming distance bound for binary codes at rate r.
 
     Minimizes 2(a(1-a) - b(1-b)) / (1 + 2 sqrt(b(1-b))) over
     0 <= b <= a <= 1/2 with the feasibility set h2(a) - h2(b) >= 1 - r,
     which pins the endpoints delta_lp2(0) = 1/2 and delta_lp2(1) = 0.
-    The flag keeps the opposite (degenerate) constraint direction
-    available: there the diagonal a = b is always feasible and the
-    minimum is identically 0.
+    The objective grows with a, so a is the smallest feasible one,
+    h2^{-1}(1 - r + h2(b)), and b is searched on [0, h2^{-1}(r)] by a
+    scan that shrinks around its best cell.
+
+    r may be a scalar or an array; the search runs on whole arrays,
+    LP2_CHUNK rates at a time, so its temporaries stay bounded. Both
+    inverses are bisection brackets (h2_inv_bracket): a is rounded up
+    (the bracket's upper end) and the cap h2^{-1}(r) on b is rounded
+    down, so every returned (a, b) is feasible, with h2 as evaluated in
+    floating point, and the returned objective is the objective at that
+    pair. It is therefore never below the true minimum beyond that
+    roundoff, which keeps the converse on the safe side.
     """
-    if not -1e-12 <= r <= 1.0 + 1e-12:
-        raise ValueError(f"binary rate must lie in [0, 1], got {r}")
-    r = min(max(r, 0.0), 1.0)
-    if printed_constraint:
-        b = entropy_h_inv(2.0, r / 2.0)
-        return LP2Point(alpha=b, beta=b, objective=0.0)
-    if r == 0.0:
-        return LP2Point(alpha=0.5, beta=0.0, objective=0.5)
-    beta_max = entropy_h_inv(2.0, r)
-
-    def objective(beta):
-        alpha = _lp2_alpha_for(beta, r)
-        num = alpha * (1.0 - alpha) - beta * (1.0 - beta)
-        return 2.0 * num / (1.0 + 2.0 * math.sqrt(beta * (1.0 - beta)))
-
-    beta, value = golden_min(objective, 0.0, beta_max, tol=1e-10)
-    return LP2Point(alpha=_lp2_alpha_for(beta, r), beta=beta, objective=value)
+    rates = np.asarray(r, dtype=float)
+    inside = (rates >= -1e-12) & (rates <= 1.0 + 1e-12)
+    if not np.all(inside):
+        raise ValueError(f"binary rate must lie in [0, 1], got {rates[~inside].ravel()[0]}")
+    flat = np.clip(rates, 0.0, 1.0).ravel()
+    out = np.empty((3, flat.size))
+    for start in range(0, flat.size, LP2_CHUNK):
+        out[:, start:start + LP2_CHUNK] = _lp2_rows(flat[start:start + LP2_CHUNK])
+    if rates.ndim == 0:
+        return LP2Point(*(float(v[0]) for v in out))
+    return LP2Point(*(v.reshape(rates.shape) for v in out))
 
 
-def delta_lp2(r, printed_constraint=False):
-    """Objective value of delta_lp2_point."""
-    return delta_lp2_point(r, printed_constraint=printed_constraint).objective
+def delta_lp2(r):
+    """Objective value of delta_lp2_point: a float for a scalar rate, else an array."""
+    return delta_lp2_point(r).objective
 
 
 def binary_reduction_bound(ch, r):
-    """Upper bound via a pairwise-confusable subcode: delta_lp2 shifted and scaled."""
+    """Upper bound via a pairwise-confusable subcode: delta_lp2 shifted and scaled.
+
+    r may be a scalar or an array of rates, all above log2(q/2).
+    """
     shift = math.log2(ch.q / 2)
-    if r <= shift:
-        raise ValueError(f"rate must exceed log2(q/2) = {shift}, got {r}")
+    rates = np.asarray(r, dtype=float)
+    if not np.all(rates > shift):
+        raise ValueError(f"rate must exceed log2(q/2) = {shift}, got {np.min(rates)}")
     alpha = bhattacharyya(ch.epsilon)
-    return delta_lp2(min(r - shift, 1.0)) * math.log2(1.0 / alpha)
+    return delta_lp2(np.minimum(rates - shift, 1.0)) * math.log2(1.0 / alpha)
 
 
 def lp1_rate(q_prime, delta):
@@ -124,7 +164,7 @@ def min_distance_bound(ch, r):
     if not ltheta < r <= top + 1e-12:
         raise ValueError(f"rate must lie in (log2 theta, log2 q] = ({ltheta}, {top}], got {r}")
     delta = _lp1_distance(cc.q_prime, min(r, top) - ltheta)
-    return delta * math.log2(1.0 / ch.epsilon)
+    return delta * -math.log2(ch.epsilon)
 
 
 def _lp1_distance(q_prime, rate):
@@ -165,7 +205,8 @@ class StraightLine:
     def value(self, r):
         if r < self.r1 - 1e-12 or r > self.r2 + 1e-12:
             return INF
-        return self.e1 + self.slope * (r - self.r1)
+        # the chord falls to e2; the floor stops it dipping below e2 past r2
+        return max(self.e1 + self.slope * (r - self.r1), self.e2)
 
 
 def straight_line_bound(anchor_rate, anchor_exponent, ch):
@@ -217,7 +258,7 @@ def theta_anchored_line(ch):
     if ch.q % 2 == 0:
         raise ValueError("the theta-anchored line applies to odd alphabet sizes only")
     ltheta = math.log2(cycle_constants(ch).theta)
-    return straight_line_bound(ltheta, math.log2(1.0 / ch.epsilon), ch)
+    return straight_line_bound(ltheta, -math.log2(ch.epsilon), ch)
 
 
 @lru_cache(maxsize=None)
@@ -303,48 +344,47 @@ def spectrum_half_bound(q, r, coarse=512, refinements=2):
     return spectrum_half_point(q, r, coarse=coarse, refinements=refinements).value
 
 
-def envelope(ch, r, which="both"):
-    """Pointwise best upper and lower envelopes over the applicable bounds.
+def envelope(ch, r, which="both", values=None):
+    """Pointwise best lower and upper envelopes: a max/min fold over the bound registry.
 
-    Uppers: sphere packing, the binary reduction above log2(q/2), and
-    for odd q the distance bound, both straight lines, and at eps = 1/2
-    the spectrum bound. Lowers: random coding, the expurgated bound
-    where it is exact, and the coset-ensemble bounds on their domains.
+    The lower envelope is the max over the registry curves of kind
+    "lower", the upper envelope the min over those of kind "upper",
+    counting each curve only where BoundSpec.in_envelope holds on this
+    channel (it applies, and its envelope_rule admits it: the expurgated
+    curve only where expurgated_is_exact, the LP2-anchored line only for
+    odd q) and only at rates inside its BoundSpec.domain. which="lower"
+    or "upper" evaluates only the curves of that kind.
+
+    r may be a scalar or an array of rates in (0, C]; the result is a
+    float or an array of r's shape, and a (lower, upper) pair for
+    which="both". `values` maps curve names to arrays already evaluated
+    on the same rates: those are reused, and every curve evaluated here
+    is added, so curves shared by several calls are computed once.
     """
     if which not in ("both", "lower", "upper"):
         raise ValueError(f"selector must be 'both', 'lower' or 'upper', got {which}")
+    rates = np.asarray(r, dtype=float)
     c = capacity(ch)
-    if not 0.0 < r <= c + 1e-12:
-        raise ValueError(f"rate must lie in (0, C] = (0, {c}], got {r}")
-    r = min(r, c)
-    q = ch.q
-    shift = math.log2(q / 2)
+    inside = (rates > 0.0) & (rates <= c + 1e-12)
+    if not np.all(inside):
+        raise ValueError(f"rate must lie in (0, C] = (0, {c}], got {rates[~inside].ravel()[0]}")
+    if values is None or np.any(rates > c):
+        values = {}  # curves given for rates above C are not the clamped ones
+    grid = np.minimum(rates, c).ravel()
+    from .curves import BOUNDS  # the registry module imports this one
 
-    uppers = [sphere_packing_exponent(ch, r)]
-    if r > shift:
-        uppers.append(binary_reduction_bound(ch, r))
-    if q % 2 == 1:
-        ltheta = math.log2(cycle_constants(ch).theta)
-        if r > ltheta:
-            uppers.append(min_distance_bound(ch, r))
-        if ch.epsilon == 0.5 and ltheta < r < math.log2(q) - 1.0:
-            uppers.append(spectrum_half_bound(q, r))
-        uppers.append(theta_anchored_line(ch).value(r))
-        if ch.epsilon < LP2_ANCHOR_GATE:
-            uppers.append(lp2_anchored_line(ch).value(r))
-
-    lowers = [random_coding_exponent(ch, r)]
-    if expurgated_is_exact(q):
-        lowers.append(expurgated_exponent(ch, r))
-    if q % 2 == 0 and r > shift:
-        lowers.append(lower_bound_even(ch, r))
-    if q == 5 and r >= 0.5 * math.log2(5.0):
-        lowers.append(lower_bound_q5(ch.epsilon, r))
-
-    lo = max(lowers)
-    up = min(uppers)
-    if which == "lower":
-        return lo
-    if which == "upper":
-        return up
-    return lo, up
+    folded = {}
+    for kind, fold, absent in (("lower", np.maximum, -INF), ("upper", np.minimum, INF)):
+        if which not in ("both", kind):
+            continue
+        acc = np.full(grid.shape, absent)
+        for name, spec in BOUNDS.items():
+            if spec.kind != kind or not spec.in_envelope(ch):
+                continue
+            if name not in values:
+                values[name] = spec.curve(ch, grid)
+            acc = fold(acc, np.where(spec.domain(ch, grid), values[name], absent))
+        folded[kind] = float(acc[0]) if rates.ndim == 0 else acc.reshape(rates.shape)
+    if which == "both":
+        return folded["lower"], folded["upper"]
+    return folded[which]

@@ -137,6 +137,9 @@ def test_entropy_h_inv_roundtrip():
         for x in np.linspace(0.0, (qp - 1) / qp, 23):
             y = entropy_h(qp, float(x))
             assert entropy_h_inv(qp, y) == pytest.approx(float(x), abs=1e-10)
+    # small values keep their relative precision
+    for y in (5e-13, 1e-30):
+        assert entropy_h(2.0, entropy_h_inv(2.0, y)) == pytest.approx(y, rel=1e-9)
     with pytest.raises(ValueError):
         entropy_h_inv(2.0, 1.5)
 

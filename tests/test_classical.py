@@ -67,6 +67,9 @@ def test_sphere_packing():
     assert sphere_packing_exponent(ch, 1.0) == pytest.approx(limit, abs=1e-9)
     with pytest.raises(ValueError):
         sphere_packing_exponent(ch, capacity(ch) + 0.01)
+    # just below capacity the divergence's two terms cancel to roundoff
+    ch = Channel(4, 0.09375)
+    assert sphere_packing_exponent(ch, math.nextafter(capacity(ch), 0.0)) >= 0.0
 
 
 def test_random_coding_below_sphere_packing():

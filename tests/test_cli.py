@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -44,6 +45,14 @@ def test_bounds_rejects_rmax_above_capacity(capsys):
     rc, out, err = run(capsys, "bounds", "--q", "4", "--eps", "0.5", "--rmax", "1.5")
     assert rc == 2
     assert "capacity" in err
+
+
+def test_bounds_refuses_huge_grid_quickly(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "bounds", "--q", "4", "--eps", "0.01", "--points", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "grid points" in err and out == ""
 
 
 def test_plot_svg(tmp_path):

@@ -3,9 +3,13 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from relbound import upper_bounds
 from relbound.channel import Channel, capacity
 from relbound.curves import (
+    MAX_GRID_POINTS,
     BoundCurve,
     applicable_bounds,
     csv_to_curves,
@@ -15,6 +19,8 @@ from relbound.curves import (
     resolve_selection,
 )
 from relbound.svgplot import render_svg
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 def test_applicable_bounds_casts():
@@ -51,7 +57,10 @@ def test_rate_grid_validation():
         rate_grid(0.5, 0.4, 10)
     with pytest.raises(ValueError):
         rate_grid(0.1, 0.9, 1)
+    with pytest.raises(ValueError, match="grid points"):
+        rate_grid(0.1, 0.9, MAX_GRID_POINTS + 1)
     assert len(rate_grid(0.1, 0.9, 2)) == 2
+    assert len(rate_grid(0.1, 0.9, MAX_GRID_POINTS)) == MAX_GRID_POINTS
 
 
 def test_curve_monotonicity_and_infinities():
@@ -105,15 +114,81 @@ def test_two_point_grid():
     assert len(curves[0].points) == 2
 
 
-def test_parallel_evaluation_matches_serial(monkeypatch):
-    ch = Channel(4, 0.01)
-    grid = rate_grid(0.1, capacity(ch), 20)
-    names = applicable_bounds(ch)
-    monkeypatch.setenv("RELBOUND_THREADS", "3")
-    par = curves_to_csv(evaluate_curves(ch, names, grid))
-    monkeypatch.setenv("RELBOUND_THREADS", "1")
-    ser = curves_to_csv(evaluate_curves(ch, names, grid))
-    assert par == ser
+@pytest.mark.parametrize("q,eps", [(4, 0.01), (5, 0.01), (6, 0.1), (7, 0.1)])
+def test_envelopes_are_max_min_of_component_curves(q, eps):
+    ch = Channel(q, eps)
+    shift = math.log2(q / 2)
+    # log2(q/2) itself is on the grid: there the coset and binary-reduction
+    # curves read inf from outside their domains and the envelopes skip them
+    grid = np.unique(np.append(rate_grid(0.02, capacity(ch), 40), shift))
+    names = applicable_bounds(ch) + ["envelope_lower", "envelope_upper"]
+    curves = {c.name: np.array(c.values) for c in evaluate_curves(ch, names, grid)}
+    lower = [curves["random_coding"]]
+    if q % 2 == 0 or q == 5:  # where the expurgated bound is exact
+        lower.append(curves["expurgated"])
+    if q % 2 == 0:
+        lower.append(np.where(grid > shift, curves["coset_even"], -math.inf))
+    if q == 5:
+        lower.append(np.where(grid >= 0.5 * math.log2(5.0), curves["coset_q5"], -math.inf))
+    uppers = ["sphere_packing", "binary_reduction"]
+    if q % 2 == 1:
+        uppers += ["min_distance", "straight_line_theta", "straight_line_lp2"]
+    upper = [curves[n] for n in uppers if n in curves]
+    assert np.array_equal(curves["envelope_lower"], np.max(lower, axis=0))
+    assert np.array_equal(curves["envelope_upper"], np.min(upper, axis=0))
+    if q % 2 == 0:
+        i = int(np.flatnonzero(grid == shift)[0])
+        assert curves["coset_even"][i] == math.inf
+        assert curves["envelope_lower"][i] == curves["expurgated"][i] < math.inf
+    if q == 7:
+        # the expurgated curve only bounds itself here, and the envelope skips it
+        assert np.any(curves["envelope_lower"] < curves["expurgated"])
+
+
+def test_evaluate_curves_computes_each_curve_once(monkeypatch):
+    calls = []
+    real = upper_bounds.delta_lp2
+    monkeypatch.setattr(upper_bounds, "delta_lp2", lambda r: calls.append(np.size(r)) or real(r))
+    ch = Channel(5, 0.01)
+    grid = rate_grid(0.1, capacity(ch), 30)
+    evaluate_curves(ch, ["envelope_lower"], grid)
+    assert calls == []  # the lower envelope evaluates no converse
+    evaluate_curves(ch, ["binary_reduction", "envelope_lower", "envelope_upper"], grid)
+    assert len(calls) == 1
+
+
+@st.composite
+def channels_and_grids(draw):
+    q = draw(st.integers(min_value=4, max_value=9))
+    eps = draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    ch = Channel(q, eps)
+    fractions = draw(
+        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=2, max_size=12)
+    )
+    grid = np.unique(capacity(ch) * np.array(fractions))
+    assume(len(grid) >= 2)
+    return ch, grid
+
+
+@PROPERTY
+@given(channels_and_grids())
+def test_envelope_order_on_generated_channels(case):
+    ch, grid = case
+    curves = evaluate_curves(ch, ["envelope_lower", "envelope_upper"], grid)
+    lo, up = (np.array(c.values) for c in curves)
+    both = np.isfinite(lo) & np.isfinite(up)
+    # slack: near R = C with eps near 1/2 both envelopes are differences of
+    # O(1) terms, and the straight lines carry their tangency residual (< 1e-13)
+    assert np.all(lo[both] <= up[both] + 1e-13)
+
+
+@PROPERTY
+@given(channels_and_grids())
+def test_converse_curves_nonincreasing_on_generated_channels(case):
+    ch, grid = case
+    for c in evaluate_curves(ch, ["binary_reduction", "envelope_upper"], grid):
+        v = np.array(c.values)
+        assert np.all(v[1:] <= v[:-1] + 1e-9), c.name
 
 
 def test_svg_render_smoke():

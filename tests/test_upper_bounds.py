@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relbound import upper_bounds
 from relbound.channel import (
     Channel,
     bhattacharyya,
@@ -10,8 +13,10 @@ from relbound.channel import (
     cycle_constants,
     entropy_h,
     entropy_h_inv,
+    h2_array,
 )
 from relbound.classical import sphere_packing_exponent
+from relbound.solvers import bisect_root, golden_min
 from relbound.upper_bounds import (
     LP2_ANCHOR_GATE,
     binary_reduction_bound,
@@ -34,8 +39,6 @@ def test_delta_lp2_endpoints():
     assert delta_lp2(1.0) == pytest.approx(0.0, abs=1e-6)
     mid = delta_lp2(0.5)
     assert 0.0 < mid < 0.5
-    # printed constraint direction is degenerate: the diagonal is feasible
-    assert delta_lp2(0.5, printed_constraint=True) == 0.0
     with pytest.raises(ValueError):
         delta_lp2(1.5)
 
@@ -56,6 +59,57 @@ def test_delta_lp2_monotone():
     assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def _h2_inv_scalar(y):
+    """h2's inverse on [0, 1/2] by scalar bisection, down to adjacent floats."""
+    if y <= 0.0:
+        return 0.0
+    if y >= 1.0:
+        return 0.5
+    return bisect_root(lambda x: entropy_h(2.0, x) - y, 0.0, 0.5, tol=0.0)
+
+
+def _delta_lp2_oracle(r):
+    """delta_lp2 the scalar way: golden-section search over beta, one rate at a time."""
+    beta_max = _h2_inv_scalar(r)
+
+    def objective(beta):
+        alpha = _h2_inv_scalar(1.0 - r + entropy_h(2.0, beta))
+        num = alpha * (1.0 - alpha) - beta * (1.0 - beta)
+        return 2.0 * num / (1.0 + 2.0 * math.sqrt(beta * (1.0 - beta)))
+
+    # the minimum can sit at beta_max, where the slope grows like
+    # 1/sqrt(beta), so the search narrows relative to beta_max
+    return golden_min(objective, 0.0, beta_max, tol=1e-12 * beta_max + 1e-300)[1]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
+def test_delta_lp2_sound_and_matches_scalar_oracle(rates):
+    r = np.array(rates)
+    pt = delta_lp2_point(r)
+    # feasible: b <= a <= 1/2, h2(b) <= r (b under its cap) and h2(a) - h2(b) >= 1 - r,
+    # the last in the order the search evaluates it
+    assert np.all((0.0 <= pt.beta) & (pt.beta <= pt.alpha) & (pt.alpha <= 0.5))
+    assert np.all(h2_array(pt.beta) <= r)
+    assert np.all(h2_array(pt.alpha) >= (1.0 - r) + h2_array(pt.beta))
+    for rate, a, b, value in zip(rates, pt.alpha, pt.beta, pt.objective):
+        # the value is the objective at that feasible pair, hence >= the true minimum
+        num = a * (1.0 - a) - b * (1.0 - b)
+        assert value == pytest.approx(2.0 * num / (1.0 + 2.0 * math.sqrt(b * (1.0 - b))), abs=1e-15)
+        assert abs(value - _delta_lp2_oracle(rate)) <= 1e-8
+
+
+def test_delta_lp2_works_in_bounded_chunks(monkeypatch):
+    sizes = []
+    real = upper_bounds._lp2_rows
+    monkeypatch.setattr(upper_bounds, "_lp2_rows", lambda r: sizes.append(r.size) or real(r))
+    monkeypatch.setattr(upper_bounds, "LP2_CHUNK", 8)
+    r = np.linspace(0.0, 1.0, 21)
+    vals = delta_lp2(r)
+    assert sizes == [8, 8, 5]
+    assert vals.tolist() == [delta_lp2(float(x)) for x in r]
+
+
 def test_binary_reduction_bound():
     # at eps = 1/2 the scale factor log2(1/alpha) is exactly 1
     ch = Channel(4, 0.5)
@@ -67,6 +121,9 @@ def test_binary_reduction_bound():
     assert near == pytest.approx(0.5 * math.log2(1.0 / bhattacharyya(0.01)), abs=1e-4)
     with pytest.raises(ValueError):
         binary_reduction_bound(ch, 1.0)
+    # at binary rate 1 the objective's difference of products must not round below 0
+    ch = Channel(5, 1e-20)
+    assert binary_reduction_bound(ch, capacity(ch)) >= 0.0
 
 
 def test_binary_reduction_improves_sphere_packing_iff_small_eps():
@@ -174,6 +231,20 @@ def test_lines_handle_half_crossover():
     assert seg.e2 == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ValueError):
         lp2_anchored_line(ch)  # gate excludes eps = 1/2
+    # at and just past its end the line does not dip below its end value
+    for q, eps in ((9, 0.5), (9, 0.4999999)):
+        ch = Channel(q, eps)
+        seg = theta_anchored_line(ch)
+        assert seg.value(capacity(ch)) >= seg.e2 >= 0.0
+
+
+def test_bounds_at_subnormal_crossover():
+    # log2(1/eps) overflows for subnormal eps; the bounds use -log2(eps)
+    ch = Channel(5, 5e-324)
+    assert theta_anchored_line(ch).e1 == pytest.approx(1074.0)
+    # the distance bound is the eps = 1/2 one scaled by log2(1/eps) = 1074
+    half = min_distance_bound(Channel(5, 0.5), 2.0)
+    assert min_distance_bound(ch, 2.0) == pytest.approx(1074.0 * half)
 
 
 def test_spectrum_half_bound():
