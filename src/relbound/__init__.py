@@ -37,20 +37,23 @@ from .codes import (
     build_coset_code,
     build_q5_code,
     exact_pe,
+    exact_pe_avg_max,
+    exact_word_errors,
+    make_code,
     mc_pe,
     pentagon_code,
+    random_coset_code,
     random_linear_code,
+    random_q5_code,
     spectrum,
     union_bound_pe,
 )
 from .lower_bounds import (
-    binary_gv_spectrum_exponent,
     coset_spectrum_check,
     junction_rate_even,
     junction_rate_q5,
     lower_bound_even,
     lower_bound_q5,
-    q5_gv_spectrum_exponent,
 )
 from .oracle import OracleResult, eigenvalues_g1, gram_matrix, minimize_q
 from .upper_bounds import (

@@ -233,8 +233,9 @@ def check_envelope(seed=0):
 
 def _all_binary_subspaces(n):
     """Every linear subspace of F_2^n once, via reduced echelon forms."""
-    yield cod.make_code([tuple([0] * n)], 2)
+    yield cod.make_code(np.zeros((1, n), dtype=np.int64), 2)
     for k in range(1, n + 1):
+        info = cod.all_words((0, 1), k)
         for pivots in combinations(range(n), k):
             free = [
                 (i, j)
@@ -242,14 +243,15 @@ def _all_binary_subspaces(n):
                 for j in range(n)
                 if j > pivots[i] and j not in pivots
             ]
-            for bits in range(1 << len(free)):
-                g = np.zeros((k, n), dtype=np.int64)
-                for i, p in enumerate(pivots):
-                    g[i, p] = 1
-                for b, (i, j) in enumerate(free):
-                    g[i, j] = (bits >> b) & 1
-                info = np.array(list(product((0, 1), repeat=k)), dtype=np.int64)
-                yield cod.make_code(info @ g % 2, 2)
+            # one generator per assignment of the free entries, in counting order
+            bits = cod.all_words((0, 1), len(free))[:, ::-1]
+            g = np.zeros((len(bits), k, n), dtype=np.int64)
+            g[:, np.arange(k), list(pivots)] = 1
+            if free:
+                rows, cols = zip(*free)
+                g[:, list(rows), list(cols)] = bits
+            for words in info @ g % 2:
+                yield cod.make_code(words, 2)
 
 
 def check_simulator(seed=0):

@@ -67,11 +67,16 @@ def critical_rate(ch):
 
 
 def random_coding_exponent(ch, r):
-    """Achievable exponent: straight segment below the critical rate, parametric above."""
+    """Achievable exponent: straight segment below the critical rate, parametric above.
+
+    Exactly 0 at capacity, where the reliability function vanishes.
+    """
     c = capacity(ch)
     if not -1e-12 <= r <= c + 1e-12:
         raise ValueError(f"rate must lie in [0, C] = [0, {c}], got {r}")
-    r = min(max(r, 0.0), c)
+    if r >= c:
+        return 0.0
+    r = max(r, 0.0)
     if r <= critical_rate(ch):
         alpha = bhattacharyya(ch.epsilon)
         return math.log2(ch.q / (1.0 + 2.0 * alpha)) - r
@@ -79,13 +84,16 @@ def random_coding_exponent(ch, r):
 
 
 def sphere_packing_exponent(ch, r):
-    """Converse exponent: infinite below log2(q/2), parametric up to capacity."""
+    """Converse exponent: infinite below log2(q/2), parametric up to capacity, 0 at it."""
     c = capacity(ch)
     if r > c + 1e-12:
         raise ValueError(f"rate must not exceed capacity {c}, got {r}")
+    # checked first: at eps = 1/2 capacity can round below log2(q/2)
+    if r >= c:
+        return 0.0
     if r < math.log2(ch.q / 2):
         return INF
-    return _parametric_exponent(ch, min(r, c))
+    return _parametric_exponent(ch, r)
 
 
 def rho_bar(ch):
@@ -200,16 +208,22 @@ def expurgated_exponent(ch, r):
     Infinite below log2(theta); a slope -1 line for eps >= eps_bar; for
     smaller eps the line holds outside [log2(theta), junction] and the
     rho-parametric curve fills the inside. Exact for even q and q = 5,
-    an upper bound for odd q >= 7 (expurgated_is_exact).
+    an upper bound for odd q >= 7 (expurgated_is_exact). The line can
+    read negative below capacity, which says nothing but is safe; from
+    capacity on it is capped at 0.
     """
     if r < 0:
         raise ValueError(f"rate must be nonnegative, got {r}")
+    alpha = bhattacharyya(ch.epsilon)
+    if r >= capacity(ch):
+        # on the line; E(C) = 0, and at eps = 1/2 capacity can round
+        # below the line's zero crossing log2(q/2)
+        return min(math.log2(ch.q / (1.0 + 2.0 * alpha)) - r, 0.0)
     cc = cycle_constants(ch)
     ltheta = math.log2(cc.theta)
     if r < ltheta - 1e-12:
         return INF
     r = max(r, ltheta)
-    alpha = bhattacharyya(ch.epsilon)
     straight = math.log2(ch.q / (1.0 + 2.0 * alpha)) - r
     ebar = eps_bar(ch.q)
     if ch.epsilon >= ebar:

@@ -10,8 +10,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import codes as cod
 from . import curves as crv
 from .acceptance import CRITERIA, run_checks
@@ -183,7 +181,10 @@ def cmd_oracle(args):
         raise UsageError(f"q^n = {ch.q ** s['n']} exceeds the cap {SIZE_CAP}")
     if s["rho"] < 1.0:
         raise UsageError(f"slope parameter must be >= 1, got {s['rho']}")
-    res = minimize_q(ch, s["rho"], s["n"], restarts=s["restarts"], seed=s["seed"])
+    try:
+        res = minimize_q(ch, s["rho"], s["n"], restarts=s["restarts"], seed=s["seed"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     rb = rho_bar(ch)
     theta = cycle_constants(ch).theta
     lines = [
@@ -251,14 +252,12 @@ def _load_code(spec, s):
             n, k, seed = int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError:
             raise UsageError(f"non-integer field in builtin spec {spec!r}") from None
-        if parts[0] == "coset":
-            q = s["q"]
-            if q % 2 != 0:
-                raise UsageError(f"coset construction requires even q, got {q}")
-            c2 = cod.random_linear_code(2, n, k, seed=seed)
-            return cod.build_coset_code(c2, q), c2
-        g = cod.random_generator_matrix(5, n, k, np.random.default_rng(seed))
-        return cod.build_q5_code(g), None
+        try:
+            if parts[0] == "coset":
+                return cod.random_coset_code(s["q"], n, k, seed=seed)
+            return cod.random_q5_code(n, k, seed=seed), None
+        except ValueError as exc:
+            raise UsageError(f"{spec}: {exc}") from None
     raise UsageError(
         f"--code {spec!r} is neither a file nor a builtin "
         "(pentagon | coset:N:K:SEED | q5plus:N:K:SEED)"
@@ -278,10 +277,11 @@ def cmd_simulate(args):
         " ".join(f"A_{z}={float(a):g}" for z, a in spec.counts.items()) or "none"
     ))
     lines.append(f"pairs at infinite distance per word: {float(spec.infinite_count):g}")
-    lines.append(f"union bound on avg error: {cod.union_bound_pe(code, ch):.12g}")
+    lines.append(f"union bound on avg error: {cod.union_bound_pe(code, ch, spec):.12g}")
     try:
-        lines.append(f"exact avg ML error: {cod.exact_pe(code, ch, 'avg'):.12g}")
-        lines.append(f"exact max ML error: {cod.exact_pe(code, ch, 'max'):.12g}")
+        avg, worst = cod.exact_pe_avg_max(code, ch)
+        lines.append(f"exact avg ML error: {avg:.12g}")
+        lines.append(f"exact max ML error: {worst:.12g}")
     except ValueError as exc:
         lines.append(f"exact enumeration skipped: {exc}")
     if s["trials"] > 0:

@@ -1,16 +1,19 @@
 """Explicit small codes: spectra, exact and Monte-Carlo ML error, constructions.
 
-Codes are plain tuples of words over Z_q. The maximum-likelihood decoder
-breaks ties uniformly at random and the enumeration accounts for that
-exactly, by accumulating per-sender error mass term by term (so a
-zero-error code really evaluates to 0.0, not to 1 minus float noise).
+A code owns one validated, read-only int64 array of shape (M, n) over
+Z_q; the constructions build it in numpy and tuples appear only in the
+derived `Code.words` view. Spectra and the Monte-Carlo decoder share one
+pairwise kernel on one-hot encodings, evaluated over row blocks of a
+fixed byte budget. The maximum-likelihood decoder breaks ties uniformly
+at random and the enumeration accounts for that exactly, by accumulating
+per-sender error mass term by term (so a zero-error code really
+evaluates to 0.0, not to 1 minus float noise).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -18,48 +21,102 @@ import numpy as np
 from .channel import INF, bhattacharyya
 
 OUTPUT_CAP = 10**7
-DENSE_CAP = 1 << 22
+REACH_CAP = 1 << 22  # reachable (codeword, output) pairs in exact_pe
 M_CAP = 4096
+CODE_CAP = 1 << 16  # words in a constructed code
+BLOCK_BYTES = 1 << 23  # temporaries of one row block of the pairwise kernel
+MC_DRAW = 1 << 14  # trials per random draw in mc_pe; fixes its random stream
+_INT64_MAX = (1 << 63) - 1
 
 
-@dataclass(frozen=True)
+def _power_within(base, exponent, cap):
+    """Whether base**exponent <= cap (exact for base >= 2), without raising a huge power."""
+    # base**exponent > cap whenever exponent > cap.bit_length()
+    return exponent <= cap.bit_length() and base**exponent <= cap
+
+
+def word_indices(arr, q):
+    """Base-q value of each word (last axis), first symbol most significant."""
+    powers = q ** np.arange(arr.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return arr @ powers
+
+
+def all_words(symbols, n):
+    """Every length-n word over `symbols` in itertools.product order, as an int64 array."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    s = symbols.size
+    digits = np.arange(s**n, dtype=np.int64)[:, None] // s ** np.arange(n - 1, -1, -1) % s
+    return symbols[digits]
+
+
+def _validated(words, q):
+    """Read-only int64 (M, n) copy of words, refusing what is not a code over Z_q."""
+    try:
+        arr = np.asarray(words)
+    except ValueError:
+        raise ValueError("all words must have the same length") from None
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        if arr.size == 0:
+            raise ValueError("a code needs at least one word")
+        raise ValueError("all words must have the same length")
+    m, n = arr.shape
+    if n < 1:
+        raise ValueError("blocklength must be at least 1")
+    if arr.dtype.kind not in "iub":
+        raise ValueError(f"symbols must be integers, got dtype {arr.dtype}")
+    bad = (arr < 0) | (arr >= q)
+    if bad.any():
+        w = arr[bad.any(axis=1)][0]
+        raise ValueError(f"symbol out of range in word {tuple(int(s) for s in w)}")
+    arr = arr.astype(np.int64)
+    if m > 1:
+        if _power_within(q, n, _INT64_MAX):
+            _, first, counts = np.unique(word_indices(arr, q), return_index=True, return_counts=True)
+        else:
+            _, first, counts = np.unique(arr, axis=0, return_index=True, return_counts=True)
+        if counts.size < m:
+            w = arr[first[counts.argmax()]]
+            raise ValueError(f"duplicate word {tuple(int(s) for s in w)}")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Code:
-    """A list of distinct equal-length words over Z_q."""
+    """Distinct equal-length words over Z_q, held as a read-only (M, n) int64 array."""
 
-    words: tuple
+    array: np.ndarray
     q: int
 
     def __post_init__(self):
-        if len(self.words) == 0:
-            raise ValueError("a code needs at least one word")
-        n = len(self.words[0])
-        if n < 1:
-            raise ValueError("blocklength must be at least 1")
-        seen = set()
-        for w in self.words:
-            if len(w) != n:
-                raise ValueError("all words must have the same length")
-            if any(not 0 <= s < self.q for s in w):
-                raise ValueError(f"symbol out of range in word {w}")
-            if w in seen:
-                raise ValueError(f"duplicate word {w}")
-            seen.add(w)
+        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "array", _validated(self.array, self.q))
 
     @property
     def n(self):
-        return len(self.words[0])
+        return self.array.shape[1]
 
     @property
     def M(self):
-        return len(self.words)
+        return self.array.shape[0]
 
     @cached_property
-    def array(self):
-        return np.array(self.words, dtype=np.int64)
+    def words(self):
+        """The words as a tuple of int tuples (for text output and tests)."""
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Code):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.q, self.array.shape, self.array.tobytes()))
 
 
 def make_code(words, q):
-    return Code(tuple(tuple(int(s) for s in w) for w in words), q)
+    """A Code from any (M, n) integer array-like of words over Z_q."""
+    return Code(words, q)
 
 
 def code_weights(code):
@@ -80,106 +137,129 @@ class Spectrum:
         return sum(self.counts.values(), start=Fraction(0)) + self.infinite_count
 
 
+# The pairwise kernel. With X the one-hot encoding of words (column
+# j*q + s set when coordinate j holds symbol s), a row y against the key
+#   K = (n + 1) X + sum over shifts t of X shifted by t
+# gives v = (n + 1) same + near, where `same` counts coordinates with
+# y - x = 0 and `near` those with y - x among the shifts (mod q). Each
+# coordinate counts at most once, so the pair is at finite distance iff
+# same + near == n, and that distance is `near`. Every v is a small
+# integer, exact in float64.
+
+
+def _one_hot(words, q):
+    rows, n = words.shape
+    out = np.zeros((rows, n * q))
+    out[np.arange(rows)[:, None], np.arange(n) * q + words % q] = 1.0
+    return out
+
+
+def _pair_key(words, q, shifts):
+    """(n*q, M) right factor of the kernel for the given symbol shifts."""
+    key = (words.shape[1] + 1) * _one_hot(words, q)
+    for t in shifts:
+        key += _one_hot(words + t, q)
+    return np.ascontiguousarray(key.T)
+
+
+def _kernel_split(n):
+    """(same, near) for every kernel value 0 .. n (n + 1)."""
+    return np.divmod(np.arange(n * (n + 1) + 1), n + 1)
+
+
+def _row_blocks(rows, cols, bytes_per_entry):
+    """Row ranges whose (rows, cols) temporaries fit the byte budget."""
+    step = max(1, BLOCK_BYTES // (cols * bytes_per_entry))
+    for lo in range(0, rows, step):
+        yield lo, min(rows, lo + step)
+
+
 def spectrum(code):
     """A_z = |{(i, j): i != j, d = z}| / M for each finite z, plus the inf mass."""
-    a = code.array
-    m = code.M
-    finite = {}
-    inf_pairs = 0
-    chunk = max(1, DENSE_CAP // max(m * code.n, 1))
-    for lo in range(0, m, chunk):
-        block = a[lo : lo + chunk]
-        diff = (block[:, None, :] - a[None, :, :]) % code.q
-        sym = np.where(diff == 0, 0.0, np.where((diff == 1) | (diff == code.q - 1), 1.0, INF))
-        d = sym.sum(axis=2)
-        for i in range(block.shape[0]):
-            d[i, lo + i] = INF  # drop the diagonal
-        flat = d.ravel()
-        inf_pairs += int(np.isinf(flat).sum()) - block.shape[0]
-        vals = flat[np.isfinite(flat)].astype(np.int64)
-        if vals.size:
-            counts = np.bincount(vals)
-            for z, c in enumerate(counts):
-                if c:
-                    finite[z] = finite.get(z, 0) + int(c)
+    a, q, n, m = code.array, code.q, code.n, code.M
+    key = _pair_key(a, q, {1 % q, -1 % q} - {0})
+    hist = np.zeros(n * (n + 1) + 1, dtype=np.int64)
+    for lo, hi in _row_blocks(m, m, 16):
+        v = _one_hot(a[lo:hi], q) @ key
+        hist += np.bincount(v.astype(np.intp).ravel(), minlength=hist.size)
+    same, near = _kernel_split(n)
+    finite = same + near == n
+    counts = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(counts, near[finite], hist[finite])
+    counts[0] -= m  # the diagonal; distinct words are never at distance 0
     return Spectrum(
-        counts={z: Fraction(c, m) for z, c in sorted(finite.items())},
-        infinite_count=Fraction(inf_pairs, m),
+        counts={z: Fraction(int(c), m) for z, c in enumerate(counts) if c},
+        infinite_count=Fraction(int(hist[~finite].sum()), m),
     )
 
 
-def union_bound_pe(code, ch):
-    """Spectrum-weighted pairwise bound: sum of A_z alpha^z over finite z."""
+def union_bound_pe(code, ch, spec=None):
+    """Spectrum-weighted pairwise bound: sum of A_z alpha^z over finite z.
+
+    spec is spectrum(code), when the caller already has it.
+    """
     if code.q != ch.q:
         raise ValueError("code and channel alphabet sizes differ")
+    if spec is None:
+        spec = spectrum(code)
     alpha = bhattacharyya(ch.epsilon)
-    return float(sum(float(a) * alpha**z for z, a in spectrum(code).counts.items()))
+    return float(sum(float(a) * alpha**z for z, a in spec.counts.items()))
 
 
-def _noise_patterns(n):
-    pats = np.array(list(product((0, 1), repeat=n)), dtype=np.int64)
-    return pats, pats.sum(axis=1)
+def exact_word_errors(code, ch):
+    """Exact ML error probability of each codeword, by output enumeration.
 
-
-def _word_indices(arr, q):
-    powers = q ** np.arange(arr.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return arr @ powers
-
-
-def exact_pe(code, ch, criterion="avg"):
-    """Exact ML error probability by output enumeration.
-
-    criterion "avg" averages over codewords, "max" takes the worst one.
     Ties are charged their exact expected cost under a uniformly random
     choice among the maximizers.
     """
     if code.q != ch.q:
         raise ValueError("code and channel alphabet sizes differ")
-    if criterion not in ("avg", "max"):
-        raise ValueError(f"criterion must be 'avg' or 'max', got {criterion}")
     q, n, m = code.q, code.n, code.M
-    if q**n > OUTPUT_CAP:
-        raise ValueError(f"q^n = {q ** n} exceeds the enumeration cap {OUTPUT_CAP}")
+    if not _power_within(q, n, OUTPUT_CAP):
+        raise ValueError(f"q^n = {q}^{n} exceeds the enumeration cap {OUTPUT_CAP}")
     if m > M_CAP:
         raise ValueError(f"code size {m} exceeds the cap {M_CAP}")
-    pats, weights = _noise_patterns(n)
+    if m * 2**n > REACH_CAP:
+        raise ValueError("reachable-output enumeration exceeds the cap")
+    pats = all_words((0, 1), n)
+    weights = pats.sum(axis=1)
     eps = ch.epsilon
     pw = (1.0 - eps) ** (n - weights) * eps**weights
-    reach = [( _word_indices((code.array[i] + pats) % q, q), pw) for i in range(m)]
+    # output index of every (codeword, noise pattern) pair, in the order
+    # of pats, built one coordinate at a time; a word reaches distinct
+    # outputs through distinct patterns
+    reach = np.zeros((m, 1), dtype=np.int64)
+    for j in range(n):
+        digits = (code.array[:, j, None] + np.arange(2)) % q
+        reach = (reach[:, :, None] * q + digits[:, None, :]).reshape(m, -1)
+    outputs, out = np.unique(reach.ravel(), return_inverse=True)
+    w = np.tile(pw, m)
+    best = np.zeros(outputs.size)
+    np.maximum.at(best, out, w)
+    hit = w == best[out]
+    cnt = np.bincount(out[hit], minlength=best.size)
+    share = np.where(hit, 1.0 / cnt[out], 0.0)
+    return (w * (1.0 - share)).reshape(m, -1).sum(axis=1)
 
-    dense = q**n <= DENSE_CAP
-    if dense:
-        max_w = np.zeros(q**n)
-        for idx, w in reach:
-            np.maximum.at(max_w, idx, w)
-        cnt = np.zeros(q**n, dtype=np.int64)
-        for idx, w in reach:
-            hit = w == max_w[idx]
-            np.add.at(cnt, idx[hit], 1)
-        errs = np.empty(m)
-        for i, (idx, w) in enumerate(reach):
-            share = np.where(w == max_w[idx], 1.0 / cnt[idx], 0.0)
-            errs[i] = float(np.sum(w * (1.0 - share)))
-    else:
-        if m * len(pats) > DENSE_CAP:
-            raise ValueError("reachable-output enumeration exceeds the cap")
-        best = {}
-        for idx, w in reach:
-            for o, wi in zip(idx.tolist(), w.tolist()):
-                if wi > best.get(o, 0.0):
-                    best[o] = wi
-        cnt = {}
-        for idx, w in reach:
-            for o, wi in zip(idx.tolist(), w.tolist()):
-                if wi == best[o]:
-                    cnt[o] = cnt.get(o, 0) + 1
-        errs = np.empty(m)
-        for i, (idx, w) in enumerate(reach):
-            e = 0.0
-            for o, wi in zip(idx.tolist(), w.tolist()):
-                e += wi * (1.0 - (1.0 / cnt[o] if wi == best[o] else 0.0))
-            errs[i] = e
-    return float(errs.mean()) if criterion == "avg" else float(errs.max())
+
+def exact_pe_avg_max(code, ch):
+    """(average, worst) exact ML error over the codewords, from one enumeration."""
+    errs = exact_word_errors(code, ch)
+    worst = float(errs.max())
+    # the rounded mean of equal errors can come out an ulp above them
+    return min(float(errs.mean()), worst), worst
+
+
+def exact_pe(code, ch, criterion="avg"):
+    """Exact ML error probability by output enumeration.
+
+    criterion "avg" averages over codewords, "max" takes the worst one
+    (see exact_word_errors).
+    """
+    if criterion not in ("avg", "max"):
+        raise ValueError(f"criterion must be 'avg' or 'max', got {criterion}")
+    avg, worst = exact_pe_avg_max(code, ch)
+    return avg if criterion == "avg" else worst
 
 
 class MCResult(NamedTuple):
@@ -205,55 +285,79 @@ def wilson_interval(errors, trials, z=_Z95):
     return lo, hi
 
 
-def mc_pe(code, ch, trials, seed=0, block=1 << 14):
-    """Monte-Carlo average ML error with randomized tie-breaking."""
+def mc_pe(code, ch, trials, seed=0):
+    """Monte-Carlo average ML error with randomized tie-breaking.
+
+    Each draw of MC_DRAW trials takes the senders, then the noise, then
+    one tie-breaking uniform per (trial, codeword) pair. The uniforms
+    are drawn row block by row block, which yields the same stream as
+    drawing them at once, so the result depends only on the seed.
+    """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if code.q != ch.q:
         raise ValueError("code and channel alphabet sizes differ")
     rng = np.random.default_rng(seed)
-    q, n, m = code.q, code.n, code.M
+    arr, q, n, m = code.array, code.q, code.n, code.M
     eps = ch.epsilon
     pw = (1.0 - eps) ** (n - np.arange(n + 1)) * eps ** np.arange(n + 1)
+    # likelihood of an output given a word, by kernel value: the output
+    # is the word plus a 0/1 noise pattern of weight `near`, or unreachable
+    same, near = _kernel_split(n)
+    likelihood = np.where(same + near == n, pw[near], 0.0)
+    key = _pair_key(arr, q, {1})
     errors = 0
     done = 0
-    arr = code.array
     while done < trials:
-        b = min(block, trials - done)
+        b = min(MC_DRAW, trials - done)
         senders = rng.integers(0, m, size=b)
         noise = (rng.random((b, n)) < eps).astype(np.int64)
-        y = (arr[senders] + noise) % q
-        diff = (y[:, None, :] - arr[None, :, :]) % q
-        valid = np.all(diff <= 1, axis=2)
-        k = diff.sum(axis=2)
-        scores = np.where(valid, pw[np.minimum(k, n)], 0.0)
-        best = scores.max(axis=1, keepdims=True)
-        tie = scores == best
-        pick = np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1)
-        errors += int(np.sum(pick != senders))
+        y = _one_hot(arr[senders] + noise, q)
+        for lo, hi in _row_blocks(b, m, 48):
+            scores = likelihood[(y[lo:hi] @ key).astype(np.intp)]
+            tie = scores == scores.max(axis=1, keepdims=True)
+            pick = np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1)
+            errors += int(np.count_nonzero(pick != senders[lo:hi]))
         done += b
     lo, hi = wilson_interval(errors, trials)
     return MCResult(errors / trials, lo, hi, trials, errors)
 
 
-def build_coset_code(c2, q, size_cap=M_CAP * 16):
+def _check_coset_alphabet(q):
+    if q % 2 != 0 or q < 4:
+        raise ValueError(f"need an even alphabet size >= 4, got {q}")
+
+
+def build_coset_code(c2, q):
     """Union of shifts of the even-symbol zero-error code by a binary code.
 
     Every word is c0 + c2 in Z_q with c0 drawn from {0, 2, ..., q-2}^n;
     the (parity) decomposition is unique, so the size is (q/2)^n * |c2|
     and the rate is exactly log2(q/2) plus the binary rate.
     """
-    if q % 2 != 0 or q < 4:
-        raise ValueError(f"need an even alphabet size >= 4, got {q}")
+    _check_coset_alphabet(q)
     if c2.q != 2:
         raise ValueError("the shift code must be binary")
     n = c2.n
     size = (q // 2) ** n * c2.M
-    if size > size_cap:
-        raise ValueError(f"coset code size {size} exceeds the cap {size_cap}")
-    base = np.array(list(product(range(0, q, 2), repeat=n)), dtype=np.int64)
-    words = (base[:, None, :] + c2.array[None, :, :]) % q
+    if size > CODE_CAP:
+        raise ValueError(f"coset code size {size} exceeds the cap {CODE_CAP}")
+    words = (all_words(range(0, q, 2), n)[:, None, :] + c2.array[None, :, :]) % q
     return make_code(words.reshape(-1, n), q)
+
+
+def random_coset_code(q, n, k, seed=0):
+    """(build_coset_code(c2, q), c2) for c2 = random_linear_code(2, n, k, seed).
+
+    Sizes are checked before anything is drawn or built.
+    """
+    _check_coset_alphabet(q)
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not _power_within(q // 2, n, CODE_CAP >> k):
+        raise ValueError(f"coset code size {q // 2}^{n} * 2^{k} exceeds the cap {CODE_CAP}")
+    c2 = random_linear_code(2, n, k, seed=seed)
+    return build_coset_code(c2, q), c2
 
 
 def q5_generator_plus(g):
@@ -267,7 +371,7 @@ def q5_generator_plus(g):
     return np.vstack([top, bottom])
 
 
-def build_q5_code(g, size_cap=1 << 16):
+def build_q5_code(g):
     """Length-2n code over Z_5 generated by [[I, 2I], [0, G]].
 
     G must be a full-rank k x n matrix over Z_5 (k = 0 gives the n-fold
@@ -277,15 +381,21 @@ def build_q5_code(g, size_cap=1 << 16):
     if g.ndim != 2:
         raise ValueError("generator must be a 2-D matrix")
     k, n = g.shape
+    if not _power_within(5, n + k, CODE_CAP):
+        raise ValueError(f"code size 5^{n + k} exceeds the cap {CODE_CAP}")
     if k and rank_mod_p(g, 5) != k:
         raise ValueError("generator must have full rank over Z_5")
-    size = 5 ** (n + k)
-    if size > size_cap:
-        raise ValueError(f"code size {size} exceeds the cap {size_cap}")
-    gp = q5_generator_plus(g)
-    info = np.array(list(product(range(5), repeat=n + k)), dtype=np.int64)
-    words = info @ gp % 5
-    return make_code(words, 5)
+    return make_code(all_words(range(5), n + k) @ q5_generator_plus(g) % 5, 5)
+
+
+def random_q5_code(n, k, seed=0):
+    """build_q5_code of random_generator_matrix(5, n, k, default_rng(seed)).
+
+    The size is checked before anything is drawn or built.
+    """
+    if not _power_within(5, n + k, CODE_CAP):
+        raise ValueError(f"code size 5^{n + k} exceeds the cap {CODE_CAP}")
+    return build_q5_code(random_generator_matrix(5, n, k, np.random.default_rng(seed)))
 
 
 def pentagon_code():
@@ -303,22 +413,18 @@ def q5_weight_census(g):
     g = np.asarray(g, dtype=np.int64) % 5
     k, n = g.shape
     failures = []
-    prefixes = np.array(list(product(range(5), repeat=n)), dtype=np.int64)
-    for u2 in product(range(5), repeat=k):
-        nu = (np.array(u2, dtype=np.int64) @ g) % 5 if k else np.zeros(n, dtype=np.int64)
+    prefixes = all_words(range(5), n)
+    suffixes = all_words(range(5), k)
+    for u2, nu in zip(suffixes, suffixes @ g % 5):
         d = int(np.count_nonzero(nu))
-        v1 = prefixes
-        v2 = (2 * prefixes + nu) % 5
-        both = np.concatenate([v1, v2], axis=1)
+        both = np.concatenate([prefixes, (2 * prefixes + nu) % 5], axis=1)
         sym = np.where(both == 0, 0.0, np.where((both == 1) | (both == 4), 1.0, INF))
         w = sym.sum(axis=1)
         finite = w[np.isfinite(w)].astype(np.int64)
         expected = {d + t: math.comb(d, t) for t in range(d + 1)}
-        got = {}
-        for z in finite.tolist():
-            got[z] = got.get(z, 0) + 1
+        got = {z: int(c) for z, c in enumerate(np.bincount(finite)) if c}
         if got != expected or len(finite) != 2**d:
-            failures.append((tuple(u2), d, got, expected))
+            failures.append((tuple(int(s) for s in u2), d, got, expected))
     return len(failures) == 0, failures
 
 
@@ -362,6 +468,8 @@ def random_generator_matrix(q_prime, n, k, rng):
     """Uniform random k x n matrix over Z_q', resampled until full rank."""
     if not is_prime(q_prime):
         raise ValueError(f"alphabet size must be prime for rank checks, got {q_prime}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
         return np.zeros((0, n), dtype=np.int64)
     while True:
@@ -374,13 +482,10 @@ def random_linear_code(q_prime, n, k, seed=0):
     """Code spanned by a random full-rank generator (deterministic per seed)."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    g = random_generator_matrix(q_prime, n, k, rng)
-    if k == 0:
-        return make_code([tuple([0] * n)], q_prime)
-    info = np.array(list(product(range(q_prime), repeat=k)), dtype=np.int64)
-    words = info @ g % q_prime
-    return make_code(words, q_prime)
+    if not _power_within(q_prime, k, CODE_CAP):
+        raise ValueError(f"code size {q_prime}^{k} exceeds the cap {CODE_CAP}")
+    g = random_generator_matrix(q_prime, n, k, np.random.default_rng(seed))
+    return make_code(all_words(range(q_prime), k) @ g % q_prime, q_prime)
 
 
 def format_code(code):

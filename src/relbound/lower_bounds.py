@@ -8,49 +8,11 @@ spectrum of random linear codes over Z_5.
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .channel import bhattacharyya, capacity, entropy_h, gv_delta
 from .classical import bsc_expurgated_exponent, expurgated_junction_rate
-from .codes import build_coset_code, code_weights
-
-ZERO_EXPONENT = -math.inf
-
-
-class SpectrumExponent(NamedTuple):
-    """Asymptotic growth rate of a weight class, -inf marking a zero count."""
-
-    rate: float
-    delta: float
-    exponent: float
-
-    @property
-    def is_zero(self):
-        return self.exponent == ZERO_EXPONENT
-
-
-def binary_gv_spectrum_exponent(rate, delta):
-    """Spectrum growth r - 1 + h2(delta) of good binary linear codes.
-
-    Weight classes below the distance guarantee are empty (-inf marker).
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"binary rate must lie in [0, 1], got {rate}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"normalized weight must lie in [0, 1], got {delta}")
-    if delta < gv_delta(2.0, rate) - 1e-12:
-        return SpectrumExponent(rate, delta, ZERO_EXPONENT)
-    return SpectrumExponent(rate, delta, rate - 1.0 + entropy_h(2.0, delta))
-
-
-def q5_gv_spectrum_exponent(rate, delta):
-    """Spectrum growth r - log2(5) + h2(delta) + 2 delta over Z_5."""
-    if not 0.0 <= rate <= math.log2(5.0) + 1e-12:
-        raise ValueError(f"rate must lie in [0, log2 5], got {rate}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"normalized weight must lie in [0, 1], got {delta}")
-    if delta < gv_delta(5.0, rate) - 1e-12:
-        return SpectrumExponent(rate, delta, ZERO_EXPONENT)
-    expo = rate - math.log2(5.0) + entropy_h(2.0, delta) + 2.0 * delta
-    return SpectrumExponent(rate, delta, expo)
+from .codes import build_coset_code, code_weights, word_indices
 
 
 def junction_rate_even(epsilon, q):
@@ -64,7 +26,7 @@ def lower_bound_even(ch, r):
     """Coset-ensemble achievability bound for even q.
 
     Exactly the BSC expurgated exponent shifted right by log2(q/2).
-    Valid for log2(q/2) < r <= capacity.
+    Valid for log2(q/2) < r <= capacity; exactly 0 at capacity.
     """
     if ch.q % 2 != 0:
         raise ValueError(f"this bound needs an even alphabet size, got {ch.q}")
@@ -72,7 +34,9 @@ def lower_bound_even(ch, r):
     c = capacity(ch)
     if not shift < r <= c + 1e-12:
         raise ValueError(f"rate must lie in (log2(q/2), C] = ({shift}, {c}], got {r}")
-    return bsc_expurgated_exponent(ch.epsilon, min(r, c) - shift)
+    if r >= c:
+        return 0.0
+    return bsc_expurgated_exponent(ch.epsilon, r - shift)
 
 
 def junction_rate_q5(epsilon):
@@ -91,14 +55,17 @@ def lower_bound_q5(epsilon, r):
     Below the junction the exponent is driven by the distance guarantee
     of random linear codes over Z_5; above it the slope -1 line of the
     expurgated bound takes over. Clamped at zero past the line's zero
-    crossing, where an exponent bound says nothing.
+    crossing, where an exponent bound says nothing, and exactly 0 at
+    capacity.
     """
     log5 = math.log2(5.0)
     lo = 0.5 * log5
     c = log5 - entropy_h(2.0, epsilon)
     if not lo - 1e-12 <= r <= c + 1e-12:
         raise ValueError(f"rate must lie in [log2 sqrt5, C] = [{lo}, {c}], got {r}")
-    r = min(max(r, lo), c)
+    if r >= c:
+        return 0.0
+    r = max(r, lo)
     alpha = bhattacharyya(epsilon)
     if r >= junction_rate_q5(epsilon):
         return max(math.log2(5.0 / (1.0 + 2.0 * alpha)) - r, 0.0)
@@ -113,6 +80,14 @@ class CosetSpectrumCheck(NamedTuple):
     table: dict  # finite z -> (a_z, b_z) integer counts
 
 
+def _weight_counts(code):
+    """Number of words of each finite weight z = 1..n at index z (index 0 holds 0)."""
+    w = code_weights(code)
+    counts = np.bincount(w[np.isfinite(w)].astype(np.int64), minlength=code.n + 1)
+    counts[0] = 0
+    return counts
+
+
 def coset_spectrum_check(c2, q):
     """Verify A_z = 2^z B_z between a linear binary code and its coset lift.
 
@@ -120,30 +95,17 @@ def coset_spectrum_check(c2, q):
     linear c2 makes the lift linear over Z_q); B_z is the Hamming weight
     count of c2. Linearity of c2 is checked by closure.
     """
-    words = set(c2.words)
-    for a in c2.words:
-        for b in c2.words:
-            if tuple((x + y) % 2 for x, y in zip(a, b)) not in words:
-                raise ValueError("the binary code is not linear (closure fails)")
+    # build first: it refuses a non-binary c2 and caps the lift at
+    # (q/2)^n |c2| >= |c2|^2 words, which bounds the closure table below
     lifted = build_coset_code(c2, q)
-    weights = code_weights(lifted)
-    a_counts = {}
-    for w in weights:
-        if math.isfinite(w):
-            z = int(w)
-            if z > 0:
-                a_counts[z] = a_counts.get(z, 0) + 1
-    b_counts = {}
-    for w in code_weights(c2):
-        z = int(w)
-        if z > 0:
-            b_counts[z] = b_counts.get(z, 0) + 1
-    table = {}
-    ok = True
-    for z in sorted(set(a_counts) | set(b_counts)):
-        az = a_counts.get(z, 0)
-        bz = b_counts.get(z, 0)
-        table[z] = (az, bz)
-        if az != (2**z) * bz:
-            ok = False
+    idx = word_indices(c2.array, 2)
+    # for binary words, index(a + b) = index(a) XOR index(b)
+    if not np.isin(idx[:, None] ^ idx[None, :], idx).all():
+        raise ValueError("the binary code is not linear (closure fails)")
+    table = {
+        z: (int(az), int(bz))
+        for z, (az, bz) in enumerate(zip(_weight_counts(lifted), _weight_counts(c2)))
+        if az or bz
+    }
+    ok = all(az == (2**z) * bz for z, (az, bz) in table.items())
     return CosetSpectrumCheck(ok, table)

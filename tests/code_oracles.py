@@ -1,0 +1,133 @@
+"""Tuple-era reference implementations of the code kernels.
+
+These are the earlier per-word implementations of code validation,
+spectrum, exact_pe and mc_pe, kept as oracles: the array kernels in
+relbound.codes must agree with them exactly (bit for bit on floats).
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+
+from relbound.channel import INF
+from relbound.codes import MCResult, Spectrum, wilson_interval
+
+
+def validate_words(words, q):
+    """Tuple-by-tuple validation; raises ValueError where a code is refused."""
+    words = tuple(tuple(int(s) for s in w) for w in words)
+    if len(words) == 0:
+        raise ValueError("a code needs at least one word")
+    n = len(words[0])
+    if n < 1:
+        raise ValueError("blocklength must be at least 1")
+    seen = set()
+    for w in words:
+        if len(w) != n:
+            raise ValueError("all words must have the same length")
+        if any(not 0 <= s < q for s in w):
+            raise ValueError(f"symbol out of range in word {w}")
+        if w in seen:
+            raise ValueError(f"duplicate word {w}")
+        seen.add(w)
+    return words
+
+
+def spectrum(code):
+    """Pairwise semidistances by broadcasting differences, block of rows at a time."""
+    a = np.array(code.words, dtype=np.int64)
+    m = code.M
+    finite = {}
+    inf_pairs = 0
+    chunk = max(1, (1 << 22) // max(m * code.n, 1))
+    for lo in range(0, m, chunk):
+        block = a[lo : lo + chunk]
+        diff = (block[:, None, :] - a[None, :, :]) % code.q
+        sym = np.where(diff == 0, 0.0, np.where((diff == 1) | (diff == code.q - 1), 1.0, INF))
+        d = sym.sum(axis=2)
+        for i in range(block.shape[0]):
+            d[i, lo + i] = INF  # drop the diagonal
+        flat = d.ravel()
+        inf_pairs += int(np.isinf(flat).sum()) - block.shape[0]
+        vals = flat[np.isfinite(flat)].astype(np.int64)
+        if vals.size:
+            counts = np.bincount(vals)
+            for z, c in enumerate(counts):
+                if c:
+                    finite[z] = finite.get(z, 0) + int(c)
+    return Spectrum(
+        counts={z: Fraction(c, m) for z, c in sorted(finite.items())},
+        infinite_count=Fraction(inf_pairs, m),
+    )
+
+
+def _word_index(arr, q):
+    return arr @ (q ** np.arange(arr.shape[-1] - 1, -1, -1, dtype=np.int64))
+
+
+def exact_word_errors(code, ch, dense=True):
+    """Per-word exact ML error: a dense output array, or a dict over reached outputs."""
+    q, n, m = code.q, code.n, code.M
+    arr = np.array(code.words, dtype=np.int64)
+    pats = np.array(list(product((0, 1), repeat=n)), dtype=np.int64)
+    weights = pats.sum(axis=1)
+    eps = ch.epsilon
+    pw = (1.0 - eps) ** (n - weights) * eps**weights
+    reach = [(_word_index((arr[i] + pats) % q, q), pw) for i in range(m)]
+    errs = np.empty(m)
+    if dense:
+        max_w = np.zeros(q**n)
+        for idx, w in reach:
+            np.maximum.at(max_w, idx, w)
+        cnt = np.zeros(q**n, dtype=np.int64)
+        for idx, w in reach:
+            hit = w == max_w[idx]
+            np.add.at(cnt, idx[hit], 1)
+        for i, (idx, w) in enumerate(reach):
+            share = np.where(w == max_w[idx], 1.0 / cnt[idx], 0.0)
+            errs[i] = float(np.sum(w * (1.0 - share)))
+        return errs
+    best = {}
+    for idx, w in reach:
+        for o, wi in zip(idx.tolist(), w.tolist()):
+            if wi > best.get(o, 0.0):
+                best[o] = wi
+    cnt = {}
+    for idx, w in reach:
+        for o, wi in zip(idx.tolist(), w.tolist()):
+            if wi == best[o]:
+                cnt[o] = cnt.get(o, 0) + 1
+    for i, (idx, w) in enumerate(reach):
+        e = 0.0
+        for o, wi in zip(idx.tolist(), w.tolist()):
+            e += wi * (1.0 - (1.0 / cnt[o] if wi == best[o] else 0.0))
+        errs[i] = e
+    return errs
+
+
+def mc_pe(code, ch, trials, seed=0, block=1 << 14):
+    """Monte-Carlo ML error with the full block x M x n difference array."""
+    rng = np.random.default_rng(seed)
+    q, n, m = code.q, code.n, code.M
+    eps = ch.epsilon
+    pw = (1.0 - eps) ** (n - np.arange(n + 1)) * eps ** np.arange(n + 1)
+    errors = 0
+    done = 0
+    arr = np.array(code.words, dtype=np.int64)
+    while done < trials:
+        b = min(block, trials - done)
+        senders = rng.integers(0, m, size=b)
+        noise = (rng.random((b, n)) < eps).astype(np.int64)
+        y = (arr[senders] + noise) % q
+        diff = (y[:, None, :] - arr[None, :, :]) % q
+        valid = np.all(diff <= 1, axis=2)
+        k = diff.sum(axis=2)
+        scores = np.where(valid, pw[np.minimum(k, n)], 0.0)
+        best = scores.max(axis=1, keepdims=True)
+        tie = scores == best
+        pick = np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1)
+        errors += int(np.sum(pick != senders))
+        done += b
+    lo, hi = wilson_interval(errors, trials)
+    return MCResult(errors / trials, lo, hi, trials, errors)

@@ -149,6 +149,12 @@ def test_gv_delta():
     assert gv_delta(2.0, 1.0) == pytest.approx(0.0)
     r = math.log2(5.0) - entropy_h(5.0, 0.3)
     assert gv_delta(5.0, r) == pytest.approx(0.3, abs=1e-10)
+    assert gv_delta(2.0, 0.5) == pytest.approx(0.110028, abs=1e-6)
+    for r in (0.4, 1.0, 1.8):
+        d = gv_delta(5.0, r)
+        assert 1.0 - entropy_h(2.0, gv_delta(2.0, r / 2.5)) == pytest.approx(r / 2.5, abs=1e-10)
+        # over Z_5, h5(d) = h2(d) + 2d
+        assert entropy_h(5.0, d) == pytest.approx(entropy_h(2.0, d) + 2.0 * d, abs=1e-12)
     with pytest.raises(ValueError):
         gv_delta(2.0, 1.5)
 

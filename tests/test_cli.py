@@ -117,6 +117,25 @@ def test_simulate_malformed_file(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--code", "q5plus:1:2:0"),  # k > n: no full-rank generator exists
+        ("simulate", "--code", "coset:3:5:0", "--q", "4"),
+        ("simulate", "--code", "coset:3:2:0", "--q", "5"),
+        ("simulate", "--code", "coset:1000000000:1:0", "--q", "4"),
+        ("simulate", "--code", "q5plus:1000000000:3:0"),
+        ("oracle", "--rho", "2", "--restarts", "0"),
+    ],
+)
+def test_bad_specs_refused_quickly_with_usage_exit(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert err.startswith("error: ") and out == ""
+
+
 def test_verify_only(capsys):
     rc, out, err = run(capsys, "verify", "--only", "theta")
     assert rc == 0

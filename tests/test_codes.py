@@ -1,26 +1,38 @@
 import math
 from fractions import Fraction
 
+import code_oracles as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relbound import codes as codes_mod
 from relbound.channel import Channel, bhattacharyya, semidistance
 from relbound.codes import (
+    all_words,
     build_coset_code,
     build_q5_code,
     code_weights,
     exact_pe,
+    exact_pe_avg_max,
+    exact_word_errors,
     format_code,
     make_code,
     mc_pe,
     parse_code,
     pentagon_code,
     q5_weight_census,
+    random_coset_code,
+    random_generator_matrix,
     random_linear_code,
+    random_q5_code,
     rank_mod_p,
     spectrum,
     union_bound_pe,
 )
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 def test_code_validation():
@@ -32,6 +44,98 @@ def test_code_validation():
         make_code([(0, 4)], 4)  # symbol out of range
     with pytest.raises(ValueError):
         make_code([], 4)
+    with pytest.raises(ValueError):
+        make_code([(0.5, 1.0)], 4)  # not integers
+    # a duplicate past the int64 range of word indices (q^n >= 2^63)
+    big = np.zeros((3, 70), dtype=np.int64)
+    big[1, 0] = 1
+    with pytest.raises(ValueError, match="duplicate"):
+        make_code(big, 2)
+    big[2, 1] = 1
+    assert make_code(big, 2).M == 3
+
+
+def test_code_owns_a_read_only_array():
+    words = np.array([[0, 1], [2, 3]])
+    code = make_code(words, 4)
+    words[0, 0] = 3  # the caller's array is not shared
+    assert code.words == ((0, 1), (2, 3))
+    assert code.array.dtype == np.int64 and code.array.shape == (2, 2)
+    with pytest.raises(ValueError):
+        code.array[0, 0] = 1
+    assert code == make_code([(0, 1), (2, 3)], 4) and code != make_code([(0, 1), (2, 3)], 5)
+    assert len({code, make_code(code.words, 4)}) == 1
+
+
+@st.composite
+def word_lists(draw):
+    """Lists of integer words, mostly valid, some ragged, out of range or repeated."""
+    q = draw(st.integers(min_value=2, max_value=9))
+    n = draw(st.integers(min_value=0, max_value=4))
+    lengths = st.integers(min_value=max(n - 1, 0), max_value=n + 1) if draw(st.booleans()) else st.just(n)
+    symbols = st.integers(min_value=-1, max_value=q) if draw(st.booleans()) else st.integers(0, q - 1)
+    words = draw(st.lists(lengths.flatmap(lambda k: st.lists(symbols, min_size=k, max_size=k)), max_size=8))
+    return [tuple(w) for w in words], q
+
+
+def _refused(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@PROPERTY
+@given(word_lists())
+def test_array_validation_refuses_what_tuple_validation_refused(case):
+    words, q = case
+    refused = _refused(oracle.validate_words, words, q)
+    assert _refused(make_code, words, q) == refused
+    if not refused:
+        assert make_code(words, q).words == oracle.validate_words(words, q)
+
+
+def _random_code(rng, q, n, m):
+    idx = rng.choice(q**n, size=m, replace=False)
+    return make_code(all_words(range(q), n)[idx], q)
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_spectrum_matches_tuple_oracle(q):
+    rng = np.random.default_rng(q)
+    for n in (1, 2, 3, 4):
+        for m in sorted({1, 2, min(q**n, 7), min(q**n, 60)}):
+            code = _random_code(rng, q, n, m)
+            assert spectrum(code) == oracle.spectrum(code)
+        with pytest.raises(ValueError):
+            make_code([(q - 1,) * n, (0,) * n, (q - 1,) * n], q)  # duplicates refused
+
+
+def test_spectrum_works_in_bounded_row_blocks(monkeypatch):
+    code = build_coset_code(random_linear_code(2, 5, 3, seed=2), 4)
+    whole = spectrum(code)
+    monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 3 * code.M * 16)
+    assert spectrum(code) == whole == oracle.spectrum(code)
+
+
+@pytest.mark.parametrize(
+    "code_spec, eps",
+    [(("coset", 4, 3, 2, 1), 0.1), (("coset", 6, 2, 1, 7), 0.5), (("q5", 2, 1, 3), 0.2),
+     (("q5", 2, 0, 0), 0.5), (("coset", 4, 2, 0, 5), 0.5)],
+)
+def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
+    if code_spec[0] == "coset":
+        code = random_coset_code(*code_spec[1:4], seed=code_spec[4])[0]
+    else:
+        code = random_q5_code(*code_spec[1:3], seed=code_spec[3])
+    ch = Channel(code.q, eps)
+    # trial counts below, at and off multiples of the 16384-trial draw
+    for seed, trials in ((0, 1), (1, 999), (2, 16384), (3, 16385), (4, 40000)):
+        assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed)
+    # many small row blocks draw the same tie-breaking stream
+    monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 7 * code.M * 48)
+    assert mc_pe(code, ch, 20001, seed=5) == oracle.mc_pe(code, ch, 20001, seed=5)
 
 
 def test_pentagon_code_is_shannons():
@@ -81,6 +185,14 @@ def test_exact_pe_single_word():
     assert exact_pe(make_code([(1, 2, 3)], 5), Channel(5, 0.2)) == 0.0
 
 
+def test_exact_pe_avg_never_rounds_above_max():
+    # 18 words with error 0.01 each: their float mean is 0.010000000000000002
+    code = random_coset_code(6, 2, 1, seed=0)[0]
+    ch = Channel(6, 0.01)
+    assert float(exact_word_errors(code, ch).mean()) > exact_pe(code, ch, "max")
+    assert exact_pe(code, ch, "avg") == exact_pe(code, ch, "max") == 0.01
+
+
 def test_exact_pe_avg_below_max_and_union():
     rng = np.random.default_rng(11)
     ch = Channel(4, 0.12)
@@ -106,18 +218,46 @@ def test_exact_pe_pairwise_floor():
         assert exact_pe(code, ch, "max") >= 0.5 * ch.epsilon**d - 1e-15
 
 
-def test_exact_pe_sparse_path_matches_dense(monkeypatch):
-    # force the reachable-output dictionary path and compare to the
-    # dense-array sweep
-    from relbound import codes as codes_mod
-
+def test_exact_pe_matches_tuple_oracles():
+    # the coset code below and small codes with q^n above 2^22, which the
+    # earlier implementation sent through its reachable-output dictionary
     ch = Channel(4, 0.15)
-    code = build_coset_code(make_code([(0, 0, 0, 0), (1, 1, 0, 1)], 2), 4)
-    dense_avg = exact_pe(code, ch, "avg")
-    dense_max = exact_pe(code, ch, "max")
-    monkeypatch.setattr(codes_mod, "DENSE_CAP", code.M * 2**code.n + 1)
-    assert exact_pe(code, ch, "avg") == pytest.approx(dense_avg, abs=1e-14)
-    assert exact_pe(code, ch, "max") == pytest.approx(dense_max, abs=1e-14)
+    codes = [(build_coset_code(make_code([(0, 0, 0, 0), (1, 1, 0, 1)], 2), 4), ch)]
+    rng = np.random.default_rng(3)
+    for q, n, m, eps in ((7, 8, 12, 0.3), (9, 7, 20, 0.5), (5, 3, 40, 0.5), (6, 4, 30, 0.1)):
+        codes.append((_random_code(rng, q, n, m), Channel(q, eps)))
+    for code, ch in codes:
+        errs = exact_word_errors(code, ch)
+        assert np.array_equal(errs, oracle.exact_word_errors(code, ch, dense=True))
+        assert np.allclose(errs, oracle.exact_word_errors(code, ch, dense=False), rtol=0, atol=1e-14)
+        assert exact_pe(code, ch, "avg") == min(float(errs.mean()), float(errs.max()))
+        assert exact_pe(code, ch, "max") == float(errs.max())
+    with pytest.raises(ValueError, match="enumeration"):
+        exact_pe(random_q5_code(6, 0, seed=0), Channel(5, 0.1))  # M 2^n = 2^24
+
+
+@st.composite
+def builtin_codes(draw):
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([4, 6]))
+        n = draw(st.integers(min_value=1, max_value=4))
+        code = random_coset_code(q, n, draw(st.integers(0, n)), seed=draw(st.integers(0, 99)))[0]
+    else:
+        n = draw(st.integers(min_value=1, max_value=2))
+        code = random_q5_code(n, draw(st.integers(0, n)), seed=draw(st.integers(0, 99)))
+    eps = draw(st.sampled_from([0.01, 0.1, 0.3, 0.5]))
+    return code, Channel(code.q, eps)
+
+
+@PROPERTY
+@given(builtin_codes())
+def test_exact_pe_below_union_bound_and_max_above_avg(case):
+    code, ch = case
+    avg, worst = exact_pe_avg_max(code, ch)
+    assert avg <= union_bound_pe(code, ch) + 1e-15
+    assert worst >= avg
+    assert (avg, worst) == (exact_pe(code, ch, "avg"), exact_pe(code, ch, "max"))
+    assert union_bound_pe(code, ch, spectrum(code)) == union_bound_pe(code, ch)
 
 
 def test_mc_pe_zero_error_and_determinism():
@@ -199,6 +339,10 @@ def test_random_linear_code():
         random_linear_code(4, 3, 1, seed=0)  # alphabet not prime
     with pytest.raises(ValueError):
         random_linear_code(2, 3, 4, seed=0)
+    with pytest.raises(ValueError):
+        random_generator_matrix(5, 1, 2, np.random.default_rng(0))  # k > n: no full rank exists
+    with pytest.raises(ValueError, match="cap"):
+        random_linear_code(2, 40, 20, seed=0)
 
 
 def test_gv_spectrum_concentration():
@@ -220,6 +364,17 @@ def test_code_serialization_roundtrip():
     assert text.splitlines()[0] == "4 3 32"
     back = parse_code(text)
     assert back == code
+
+
+@PROPERTY
+@given(word_lists())
+def test_format_parse_roundtrip_on_generated_codes(case):
+    words, q = case
+    try:
+        code = make_code(words, q)
+    except ValueError:
+        return
+    assert parse_code(format_code(code)) == code
 
 
 def test_parse_code_errors_name_the_line():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from relbound import upper_bounds
 from relbound.channel import Channel, capacity
 from relbound.curves import (
+    BOUNDS,
     MAX_GRID_POINTS,
     BoundCurve,
     applicable_bounds,
@@ -155,6 +156,28 @@ def test_evaluate_curves_computes_each_curve_once(monkeypatch):
     assert calls == []  # the lower envelope evaluates no converse
     evaluate_curves(ch, ["binary_reduction", "envelope_lower", "envelope_upper"], grid)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+@pytest.mark.parametrize("q", range(4, 10))
+def test_bounds_at_capacity(q, eps):
+    # E(C) = 0; at q = 5, eps = 1/2 capacity rounds an ulp below log2(q/2),
+    # which made sphere packing read inf and the slope -1 lines 2.2e-16
+    ch = Channel(q, eps)
+    cap = np.array([capacity(ch)])
+    for name in applicable_bounds(ch):
+        spec = BOUNDS[name]
+        if spec.evaluate is None or not spec.domain(ch, cap)[0]:
+            continue
+        value = spec.evaluate(ch, cap)[0]
+        if name == "expurgated":
+            # its line may already be below zero; it meets zero at C for eps = 1/2
+            assert value == 0.0 if eps == 0.5 else value < 0.0
+        elif spec.kind == "lower":
+            assert value == 0.0, name
+    assert BOUNDS["sphere_packing"].evaluate(ch, cap)[0] == 0.0
+    assert upper_bounds.envelope(ch, cap, "lower")[0] == 0.0
+    assert upper_bounds.envelope(ch, cap, "upper")[0] == 0.0
 
 
 @st.composite

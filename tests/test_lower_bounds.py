@@ -11,37 +11,12 @@ from relbound.classical import (
 )
 from relbound.codes import make_code, random_linear_code
 from relbound.lower_bounds import (
-    binary_gv_spectrum_exponent,
     coset_spectrum_check,
     junction_rate_even,
     junction_rate_q5,
     lower_bound_even,
     lower_bound_q5,
-    q5_gv_spectrum_exponent,
 )
-
-
-def test_binary_gv_spectrum_exponent():
-    r = 0.73
-    d = gv_delta(2.0, r)
-    assert binary_gv_spectrum_exponent(r, d).exponent == pytest.approx(0.0, abs=1e-10)
-    assert binary_gv_spectrum_exponent(1.0, 0.5).exponent == pytest.approx(1.0)
-    # just below the distance guarantee the class is empty
-    assert binary_gv_spectrum_exponent(0.5, 0.11).is_zero
-    assert gv_delta(2.0, 0.5) == pytest.approx(0.110028, abs=1e-6)
-    with pytest.raises(ValueError):
-        binary_gv_spectrum_exponent(1.2, 0.3)
-
-
-def test_q5_gv_spectrum_exponent():
-    # exponent vanishes on the distance guarantee: h5(d) = h2(d) + 2d
-    for r in (0.4, 1.0, 1.8):
-        d = gv_delta(5.0, r)
-        assert q5_gv_spectrum_exponent(r, d).exponent == pytest.approx(0.0, abs=1e-10)
-        assert entropy_h(5.0, d) == pytest.approx(entropy_h(2.0, d) + 2.0 * d, abs=1e-12)
-    full = q5_gv_spectrum_exponent(math.log2(5.0), 0.8)
-    assert full.exponent == pytest.approx(math.log2(5.0), abs=1e-12)
-    assert q5_gv_spectrum_exponent(0.5, 0.0).is_zero
 
 
 def test_lower_bound_even_examples():
