@@ -19,7 +19,6 @@ from .channel import (
 from .classical import (
     ParametricPoint,
     bsc_expurgated_exponent,
-    dual_parametric_point,
     critical_rate,
     eps_bar,
     eps_rho,
@@ -64,7 +63,6 @@ from .upper_bounds import (
     delta_lp2,
     delta_lp2_point,
     envelope,
-    epsilon_power_bound,
     lp1_rate,
     min_distance_bound,
     spectrum_half_bound,

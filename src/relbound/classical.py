@@ -16,6 +16,7 @@ from .channel import (
     cycle_constants,
     entropy_h,
     gv_delta,
+    theta_cycle,
 )
 from .solvers import bisect_root
 
@@ -133,20 +134,12 @@ def eps_bar(q):
     """
     if q < 4:
         raise ValueError(f"alphabet size must be >= 4, got {q}")
-    ltheta = math.log2(theta_of_q(q))
+    ltheta = math.log2(theta_cycle(q))
 
     def gap(eps):
         return _junction_rate_formula(bhattacharyya(eps), q) - ltheta
 
     return bisect_root(gap, 1e-15, 0.5)
-
-
-def theta_of_q(q):
-    """Cycle Lovasz number without constructing a Channel (q >= 4)."""
-    if q % 2 == 0:
-        return q / 2.0
-    c = math.cos(math.pi / q)
-    return q * c / (1.0 + c)
 
 
 def _junction_rate_formula(alpha, q):
@@ -176,19 +169,6 @@ class ParametricPoint(NamedTuple):
     rho: float
     rate: float
     exponent: float
-
-
-def dual_parametric_point(ch, rho):
-    """(rate, exponent) of the sphere-packing/random-coding family at tilt rho.
-
-    Rate is strictly decreasing in rho; random coding uses rho in [0, 1],
-    sphere packing any rho >= 0.
-    """
-    return ParametricPoint(
-        rho=rho,
-        rate=_rate_at_rho(ch, rho),
-        exponent=binary_divergence(eps_rho(ch.epsilon, rho), ch.epsilon),
-    )
 
 
 def expurgated_parametric_point(ch, rho):

@@ -90,7 +90,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--code", type=str, default=None,
                    help="code file path, or builtin: pentagon | coset:N:K:SEED | q5plus:N:K:SEED")
-    p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials (0 = skip)")
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"Monte-Carlo trials (0 = skip; trials x M at most {cod.MC_PAIR_CAP})")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     _add_common(p)
@@ -271,6 +272,12 @@ def cmd_simulate(args):
         ch = Channel(code.q, s["eps"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if s["trials"] < 0:
+        raise UsageError(f"--trials must be >= 0 (0 skips Monte Carlo), got {s['trials']}")
+    try:
+        mc = cod.mc_pe(code, ch, s["trials"], seed=s["seed"]) if s["trials"] else None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     lines = [f"code: q={code.q} n={code.n} M={code.M}"]
     spec = cod.spectrum(code)
     lines.append("spectrum (finite z): " + (
@@ -284,8 +291,7 @@ def cmd_simulate(args):
         lines.append(f"exact max ML error: {worst:.12g}")
     except ValueError as exc:
         lines.append(f"exact enumeration skipped: {exc}")
-    if s["trials"] > 0:
-        mc = cod.mc_pe(code, ch, s["trials"], seed=s["seed"])
+    if mc is not None:
         lines.append(
             f"monte carlo avg error: {mc.estimate:.6g} "
             f"(95% interval [{mc.lower:.6g}, {mc.upper:.6g}], {mc.trials} trials)"

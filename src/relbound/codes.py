@@ -23,6 +23,7 @@ from .channel import INF, bhattacharyya
 OUTPUT_CAP = 10**7
 REACH_CAP = 1 << 22  # reachable (codeword, output) pairs in exact_pe
 M_CAP = 4096
+MC_PAIR_CAP = 1 << 28  # (trial, codeword) pairs scored by one mc_pe call
 CODE_CAP = 1 << 16  # words in a constructed code
 BLOCK_BYTES = 1 << 23  # temporaries of one row block of the pairwise kernel
 MC_DRAW = 1 << 14  # trials per random draw in mc_pe; fixes its random stream
@@ -292,11 +293,16 @@ def mc_pe(code, ch, trials, seed=0):
     one tie-breaking uniform per (trial, codeword) pair. The uniforms
     are drawn row block by row block, which yields the same stream as
     drawing them at once, so the result depends only on the seed.
+    The work, trials x M scored pairs, is capped at MC_PAIR_CAP.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if code.q != ch.q:
         raise ValueError("code and channel alphabet sizes differ")
+    if trials * code.M > MC_PAIR_CAP:
+        raise ValueError(
+            f"{trials} trials x {code.M} codewords exceeds the cap of {MC_PAIR_CAP} scored pairs"
+        )
     rng = np.random.default_rng(seed)
     arr, q, n, m = code.array, code.q, code.n, code.M
     eps = ch.epsilon

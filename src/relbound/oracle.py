@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .channel import bhattacharyya, cycle_constants, semidistance
+from .channel import bhattacharyya, cycle_constants
 
 SIZE_CAP = 3125
 GRAD_MAP_TOL = 1e-10
@@ -45,19 +45,6 @@ def gram_matrix(ch, rho, n, size_cap=SIZE_CAP):
     for _ in range(n - 1):
         out = np.kron(out, g)
     return out
-
-
-def gram_matrix_direct(ch, rho, n):
-    """Same matrix from the additive semidistance, entry by entry (test oracle)."""
-    words = list(product(range(ch.q), repeat=n))
-    a = bhattacharyya(ch.epsilon)
-    m = len(words)
-    g = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            d = semidistance(words[i], words[j], ch.q)
-            g[i, j] = 0.0 if math.isinf(d) else a ** (d / rho)
-    return g
 
 
 def eigenvalues_g1(ch, rho):
@@ -189,18 +176,6 @@ def minimize_q(ch, rho, n, restarts=200, seed=0, size_cap=SIZE_CAP, max_iter=MAX
         converged=bool(conv[best]),
         convex=convex,
     )
-
-
-def evaluate_quadratic_slow(g, p):
-    """Double-loop quadratic form, kept independent of the numpy path (test oracle)."""
-    m = len(p)
-    total = 0.0
-    for i in range(m):
-        row = 0.0
-        for j in range(m):
-            row += g[i][j] * p[j]
-        total += p[i] * row
-    return total
 
 
 def uniform_value(ch, rho, n):

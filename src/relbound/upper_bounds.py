@@ -20,6 +20,7 @@ from .channel import (
     entropy_h_inv,
     h2_array,
     h2_inv_bracket,
+    theta_cycle,
 )
 from .classical import (
     RHO_CAP,
@@ -177,16 +178,6 @@ def _lp1_distance(q_prime, rate):
     return bisect_root(lambda d: lp1_rate(q_prime, d) - rate, 0.0, dmax)
 
 
-def epsilon_power_bound(ch, r):
-    """log2(1/eps): every code above the Lovasz rate errs at least eps^n."""
-    if ch.q % 2 == 0:
-        raise ValueError("this bound applies to odd alphabet sizes only")
-    ltheta = math.log2(cycle_constants(ch).theta)
-    if r <= ltheta:
-        raise ValueError(f"rate must exceed log2 theta = {ltheta}, got {r}")
-    return math.log2(1.0 / ch.epsilon)
-
-
 @dataclass(frozen=True)
 class StraightLine:
     """Chord from a low-rate anchor to its tangency point on the sphere-packing curve.
@@ -276,15 +267,6 @@ def lp2_anchored_line(ch):
     return straight_line_bound(math.log2(ch.q / 2), anchor, ch)
 
 
-def _h3_vec(x):
-    out = np.zeros_like(x)
-    pos = (x > 0) & (x < 1)
-    xv = x[pos]
-    out[pos] = xv - xv * np.log2(xv) - (1 - xv) * np.log2(1 - xv)
-    out[x >= 1] = 1.0
-    return out
-
-
 class SpectrumBoundPoint(NamedTuple):
     """Achieving (distance, radius) pair of the spectrum converse."""
 
@@ -294,54 +276,50 @@ class SpectrumBoundPoint(NamedTuple):
     value: float
 
 
-def spectrum_half_point(q, r, coarse=512, refinements=2):
+def spectrum_half_point(q, r):
     """Spectrum-driven converse for odd q at crossover exactly 1/2.
 
     Either the code has small distance, or it has exponentially many
-    neighbors at some scaled radius tau; the bound is the max-min of the
-    two effects over the admissible (distance, radius) box, evaluated on
-    an adaptively refined grid. Degenerates to the distance cap s when
-    the box is empty.
+    neighbors at some scaled radius tau. The bound is the maximum of
+
+        min(d, tau - min(g(tau), d/2)),  g(t) = r - log2 q + h3(t),
+
+    over delta_lo <= d <= tau <= s, where s is the LP distance cap and
+    delta_lo = h3^{-1}(log2 q - r). The maximum has a closed form. For
+    odd q >= 5, s <= (q'-1)/q' < 2/3, so the box lies on the rising,
+    concave branch of h3, where g >= 0 (g(delta_lo) = 0). At fixed tau
+    the maximum over d is then max(A(tau), H(tau)): A(t) = t - g(t),
+    reached at d = t, and H(t) = min(d_m, t - d_m/2) at
+    d_m = max(2t/3, delta_lo). A is convex, so it peaks at t = delta_lo
+    (value delta_lo) or at t = s; H is increasing, so it peaks at t = s.
+    The bound is the best of the pairs (delta_lo, delta_lo), (s, s) and
+    (d_m(s), s), reported as the objective at the winning pair.
+    Degenerates to the distance cap s when the box is empty.
     """
     if q % 2 == 0:
         raise ValueError("the spectrum bound applies to odd alphabet sizes only")
-    theta = q * math.cos(math.pi / q) / (1.0 + math.cos(math.pi / q))
-    q_prime = q / theta
+    theta = theta_cycle(q)
     ltheta = math.log2(theta)
-    top = math.log2(q) - 1.0
+    lq = math.log2(q)
+    top = lq - 1.0
     if not ltheta < r < top:
         raise ValueError(f"rate must lie in (log2 theta, log2 q - 1) = ({ltheta}, {top}), got {r}")
-    s = _lp1_distance(q_prime, r - ltheta)
-    delta_lo = entropy_h_inv(3.0, math.log2(q) - r)
+    s = _lp1_distance(q / theta, r - ltheta)
+    delta_lo = entropy_h_inv(3.0, lq - r)
     if delta_lo >= s:
         return SpectrumBoundPoint(delta=s, tau=s, s=s, value=s)
 
-    lq = math.log2(q)
+    def objective(d, t):
+        return min(d, t - min(r - lq + entropy_h(3.0, t), d / 2.0))
 
-    def best_on(d_lo, d_hi, t_lo, t_hi, pts):
-        d = np.linspace(d_lo, d_hi, pts)
-        t = np.linspace(t_lo, t_hi, pts)
-        dd, tt = np.meshgrid(d, t, indexing="ij")
-        inner = np.minimum(r - (lq - _h3_vec(tt)), dd / 2.0)
-        val = np.minimum(dd, tt - inner)
-        val[tt < dd] = -INF
-        k = int(np.argmax(val))
-        i, j = divmod(k, pts)
-        return float(val[i, j]), float(dd[i, j]), float(tt[i, j]), d[1] - d[0] if pts > 1 else 0.0
-
-    value, bd, bt, spacing = best_on(delta_lo, s, delta_lo, s, coarse)
-    for _ in range(refinements):
-        d_lo = max(delta_lo, bd - 2 * spacing)
-        d_hi = min(s, bd + 2 * spacing)
-        t_lo = max(delta_lo, bt - 2 * spacing)
-        t_hi = min(s, bt + 2 * spacing)
-        value, bd, bt, spacing = best_on(d_lo, d_hi, t_lo, t_hi, 65)
-    return SpectrumBoundPoint(delta=bd, tau=bt, s=s, value=value)
+    pairs = ((delta_lo, delta_lo), (s, s), (max(2.0 * s / 3.0, delta_lo), s))
+    delta, tau = max(pairs, key=lambda p: objective(*p))
+    return SpectrumBoundPoint(delta=delta, tau=tau, s=s, value=objective(delta, tau))
 
 
-def spectrum_half_bound(q, r, coarse=512, refinements=2):
+def spectrum_half_bound(q, r):
     """Value of spectrum_half_point."""
-    return spectrum_half_point(q, r, coarse=coarse, refinements=refinements).value
+    return spectrum_half_point(q, r).value
 
 
 def envelope(ch, r, which="both", values=None):

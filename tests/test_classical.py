@@ -5,9 +5,10 @@ import pytest
 
 from relbound.channel import Channel, bhattacharyya, capacity, entropy_h
 from relbound.classical import (
+    _rate_at_rho,
+    binary_divergence,
     bsc_expurgated_exponent,
     critical_rate,
-    dual_parametric_point,
     eps_bar,
     eps_rho,
     expurgated_ex,
@@ -94,13 +95,15 @@ def test_sphere_packing_shift_law():
 
 
 def test_dual_parametric_point():
-    # the generator and the rate-indexed functions describe one curve
+    # the tilt-rho point (R(rho), D(eps_rho || eps)) and the rate-indexed
+    # functions describe one curve
     ch = Channel(4, 0.05)
     for rho in (0.3, 1.0, 2.5):
-        pt = dual_parametric_point(ch, rho)
-        assert sphere_packing_exponent(ch, pt.rate) == pytest.approx(pt.exponent, abs=1e-9)
+        rate = _rate_at_rho(ch, rho)
+        exponent = binary_divergence(eps_rho(ch.epsilon, rho), ch.epsilon)
+        assert sphere_packing_exponent(ch, rate) == pytest.approx(exponent, abs=1e-9)
         if rho <= 1.0:
-            assert random_coding_exponent(ch, pt.rate) == pytest.approx(pt.exponent, abs=1e-9)
+            assert random_coding_exponent(ch, rate) == pytest.approx(exponent, abs=1e-9)
 
 
 def test_rho_bar():

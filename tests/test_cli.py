@@ -126,6 +126,9 @@ def test_simulate_malformed_file(tmp_path, capsys):
         ("simulate", "--code", "coset:1000000000:1:0", "--q", "4"),
         ("simulate", "--code", "q5plus:1000000000:3:0"),
         ("oracle", "--rho", "2", "--restarts", "0"),
+        # Monte-Carlo work beyond codes.MC_PAIR_CAP, and negative trials
+        ("simulate", "--code", "pentagon", "--eps", "0.2", "--trials", "1000000000"),
+        ("simulate", "--code", "pentagon", "--eps", "0.2", "--trials", "-1"),
     ],
 )
 def test_bad_specs_refused_quickly_with_usage_exit(capsys, argv):

@@ -270,6 +270,16 @@ def test_mc_pe_zero_error_and_determinism():
         mc_pe(pentagon_code(), Channel(5, 0.25), trials=0)
 
 
+def test_mc_pe_refuses_work_beyond_the_pair_cap(monkeypatch):
+    code, ch = pentagon_code(), Channel(5, 0.25)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        mc_pe(code, ch, trials=codes_mod.MC_PAIR_CAP // code.M + 1)
+    monkeypatch.setattr(codes_mod, "MC_PAIR_CAP", 1000)
+    assert mc_pe(code, ch, trials=200).trials == 200  # exactly at the cap
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        mc_pe(code, ch, trials=201)
+
+
 def test_mc_pe_interval_calibration():
     """Wilson 95% intervals should cover the exact value nearly always."""
     ch = Channel(4, 0.2)

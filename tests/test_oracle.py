@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from gram_oracles import evaluate_quadratic_slow, gram_matrix_direct
 
 from relbound.channel import Channel, bhattacharyya
 from relbound.classical import rho_bar
 from relbound.oracle import (
     eigenvalues_g1,
-    evaluate_quadratic_slow,
     expurgated_oracle_ex,
     gram_base,
     gram_matrix,
-    gram_matrix_direct,
     minimize_q,
     uniform_value,
 )

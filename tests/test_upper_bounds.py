@@ -23,7 +23,6 @@ from relbound.upper_bounds import (
     delta_lp2,
     delta_lp2_point,
     envelope,
-    epsilon_power_bound,
     lp1_rate,
     lp2_anchored_line,
     min_distance_bound,
@@ -171,13 +170,6 @@ def test_min_distance_bound():
         min_distance_bound(ch, ltheta)
 
 
-def test_epsilon_power_bound():
-    assert epsilon_power_bound(Channel(5, 0.5), 1.2) == pytest.approx(1.0)
-    assert epsilon_power_bound(Channel(5, 0.01), 1.2) == pytest.approx(6.643856, abs=1e-6)
-    with pytest.raises(ValueError):
-        epsilon_power_bound(Channel(5, 0.5), 1.0)
-
-
 def test_straight_line_tangency():
     ch = Channel(5, 0.01)
     anchor_r = math.log2(math.sqrt(5.0))
@@ -284,8 +276,32 @@ def test_spectrum_half_point_consistency():
 
 def test_spectrum_half_regression_value():
     # an independent single-pass 2049x2049 grid puts the max-min at
-    # 0.3262593 (resolution ~1e-4); the refined value is frozen here
+    # 0.3262593 (resolution ~1e-4); the exact maximum is frozen here
     assert spectrum_half_bound(5, 1.2) == pytest.approx(0.3262767, abs=5e-5)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from([5, 7, 9, 11]),
+    st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+)
+def test_spectrum_half_is_the_exact_maximum(q, frac):
+    ch = Channel(q, 0.5)
+    lq = math.log2(q)
+    ltheta = math.log2(cycle_constants(ch).theta)
+    r = ltheta + frac * (lq - 1.0 - ltheta)
+    pt = spectrum_half_point(q, r)
+    # the value is the objective at the returned pair, which lies in the box
+    delta_lo = entropy_h_inv(3.0, lq - r)
+    assert delta_lo <= pt.delta <= pt.tau <= pt.s
+    g = r - lq + entropy_h(3.0, pt.tau)
+    assert pt.value == min(pt.delta, pt.tau - min(g, pt.delta / 2.0))
+    # no point of a 257 x 257 grid over the same box does better; h3(t) = t + h2(t)
+    d, t = np.meshgrid(np.linspace(delta_lo, pt.s, 257), np.linspace(delta_lo, pt.s, 257))
+    g = r - lq + t + h2_array(t)
+    grid = np.where(t >= d, np.minimum(d, t - np.minimum(g, d / 2.0)), -math.inf)
+    assert pt.value >= grid.max()
+    assert pt.value <= min_distance_bound(ch, r)
 
 
 @pytest.mark.parametrize("q,eps", [(4, 0.01), (5, 0.01), (5, 0.5), (6, 0.1)])
