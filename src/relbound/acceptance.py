@@ -110,7 +110,7 @@ def check_oracle(seed=0):
         rec.require(
             f"(c) q=5 n=2 eps={eps} runtime <= 60 s (200 restarts)",
             dt <= 60.0,
-            f"{dt:.1f} s",
+            f"{dt:.1f} s, {res.iterations} iterations",
         )
     return rec
 

@@ -8,33 +8,35 @@ BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
 
-def bisect_root(f, lo, hi, tol=BISECT_TOL, max_iter=BISECT_MAX_ITER):
+def bisect_root(f, lo, hi, tol=BISECT_TOL, max_iter=BISECT_MAX_ITER, bracket=False):
     """Root of a monotone function on [lo, hi] by bisection.
 
     The bracket must have f(lo) and f(hi) of opposite sign (zero endpoints
     are returned directly).  Stops when the bracket is narrower than `tol`
-    or after `max_iter` halvings.
+    or after `max_iter` halvings. Returns the final bracket's midpoint, or
+    with `bracket` the bracket (lo, hi) itself, whose ends keep the signs
+    of f(lo) and f(hi) (a zero found is returned as (x, x)).
     """
     flo = f(lo)
     if flo == 0.0:
-        return lo
+        return (lo, lo) if bracket else lo
     fhi = f(hi)
     if fhi == 0.0:
-        return hi
+        return (hi, hi) if bracket else hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
-            return mid
+            return (mid, mid) if bracket else mid
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
             hi = mid
         if hi - lo <= tol:
             break
-    return 0.5 * (lo + hi)
+    return (lo, hi) if bracket else 0.5 * (lo + hi)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

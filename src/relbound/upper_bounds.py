@@ -169,13 +169,18 @@ def min_distance_bound(ch, r):
 
 
 def _lp1_distance(q_prime, rate):
-    """Inverse of lp1_rate: the distance where the LP rate equals `rate`."""
+    """Inverse of lp1_rate: the distance where the LP rate equals `rate`.
+
+    lp1_rate falls with d and both callers are converses that grow with
+    the distance, so this returns the upper end of the final bisection
+    bracket, where lp1_rate(q', d) <= rate.
+    """
     dmax = (q_prime - 1.0) / q_prime
     if rate >= math.log2(q_prime):
         return 0.0
     if rate <= 0.0:
         return dmax
-    return bisect_root(lambda d: lp1_rate(q_prime, d) - rate, 0.0, dmax)
+    return bisect_root(lambda d: lp1_rate(q_prime, d) - rate, 0.0, dmax, bracket=True)[1]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relbound import codes as codes_mod
-from relbound.channel import Channel, bhattacharyya, semidistance
+from relbound.channel import Channel, semidistance
 from relbound.codes import (
     all_words,
     build_coset_code,

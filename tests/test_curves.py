@@ -217,6 +217,23 @@ def test_converse_curves_nonincreasing_on_generated_channels(case):
         assert np.all(v[1:] <= v[:-1] + 1e-9), c.name
 
 
+@PROPERTY
+@given(channels_and_grids(), st.data())
+def test_csv_round_trip_on_generated_curves(case, data):
+    ch, grid = case
+    names = applicable_bounds(ch) + ["envelope_lower", "envelope_upper"]
+    chosen = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    curves = evaluate_curves(ch, chosen, grid)
+    text = curves_to_csv(curves)
+    back = csv_to_curves(text)
+    assert [c.name for c in back] == chosen
+    assert all(b.channel == ch for b in back)
+    # exact floats, inf included
+    assert [b.points for b in back] == [c.points for c in curves]
+    assert back == curves
+    assert curves_to_csv(back) == text
+
+
 def test_svg_render_smoke():
     ch = Channel(5, 0.5)
     grid = rate_grid(0.3, capacity(ch), 25)

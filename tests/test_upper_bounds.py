@@ -19,6 +19,7 @@ from relbound.classical import sphere_packing_exponent
 from relbound.solvers import bisect_root, golden_min
 from relbound.upper_bounds import (
     LP2_ANCHOR_GATE,
+    _lp1_distance,
     binary_reduction_bound,
     delta_lp2,
     delta_lp2_point,
@@ -142,6 +143,27 @@ def test_lp1_rate_endpoints_and_monotonicity():
         grid = np.linspace(0.0, (qp - 1) / qp, 200)
         vals = [lp1_rate(qp, float(d)) for d in grid]
         assert all(b < a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from([5, 7, 9, 11]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_lp1_distance_rounds_to_the_safe_side(q, frac):
+    # both callers are converses that grow with the distance
+    qp = cycle_constants(Channel(q, 0.5)).q_prime
+    rate = frac * math.log2(qp)
+    d = _lp1_distance(qp, rate)
+    assert lp1_rate(qp, d) <= rate
+
+    def f(x):
+        return lp1_rate(qp, x) - rate
+
+    lo, hi = bisect_root(f, 0.0, (qp - 1) / qp, bracket=True)
+    assert d == hi
+    assert lo == hi or (f(lo) > 0.0 and hi - lo <= 1e-12)
+    assert 0.0 <= d - bisect_root(f, 0.0, (qp - 1) / qp) <= 1e-12
 
 
 def test_q5_has_golden_alphabet_parameter():
