@@ -347,3 +347,7 @@ def main(argv=None):
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

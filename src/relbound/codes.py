@@ -4,10 +4,12 @@ A code owns one validated, read-only int64 array of shape (M, n) over
 Z_q; the constructions build it in numpy and tuples appear only in the
 derived `Code.words` view. Spectra and the Monte-Carlo decoder share one
 pairwise kernel on one-hot encodings, evaluated over row blocks of a
-fixed byte budget. The maximum-likelihood decoder breaks ties uniformly
-at random and the enumeration accounts for that exactly, by accumulating
-per-sender error mass term by term (so a zero-error code really
-evaluates to 0.0, not to 1 minus float noise).
+fixed byte budget; the spectrum of a code that is linear by
+construction (`Code.linear`) is its weight distribution instead. The
+maximum-likelihood decoder breaks ties uniformly at random and the
+enumeration accounts for that exactly, by accumulating per-sender error
+mass term by term (so a zero-error code really evaluates to 0.0, not to
+1 minus float noise).
 """
 
 import math
@@ -88,6 +90,7 @@ class Code:
 
     array: np.ndarray
     q: int
+    _linear = False  # set only by _constructed; not a field, so not in __init__ or __eq__
 
     def __post_init__(self):
         object.__setattr__(self, "q", int(self.q))
@@ -100,6 +103,16 @@ class Code:
     @property
     def M(self):
         return self.array.shape[0]
+
+    @property
+    def linear(self):
+        """Whether a constructor built the words as a subgroup of Z_q^n.
+
+        Only random_linear_code, build_q5_code and build_coset_code (from
+        a linear shift code) set it; codes from make_code and parse_code,
+        and so every code a user supplies, never have it.
+        """
+        return self._linear
 
     @cached_property
     def words(self):
@@ -118,6 +131,13 @@ class Code:
 def make_code(words, q):
     """A Code from any (M, n) integer array-like of words over Z_q."""
     return Code(words, q)
+
+
+def _constructed(words, q, linear):
+    """make_code(words, q), marked linear when the caller built a subgroup of Z_q^n."""
+    code = make_code(words, q)
+    object.__setattr__(code, "_linear", bool(linear))
+    return code
 
 
 def code_weights(code):
@@ -175,8 +195,32 @@ def _row_blocks(rows, cols, bytes_per_entry):
         yield lo, min(rows, lo + step)
 
 
+def _weight_spectrum(code):
+    """spectrum of a linear code, from its O(M n) weight distribution.
+
+    A subgroup holds x - y for every pair, and each of its words is the
+    difference of exactly M ordered pairs. The semidistance depends only
+    on x - y mod q, so the pair counts are M times the weight counts,
+    the zero word standing for the diagonal.
+    """
+    w = code_weights(code)
+    finite = np.isfinite(w)
+    counts = np.bincount(w[finite].astype(np.int64), minlength=code.n + 1)
+    counts[0] -= 1
+    return Spectrum(
+        counts={z: Fraction(int(c)) for z, c in enumerate(counts) if c},
+        infinite_count=Fraction(int(np.count_nonzero(~finite))),
+    )
+
+
 def spectrum(code):
-    """A_z = |{(i, j): i != j, d = z}| / M for each finite z, plus the inf mass."""
+    """A_z = |{(i, j): i != j, d = z}| / M for each finite z, plus the inf mass.
+
+    Codes that are linear by construction take _weight_spectrum; every
+    other code takes the pairwise kernel.
+    """
+    if code.linear:
+        return _weight_spectrum(code)
     a, q, n, m = code.array, code.q, code.n, code.M
     key = _pair_key(a, q, {1 % q, -1 % q} - {0})
     hist = np.zeros(n * (n + 1) + 1, dtype=np.int64)
@@ -334,22 +378,44 @@ def _check_coset_alphabet(q):
         raise ValueError(f"need an even alphabet size >= 4, got {q}")
 
 
+def coset_size(q, n, m):
+    """(q/2)^n m, the size of the coset lift of an m-word binary code of length n.
+
+    Refuses an alphabet that is not even and >= 4, and a size past CODE_CAP.
+    """
+    _check_coset_alphabet(q)
+    if not _power_within(q // 2, n, CODE_CAP // m):
+        raise ValueError(f"coset code size {q // 2}^{n} * {m} exceeds the cap {CODE_CAP}")
+    return (q // 2) ** n * m
+
+
+def coset_lift(stack, q):
+    """Words c0 + c2 of the coset lift of each binary code in an (S, M, n) stack.
+
+    c0 runs over {0, 2, ..., q-2}^n, slowest, and c2 over the code's
+    words; the result has shape (S, (q/2)^n M, n) in the smallest
+    unsigned dtype that holds q - 1. For 0/1 words c0 + c2 <= q - 1, so
+    no reduction mod q is needed. Sizes are the caller's to check.
+    """
+    s, _, n = stack.shape
+    dtype = np.min_scalar_type(q - 1)
+    even = all_words(range(0, q, 2), n).astype(dtype)
+    return (even[None, :, None, :] + stack.astype(dtype)[:, None, :, :]).reshape(s, -1, n)
+
+
 def build_coset_code(c2, q):
     """Union of shifts of the even-symbol zero-error code by a binary code.
 
     Every word is c0 + c2 in Z_q with c0 drawn from {0, 2, ..., q-2}^n;
     the (parity) decomposition is unique, so the size is (q/2)^n * |c2|
-    and the rate is exactly log2(q/2) plus the binary rate.
+    and the rate is exactly log2(q/2) plus the binary rate. The lift of a
+    linear c2 is linear over Z_q (a + b = (a XOR b) + 2 (a AND b) for 0/1
+    words), so it is marked linear when c2 is.
     """
-    _check_coset_alphabet(q)
     if c2.q != 2:
         raise ValueError("the shift code must be binary")
-    n = c2.n
-    size = (q // 2) ** n * c2.M
-    if size > CODE_CAP:
-        raise ValueError(f"coset code size {size} exceeds the cap {CODE_CAP}")
-    words = (all_words(range(0, q, 2), n)[:, None, :] + c2.array[None, :, :]) % q
-    return make_code(words.reshape(-1, n), q)
+    coset_size(q, c2.n, c2.M)
+    return _constructed(coset_lift(c2.array[None], q)[0], q, c2.linear)
 
 
 def random_coset_code(q, n, k, seed=0):
@@ -391,7 +457,8 @@ def build_q5_code(g):
         raise ValueError(f"code size 5^{n + k} exceeds the cap {CODE_CAP}")
     if k and rank_mod_p(g, 5) != k:
         raise ValueError("generator must have full rank over Z_5")
-    return make_code(all_words(range(5), n + k) @ q5_generator_plus(g) % 5, 5)
+    # the row space of a full-rank generator: a subgroup of Z_5^(2n)
+    return _constructed(all_words(range(5), n + k) @ q5_generator_plus(g) % 5, 5, True)
 
 
 def random_q5_code(n, k, seed=0):
@@ -491,7 +558,7 @@ def random_linear_code(q_prime, n, k, seed=0):
     if not _power_within(q_prime, k, CODE_CAP):
         raise ValueError(f"code size {q_prime}^{k} exceeds the cap {CODE_CAP}")
     g = random_generator_matrix(q_prime, n, k, np.random.default_rng(seed))
-    return make_code(all_words(range(q_prime), k) @ g % q_prime, q_prime)
+    return _constructed(all_words(range(q_prime), k) @ g % q_prime, q_prime, True)
 
 
 def format_code(code):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from relbound.cli import main
+import relbound
+from relbound import acceptance
+from relbound.cli import main, run as run_cli
 from relbound.codes import format_code, pentagon_code
 from relbound.curves import csv_to_curves
 
@@ -162,6 +168,38 @@ def test_verify_detects_injected_corruption(capsys, monkeypatch):
     rc, out, err = run(capsys, "verify", "--only", "shift_laws")
     assert rc == 1
     assert "FAIL" in out
+
+
+def _python_m(*argv):
+    src = str(Path(relbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["relbound.cli", "relbound"])
+def test_python_m_entry_points_run_the_command(module):
+    proc = _python_m(module, "verify", "--only", "theta")
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS theta (" in proc.stdout and "PASS: 1 criteria run" in proc.stdout
+    proc = _python_m(module, "verify", "--only", "nosuch")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: unknown criterion")
+
+
+def test_failing_criterion_exits_1_through_the_entry_point(monkeypatch, capsys):
+    def failing(seed=0):
+        rec = acceptance._Recorder()
+        rec.require("injected failure", False)
+        return rec
+
+    criteria = [(n, d, failing if n == "theta" else fn) for n, d, fn in acceptance.CRITERIA]
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    rc, out, err = run(capsys, "verify", "--only", "theta")
+    assert rc == 1 and "FAIL theta (" in out and "FAIL injected failure" in out
+    monkeypatch.setattr(sys, "argv", ["relbound", "verify", "--only", "theta"])
+    with pytest.raises(SystemExit) as exc:
+        run_cli()
+    assert exc.value.code == 1
 
 
 def test_config_file_precedence(tmp_path, capsys):

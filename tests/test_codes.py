@@ -113,7 +113,8 @@ def test_spectrum_matches_tuple_oracle(q):
 
 
 def test_spectrum_works_in_bounded_row_blocks(monkeypatch):
-    code = build_coset_code(random_linear_code(2, 5, 3, seed=2), 4)
+    # rebuilt by make_code, so not marked linear: the pairwise kernel runs
+    code = make_code(build_coset_code(random_linear_code(2, 5, 3, seed=2), 4).array, 4)
     whole = spectrum(code)
     monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 3 * code.M * 16)
     assert spectrum(code) == whole == oracle.spectrum(code)
@@ -136,6 +137,52 @@ def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
     # many small row blocks draw the same tie-breaking stream
     monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 7 * code.M * 48)
     assert mc_pe(code, ch, 20001, seed=5) == oracle.mc_pe(code, ch, 20001, seed=5)
+
+
+@st.composite
+def linear_codes(draw):
+    """Codes the constructors build as subgroups: coset lifts, q5plus codes, random linear codes."""
+    kind = draw(st.sampled_from(["coset", "q5plus", "linear"]))
+    seed = draw(st.integers(0, 999))
+    if kind == "coset":
+        q = draw(st.sampled_from([4, 6, 8]))
+        n = draw(st.integers(min_value=1, max_value={4: 5, 6: 4, 8: 3}[q]))
+        return random_coset_code(q, n, draw(st.integers(0, n)), seed=seed)[0]
+    if kind == "q5plus":
+        n = draw(st.integers(min_value=1, max_value=2))
+        return random_q5_code(n, draw(st.integers(0, n)), seed=seed)
+    q = draw(st.sampled_from([5, 7, 11]))  # prime, and a channel alphabet
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=min(n, {5: 4, 7: 3, 11: 2}[q])))
+    return random_linear_code(q, n, k, seed=seed)
+
+
+@PROPERTY
+@given(linear_codes(), st.sampled_from([0.01, 0.1, 0.3, 0.5]))
+def test_linear_code_spectrum_matches_pairwise_kernel(code, eps):
+    assert code.linear
+    plain = make_code(code.array, code.q)  # same words, not marked linear
+    assert not plain.linear and plain == code and hash(plain) == hash(code)
+    assert spectrum(code) == spectrum(plain)
+    assert list(spectrum(code).counts) == list(spectrum(plain).counts)  # same printing order
+    ch = Channel(code.q, eps)
+    assert union_bound_pe(code, ch) == union_bound_pe(plain, ch)  # bit for bit
+    back = parse_code(format_code(code))
+    assert not back.linear and back == code
+
+
+def test_only_linear_constructions_are_marked_linear():
+    c2 = random_linear_code(2, 3, 2, seed=1)
+    assert c2.linear and pentagon_code().linear and build_q5_code(np.ones((1, 2))).linear
+    assert build_coset_code(c2, 4).linear
+    # a linear binary code given by its words is not marked, nor is its lift
+    words = make_code(c2.array, 2)
+    assert not words.linear and not build_coset_code(words, 4).linear
+    # the lift of a non-linear shift code is not linear, and is not marked
+    lift = build_coset_code(make_code([(0, 0), (0, 1), (1, 0)], 2), 4)
+    assert not lift.linear and spectrum(lift) == oracle.spectrum(lift)
+    with pytest.raises(AttributeError):
+        c2.linear = False
 
 
 def test_pentagon_code_is_shannons():

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from relbound import codes as codes_mod
+from relbound.acceptance import _binary_subspace_stacks
 from relbound.channel import Channel, bhattacharyya, capacity, entropy_h, gv_delta
 from relbound.classical import (
     bsc_expurgated_exponent,
     expurgated_exponent,
     expurgated_junction_rate,
 )
-from relbound.codes import make_code, random_linear_code
+from relbound.codes import build_coset_code, make_code, random_linear_code, spectrum
 from relbound.lower_bounds import (
+    coset_spectra,
     coset_spectrum_check,
     junction_rate_even,
     junction_rate_q5,
@@ -127,3 +130,66 @@ def test_coset_spectrum_relation_random_linear(seed):
     c2 = random_linear_code(2, n, k, seed=seed)
     for q in (4, 6):
         assert coset_spectrum_check(c2, q).ok
+
+
+def test_subspace_sweep_counts_every_binary_subspace():
+    # Gaussian binomial sums: the number of subspaces of F_2^n, n = 1..6
+    counts = [sum(stack.shape[0] for stack in _binary_subspace_stacks(n)) for n in range(1, 7)]
+    assert counts == [2, 5, 16, 67, 374, 2825] and sum(counts) == 3289
+    for n in range(1, 5):
+        seen = set()
+        for k, stack in enumerate(_binary_subspace_stacks(n)):
+            assert stack.shape[1:] == (2**k, n)
+            seen |= {frozenset(map(tuple, words.tolist())) for words in stack}
+        assert len(seen) == counts[n - 1]  # no subspace twice
+
+
+@pytest.mark.parametrize("q", [4, 6])
+def test_stacked_sweep_matches_per_code_check(q):
+    for n in range(1, 5):
+        for stack in _binary_subspace_stacks(n):
+            sweep = coset_spectra(stack, q)
+            assert sweep.ok.all()
+            for s, words in enumerate(stack):
+                c2 = make_code(words, 2)
+                res = sweep.check(s)
+                assert res == coset_spectrum_check(c2, q)
+                # independently: A_z is the pairwise spectrum of the lift, B_z the Hamming weights
+                pairs = spectrum(make_code(build_coset_code(c2, q).array, q)).counts
+                hamming = np.bincount(words.sum(axis=1), minlength=n + 1)
+                assert {z: a for z, (a, _) in res.table.items() if a} == pairs
+                assert {z: b for z, (_, b) in res.table.items() if b} == {
+                    z: int(c) for z, c in enumerate(hamming) if c and z
+                }
+
+
+def test_stacked_sweep_in_small_chunks(monkeypatch):
+    stack = list(_binary_subspace_stacks(5))[2]
+    whole = coset_spectra(stack, 4)
+    monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 1)  # one code per chunk
+    part = coset_spectra(stack, 4)
+    assert np.array_equal(part.a, whole.a) and np.array_equal(part.b, whole.b)
+
+
+def test_stacked_sweep_refuses_like_the_per_code_check():
+    linear = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    not_closed = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
+    with pytest.raises(ValueError, match="not linear"):
+        coset_spectrum_check(make_code(not_closed, 2), 4)
+    with pytest.raises(ValueError, match="not linear"):
+        coset_spectra([linear, not_closed], 4)
+    repeated = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 0)]  # closed as a multiset
+    with pytest.raises(ValueError, match="duplicate word"):
+        make_code(repeated, 2)
+    with pytest.raises(ValueError, match="binary code 1 has a duplicate word"):
+        coset_spectra([linear, repeated], 4)
+    with pytest.raises(ValueError, match="binary"):
+        coset_spectrum_check(make_code([(0, 2)], 3), 4)
+    with pytest.raises(ValueError, match="binary"):
+        coset_spectra([[(0, 2)]], 4)
+    with pytest.raises(ValueError, match="cap"):
+        coset_spectrum_check(make_code([(0,) * 17], 2), 4)
+    with pytest.raises(ValueError, match="cap"):
+        coset_spectra(np.zeros((2, 1, 17), dtype=np.int64), 4)
+    with pytest.raises(ValueError, match="even alphabet"):
+        coset_spectra([linear], 5)
