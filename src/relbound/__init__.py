@@ -10,10 +10,7 @@ from .channel import (
     entropy_h,
     entropy_h_inv,
     gv_delta,
-    pairwise_error_bound,
-    semidistance,
     theta_cycle,
-    transition_prob,
     zero_error_capacity,
 )
 from .classical import (
@@ -22,7 +19,6 @@ from .classical import (
     critical_rate,
     eps_bar,
     eps_rho,
-    expurgated_ex,
     expurgated_parametric_point,
     expurgated_exponent,
     expurgated_is_exact,

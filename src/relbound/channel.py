@@ -36,54 +36,11 @@ class Channel:
             raise ValueError(f"crossover must satisfy 0 < eps <= 1/2, got {self.epsilon}")
 
 
-def transition_prob(ch, y, x):
-    """W(y|x): 1 - eps on the diagonal, eps one step up mod q, else 0."""
-    q = ch.q
-    if not (0 <= x < q and 0 <= y < q):
-        raise ValueError(f"symbols must lie in 0..{q - 1}, got x={x}, y={y}")
-    if y == x:
-        return 1.0 - ch.epsilon
-    if y == (x + 1) % q:
-        return ch.epsilon
-    return 0.0
-
-
 def bhattacharyya(epsilon):
     """sqrt(eps(1-eps)), the pairwise distinguishability coefficient."""
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"crossover must satisfy 0 < eps <= 1/2, got {epsilon}")
     return math.sqrt(epsilon * (1.0 - epsilon))
-
-
-def symbol_distance(a, b, q):
-    """Per-symbol semidistance: 0 if equal, 1 if cyclically adjacent, inf otherwise."""
-    d = (a - b) % q
-    if d == 0:
-        return 0
-    if d == 1 or d == q - 1:
-        return 1
-    return INF
-
-
-def semidistance(w1, w2, q):
-    """Coordinatewise sum of symbol distances, saturating at inf."""
-    if len(w1) != len(w2):
-        raise ValueError(f"length mismatch: {len(w1)} vs {len(w2)}")
-    total = 0
-    for a, b in zip(w1, w2):
-        d = symbol_distance(int(a), int(b), q)
-        if d == INF:
-            return INF
-        total += d
-    return total
-
-
-def pairwise_error_bound(ch, w1, w2):
-    """Bhattacharyya bound alpha^d on confusing w1 with w2 (alpha^inf = 0)."""
-    d = semidistance(w1, w2, ch.q)
-    if d == INF:
-        return 0.0
-    return bhattacharyya(ch.epsilon) ** d
 
 
 def entropy_h(q_prime, x):

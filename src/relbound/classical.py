@@ -102,23 +102,6 @@ def rho_bar(ch):
     return cycle_constants(ch).rho_bar
 
 
-def expurgated_ex(ch, rho):
-    """Expurgated exponent function of the slope parameter rho >= 1.
-
-    Below rho_bar the uniform input is optimal and the closed form is
-    exact for every blocklength; above it the value rho log2(theta) is
-    exact for even q and for q = 5, and an upper bound for larger odd q
-    (see expurgated_is_exact).
-    """
-    if rho < 1.0:
-        raise ValueError(f"slope parameter must be >= 1, got {rho}")
-    cc = cycle_constants(ch)
-    if rho <= cc.rho_bar:
-        alpha = bhattacharyya(ch.epsilon)
-        return rho * math.log2(ch.q / (1.0 + 2.0 * alpha ** (1.0 / rho)))
-    return rho * math.log2(cc.theta)
-
-
 def expurgated_is_exact(q):
     """True where the multi-letter expurgated bound is known in closed form."""
     return q % 2 == 0 or q == 5

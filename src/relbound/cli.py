@@ -15,7 +15,7 @@ from . import curves as crv
 from .acceptance import CRITERIA, run_checks
 from .channel import Channel, capacity, cycle_constants
 from .classical import rho_bar
-from .oracle import SIZE_CAP, minimize_q, uniform_value
+from .oracle import BATCH_CAP, minimize_q, uniform_value, word_count
 from .svgplot import render_svg
 
 DEFAULTS = {
@@ -84,7 +84,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--rho", type=float, default=None, help="slope parameter (>= 1)")
     p.add_argument("--n", type=int, default=None, help="blocklength (q^n capped)")
-    p.add_argument("--restarts", type=int, default=None, help="multistart count")
+    p.add_argument("--restarts", type=int, default=None,
+                   help=f"multistart count (restarts x q^n at most {BATCH_CAP})")
 
     p = sub.add_parser("simulate", help="exact/Monte-Carlo error of an explicit code")
     _add_common(p)
@@ -176,10 +177,10 @@ def cmd_oracle(args):
     ch = _channel(s)
     if s["rho"] is None:
         raise UsageError("oracle requires --rho")
-    if s["n"] < 1:
-        raise UsageError(f"blocklength must be >= 1, got {s['n']}")
-    if ch.q ** s["n"] > SIZE_CAP:
-        raise UsageError(f"q^n = {ch.q ** s['n']} exceeds the cap {SIZE_CAP}")
+    try:
+        word_count(ch.q, s["n"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if s["rho"] < 1.0:
         raise UsageError(f"slope parameter must be >= 1, got {s['rho']}")
     try:

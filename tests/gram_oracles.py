@@ -11,8 +11,9 @@ import math
 from itertools import product
 
 import numpy as np
+from scalar_oracles import semidistance
 
-from relbound.channel import bhattacharyya, semidistance
+from relbound.channel import bhattacharyya
 from relbound.oracle import GRAD_MAP_TOL, MAX_ITER
 
 

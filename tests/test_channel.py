@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scalar_oracles import pairwise_error_bound, semidistance, transition_prob
 
 from relbound.channel import (
     INF,
@@ -13,10 +14,7 @@ from relbound.channel import (
     entropy_h,
     entropy_h_inv,
     gv_delta,
-    pairwise_error_bound,
-    semidistance,
     theta_cycle,
-    transition_prob,
     zero_error_capacity,
 )
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scalar_oracles import expurgated_ex
 
 from relbound.channel import Channel, bhattacharyya, capacity, entropy_h
 from relbound.classical import (
@@ -11,7 +12,6 @@ from relbound.classical import (
     critical_rate,
     eps_bar,
     eps_rho,
-    expurgated_ex,
     expurgated_exponent,
     expurgated_is_exact,
     expurgated_junction_rate,

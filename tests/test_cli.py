@@ -131,6 +131,10 @@ def test_simulate_malformed_file(tmp_path, capsys):
         ("simulate", "--code", "coset:1000000000:1:0", "--q", "4"),
         ("simulate", "--code", "q5plus:1000000000:3:0"),
         ("oracle", "--rho", "2", "--restarts", "0"),
+        # q^n past oracle.SIZE_CAP with a power too big to form, and restarts x q^n
+        # past oracle.BATCH_CAP
+        ("oracle", "--q", "5", "--eps", "0.1", "--rho", "2", "--n", "100000000"),
+        ("oracle", "--q", "5", "--eps", "0.1", "--rho", "2", "--n", "5", "--restarts", "100000000"),
         # Monte-Carlo work beyond codes.MC_PAIR_CAP, and negative trials
         ("simulate", "--code", "pentagon", "--eps", "0.2", "--trials", "1000000000"),
         ("simulate", "--code", "pentagon", "--eps", "0.2", "--trials", "-1"),

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracles import semidistance
 
 from relbound import codes as codes_mod
-from relbound.channel import Channel, semidistance
+from relbound.channel import Channel
 from relbound.codes import (
     all_words,
     build_coset_code,

@@ -14,15 +14,20 @@ from hypothesis import strategies as st
 from relbound.channel import Channel
 from relbound.classical import rho_bar
 from relbound.oracle import (
+    BATCH_CAP,
     GRAD_MAP_TOL,
+    SIZE_CAP,
+    _face_minimizers,
     _project_simplex_rows,
     _start_points,
+    _stationary,
     eigenvalues_g1,
     expurgated_oracle_ex,
     gram_base,
     gram_matrix,
     minimize_q,
     uniform_value,
+    word_count,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
@@ -56,8 +61,9 @@ def test_gram_matrix_matches_direct_formula(q, n):
 
 
 def test_gram_matrix_size_cap():
-    with pytest.raises(ValueError):
-        gram_matrix(Channel(5, 0.1), 1.0, 6)
+    for n in (6, 10**9):  # 5^(10^9) is never formed
+        with pytest.raises(ValueError):
+            gram_matrix(Channel(5, 0.1), 1.0, n)
 
 
 def test_eigenvalues_closed_form():
@@ -207,10 +213,16 @@ def test_converged_point_carries_the_certificate(q, mult, n):
 
 @st.composite
 def oracle_cases(draw):
+    """Random cases; rho anywhere in [1, 3.5 rho_bar] or within 1% of rho_bar on either side."""
     q = draw(st.integers(min_value=4, max_value=7))
     eps = draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
     ch = Channel(q, eps)
-    rho = draw(st.floats(min_value=1.0, max_value=3.5 * rho_bar(ch)))
+    rb = rho_bar(ch)
+    rho = draw(st.one_of(
+        st.floats(min_value=1.0, max_value=3.5 * rb),
+        st.floats(min_value=max(1.0, 0.99 * rb), max_value=rb),
+        st.floats(min_value=rb, max_value=1.01 * rb),
+    ))
     n = draw(st.integers(min_value=1, max_value=2))
     restarts = draw(st.integers(min_value=1, max_value=30))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -220,12 +232,18 @@ def oracle_cases(draw):
 # the fixed-step oracle needs up to MAX_ITER iterations (about 10 s at
 # q^n = 36) where rho sits just below rho_bar; it stops earlier here
 ORACLE_MAX_ITER = 20_000
+CH_NEAR = Channel(5, 0.3)
 
 
 @PROPERTY
 @given(oracle_cases())
 # momentum reset only by the gradient test ends 0.25% above the oracle here
 @example((Channel(7, 0.125), 3.0, 2, 2, 0))
+# within 1% of rho_bar, below and above
+@example((CH_NEAR, 0.995 * rho_bar(CH_NEAR), 2, 10, 2))
+@example((CH_NEAR, 1.005 * rho_bar(CH_NEAR), 2, 10, 2))
+# 1.6e-5 above rho_bar: the fixed-step oracle is still moving after 10^5 iterations
+@example((Channel(7, 0.3984375), 1.212890625, 1, 2, 0))
 def test_accelerated_solver_matches_fixed_step_oracle(case):
     ch, rho, n, restarts, seed = case
     res = minimize_q(ch, rho, n, restarts=restarts, seed=seed)
@@ -240,7 +258,77 @@ def test_accelerated_solver_matches_fixed_step_oracle(case):
     if conv[best]:
         assert res.min_q == pytest.approx(values[best], rel=1e-12, abs=0.0)
     else:
-        # only near-singular convex cases outlast the cap; the closed form pins them
-        assert res.convex
+        # only near-singular cases outlast the cap: convex ones, or ones within
+        # 1% above rho_bar. With p = 1/m + v, v orthogonal to 1, the form is
+        # uniform_value + v^T g v, and |v|^2 <= 1 - 1/m on the simplex, so
+        # the smallest eigenvalue pins min_q from both sides
+        rb = rho_bar(ch)
+        assert res.convex or rho <= 1.01 * rb
+        m = ch.q**n
+        lam = min(float(np.min(np.linalg.eigvalsh(g))), 0.0)
+        uniform = uniform_value(ch, rho, n)
+        assert uniform + lam * (1.0 - 1.0 / m) - 1e-12 <= res.min_q <= uniform + 1e-12
     if res.convex:
         assert res.min_q == pytest.approx(uniform_value(ch, rho, n), abs=1e-9)
+
+
+@pytest.mark.parametrize("q,eps,rho,restarts,seed", [
+    (5, 0.15184, 2.1254, 14, 485),  # rho_bar = 2.1296; 9 593 iterations without the face step
+    (6, 0.466, 1.0, 200, 0),  # rho_bar = 1.0033; 5 755 iterations without the face step
+])
+def test_slow_cases_below_rho_bar_finish_by_face_steps(q, eps, rho, restarts, seed):
+    ch = Channel(q, eps)
+    res = minimize_q(ch, rho, 2, restarts=restarts, seed=seed)
+    assert res.convex and res.converged
+    assert res.iterations <= 500
+    assert res.face_steps >= 1
+    assert res.min_q == pytest.approx(uniform_value(ch, rho, 2), abs=1e-9)
+
+
+def _step(g):
+    return 1.0 / (2.0 * float(np.max(np.sum(g, axis=1))))
+
+
+def test_face_step_refuses_a_saddle_and_a_point_off_the_simplex():
+    # past rho_bar the uniform point is stationary on the full face (g 1 is
+    # a multiple of 1) and nonnegative, but the face is indefinite there
+    ch = Channel(5, 0.1)
+    g = gram_matrix(ch, 2.0 * rho_bar(ch), 1)
+    full = np.ones((1, 5), dtype=bool)
+    basis = np.eye(5)[:, :4] - np.eye(5)[:, [4]]
+    assert np.linalg.eigvalsh(basis.T @ g @ basis).min() < -0.1
+    x = np.full((1, 5), 0.2)
+    d = _project_simplex_rows(x - 2.0 * _step(g) * (x @ g)) - x
+    assert _stationary(x, d, _step(g), GRAD_MAP_TOL)[0]
+    z, ok = _face_minimizers(g, full, _step(g))
+    assert np.allclose(z, x) and not ok[0]
+    # on {0, 1, 2} with a = alpha^(1/rho) in (1/2, 1/sqrt 2) the face is
+    # positive definite, but its minimizer puts weight (1 - 2a)/(3 - 4a) < 0 on 1
+    g = gram_matrix(Channel(5, 0.5), 1.5, 1)
+    face = np.array([[True, True, True, False, False]])
+    assert np.linalg.eigvalsh(g[:3, :3]).min() > 0.0
+    z, ok = _face_minimizers(g, face, _step(g))
+    assert not ok[0] and z[0, 1] < 0.0
+
+
+def test_face_step_accepts_definite_and_singular_convex_faces():
+    for ch, rho in ((Channel(5, 0.1), 1.5), (Channel(4, 0.1), rho_bar(Channel(4, 0.1)))):
+        g = gram_matrix(ch, rho, 2)
+        m = ch.q**2
+        z, ok = _face_minimizers(g, np.ones((1, m), dtype=bool), _step(g))
+        assert ok[0] and z.min() >= 0.0
+        assert z[0] @ g @ z[0] == pytest.approx(uniform_value(ch, rho, 2), rel=1e-14)
+
+
+def test_size_and_restart_caps_refuse_without_work():
+    ch = Channel(5, 0.1)
+    assert word_count(5, 5) == 3125
+    for n in (6, 10**9):
+        with pytest.raises(ValueError, match="size cap"):
+            minimize_q(ch, 2.0, n)
+    with pytest.raises(ValueError, match="blocklength"):
+        word_count(5, 0)
+    # the default 200 restarts fit at the size cap
+    assert 200 * SIZE_CAP <= BATCH_CAP
+    with pytest.raises(ValueError, match="restarts"):
+        minimize_q(ch, 2.0, 5, restarts=BATCH_CAP // SIZE_CAP + 1)
