@@ -1,4 +1,4 @@
-"""Cyclic-shift channel model, semidistance, entropy utilities and cycle constants.
+"""Cyclic-shift channel model, entropy utilities and cycle constants.
 
 Everything here is pure and immutable, so concurrent use needs no locking.
 Rates and exponents are in bits throughout; the extended distance uses

@@ -25,13 +25,17 @@ import numpy as np
 from .channel import bhattacharyya, cycle_constants
 
 SIZE_CAP = 3125
-# restarts x q^n: the solver keeps ~10 float64 arrays of this many entries, ~80 MB at the
-# cap, and the default 200 restarts fit at SIZE_CAP
+# restarts x q^n: the solver keeps ~10 float64 arrays of this many entries (~80 MB at the
+# cap) besides the Gram matrix (78 MB at SIZE_CAP) and a face-step stack (a few
+# FACE_BYTES); the default 200 restarts fit at SIZE_CAP
 BATCH_CAP = 1 << 20
 GRAD_MAP_TOL = 1e-10
 MAX_ITER = 100_000
 FACE_PERIOD = 8  # a face step is tried every FACE_PERIOD iterations, on supports that old
-FACE_BYTES = 1 << 23  # reduced Hessians stacked in one face-step solve
+# reduced Hessians stacked in one face-step solve; a face whose own reduced Hessian would
+# not fit (more than 1024 points) takes no face step, which bounds its memory and its
+# O(|S|^3) eigensolve
+FACE_BYTES = 1 << 23
 
 
 def gram_base(ch, rho):
@@ -159,17 +163,18 @@ def _face_steps(g, x, xg, step, tol, faces):
     Rows are grouped by support; `faces` maps a support's bytes to its
     (z, z^T g z), or to None where `_face_minimizers` refused it, so each
     support is solved once per batch. New supports are solved in stacks
-    of one size whose reduced Hessians fit in FACE_BYTES. A row accepts z
-    only where z^T g z <= x^T g x.
+    of one size whose reduced Hessians fit in FACE_BYTES; a support too
+    large for one is not solved, and its rows take no step. A row accepts
+    z only where z^T g z <= x^T g x.
     """
     supports, group = np.unique(x > 0.0, axis=0, return_inverse=True)
     group = group.reshape(-1)
     keys = [s.tobytes() for s in supports]
-    new = np.array([key not in faces for key in keys])
     sizes = supports.sum(axis=1)
+    new = np.array([key not in faces for key in keys]) & (8 * sizes * sizes <= FACE_BYTES)
     for k in sorted(set(sizes[new].tolist())):
         todo = np.flatnonzero(new & (sizes == k))
-        chunk = max(1, FACE_BYTES // (8 * k * k))
+        chunk = FACE_BYTES // (8 * k * k)
         for lo in range(0, len(todo), chunk):
             part = todo[lo:lo + chunk]
             z, ok = _face_minimizers(g, supports[part], step, tol)
@@ -182,7 +187,7 @@ def _face_steps(g, x, xg, step, tol, faces):
     z = np.empty_like(x)
     took = np.zeros(len(x), dtype=bool)
     for j, key in enumerate(keys):
-        if faces[key] is not None:
+        if faces.get(key) is not None:
             zj, value = faces[key]
             rows = (group == j) & (value <= values)
             z[rows] = zj
@@ -213,8 +218,9 @@ def _projected_gradient_batch(g, starts, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
 
     Face step, a fixed rule (projected Newton, Bertsekas 1982): every
     FACE_PERIOD-th iteration, each row whose support (x > 0) has not
-    changed for at least FACE_PERIOD iterations tries the exact
-    minimizer z of the form on its face (`_face_minimizers`). The row
+    changed for at least FACE_PERIOD iterations, and whose face's
+    reduced Hessian fits in FACE_BYTES, tries the exact minimizer z of
+    the form on its face (`_face_minimizers`). The row
     accepts z, and is frozen there as converged, only where z is finite
     and nonnegative, the reduced Hessian on the face is PSD,
     z^T g z <= x^T g x, and z passes the same stopping test;

@@ -4,7 +4,9 @@ The Gram matrix from the additive semidistance and the double-loop
 quadratic form, kept independent of the Kronecker and numpy paths in
 relbound.oracle, which must agree with them; and the plain fixed-step
 projected gradient, with its simplex projection, that relbound.oracle's
-accelerated solver replaced, which must reach the same minima.
+accelerated solver replaced, which must reach the same minima; and the
+exact minimum over the simplex by a KKT solve on every face, for the few
+points where the fixed-step oracle is too slow to settle.
 """
 
 import math
@@ -90,3 +92,46 @@ def projected_gradient_fixed_step(g, starts, max_iter=MAX_ITER, tol=GRAD_MAP_TOL
         active[idx[done | stalled]] = False
     values = np.einsum("bi,bi->b", p @ g, p)
     return p, values, conv
+
+
+def face_stationary_point(g, support):
+    """Stationary point z of p^T g p on the affine hull of one simplex face.
+
+    Solves the bordered KKT system [[g_SS, 1], [1^T, 0]] [z_S; -lam] = [0; 1]
+    by LU on the face alone. Returns (z in R^m, lam), or None where the
+    system is singular.
+    """
+    s = np.flatnonzero(support)
+    k = len(s)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = g[np.ix_(s, s)]
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    z = np.zeros(len(g))
+    z[s] = sol[:k]
+    return z, -sol[k]
+
+
+def simplex_minimum_by_faces(g):
+    """Exact minimum of p^T g p over the simplex, by enumerating its faces.
+
+    The minimum lies in the relative interior of some face, where it is a
+    stationary point of that face; where that face's KKT system is
+    singular, the form is constant along a null direction that leads to a
+    smaller face holding the same value. So the minimum is the least value
+    at a nonnegative stationary point of a face with a regular KKT system.
+    2^m - 1 faces: for small m only.
+    """
+    m = len(g)
+    best = math.inf
+    for bits in range(1, 2**m):
+        found = face_stationary_point(g, [(bits >> i) & 1 for i in range(m)])
+        if found is not None and found[0].min() >= 0.0:
+            z = found[0]
+            best = min(best, float(z @ g @ z))
+    return best
