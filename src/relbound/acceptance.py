@@ -136,12 +136,11 @@ def check_endpoints(seed=0):
         )
     rec.expect("delta_lp2(0)", upb.delta_lp2(0.0), 0.5, 1e-6)
     rec.expect("delta_lp2(1)", upb.delta_lp2(1.0), 0.0, 1e-6)
+    taus = np.linspace(0.0, 1.0, 1000)
     for q in (5, 7, 9):
         cc = chn.cycle_constants(Channel(q, 0.5))
-        worst = 0.0
-        for tau in np.linspace(0.0, 1.0, 1000):
-            lhs = chn.entropy_h(cc.q_prime, float(tau)) - float(tau) * math.log2(cc.phi)
-            worst = max(worst, abs(lhs - chn.entropy_h(3.0, float(tau))))
+        lhs = chn.entropy_h(cc.q_prime, taus) - taus * math.log2(cc.phi)
+        worst = float(np.max(np.abs(lhs - chn.entropy_h(3.0, taus))))
         rec.expect(f"h_q'(t) - t log2(phi) = h3(t), q={q} (max abs dev)", worst, 0.0, 1e-10)
     return rec
 
@@ -151,14 +150,12 @@ def check_counterexample(seed=0):
     ch4 = Channel(4, 0.01)
     r_lo = cls.expurgated_junction_rate(0.01, 4)
     r_hi = lob.junction_rate_even(0.01, 4)
-    margins = [
-        lob.lower_bound_even(ch4, r) - cls.expurgated_exponent(ch4, r)
-        for r in np.linspace(r_lo, r_hi, 200)[1:-1]
-    ]
+    rates = np.linspace(r_lo, r_hi, 200)[1:-1]
+    margin = float(np.max(lob.lower_bound_even(ch4, rates) - cls.expurgated_exponent(ch4, rates)))
     rec.require(
         "q=4 eps=0.01: coset bound beats expurgated by >= 0.01 bits inside the junction gap",
-        max(margins) >= 0.01,
-        f"max margin {max(margins):.6f} on ({r_lo:.6f}, {r_hi:.6f})",
+        margin >= 0.01,
+        f"max margin {margin:.6f} on ({r_lo:.6f}, {r_hi:.6f})",
     )
     for q in (4, 5):
         eps_grid = np.linspace(0.001, 0.45, 50)
@@ -170,14 +167,12 @@ def check_counterexample(seed=0):
     ch5 = Channel(5, 0.01)
     lo5 = 0.5 * math.log2(5.0)
     hi5 = lob.junction_rate_q5(0.01)
-    margins5 = [
-        lob.lower_bound_q5(0.01, float(r)) - cls.expurgated_exponent(ch5, float(r))
-        for r in np.linspace(lo5, hi5, 200)[1:-1]
-    ]
+    rates = np.linspace(lo5, hi5, 200)[1:-1]
+    margin = float(np.max(lob.lower_bound_q5(0.01, rates) - cls.expurgated_exponent(ch5, rates)))
     rec.require(
         "q=5 eps=0.01: coset bound beats expurgated by >= 0.01 bits on its domain",
-        max(margins5) >= 0.01,
-        f"max margin {max(margins5):.6f} on ({lo5:.6f}, {hi5:.6f})",
+        margin >= 0.01,
+        f"max margin {margin:.6f} on ({lo5:.6f}, {hi5:.6f})",
     )
     return rec
 
@@ -186,26 +181,20 @@ def check_shift_laws(seed=0):
     rec = _Recorder()
     ch4 = Channel(4, 0.01)
     shift = math.log2(ch4.q / 2)
-    worst = 0.0
-    for r in np.linspace(shift + 1e-6, chn.capacity(ch4), 50):
-        lhs = lob.lower_bound_even(ch4, float(r))
-        rhs = cls.bsc_expurgated_exponent(0.01, float(r) - shift)
-        worst = max(worst, abs(lhs - rhs))
+    rates = np.linspace(shift + 1e-6, chn.capacity(ch4), 50)
+    lhs = lob.lower_bound_even(ch4, rates)
+    rhs = cls.bsc_expurgated_exponent(0.01, rates - shift)
+    worst = float(np.max(np.abs(lhs - rhs)))
     rec.expect("coset bound = shifted BSC expurgated bound (max abs dev)", worst, 0.0, 1e-12)
     for eps in (0.01, 0.1):
         small, big = Channel(4, eps), Channel(8, eps)
-        worst_r = worst_sp = 0.0
-        for r in np.linspace(1e-3, chn.capacity(small), 60):
-            r = float(r)
-            worst_r = max(
-                worst_r,
-                abs(cls.random_coding_exponent(small, r) - cls.random_coding_exponent(big, r + 1.0)),
-            )
-            a = cls.sphere_packing_exponent(small, r)
-            b = cls.sphere_packing_exponent(big, r + 1.0)
-            if math.isinf(a) and math.isinf(b):
-                continue
-            worst_sp = max(worst_sp, abs(a - b))
+        rates = np.linspace(1e-3, chn.capacity(small), 60)
+        rc = cls.random_coding_exponent(small, rates) - cls.random_coding_exponent(big, rates + 1.0)
+        worst_r = float(np.max(np.abs(rc)))
+        a = cls.sphere_packing_exponent(small, rates)
+        b = cls.sphere_packing_exponent(big, rates + 1.0)
+        both_inf = np.isinf(a) & np.isinf(b)
+        worst_sp = float(np.max(np.abs(a[~both_inf] - b[~both_inf]), initial=0.0))
         rec.expect(f"random coding +1 bit shift law, eps={eps}", worst_r, 0.0, 1e-10)
         rec.expect(f"sphere packing +1 bit shift law, eps={eps}", worst_sp, 0.0, 1e-10)
     return rec
@@ -322,14 +311,10 @@ def check_fig7_ordering(seed=0):
     hi = math.log2(5.0) - 1.0 - 0.01
     grid = np.linspace(lo, hi, 40)
     low = upb.envelope(ch, grid, "lower")
-    ok_order = True
-    ok_env = True
-    for r, low_r in zip(grid, low):
-        r = float(r)
-        spec_v = upb.spectrum_half_bound(5, r)
-        dist_v = upb.min_distance_bound(ch, r)
-        ok_order &= spec_v <= dist_v + 1e-12
-        ok_env &= (spec_v >= low_r - 1e-12) and (dist_v >= low_r - 1e-12)
+    spec_v = upb.spectrum_half_bound(5, grid)
+    dist_v = upb.min_distance_bound(ch, grid)
+    ok_order = bool(np.all(spec_v <= dist_v + 1e-12))
+    ok_env = bool(np.all((spec_v >= low - 1e-12) & (dist_v >= low - 1e-12)))
     rec.require("spectrum bound <= distance bound on the q=5, eps=1/2 grid", ok_order)
     rec.require("both converses dominate the lower envelope on the grid", ok_env)
     return rec

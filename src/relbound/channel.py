@@ -12,9 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .solvers import bisect_root
+from .solvers import bracket, elementwise, require
 
 INF = math.inf
+# log2 of the smallest subnormal stands in for log2(0) in x log2 x, which is then 0 * -1074 = 0
+_TINY = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -43,88 +45,53 @@ def bhattacharyya(epsilon):
     return math.sqrt(epsilon * (1.0 - epsilon))
 
 
+@elementwise
 def entropy_h(q_prime, x):
     """x log2(q'-1) - x log2 x - (1-x) log2(1-x), with 0 log 0 = 0.
 
-    q' may be non-integral but must exceed 1.
+    q' may be non-integral but must exceed 1; x is a scalar or an array
+    with every entry in [0, 1].
     """
     if q_prime <= 1.0:
         raise ValueError(f"alphabet parameter must exceed 1, got {q_prime}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument must lie in [0, 1], got {x}")
-    out = 0.0
-    if 0.0 < x:
-        out += x * math.log2(q_prime - 1.0) - x * math.log2(x)
-    if x < 1.0:
-        out -= (1.0 - x) * math.log2(1.0 - x)
-    return out
+    require((x >= 0.0) & (x <= 1.0), x, "argument must lie in [0, 1]")
+    y = 1.0 - x
+    h = x * (math.log2(q_prime - 1.0) - np.log2(np.maximum(x, _TINY)))
+    return h - y * np.log2(np.maximum(y, _TINY))
 
 
+@elementwise
 def entropy_h_inv(q_prime, y):
-    """Inverse of entropy_h on the rising branch [0, (q'-1)/q'].
+    """Inverse of entropy_h on the rising branch [0, (q'-1)/q'], rounded down.
 
-    Bisection to absolute tolerance 1e-12 * y, so small values keep
-    their relative precision.
+    Returns, for each y in [0, log2 q'], a point x of the branch with
+    entropy_h(q', x) <= y whose next float up has entropy_h above y, or
+    the branch's end (q'-1)/q' where entropy_h there is <= y: the
+    bracket's lower end, because the distances it yields feed lower
+    bounds and spectrum_half's box, which are safe on the small side.
+    Small values keep their relative precision.
     """
     top = math.log2(q_prime)
-    if not -1e-12 <= y <= top + 1e-12:
-        raise ValueError(f"value must lie in [0, log2(q')] = [0, {top}], got {y}")
+    ok = (y >= -1e-12) & (y <= top + 1e-12)
+    require(ok, y, f"value must lie in [0, log2(q')] = [0, {top}]")
     xmax = (q_prime - 1.0) / q_prime
-    if y <= 0.0:
-        return 0.0
-    if y >= top:
-        return xmax
-    return bisect_root(lambda x: entropy_h(q_prime, x) - y, 0.0, xmax, tol=1e-12 * y)
+    lo = bracket(lambda x: entropy_h(q_prime, x), np.maximum(y, 0.0), 0.0, xmax)[0]
+    # h is flat at its top, where roundoff can stop the bracket short of xmax
+    return np.where(y >= entropy_h(q_prime, xmax), xmax, lo)
 
 
-def _h2_open(x):
-    """Binary entropy of an array with every entry in (0, 1)."""
-    return -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-
-
-def h2_array(x):
-    """Binary entropy entropy_h(2, x) of an array in [0, 1], with 0 log 0 = 0."""
-    x = np.asarray(x, dtype=float)
-    inside = (x > 0.0) & (x < 1.0)
-    out = np.zeros_like(x)
-    out[inside] = _h2_open(x[inside])
-    return out
-
-
-def h2_inv_bracket(y, lo=None):
-    """Elementwise bisection bracket [lo, hi] of h2's inverse on the rising branch [0, 1/2].
-
-    `lo` gives known lower ends with h2(lo) <= y (default 0); the upper
-    ends start at 1/2. A step moves hi only to points with h2 > y and lo
-    only to points with h2 <= y, as computed by h2_array, so `lo` is the
-    inverse rounded down and `hi` the inverse rounded up. Where y >= 1 no
-    point qualifies and hi stays 1/2.
-
-    The bisection halves the gap between the ends' bit patterns, which
-    for floats >= 0 are ordered like their values, so after 62 passes
-    over the array the ends are adjacent floats at any magnitude.
-    """
-    y = np.asarray(y, dtype=float)
-    lo = (np.zeros_like(y) if lo is None else np.array(lo, dtype=float)).view(np.int64)
-    hi = np.full_like(y, 0.5).view(np.int64)
-    for _ in range(62):  # 0.5 has a bit pattern below 2^62
-        mid = lo + (hi - lo + 1) // 2
-        up = _h2_open(mid.view(np.float64)) > y
-        np.copyto(hi, mid, where=up)
-        np.copyto(lo, mid, where=~up)
-    return lo.view(np.float64), hi.view(np.float64)
-
-
+@elementwise
 def gv_delta(q_prime, rate):
-    """Distance guaranteed at rate `rate` over a q'-ary alphabet.
+    """Distance guaranteed at rate `rate` over a q'-ary alphabet, rounded down.
 
     Solves rate = log2(q') - h_{q'}(delta) on delta in [0, (q'-1)/q'];
-    rate 0 maps to (q'-1)/q'.
+    rate 0 maps to (q'-1)/q' up to roundoff. Rounded down (entropy_h_inv):
+    a smaller distance gives a smaller achievable exponent.
     """
     top = math.log2(q_prime)
-    if not -1e-12 <= rate <= top + 1e-12:
-        raise ValueError(f"rate must lie in [0, log2(q')] = [0, {top}], got {rate}")
-    return entropy_h_inv(q_prime, top - max(rate, 0.0))
+    ok = (rate >= -1e-12) & (rate <= top + 1e-12)
+    require(ok, rate, f"rate must lie in [0, log2(q')] = [0, {top}]")
+    return entropy_h_inv(q_prime, top - np.maximum(rate, 0.0))
 
 
 def capacity(ch):

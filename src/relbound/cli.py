@@ -166,7 +166,11 @@ def cmd_bounds(args, default_format="csv"):
     if fmt == "csv":
         _emit(crv.curves_to_csv(curves), s["out"])
     elif fmt == "svg":
-        _emit(render_svg(curves, ceiling=s["ceiling"]), s["out"])
+        try:
+            svg = render_svg(curves, ceiling=s["ceiling"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        _emit(svg, s["out"])
     else:
         raise UsageError(f"unknown format {fmt!r} (csv or svg)")
     return 0
@@ -181,8 +185,8 @@ def cmd_oracle(args):
         word_count(ch.q, s["n"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if s["rho"] < 1.0:
-        raise UsageError(f"slope parameter must be >= 1, got {s['rho']}")
+    if not 1.0 <= s["rho"] < math.inf:
+        raise UsageError(f"slope parameter must satisfy 1 <= rho < inf, got {s['rho']}")
     try:
         res = minimize_q(ch, s["rho"], s["n"], restarts=s["restarts"], seed=s["seed"])
     except ValueError as exc:

@@ -94,15 +94,6 @@ class BoundSpec(NamedTuple):
         return out
 
 
-def _per_point(bound):
-    """Array evaluator for a cheap scalar bound(ch, r), one call per rate."""
-
-    def evaluate(ch, rates):
-        return np.array([bound(ch, float(r)) for r in rates], dtype=float)
-
-    return evaluate
-
-
 def _above_half_q(ch, rates):
     # zero-error communication exists at and below log2(q/2) for even q
     return rates > math.log2(ch.q / 2)
@@ -120,30 +111,31 @@ def _line_params(line):
     return {"r1": format_value(line.r1), "r2": format_value(line.r2)}
 
 
-# The per-point bounds are called through their module names, so wrappers
-# put on those names (by tests or by tracing) see every call.
+# Every evaluator maps a rate array to a value array. Bounds that take other
+# arguments are called through their module names, so wrappers put on those
+# names (by tests or by tracing) see every call.
 BOUNDS = {
     "random_coding": BoundSpec(
         "random_coding", "lower", "always applicable",
-        _always, _per_point(lambda ch, r: random_coding_exponent(ch, r)), _no_params,
+        _always, random_coding_exponent, _no_params,
     ),
     "sphere_packing": BoundSpec(
         "sphere_packing", "upper", "always applicable",
-        _always, _per_point(lambda ch, r: sphere_packing_exponent(ch, r)), _no_params,
+        _always, sphere_packing_exponent, _no_params,
     ),
     "expurgated": BoundSpec(
         "expurgated", "lower", "always applicable (upper bound on itself for odd q >= 7)",
-        _always, _per_point(lambda ch, r: expurgated_exponent(ch, r)), _expurgated_params,
+        _always, expurgated_exponent, _expurgated_params,
         envelope_rule=lambda ch: expurgated_is_exact(ch.q),
     ),
     "coset_even": BoundSpec(
         "coset_even", "lower", "requires even q",
-        lambda ch: ch.q % 2 == 0, _per_point(lambda ch, r: lower_bound_even(ch, r)), _no_params,
+        lambda ch: ch.q % 2 == 0, lower_bound_even, _no_params,
         domain=_above_half_q,
     ),
     "coset_q5": BoundSpec(
         "coset_q5", "lower", "requires q = 5",
-        lambda ch: ch.q == 5, _per_point(lambda ch, r: lower_bound_q5(ch.epsilon, r)), _no_params,
+        lambda ch: ch.q == 5, lambda ch, r: lower_bound_q5(ch.epsilon, r), _no_params,
         domain=lambda ch, rates: rates >= 0.5 * math.log2(5.0),
     ),
     "binary_reduction": BoundSpec(
@@ -153,26 +145,26 @@ BOUNDS = {
     ),
     "min_distance": BoundSpec(
         "min_distance", "upper", "requires odd q",
-        lambda ch: ch.q % 2 == 1, _per_point(lambda ch, r: min_distance_bound(ch, r)), _no_params,
+        lambda ch: ch.q % 2 == 1, min_distance_bound, _no_params,
         domain=_above_theta,
     ),
     "spectrum_half": BoundSpec(
         "spectrum_half", "upper", "requires odd q and eps = 1/2",
         lambda ch: ch.q % 2 == 1 and ch.epsilon == 0.5,
-        _per_point(lambda ch, r: spectrum_half_bound(ch.q, r)), _no_params,
+        lambda ch, r: spectrum_half_bound(ch.q, r), _no_params,
         domain=lambda ch, rates: _above_theta(ch, rates) & (rates < math.log2(ch.q) - 1.0),
     ),
     "straight_line_theta": BoundSpec(
         "straight_line_theta", "upper", "requires odd q",
         lambda ch: ch.q % 2 == 1,
-        _per_point(lambda ch, r: theta_anchored_line(ch).value(r)),
+        lambda ch, r: theta_anchored_line(ch).value(r),
         lambda ch: _line_params(theta_anchored_line(ch)),
     ),
     "straight_line_lp2": BoundSpec(
         "straight_line_lp2", "upper",
         f"requires eps < 1/2 - sqrt(3)/4 = {LP2_ANCHOR_GATE:.6f}",
         lambda ch: ch.epsilon < LP2_ANCHOR_GATE,
-        _per_point(lambda ch, r: lp2_anchored_line(ch).value(r)),
+        lambda ch, r: lp2_anchored_line(ch).value(r),
         lambda ch: _line_params(lp2_anchored_line(ch)),
         envelope_rule=lambda ch: ch.q % 2 == 1,
     ),

@@ -14,6 +14,7 @@ import numpy as np
 from . import codes as cod
 from .channel import bhattacharyya, capacity, entropy_h, gv_delta
 from .classical import bsc_expurgated_exponent, expurgated_junction_rate
+from .solvers import elementwise, require
 
 
 def junction_rate_even(epsilon, q):
@@ -23,21 +24,20 @@ def junction_rate_even(epsilon, q):
     return math.log2(q / 2) + expurgated_junction_rate(epsilon, 2)
 
 
+@elementwise
 def lower_bound_even(ch, r):
     """Coset-ensemble achievability bound for even q.
 
     Exactly the BSC expurgated exponent shifted right by log2(q/2).
-    Valid for log2(q/2) < r <= capacity; exactly 0 at capacity.
+    Valid for log2(q/2) < r <= capacity, r a scalar or an array; exactly
+    0 at capacity.
     """
     if ch.q % 2 != 0:
         raise ValueError(f"this bound needs an even alphabet size, got {ch.q}")
     shift = math.log2(ch.q / 2)
     c = capacity(ch)
-    if not shift < r <= c + 1e-12:
-        raise ValueError(f"rate must lie in (log2(q/2), C] = ({shift}, {c}], got {r}")
-    if r >= c:
-        return 0.0
-    return bsc_expurgated_exponent(ch.epsilon, r - shift)
+    require((r > shift) & (r <= c + 1e-12), r, f"rate must lie in (log2(q/2), C] = ({shift}, {c}]")
+    return np.where(r >= c, 0.0, bsc_expurgated_exponent(ch.epsilon, r - shift))
 
 
 def junction_rate_q5(epsilon):
@@ -50,6 +50,7 @@ def junction_rate_q5(epsilon):
     return math.log2(5.0) - 0.5 * entropy_h(5.0, x)
 
 
+@elementwise
 def lower_bound_q5(epsilon, r):
     """Coset-ensemble achievability bound for the five-letter channel.
 
@@ -57,21 +58,20 @@ def lower_bound_q5(epsilon, r):
     of random linear codes over Z_5; above it the slope -1 line of the
     expurgated bound takes over. Clamped at zero past the line's zero
     crossing, where an exponent bound says nothing, and exactly 0 at
-    capacity.
+    capacity. r is a scalar or an array.
     """
     log5 = math.log2(5.0)
     lo = 0.5 * log5
     c = log5 - entropy_h(2.0, epsilon)
-    if not lo - 1e-12 <= r <= c + 1e-12:
-        raise ValueError(f"rate must lie in [log2 sqrt5, C] = [{lo}, {c}], got {r}")
-    if r >= c:
-        return 0.0
-    r = max(r, lo)
+    ok = (r >= lo - 1e-12) & (r <= c + 1e-12)
+    require(ok, r, f"rate must lie in [log2 sqrt5, C] = [{lo}, {c}]")
+    r_in = np.maximum(r, lo)
     alpha = bhattacharyya(epsilon)
-    if r >= junction_rate_q5(epsilon):
-        return max(math.log2(5.0 / (1.0 + 2.0 * alpha)) - r, 0.0)
-    delta = gv_delta(5.0, 2.0 * r - log5)
-    return -0.5 * delta * math.log2(alpha * (1.0 + alpha))
+    line = np.maximum(math.log2(5.0 / (1.0 + 2.0 * alpha)) - r_in, 0.0)
+    # gv_delta rounds down, and this branch grows with the distance
+    branch = -0.5 * gv_delta(5.0, 2.0 * r_in - log5) * math.log2(alpha * (1.0 + alpha))
+    out = np.where(r_in >= junction_rate_q5(epsilon), line, branch)
+    return np.where(r >= c, 0.0, out)
 
 
 class CosetSpectrumCheck(NamedTuple):

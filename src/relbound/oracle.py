@@ -317,6 +317,8 @@ def minimize_q(ch, rho, n, restarts=200, seed=0, size_cap=SIZE_CAP, max_iter=MAX
     `converged` flag, never silently. q^n is capped at `size_cap` and
     restarts x q^n at BATCH_CAP.
     """
+    if not math.isfinite(rho):
+        raise ValueError(f"tilt parameter must be finite, got {rho}")
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     m = word_count(ch.q, n, size_cap)

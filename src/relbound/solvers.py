@@ -1,5 +1,6 @@
-"""Small numeric workhorses: bisection, golden-section search, simplex projection."""
+"""Small numeric workhorses: the array bracket, scalar bisection, golden-section search."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,35 +9,89 @@ BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
 
-def bisect_root(f, lo, hi, tol=BISECT_TOL, max_iter=BISECT_MAX_ITER, bracket=False):
-    """Root of a monotone function on [lo, hi] by bisection.
+def bisect_root(f, lo, hi, tol=BISECT_TOL, max_iter=BISECT_MAX_ITER):
+    """Root of a monotone scalar function on [lo, hi] by bisection.
 
     The bracket must have f(lo) and f(hi) of opposite sign (zero endpoints
     are returned directly).  Stops when the bracket is narrower than `tol`
-    or after `max_iter` halvings. Returns the final bracket's midpoint, or
-    with `bracket` the bracket (lo, hi) itself, whose ends keep the signs
-    of f(lo) and f(hi) (a zero found is returned as (x, x)).
+    or after `max_iter` halvings, and returns the final bracket's midpoint.
     """
     flo = f(lo)
     if flo == 0.0:
-        return (lo, lo) if bracket else lo
+        return lo
     fhi = f(hi)
     if fhi == 0.0:
-        return (hi, hi) if bracket else hi
+        return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
-            return (mid, mid) if bracket else mid
+            return mid
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
             hi = mid
         if hi - lo <= tol:
             break
-    return (lo, hi) if bracket else 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def bracket(f, y, lo, hi):
+    """Elementwise bisection bracket of a rising function's crossing of y.
+
+    f maps a float array to an array of the same shape and rises on
+    [lo, hi]; y, lo and hi broadcast together, with lo, hi >= 0. A step
+    moves hi only to points where f > y and lo only to points where
+    f <= y, as f evaluates in floating point. So where f(lo) <= y < f(hi)
+    holds at the start, the returned ends hold it too, at adjacent
+    floats: lo is the crossing rounded down and hi rounded up. Where
+    y < f(lo), hi ends one float above lo; where f(hi) <= y, lo ends at
+    hi unless f, as evaluated, rises above y on the way. A falling
+    function is inverted by negating f and y.
+
+    The bisection halves the gap between the ends' bit patterns, which
+    for floats >= 0 are ordered like their values, so after as many
+    passes as hi's largest pattern has bits the ends are adjacent.
+    """
+    y, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, lo, hi)))
+    lo = lo.copy().view(np.int64)  # copies: the ends are written in place
+    hi = hi.copy().view(np.int64)
+    for _ in range(int(hi.max(initial=0)).bit_length()):
+        mid = lo + ((hi - lo + 1) >> 1)
+        up = f(mid.view(np.float64)) > y
+        # selects by arithmetic: several times faster than a masked copy
+        hi -= (hi - mid) * up
+        lo += (mid - lo) * ~up
+    return lo.view(np.float64), hi.view(np.float64)
+
+
+def elementwise(fn):
+    """Let fn(p, x), written for a 1-D float array x, take a scalar or an array of any shape.
+
+    A scalar runs through the same array code as one entry of an array,
+    so both give the same bits. The result (or each field of a tuple
+    result) is a float for a scalar x and an array of x's shape otherwise.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(p, x):
+        x = np.asarray(x, dtype=float)
+        out = fn(p, x.reshape(-1))
+
+        def shaped(v):
+            return float(v[0]) if x.ndim == 0 else v.reshape(x.shape)
+
+        return type(out)(*map(shaped, out)) if isinstance(out, tuple) else shaped(out)
+
+    return wrapper
+
+
+def require(ok, values, message):
+    """Raise ValueError(message) naming the first entry of `values` where `ok` is False."""
+    if not np.all(ok):
+        raise ValueError(f"{message}, got {values[~ok][0]}")
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

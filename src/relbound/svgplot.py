@@ -42,6 +42,8 @@ def render_svg(curves, ceiling=None, title=None):
     Curves with infinite values get a dashed vertical asymptote marker
     at the boundary rate where they become finite.
     """
+    if ceiling is not None and not (math.isfinite(ceiling) and ceiling > 0.0):
+        raise ValueError(f"ceiling must be finite and > 0, got {ceiling}")
     if not curves:
         raise ValueError("nothing to plot")
     rates = [r for c in curves for r, _ in c.points]

@@ -18,17 +18,16 @@ from .channel import (
     cycle_constants,
     entropy_h,
     entropy_h_inv,
-    h2_array,
-    h2_inv_bracket,
     theta_cycle,
 )
 from .classical import (
     RHO_CAP,
+    _h2,
     _rate_at_rho,
     binary_divergence,
     eps_rho,
 )
-from .solvers import bisect_root
+from .solvers import bisect_root, bracket, elementwise, require
 
 # below this crossover the binary-reduction anchor improves sphere packing
 LP2_ANCHOR_GATE = 0.5 - math.sqrt(3.0) / 4.0
@@ -61,7 +60,7 @@ def _lp2_objective(alpha, beta):
 def _lp2_rows(r):
     """delta_lp2_point on a 1-D array of rates in [0, 1]."""
     rows = np.arange(r.size)
-    beta_max = h2_inv_bracket(r)[0][:, None]
+    beta_max = bracket(_h2, r, 0.0, 0.5)[0][:, None]
     slack = 1.0 - r[:, None]
     steps = np.linspace(0.0, 1.0, LP2_SCAN)
     lo, hi = np.zeros_like(beta_max), beta_max
@@ -70,7 +69,7 @@ def _lp2_rows(r):
     best_beta = np.empty(r.size)
     for _ in range(LP2_ROUNDS):
         beta = np.minimum(lo + (hi - lo) * steps, beta_max)
-        alpha = h2_inv_bracket(slack + h2_array(beta), lo=beta)[1]
+        alpha = bracket(_h2, slack + _h2(beta), beta, 0.5)[1]
         value = _lp2_objective(alpha, beta)
         i = np.argmin(value, axis=1)
         better = value[rows, i] < best
@@ -95,7 +94,7 @@ def delta_lp2_point(r):
 
     r may be a scalar or an array; the search runs on whole arrays,
     LP2_CHUNK rates at a time, so its temporaries stay bounded. Both
-    inverses are bisection brackets (h2_inv_bracket): a is rounded up
+    inverses are bisection brackets (solvers.bracket): a is rounded up
     (the bracket's upper end) and the cap h2^{-1}(r) on b is rounded
     down, so every returned (a, b) is feasible, with h2 as evaluated in
     floating point, and the returned objective is the objective at that
@@ -133,54 +132,54 @@ def binary_reduction_bound(ch, r):
     return delta_lp2(np.minimum(rates - shift, 1.0)) * math.log2(1.0 / alpha)
 
 
+@elementwise
 def lp1_rate(q_prime, delta):
     """First linear-programming rate bound for distance delta, alphabet q' > 1.
 
-    q' need not be an integer; the argument of the entropy is clipped
-    against roundoff at the endpoints.
+    q' need not be an integer; delta is a scalar or an array. The
+    entropy's argument ((q'-1) - (q'-2) d - 2 sqrt((q'-1) d (1-d))) / q'
+    is computed as the square (sqrt((q'-1)(1-d)) - sqrt(d))^2 / q', which
+    keeps its relative precision as it falls to 0 at d = (q'-1)/q' (the
+    expanded form cancels to 0 within 1e-8 of that end); at that end it
+    is 0 exactly, and it is clipped against roundoff at the other.
     """
     dmax = (q_prime - 1.0) / q_prime
-    if not -1e-12 <= delta <= dmax + 1e-12:
-        raise ValueError(f"distance must lie in [0, {dmax}], got {delta}")
-    delta = min(max(delta, 0.0), dmax)
-    arg = (
-        (q_prime - 1.0)
-        - (q_prime - 2.0) * delta
-        - 2.0 * math.sqrt((q_prime - 1.0) * delta * (1.0 - delta))
-    ) / q_prime
-    return entropy_h(q_prime, min(max(arg, 0.0), 1.0))
+    require((delta >= -1e-12) & (delta <= dmax + 1e-12), delta, f"distance must lie in [0, {dmax}]")
+    delta = np.clip(delta, 0.0, dmax)
+    arg = (np.sqrt((q_prime - 1.0) * (1.0 - delta)) - np.sqrt(delta)) ** 2 / q_prime
+    return entropy_h(q_prime, np.where(delta < dmax, np.minimum(arg, 1.0), 0.0))
 
 
+@elementwise
 def min_distance_bound(ch, r):
     """Distance-driven converse for odd q above the cycle Lovasz rate.
 
     Solves r = log2(theta) + lp1_rate(q', d) for the largest admissible
-    normalized distance d and charges it log2(1/eps) per unit.
+    normalized distance d and charges it log2(1/eps) per unit; r is a
+    scalar or an array.
     """
     if ch.q % 2 == 0:
         raise ValueError("the distance bound applies to odd alphabet sizes only")
     cc = cycle_constants(ch)
     ltheta = math.log2(cc.theta)
     top = math.log2(ch.q)
-    if not ltheta < r <= top + 1e-12:
-        raise ValueError(f"rate must lie in (log2 theta, log2 q] = ({ltheta}, {top}], got {r}")
-    delta = _lp1_distance(cc.q_prime, min(r, top) - ltheta)
+    ok = (r > ltheta) & (r <= top + 1e-12)
+    require(ok, r, f"rate must lie in (log2 theta, log2 q] = ({ltheta}, {top}]")
+    delta = _lp1_distance(cc.q_prime, np.minimum(r, top) - ltheta)
     return delta * -math.log2(ch.epsilon)
 
 
 def _lp1_distance(q_prime, rate):
-    """Inverse of lp1_rate: the distance where the LP rate equals `rate`.
+    """Inverse of lp1_rate on a rate array: the distance where the LP rate equals `rate`.
 
-    lp1_rate falls with d and both callers are converses that grow with
-    the distance, so this returns the upper end of the final bisection
-    bracket, where lp1_rate(q', d) <= rate.
+    lp1_rate falls with d, so the bracket runs on its negation. Both
+    callers are converses that grow with the distance, so this rounds up:
+    the bracket's upper end, whose lp1_rate is <= rate and whose float
+    below has lp1_rate >= rate; 0 from log2 q' on.
     """
     dmax = (q_prime - 1.0) / q_prime
-    if rate >= math.log2(q_prime):
-        return 0.0
-    if rate <= 0.0:
-        return dmax
-    return bisect_root(lambda d: lp1_rate(q_prime, d) - rate, 0.0, dmax, bracket=True)[1]
+    hi = bracket(lambda d: -lp1_rate(q_prime, d), -rate, 0.0, dmax)[1]
+    return np.where(rate >= math.log2(q_prime), 0.0, hi)
 
 
 @dataclass(frozen=True)
@@ -198,11 +197,12 @@ class StraightLine:
     e2: float
     slope: float
 
+    @elementwise
     def value(self, r):
-        if r < self.r1 - 1e-12 or r > self.r2 + 1e-12:
-            return INF
+        """The line at rate r, a scalar or an array; inf outside [r1, r2]."""
         # the chord falls to e2; the floor stops it dipping below e2 past r2
-        return max(self.e1 + self.slope * (r - self.r1), self.e2)
+        line = np.maximum(self.e1 + self.slope * (r - self.r1), self.e2)
+        return np.where((r < self.r1 - 1e-12) | (r > self.r2 + 1e-12), INF, line)
 
 
 def straight_line_bound(anchor_rate, anchor_exponent, ch):
@@ -281,8 +281,9 @@ class SpectrumBoundPoint(NamedTuple):
     value: float
 
 
+@elementwise
 def spectrum_half_point(q, r):
-    """Spectrum-driven converse for odd q at crossover exactly 1/2.
+    """Spectrum-driven converse for odd q at crossover exactly 1/2, at a scalar or array r.
 
     Either the code has small distance, or it has exponentially many
     neighbors at some scaled radius tau. The bound is the maximum of
@@ -307,19 +308,19 @@ def spectrum_half_point(q, r):
     ltheta = math.log2(theta)
     lq = math.log2(q)
     top = lq - 1.0
-    if not ltheta < r < top:
-        raise ValueError(f"rate must lie in (log2 theta, log2 q - 1) = ({ltheta}, {top}), got {r}")
+    ok = (r > ltheta) & (r < top)
+    require(ok, r, f"rate must lie in (log2 theta, log2 q - 1) = ({ltheta}, {top})")
     s = _lp1_distance(q / theta, r - ltheta)
+    # rounded down: a lower delta_lo widens the box, which cannot lower the max
     delta_lo = entropy_h_inv(3.0, lq - r)
-    if delta_lo >= s:
-        return SpectrumBoundPoint(delta=s, tau=s, s=s, value=s)
-
-    def objective(d, t):
-        return min(d, t - min(r - lq + entropy_h(3.0, t), d / 2.0))
-
-    pairs = ((delta_lo, delta_lo), (s, s), (max(2.0 * s / 3.0, delta_lo), s))
-    delta, tau = max(pairs, key=lambda p: objective(*p))
-    return SpectrumBoundPoint(delta=delta, tau=tau, s=s, value=objective(delta, tau))
+    deltas = np.stack([delta_lo, s, np.maximum(2.0 * s / 3.0, delta_lo)])
+    taus = np.stack([delta_lo, s, s])
+    values = np.minimum(deltas, taus - np.minimum(r - lq + entropy_h(3.0, taus), deltas / 2.0))
+    best = np.argmax(values, axis=0), np.arange(r.size)
+    point = SpectrumBoundPoint(delta=deltas[best], tau=taus[best], s=s, value=values[best])
+    # an empty box leaves the distance cap s
+    empty = delta_lo >= s
+    return SpectrumBoundPoint(*(np.where(empty, s, v) for v in point))
 
 
 def spectrum_half_bound(q, r):

@@ -1,10 +1,11 @@
 """Scalar definitions that relbound computes only in bulk.
 
 The transition law, the 0/1/inf semidistance and its Bhattacharyya
-bound, one pair of symbols or words at a time, and the expurgated
-exponent function E_x(rho) in closed form. The codes kernel and the
-oracle's Gram matrices compute these on arrays; the tests check them
-against these definitions.
+bound, one pair of symbols or words at a time, the expurgated
+exponent function E_x(rho) in closed form, and the q'-ary entropy of
+one point. The codes kernel, the oracle's Gram matrices and the bound
+curves compute these on arrays; the tests check them against these
+definitions.
 """
 
 import math
@@ -70,3 +71,13 @@ def expurgated_ex(ch, rho):
         alpha = bhattacharyya(ch.epsilon)
         return rho * math.log2(ch.q / (1.0 + 2.0 * alpha ** (1.0 / rho)))
     return rho * math.log2(cc.theta)
+
+
+def entropy_h(q_prime, x):
+    """x log2(q'-1) - x log2 x - (1-x) log2(1-x) for one x in [0, 1], with 0 log 0 = 0."""
+    out = 0.0
+    if 0.0 < x:
+        out += x * math.log2(q_prime - 1.0) - x * math.log2(x)
+    if x < 1.0:
+        out -= (1.0 - x) * math.log2(1.0 - x)
+    return out

@@ -3,6 +3,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scalar_oracles import entropy_h as scalar_entropy_h
 from scalar_oracles import pairwise_error_bound, semidistance, transition_prob
 
 from relbound.channel import (
@@ -17,6 +20,12 @@ from relbound.channel import (
     theta_cycle,
     zero_error_capacity,
 )
+from relbound.solvers import bracket
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+# q' > 1; the bounds use 2, 3, 5 and q/theta, which lies in (2, 2.24) for odd q
+ALPHABETS = st.floats(min_value=1.01, max_value=12.0)
+FRACTIONS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8)
 
 
 def test_channel_validation():
@@ -126,6 +135,53 @@ def test_entropy_h_concave_with_interior_max():
     second = np.diff(ys, 2)
     assert np.all(second < 1e-9)
     assert max(ys) <= math.log2(qp) + 1e-12
+
+
+@PROPERTY
+@given(ALPHABETS, st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16))
+def test_entropy_h_on_arrays_matches_the_scalar_definition(qp, xs):
+    x = np.array(xs)
+    h = entropy_h(qp, x)
+    assert h.shape == x.shape
+    # one rounding order differs from the definition; a few ulps of log2 q' bound it
+    for value, xi in zip(h, xs):
+        assert value == entropy_h(qp, xi)
+        assert abs(value - scalar_entropy_h(qp, xi)) <= 8 * math.ulp(max(1.0, math.log2(qp)))
+    with pytest.raises(ValueError, match="got 1.5"):
+        entropy_h(qp, np.append(x, 1.5))
+    with pytest.raises(ValueError):
+        entropy_h(qp, np.append(x, np.nan))
+
+
+@PROPERTY
+@given(ALPHABETS, FRACTIONS)
+def test_bracket_ends_are_adjacent_floats_around_the_crossing(qp, fracs):
+    xmax = (qp - 1.0) / qp
+    top = entropy_h(qp, xmax)
+    y = np.array(fracs) * top
+    y = y[y < top]  # the crossing lies inside [0, xmax]
+
+    def h(x):
+        return entropy_h(qp, x)
+
+    lo, hi = bracket(h, y, 0.0, xmax)
+    assert np.all(h(lo) <= y) and np.all(y < h(hi))
+    assert np.array_equal(hi, np.nextafter(lo, np.inf))
+
+
+@PROPERTY
+@given(ALPHABETS, FRACTIONS)
+def test_entropy_h_inv_and_gv_delta_round_down(qp, fracs):
+    top = math.log2(qp)
+    xmax = (qp - 1.0) / qp
+    y = np.array(fracs) * top
+    x = entropy_h_inv(qp, y)
+    # float-exact: on the safe side, and the next float up is past the crossing
+    assert np.all(entropy_h(qp, x) <= y)
+    assert np.all((x == xmax) | (entropy_h(qp, np.nextafter(x, np.inf)) > y))
+    d = gv_delta(qp, y)
+    assert np.all(entropy_h(qp, d) <= top - y)
+    assert [gv_delta(qp, float(r)) for r in y] == d.tolist()
 
 
 def test_entropy_h_inv_roundtrip():

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scalar_oracles import expurgated_ex
 
-from relbound.channel import Channel, bhattacharyya, capacity, entropy_h
+from relbound.channel import Channel, bhattacharyya, capacity, cycle_constants, entropy_h
 from relbound.classical import (
+    RHO_CAP,
+    _parametric_exponent,
     _rate_at_rho,
     binary_divergence,
     bsc_expurgated_exponent,
@@ -21,6 +25,17 @@ from relbound.classical import (
     sphere_packing_exponent,
 )
 from relbound.oracle import eigenvalues_g1
+from relbound.solvers import bracket
+
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def channels_and_rates(draw, max_eps=0.5):
+    """A channel with eps <= max_eps and a few rates in (0, C], as a 1-D array."""
+    ch = Channel(draw(st.integers(4, 9)), draw(st.floats(0.0, max_eps, exclude_min=True)))
+    fracs = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=8))
+    return ch, capacity(ch) * np.array(fracs)
 
 
 def test_eps_rho():
@@ -234,3 +249,54 @@ def test_bsc_expurgated_exponent():
         assert bsc_expurgated_exponent(0.5, float(r)) == 0.0
     with pytest.raises(ValueError):
         bsc_expurgated_exponent(0.1, 1.5)
+
+
+@PROPERTY
+@given(channels_and_rates())
+def test_parametric_exponent_ends_and_each_bound_s_side(case):
+    ch, r = case
+    eps = ch.epsilon
+    # the rate log2 q - h2(p) falls with the tilted crossover p in [eps, 1/2]:
+    # the bracket on h2 sits on the crossing, at adjacent floats
+    y = math.log2(ch.q) - r
+    lo, hi = bracket(lambda p: entropy_h(2.0, p), y, eps, 0.5)
+    inner = (r < _rate_at_rho(ch, 0.0)) & (r > _rate_at_rho(ch, RHO_CAP))
+    ok = (entropy_h(2.0, lo) <= y) & (y < entropy_h(2.0, hi)) & (hi == np.nextafter(lo, np.inf))
+    assert np.all(ok[inner])
+    # the exponent rises with p: the lower bound takes the smaller end, the upper the larger
+    ends = binary_divergence(np.stack([lo, hi]), eps)
+    small, large = _parametric_exponent(ch, r)
+    assert np.array_equal(small[inner], ends.min(axis=0)[inner])
+    assert np.array_equal(large[inner], ends.max(axis=0)[inner])
+    rc = random_coding_exponent(ch, r)
+    above = inner & (r > critical_rate(ch)) & (r < capacity(ch))
+    assert np.array_equal(rc[above], small[above])
+    sp = sphere_packing_exponent(ch, r)
+    finite = np.isfinite(sp)
+    assert np.all(sp[finite & inner] >= large[finite & inner])
+    # exactly, wherever both are finite
+    assert np.all(rc[finite] <= sp[finite])
+
+
+@PROPERTY
+@given(
+    channels_and_rates(max_eps=0.022),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=8),
+)
+def test_expurgated_parametric_section_takes_the_smaller_end(case, fracs):
+    ch, _ = case  # eps below eps_bar(q) >= 0.0221 for q = 4..9: the curve has its middle section
+    alpha = bhattacharyya(ch.epsilon)
+    ltheta = math.log2(cycle_constants(ch).theta)
+    ebar = eps_bar(ch.q)
+    junction = expurgated_junction_rate(ch.epsilon, ch.q)
+    r = ltheta + (junction - ltheta) * np.array(fracs)
+    r = r[r < junction]  # a fraction just below 1 can round up to the junction
+    rho0 = math.log(alpha) / math.log(bhattacharyya(ebar))
+    # the rate falls from the junction at rho = 1 to log2(theta) at rho0
+    lo, hi = bracket(lambda t: -expurgated_parametric_point(ch, t).rate, -r, 1.0, rho0)
+    rate_lo, rate_hi = (expurgated_parametric_point(ch, t).rate for t in (lo, hi))
+    ok = (rate_lo >= r) & (r > rate_hi) & (hi == np.nextafter(lo, np.inf))
+    # only roundoff puts a rate outside the section, and there the bracket sits at an end
+    assert np.all(ok | (lo == rho0) | (hi == np.nextafter(1.0, 2.0)))
+    e_lo, e_hi = (expurgated_parametric_point(ch, t).exponent for t in (lo, hi))
+    assert np.array_equal(expurgated_exponent(ch, r), np.minimum(e_lo, e_hi))

@@ -4,6 +4,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relbound
@@ -131,6 +132,13 @@ def test_simulate_malformed_file(tmp_path, capsys):
         ("simulate", "--code", "coset:1000000000:1:0", "--q", "4"),
         ("simulate", "--code", "q5plus:1000000000:3:0"),
         ("oracle", "--rho", "2", "--restarts", "0"),
+        # a slope outside 1 <= rho < inf
+        ("oracle", "--q", "5", "--eps", "0.1", "--rho", "nan", "--n", "1"),
+        ("oracle", "--q", "5", "--eps", "0.1", "--rho", "inf", "--n", "1"),
+        # an SVG ceiling that is not finite and > 0
+        ("plot", "--ceiling", "nan"),
+        ("plot", "--ceiling", "0"),
+        ("bounds", "--format", "svg", "--ceiling", "-1"),
         # q^n past oracle.SIZE_CAP with a power too big to form, and restarts x q^n
         # past oracle.BATCH_CAP
         ("oracle", "--q", "5", "--eps", "0.1", "--rho", "2", "--n", "100000000"),
@@ -166,7 +174,7 @@ def test_verify_detects_injected_corruption(capsys, monkeypatch):
     good = classical.bsc_expurgated_exponent
 
     def corrupted(eps, r):
-        return -good(eps, r) if r < 0.2 else good(eps, r)
+        return np.where(np.asarray(r) < 0.2, -good(eps, r), good(eps, r))
 
     monkeypatch.setattr(classical, "bsc_expurgated_exponent", corrupted)
     rc, out, err = run(capsys, "verify", "--only", "shift_laws")

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relbound import upper_bounds
-from relbound.channel import Channel, capacity
+from relbound.channel import Channel, capacity, cycle_constants
 from relbound.curves import (
     BOUNDS,
     MAX_GRID_POINTS,
@@ -191,6 +191,23 @@ def channels_and_grids(draw):
     grid = np.unique(capacity(ch) * np.array(fractions))
     assume(len(grid) >= 2)
     return ch, grid
+
+
+@PROPERTY
+@given(channels_and_grids())
+def test_registry_bounds_give_a_float_the_bits_it_gets_inside_an_array(case):
+    ch, grid = case
+    c = capacity(ch)
+    ends = np.array([math.log2(ch.q / 2), math.log2(cycle_constants(ch).theta), c])
+    rates = np.unique(np.concatenate([grid[:4], ends[(ends > 0.0) & (ends <= c)]]))
+    for name in applicable_bounds(ch):
+        spec = BOUNDS[name]
+        inside = rates[spec.domain(ch, rates)]
+        if inside.size == 0:
+            continue
+        together = spec.evaluate(ch, inside)
+        alone = np.array([spec.evaluate(ch, float(r)) for r in inside])
+        assert alone.view(np.int64).tolist() == together.view(np.int64).tolist(), name
 
 
 @PROPERTY

@@ -375,3 +375,9 @@ def test_size_and_restart_caps_refuse_without_work():
     assert 200 * SIZE_CAP <= BATCH_CAP
     with pytest.raises(ValueError, match="restarts"):
         minimize_q(ch, 2.0, 5, restarts=BATCH_CAP // SIZE_CAP + 1)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_non_finite_tilt_refused(rho):
+    with pytest.raises(ValueError, match="finite"):
+        minimize_q(Channel(5, 0.1), rho, 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracles import entropy_h as scalar_entropy_h
 
 from relbound import upper_bounds
 from relbound.channel import (
@@ -13,7 +14,6 @@ from relbound.channel import (
     cycle_constants,
     entropy_h,
     entropy_h_inv,
-    h2_array,
 )
 from relbound.classical import sphere_packing_exponent
 from relbound.solvers import bisect_root, golden_min
@@ -65,7 +65,7 @@ def _h2_inv_scalar(y):
         return 0.0
     if y >= 1.0:
         return 0.5
-    return bisect_root(lambda x: entropy_h(2.0, x) - y, 0.0, 0.5, tol=0.0)
+    return bisect_root(lambda x: scalar_entropy_h(2.0, x) - y, 0.0, 0.5, tol=0.0)
 
 
 def _delta_lp2_oracle(r):
@@ -73,7 +73,7 @@ def _delta_lp2_oracle(r):
     beta_max = _h2_inv_scalar(r)
 
     def objective(beta):
-        alpha = _h2_inv_scalar(1.0 - r + entropy_h(2.0, beta))
+        alpha = _h2_inv_scalar(1.0 - r + scalar_entropy_h(2.0, beta))
         num = alpha * (1.0 - alpha) - beta * (1.0 - beta)
         return 2.0 * num / (1.0 + 2.0 * math.sqrt(beta * (1.0 - beta)))
 
@@ -90,8 +90,8 @@ def test_delta_lp2_sound_and_matches_scalar_oracle(rates):
     # feasible: b <= a <= 1/2, h2(b) <= r (b under its cap) and h2(a) - h2(b) >= 1 - r,
     # the last in the order the search evaluates it
     assert np.all((0.0 <= pt.beta) & (pt.beta <= pt.alpha) & (pt.alpha <= 0.5))
-    assert np.all(h2_array(pt.beta) <= r)
-    assert np.all(h2_array(pt.alpha) >= (1.0 - r) + h2_array(pt.beta))
+    assert np.all(entropy_h(2.0, pt.beta) <= r)
+    assert np.all(entropy_h(2.0, pt.alpha) >= (1.0 - r) + entropy_h(2.0, pt.beta))
     for rate, a, b, value in zip(rates, pt.alpha, pt.beta, pt.objective):
         # the value is the objective at that feasible pair, hence >= the true minimum
         num = a * (1.0 - a) - b * (1.0 - b)
@@ -154,16 +154,11 @@ def test_lp1_distance_rounds_to_the_safe_side(q, frac):
     # both callers are converses that grow with the distance
     qp = cycle_constants(Channel(q, 0.5)).q_prime
     rate = frac * math.log2(qp)
-    d = _lp1_distance(qp, rate)
-    assert lp1_rate(qp, d) <= rate
-
-    def f(x):
-        return lp1_rate(qp, x) - rate
-
-    lo, hi = bisect_root(f, 0.0, (qp - 1) / qp, bracket=True)
-    assert d == hi
-    assert lo == hi or (f(lo) > 0.0 and hi - lo <= 1e-12)
-    assert 0.0 <= d - bisect_root(f, 0.0, (qp - 1) / qp) <= 1e-12
+    d = float(_lp1_distance(qp, np.array([rate]))[0])
+    # float-exact: d is the upper end of a bracket of adjacent floats
+    assert lp1_rate(qp, d) <= rate <= lp1_rate(qp, np.nextafter(d, 0.0))
+    # and it is the crossing the scalar bisection finds
+    assert abs(d - bisect_root(lambda x: lp1_rate(qp, x) - rate, 0.0, (qp - 1) / qp)) <= 1e-12
 
 
 def test_q5_has_golden_alphabet_parameter():
@@ -184,7 +179,7 @@ def test_min_distance_bound():
     target = r - ltheta
     qp = math.sqrt(5.0)
     grid = np.linspace(0.0, (qp - 1) / qp, 200001)
-    idx = int(np.argmin([abs(lp1_rate(qp, float(d)) - target) for d in grid]))
+    idx = int(np.argmin(np.abs(lp1_rate(qp, grid) - target)))
     assert min_distance_bound(ch, r) == pytest.approx(float(grid[idx]), abs=1e-4)
     with pytest.raises(ValueError):
         min_distance_bound(Channel(4, 0.5), 1.5)
@@ -316,11 +311,13 @@ def test_spectrum_half_is_the_exact_maximum(q, frac):
     # the value is the objective at the returned pair, which lies in the box
     delta_lo = entropy_h_inv(3.0, lq - r)
     assert delta_lo <= pt.delta <= pt.tau <= pt.s
+    # delta_lo is rounded down, float-exactly: a wider box cannot lower the max
+    assert entropy_h(3.0, delta_lo) <= lq - r
     g = r - lq + entropy_h(3.0, pt.tau)
     assert pt.value == min(pt.delta, pt.tau - min(g, pt.delta / 2.0))
     # no point of a 257 x 257 grid over the same box does better; h3(t) = t + h2(t)
     d, t = np.meshgrid(np.linspace(delta_lo, pt.s, 257), np.linspace(delta_lo, pt.s, 257))
-    g = r - lq + t + h2_array(t)
+    g = r - lq + t + entropy_h(2.0, t)
     grid = np.where(t >= d, np.minimum(d, t - np.minimum(g, d / 2.0)), -math.inf)
     assert pt.value >= grid.max()
     assert pt.value <= min_distance_bound(ch, r)
@@ -329,10 +326,9 @@ def test_spectrum_half_is_the_exact_maximum(q, frac):
 @pytest.mark.parametrize("q,eps", [(4, 0.01), (5, 0.01), (5, 0.5), (6, 0.1)])
 def test_envelope_ordering(q, eps):
     ch = Channel(q, eps)
-    for r in np.linspace(1e-3, capacity(ch), 120):
-        lo, up = envelope(ch, float(r))
-        if math.isfinite(lo) and math.isfinite(up):
-            assert lo <= up
+    lo, up = envelope(ch, np.linspace(1e-3, capacity(ch), 120))
+    both = np.isfinite(lo) & np.isfinite(up)
+    assert np.all(lo[both] <= up[both])
     assert envelope(ch, 0.5, "lower") <= envelope(ch, 0.5, "upper")
     with pytest.raises(ValueError):
         envelope(ch, 0.0)
