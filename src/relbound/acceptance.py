@@ -74,38 +74,36 @@ def check_eps_bar(seed=0):
 
 def check_oracle(seed=0):
     rec = _Recorder()
-    qs = (4, 5, 6)
     eps_grid = (0.01, 0.1, 0.5)
-    for q, eps in product(qs, eps_grid):
+    checks = []  # (a) and (b): (label, problem, expected Ex_n, tol)
+    for q, eps in product((4, 5, 6), eps_grid):
         ch = Channel(q, eps)
         rb = cls.rho_bar(ch)
-        rhos = sorted({1.0, 0.5 * (1.0 + rb), rb})
-        for rho in rhos:
+        for rho in sorted({1.0, 0.5 * (1.0 + rb), rb}):
             if rho < 1.0:
                 continue
             target_fn = rho * math.log2(
                 q / (1.0 + 2.0 * chn.bhattacharyya(eps) ** (1.0 / rho))
             )
             for n in (1, 2):
-                got = orc.expurgated_oracle_ex(ch, rho, n, restarts=6, seed=seed)
-                rec.expect(
-                    f"(a) q={q} eps={eps} rho={rho:.4f} n={n}", got, target_fn, 1e-6
-                )
+                checks.append((f"(a) q={q} eps={eps} rho={rho:.4f} n={n}",
+                               (ch, rho, n, 6, seed), target_fn, 1e-6))
     for q, eps in product((4, 6), eps_grid):
         ch = Channel(q, eps)
         rb = cls.rho_bar(ch)
         for mult in (1.5, 3.0):
             rho = mult * rb
-            got = orc.expurgated_oracle_ex(ch, rho, 1, restarts=16, seed=seed)
-            rec.expect(
-                f"(b) q={q} eps={eps} rho={rho:.3f} n=1", got, rho * math.log2(q / 2), 1e-4
-            )
-    for eps in eps_grid:
-        ch = Channel(5, eps)
-        rho = 2.0 * cls.rho_bar(ch)
-        t0 = time.time()
-        res = orc.minimize_q(ch, rho, 2, restarts=200, seed=seed)
-        dt = time.time() - t0
+            checks.append((f"(b) q={q} eps={eps} rho={rho:.3f} n=1",
+                           (ch, rho, 1, 16, seed), rho * math.log2(q / 2), 1e-4))
+    pentagon = [(Channel(5, eps), 2.0 * cls.rho_bar(Channel(5, eps)), 2, 200, seed)
+                for eps in eps_grid]
+    # every problem runs in one batch, and (c) times the whole of it
+    t0 = time.time()
+    results = orc.minimize_q_batch([problem for _, problem, _, _ in checks] + pentagon)
+    dt = time.time() - t0
+    for (label, _, expected, tol), res in zip(checks, results):
+        rec.expect(label, res.ex_n, expected, tol)
+    for eps, res in zip(eps_grid, results[len(checks):]):
         rec.expect(f"(c) q=5 n=2 eps={eps} min_Q", res.min_q, 0.2, 1e-5)
         rec.require(
             f"(c) q=5 n=2 eps={eps} runtime <= 60 s (200 restarts)",

@@ -85,7 +85,8 @@ def build_parser():
     p.add_argument("--rho", type=float, default=None, help="slope parameter (>= 1)")
     p.add_argument("--n", type=int, default=None, help="blocklength (q^n capped)")
     p.add_argument("--restarts", type=int, default=None,
-                   help=f"multistart count (restarts x q^n at most {BATCH_CAP})")
+                   help="start rows in all, never fewer than the structured seeds "
+                   f"(restarts x q^n at most {BATCH_CAP})")
 
     p = sub.add_parser("simulate", help="exact/Monte-Carlo error of an explicit code")
     _add_common(p)
@@ -122,12 +123,14 @@ def load_config(path):
 
 
 def effective_settings(args):
-    """Flags beat config-file values beat defaults."""
+    """Flags beat config-file values beat defaults; a negative seed is refused."""
     cfg = load_config(args.config) if getattr(args, "config", None) else {}
     merged = {}
     for key, default in DEFAULTS.items():
         flag = getattr(args, key, None)
         merged[key] = flag if flag is not None else cfg.get(key, default)
+    if merged["seed"] < 0:
+        raise UsageError(f"--seed must be >= 0, got {merged['seed']}")
     return merged
 
 

@@ -3,9 +3,11 @@
 Builds the n-letter Gram matrix of pairwise Bhattacharyya weights and
 minimizes the induced quadratic form over the probability simplex with a
 multi-start accelerated projected gradient (FISTA momentum with adaptive
-restart), all starts in one batch. A start stops, as converged, where
-the gradient mapping at the point it returns is at most GRAD_MAP_TOL or
-where no representable projected step is left; MAX_ITER caps the run.
+restart), all starts in one batch; `minimize_q_batch` stacks the starts
+of many problems of one size q^n into the same batch. A start stops, as
+converged, where the gradient mapping at the point it returns is at most
+GRAD_MAP_TOL or where no representable projected step is left; MAX_ITER
+caps the run.
 A start whose support has settled finishes with one face-restricted
 Newton step (projected Newton, Bertsekas 1982): the exact minimizer of
 the form on its face, taken only where it is a nonnegative, not worse,
@@ -25,9 +27,10 @@ import numpy as np
 from .channel import bhattacharyya, cycle_constants
 
 SIZE_CAP = 3125
-# restarts x q^n: the solver keeps ~10 float64 arrays of this many entries (~80 MB at the
-# cap) besides the Gram matrix (78 MB at SIZE_CAP) and a face-step stack (a few
-# FACE_BYTES); the default 200 restarts fit at SIZE_CAP
+# start rows x q^n in one solver run: it keeps ~10 float64 arrays of this many entries
+# (~80 MB at the cap) besides its Gram matrices (at most this many entries too, or one
+# matrix alone: 78 MB at SIZE_CAP) and a face-step stack (a few FACE_BYTES); the default
+# 200 restarts fit at SIZE_CAP
 BATCH_CAP = 1 << 20
 GRAD_MAP_TOL = 1e-10
 MAX_ITER = 100_000
@@ -104,9 +107,11 @@ def _project_simplex_rows(v):
     The shift is min_k (1 - s_k) / k over the prefix sums s_k of each
     row sorted in decreasing order (Held-Wolfe-Crowder 1974; Condat 2016).
     """
-    u = np.sort(v, axis=1)[:, ::-1]
-    lam = np.min((1.0 - np.cumsum(u, axis=1)) / np.arange(1, v.shape[1] + 1), axis=1)
-    return np.maximum(v + lam[:, None], 0.0)
+    c = np.cumsum(np.sort(v, axis=1)[:, ::-1], axis=1)
+    np.subtract(1.0, c, out=c)
+    c /= np.arange(1, v.shape[1] + 1)
+    out = v + np.min(c, axis=1)[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def _stationary(x, d, step, tol):
@@ -119,10 +124,28 @@ def _stationary(x, d, step, tol):
     return (np.linalg.norm(d, axis=1) / step <= tol) | np.all(x + d == x, axis=1)
 
 
-def _face_minimizers(g, supports, step, tol=GRAD_MAP_TOL):
+def _times_gram(gs, owner, x):
+    """Each row of x times its problem's Gram matrix: x[i] @ gs[owner[i]], owner sorted.
+
+    One product per run of equal owners. BLAS picks its kernel by the
+    number of rows, so a row's product depends on the run it is in; every
+    caller passes runs that hold exactly the rows the problem would hold
+    alone, which keeps each problem's arithmetic the same in any batch.
+    """
+    out = np.empty_like(x)
+    if len(x):
+        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(x)]):
+            out[lo:hi] = x[lo:hi] @ gs[owner[lo]]
+    return out
+
+
+def _face_minimizers(gs, owner, supports, steps, tol=GRAD_MAP_TOL):
     """Minimizer z of p^T g p on each simplex face in a stack of equal-size supports.
 
-    Solves the KKT system g_SS z = lambda 1, 1^T z = 1 in null-space form:
+    Support i lies in problem owner[i] (sorted), with Gram matrix
+    g = gs[owner[i]] and step steps[owner[i]]. Solves the KKT system
+    g_SS z = lambda 1, 1^T z = 1 in null-space form:
     with r the last index of S and the tangent basis e_i - e_r (i in S
     other than r), z = e_r + sum_i u_i (e_i - e_r), where H u = g_rr - g_ir
     and H = Z^T g_SS Z is the reduced Hessian, H_ij = g_ij - g_ir - g_rj + g_rr.
@@ -137,51 +160,73 @@ def _face_minimizers(g, supports, step, tol=GRAD_MAP_TOL):
     b = len(supports)
     idx = np.nonzero(supports)[1].reshape(b, -1)
     r, rest = idx[:, -1], idx[:, :-1]
-    grr = g[r, r]
-    col = g[rest, r[:, None]]
-    h = g[rest[:, :, None], rest[:, None, :]] - col[:, :, None] - col[:, None, :]
+    grr = gs[owner, r, r]
+    col = gs[owner[:, None], rest, r[:, None]]
+    h = gs[owner[:, None, None], rest[:, :, None], rest[:, None, :]]
+    h = h - col[:, :, None] - col[:, None, :]
     h += grr[:, None, None]
     w, v = np.linalg.eigh(h)
     noise = w.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1, initial=0.0)
     live = np.abs(w) > noise[:, None]
     coef = np.einsum("bij,bi->bj", v, grr[:, None] - col) / np.where(live, w, 1.0)
     u = np.einsum("bij,bj->bi", v, np.where(live, coef, 0.0))
-    z = np.zeros((b, g.shape[0]))
+    z = np.zeros((b, gs.shape[1]))
     np.put_along_axis(z, rest, u, axis=1)
     z[np.arange(b), r] = 1.0 - u.sum(axis=1)
     ok = np.all(w >= -noise[:, None], axis=1) & np.all(np.isfinite(z), axis=1)
     ok[ok] = z[ok].min(axis=1) >= 0.0
     z[ok] /= z[ok].sum(axis=1, keepdims=True)
-    zk = z[ok]
-    ok[ok] = _stationary(zk, _project_simplex_rows(zk - 2.0 * step * (zk @ g)) - zk, step, tol)
+    zk, own = z[ok], owner[ok]
+    step = steps[own]
+    d = _project_simplex_rows(zk - 2.0 * step[:, None] * _times_gram(gs, own, zk)) - zk
+    ok[ok] = _stationary(zk, d, step, tol)
     return z, ok
 
 
-def _face_steps(g, x, xg, step, tol, faces):
-    """Face step for each row of x: (points, accepted flags).
+def _face_stacks(todo, owners, chunk):
+    """Cut support indices `todo` (sorted by owner) into stacks of at most `chunk`.
 
-    Rows are grouped by support; `faces` maps a support's bytes to its
-    (z, z^T g z), or to None where `_face_minimizers` refused it, so each
-    support is solved once per batch. New supports are solved in stacks
-    of one size whose reduced Hessians fit in FACE_BYTES; a support too
-    large for one is not solved, and its rows take no step. A row accepts
-    z only where z^T g z <= x^T g x.
+    Each owner's run is cut into the chunks it would get alone, and a
+    stack takes whole chunks only, so a problem's supports share a stack
+    (and a product in `_times_gram`) exactly as when it runs alone.
     """
-    supports, group = np.unique(x > 0.0, axis=0, return_inverse=True)
+    stacks = []
+    for run in np.split(todo, np.flatnonzero(np.diff(owners[todo])) + 1):
+        for lo in range(0, len(run), chunk):
+            piece = run[lo:lo + chunk]
+            if stacks and len(stacks[-1]) + len(piece) <= chunk:
+                stacks[-1] = np.concatenate((stacks[-1], piece))
+            else:
+                stacks.append(piece)
+    return stacks
+
+
+def _face_steps(gs, owner, x, xg, steps, tol, faces):
+    """Face step for each row of x, row i in problem owner[i] (sorted): (points, accepted flags).
+
+    Rows are grouped by (problem, support); `faces` maps a (problem,
+    support bytes) key to its (z, z^T g z), or to None where
+    `_face_minimizers` refused it, so each support is solved once per
+    problem and batch. New supports are solved in stacks of one size,
+    across problems, whose reduced Hessians fit in FACE_BYTES; a support
+    too large for one is not solved, and its rows take no step. A row
+    accepts z only where z^T g z <= x^T g x.
+    """
+    keyed, group = np.unique(np.column_stack((owner, x > 0.0)), axis=0, return_inverse=True)
     group = group.reshape(-1)
-    keys = [s.tobytes() for s in supports]
+    owners, supports = keyed[:, 0], keyed[:, 1:].astype(bool)
+    keys = [(o, s.tobytes()) for o, s in zip(owners.tolist(), supports)]
     sizes = supports.sum(axis=1)
     new = np.array([key not in faces for key in keys]) & (8 * sizes * sizes <= FACE_BYTES)
     for k in sorted(set(sizes[new].tolist())):
         todo = np.flatnonzero(new & (sizes == k))
-        chunk = FACE_BYTES // (8 * k * k)
-        for lo in range(0, len(todo), chunk):
-            part = todo[lo:lo + chunk]
-            z, ok = _face_minimizers(g, supports[part], step, tol)
+        for part in _face_stacks(todo, owners, FACE_BYTES // (8 * k * k)):
+            z, ok = _face_minimizers(gs, owners[part], supports[part], steps, tol)
             for j in part[~ok]:
                 faces[keys[j]] = None
             z = z[ok]
-            for j, zj, value in zip(part[ok], z, np.einsum("bi,bi->b", z @ g, z)):
+            values = np.einsum("bi,bi->b", _times_gram(gs, owners[part[ok]], z), z)
+            for j, zj, value in zip(part[ok], z, values):
                 faces[keys[j]] = (zj, value)
     values = np.einsum("bi,bi->b", x, xg)
     z = np.empty_like(x)
@@ -195,8 +240,14 @@ def _face_steps(g, x, xg, step, tol, faces):
     return z, took
 
 
-def _projected_gradient_batch(g, starts, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
-    """Minimize p^T g p over the simplex from every start at once.
+def _projected_gradient_batch(gs, starts, owner, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
+    """Minimize p^T g p over the simplex from every start of every problem at once.
+
+    Problem p has Gram matrix gs[p]; row i of starts belongs to problem
+    owner[i], with owner sorted. Step sizes, products with g and values
+    are taken per problem, on contiguous runs of rows, and dropping
+    frozen rows keeps the order, so each row follows bit for bit the
+    trajectory it follows when its problem runs alone.
 
     Accelerated projected gradient (FISTA, Beck-Teboulle 2009) with the
     step 1/L, L = 2 max row sum of g >= 2 max |eigenvalue|, and the
@@ -213,8 +264,8 @@ def _projected_gradient_batch(g, starts, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
     representable (which is as converged as float64 gets). Only rows
     still moving at the iteration cap come back unconverged. Frozen rows
     leave the working arrays, and y.g is carried by linearity from x.g,
-    so an iteration costs one matrix product and one projection call on
-    the steps from x and from y stacked.
+    so an iteration costs one matrix product per problem and one
+    projection call on the steps from x and from y stacked.
 
     Face step, a fixed rule (projected Newton, Bertsekas 1982): every
     FACE_PERIOD-th iteration, each row whose support (x > 0) has not
@@ -225,41 +276,50 @@ def _projected_gradient_batch(g, starts, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
     and nonnegative, the reduced Hessian on the face is PSD,
     z^T g z <= x^T g x, and z passes the same stopping test;
     every other row carries on with FISTA unchanged. Returns (points,
-    values, converged_flags, iterations, face_steps), face_steps being
-    the number of rows the face step finished.
+    values, converged_flags, iterations, face_steps), the last two per
+    problem: the iteration at which its last row froze (max_iter where
+    one never did) and the number of its rows the face step finished.
     """
-    step = 1.0 / (2.0 * float(np.max(np.sum(g, axis=1))))
-    x = np.array(starts, dtype=float)
-    points = x.copy()
+    steps = np.array([1.0 / (2.0 * float(np.max(np.sum(g, axis=1)))) for g in gs])
+    start_owner = owner
+    x = np.asarray(starts, dtype=float)
+    points = np.empty_like(x)  # every row is written where it freezes, or after the loop
     conv = np.zeros(x.shape[0], dtype=bool)
     rows = np.arange(x.shape[0])
-    xg = x @ g
+    step = steps[owner]
+    xg = _times_gram(gs, owner, x)
     y, yg = x, xg
     t = np.ones(x.shape[0])
     settled = np.zeros(x.shape[0], dtype=int)  # iterations since the support last changed
     faces = {}
-    face_steps = 0
-    iterations = 0
-    while iterations < max_iter and rows.size:
-        iterations += 1
-        proj = _project_simplex_rows(np.concatenate((x - 2.0 * step * xg, y - 2.0 * step * yg)))
-        nxt = proj[len(x):]
+    face_steps = np.zeros(len(gs), dtype=int)
+    iterations = np.zeros(len(gs), dtype=int)
+    it = 0
+    while it < max_iter and rows.size:
+        it += 1
+        two_step = 2.0 * step[:, None]
+        proj = _project_simplex_rows(np.concatenate((x - two_step * xg, y - two_step * yg)))
         done = _stationary(x, proj[: len(x)] - x, step, tol)
+        nxt = proj[len(x):].copy()  # a view would keep the half for x alive
+        del proj
         points[rows[done]] = x[done]
-        if iterations % FACE_PERIOD == 0:
+        if it % FACE_PERIOD == 0:
             trial = np.flatnonzero(~done & (settled >= FACE_PERIOD))
             if trial.size:
-                z, took = _face_steps(g, x[trial], xg[trial], step, tol, faces)
+                z, took = _face_steps(gs, owner[trial], x[trial], xg[trial], steps, tol, faces)
                 points[rows[trial[took]]] = z[took]
                 done[trial[took]] = True
-                face_steps += int(took.sum())
+                face_steps += np.bincount(owner[trial[took]], minlength=len(gs))
         if done.any():
             conv[rows[done]] = True
+            iterations[owner[done]] = it
             keep = ~done
-            rows, x, xg, y, nxt, t, settled = (a[keep] for a in (rows, x, xg, y, nxt, t, settled))
+            rows, owner, step, x, xg, y, nxt, t, settled = (
+                a[keep] for a in (rows, owner, step, x, xg, y, nxt, t, settled)
+            )
             if not rows.size:
                 break
-        nxt_g = nxt @ g
+        nxt_g = _times_gram(gs, owner, nxt)
         move = nxt - x
         resupported = np.any((nxt > 0.0) != (x > 0.0), axis=1)
         restart = resupported | (np.einsum("bi,bi->b", y - nxt, move) > 0.0)
@@ -271,20 +331,16 @@ def _projected_gradient_batch(g, starts, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
         yg = nxt_g + beta * (nxt_g - xg)
         x, xg = nxt, nxt_g
     points[rows] = x
-    values = np.einsum("bi,bi->b", points @ g, points)
+    iterations[owner] = it  # problems with rows still moving ran to the cap
+    values = np.einsum("bi,bi->b", _times_gram(gs, start_owner, points), points)
     return points, values, conv, iterations, face_steps
 
 
 PENTAGON_CODE = ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
 
 
-def _start_points(ch, n, restarts, seed):
-    """Starting rows: the symmetric seeds, then random ones up to `restarts` rows.
-
-    The symmetric seeds are the uniform, even-symbol product and pentagon
-    product distributions; the random rows are Dirichlet draws from `seed`.
-    """
-    q = ch.q
+def _structured_seeds(q, n):
+    """The uniform, even-symbol product (even q) and pentagon product (q = 5, even n) rows."""
     m = q**n
     seeds = [np.full(m, 1.0 / m)]
     if q % 2 == 0:
@@ -300,51 +356,113 @@ def _start_points(ch, n, restarts, seed):
         p = np.zeros(m)
         p[idx] = 1.0 / len(idx)
         seeds.append(p)
+    return seeds
+
+
+def _start_points(ch, n, restarts, seed):
+    """Starting rows: the structured seeds, then random ones up to `restarts` rows.
+
+    The random rows are Dirichlet draws from `seed`.
+    """
+    seeds = _structured_seeds(ch.q, n)
     n_random = max(restarts - len(seeds), 0)
     if n_random:
-        seeds.extend(np.random.default_rng(seed).dirichlet(np.ones(m), size=n_random))
+        seeds.extend(np.random.default_rng(seed).dirichlet(np.ones(ch.q**n), size=n_random))
     return np.array(seeds)
+
+
+def minimize_q_batch(problems, size_cap=SIZE_CAP, max_iter=MAX_ITER):
+    """`minimize_q` on each (channel, rho, n, restarts, seed) of `problems`, in few runs.
+
+    Every problem's tilt, restarts and caps are checked before any work
+    starts. Problems are grouped by q^n, and the start rows of a group
+    run as one stack in `_projected_gradient_batch`, each row tagged
+    with its problem. A group is cut into several runs where one run
+    would hold more than BATCH_CAP entries in its start rows (rows x
+    q^n) or, past its first problem, in its Gram matrices (problems x
+    q^2n). Each row follows
+    the same arithmetic as when its problem runs alone, so every result
+    equals, field for field, what `minimize_q` returns for that problem;
+    `iterations` is the run's iteration at which the problem's last row
+    froze, and `face_steps` counts its own rows. Returns one
+    OracleResult per problem, in order.
+    """
+    problems = list(problems)
+    for ch, rho, n, restarts, _ in problems:
+        if not 0.0 < rho < math.inf:
+            raise ValueError(f"tilt parameter must be positive and finite, got {rho}")
+        if restarts < 1:
+            raise ValueError(f"need at least one restart, got {restarts}")
+        m = word_count(ch.q, n, size_cap)
+        if restarts * m > BATCH_CAP:
+            raise ValueError(
+                f"{restarts} restarts x q^n = {m} exceeds the cap of {BATCH_CAP} entries"
+            )
+    groups = {}
+    for i, (ch, _, n, _, _) in enumerate(problems):
+        groups.setdefault(ch.q**n, []).append(i)
+    results = [None] * len(problems)
+    for m, members in groups.items():
+        run, entries = [], 0
+        for i in members:
+            ch, _, n, restarts, _ = problems[i]
+            size = max(restarts, len(_structured_seeds(ch.q, n))) * m  # its start entries
+            if run and (entries + size > BATCH_CAP or (len(run) + 1) * m * m > BATCH_CAP):
+                _solve_run(problems, run, results, size_cap, max_iter)
+                run, entries = [], 0
+            run.append(i)
+            entries += size
+        _solve_run(problems, run, results, size_cap, max_iter)
+    return results
+
+
+def _solve_run(problems, run, results, size_cap, max_iter):
+    """Solve the problems with indices `run` as one stack into `results`."""
+    grams = [gram_matrix(*problems[i][:3], size_cap=size_cap) for i in run]
+    # a lone Gram matrix (78 MB at SIZE_CAP) is viewed, not copied
+    gs = np.stack(grams) if len(grams) > 1 else grams[0][None]
+    starts = [_start_points(ch, n, restarts, seed) for ch, _, n, restarts, seed in
+              (problems[i] for i in run)]
+    counts = [len(s) for s in starts]
+    starts = np.concatenate(starts)
+    owner = np.repeat(np.arange(len(run)), counts)
+    pts, values, conv, iterations, face_steps = _projected_gradient_batch(
+        gs, starts, owner, max_iter=max_iter
+    )
+    lo = 0
+    for p, (i, count) in enumerate(zip(run, counts)):
+        ch, rho, n, _, _ = problems[i]
+        best = lo + int(np.argmin(values[lo:lo + count]))
+        lo += count
+        value = float(values[best])
+        results[i] = OracleResult(
+            rho=rho,
+            n=n,
+            min_q=value,
+            distribution=pts[best],
+            ex_n=-(rho / n) * math.log2(value),
+            restarts=count,
+            converged=bool(conv[best]),
+            convex=rho <= cycle_constants(ch).rho_bar,
+            iterations=int(iterations[p]),
+            face_steps=int(face_steps[p]),
+        )
 
 
 def minimize_q(ch, rho, n, restarts=200, seed=0, size_cap=SIZE_CAP, max_iter=MAX_ITER):
     """Best local minimum of the n-letter quadratic form over the simplex.
 
     In the convex regime (rho <= rho_bar) every start converges to the
-    global optimum; beyond it the structured seeds plus `restarts`
-    random simplex draws are searched and the smallest value wins. The
-    restarts run as one vectorized batch. Deterministic for a fixed
-    seed. Non-convergence of the winning run is reported through the
-    `converged` flag, never silently. q^n is capped at `size_cap` and
-    restarts x q^n at BATCH_CAP.
+    global optimum; beyond it the search runs from `restarts` start rows
+    in all, never fewer than the structured seeds (uniform, and the
+    even-symbol or pentagon products where they apply), the rest random
+    simplex draws, and the smallest value wins. The starts run as one
+    vectorized batch; this is `minimize_q_batch` on one problem.
+    Deterministic for a fixed seed. Non-convergence of the winning run is
+    reported through the `converged` flag, never silently. q^n is capped
+    at `size_cap` and restarts x q^n at BATCH_CAP.
     """
-    if not math.isfinite(rho):
-        raise ValueError(f"tilt parameter must be finite, got {rho}")
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    m = word_count(ch.q, n, size_cap)
-    if restarts * m > BATCH_CAP:
-        raise ValueError(f"{restarts} restarts x q^n = {m} exceeds the cap of {BATCH_CAP} entries")
-    g = gram_matrix(ch, rho, n, size_cap=size_cap)
-    convex = rho <= cycle_constants(ch).rho_bar
-    starts = _start_points(ch, n, restarts, seed)
-    pts, values, conv, iterations, face_steps = _projected_gradient_batch(
-        g, starts, max_iter=max_iter
-    )
-    best = int(np.argmin(values))
-    value = float(values[best])
-    ex = -(rho / n) * math.log2(value)
-    return OracleResult(
-        rho=rho,
-        n=n,
-        min_q=value,
-        distribution=pts[best],
-        ex_n=ex,
-        restarts=len(starts),
-        converged=bool(conv[best]),
-        convex=convex,
-        iterations=iterations,
-        face_steps=face_steps,
-    )
+    return minimize_q_batch([(ch, rho, n, restarts, seed)], size_cap=size_cap, max_iter=max_iter)[0]
 
 
 def uniform_value(ch, rho, n):

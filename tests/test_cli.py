@@ -146,6 +146,13 @@ def test_simulate_malformed_file(tmp_path, capsys):
         # Monte-Carlo work beyond codes.MC_PAIR_CAP, and negative trials
         ("simulate", "--code", "pentagon", "--eps", "0.2", "--trials", "1000000000"),
         ("simulate", "--code", "pentagon", "--eps", "0.2", "--trials", "-1"),
+        # a negative seed, refused before any subcommand runs
+        ("verify", "--seed", "-1", "--only", "theta"),
+        ("verify", "--seed", "-1", "--only", "oracle"),
+        ("oracle", "--rho", "2", "--restarts", "10", "--seed", "-5"),
+        ("simulate", "--code", "pentagon", "--trials", "10", "--seed", "-3"),
+        ("bounds", "--seed", "-2"),
+        ("plot", "--seed", "-2"),
     ],
 )
 def test_bad_specs_refused_quickly_with_usage_exit(capsys, argv):
@@ -154,6 +161,17 @@ def test_bad_specs_refused_quickly_with_usage_exit(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert err.startswith("error: ") and out == ""
+    if "--seed" in argv:
+        assert "--seed" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "plot", "oracle", "simulate", "verify"])
+def test_negative_seed_from_config_names_the_option(tmp_path, capsys, command):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=-4\n")
+    rc, out, err = run(capsys, command, "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert err == "error: --seed must be >= 0, got -4\n"
 
 
 def test_verify_only(capsys):

@@ -12,6 +12,7 @@ from gram_oracles import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relbound import oracle
 from relbound.channel import Channel
 from relbound.classical import rho_bar
 from relbound.oracle import (
@@ -20,6 +21,7 @@ from relbound.oracle import (
     GRAD_MAP_TOL,
     SIZE_CAP,
     _face_minimizers,
+    _face_stacks,
     _face_steps,
     _project_simplex_rows,
     _start_points,
@@ -29,6 +31,7 @@ from relbound.oracle import (
     gram_base,
     gram_matrix,
     minimize_q,
+    minimize_q_batch,
     uniform_value,
     word_count,
 )
@@ -308,8 +311,88 @@ def test_slow_cases_below_rho_bar_finish_by_face_steps(q, eps, rho, restarts, se
     assert res.min_q == pytest.approx(uniform_value(ch, rho, 2), abs=1e-9)
 
 
+def _assert_same_results(batch, alone):
+    assert len(batch) == len(alone)
+    for got, ref in zip(batch, alone):
+        for field in ("min_q", "ex_n", "converged", "convex", "restarts", "iterations",
+                      "face_steps"):
+            assert getattr(got, field) == getattr(ref, field), field
+        assert np.array_equal(got.distribution, ref.distribution)
+
+
+@st.composite
+def oracle_batches(draw):
+    """Lists of 1-5 problems: q in 4..7, n <= 2, restarts 1..40, rho on both sides of rho_bar."""
+    problems = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        ch = Channel(draw(st.integers(min_value=4, max_value=7)),
+                     draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True)))
+        rho = rho_bar(ch) * draw(st.one_of(
+            st.floats(min_value=0.5, max_value=3.5),
+            st.floats(min_value=0.99, max_value=1.01),
+        ))
+        problems.append((
+            ch,
+            rho,
+            draw(st.integers(min_value=1, max_value=2)),
+            draw(st.integers(min_value=1, max_value=40)),
+            draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        ))
+    return problems
+
+
+@PROPERTY
+@given(oracle_batches())
+def test_batch_equals_separate_calls(problems):
+    _assert_same_results(minimize_q_batch(problems), [minimize_q(*p) for p in problems])
+
+
+def test_batch_keeps_an_unconverged_problem_apart():
+    # the uniform start is optimal at once in the convex regime; q = 7 past
+    # rho_bar has no structured seed to mask a starved search
+    ch7 = Channel(7, 0.1)
+    problems = [(Channel(4, 0.1), 1.0, 1, 4, 0), (ch7, 3.0 * rho_bar(ch7), 1, 8, 42),
+                (Channel(7, 0.2), 1.0, 1, 3, 5)]
+    batch = minimize_q_batch(problems, max_iter=2)
+    _assert_same_results(batch, [minimize_q(*p, max_iter=2) for p in problems])
+    assert [res.converged for res in batch] == [True, False, True]
+    assert batch[1].iterations == 2
+
+
+def test_batch_past_the_entry_cap_runs_in_several_stacks(monkeypatch):
+    # g is nearly the identity, so every row settles within a few iterations
+    ch = Channel(6, 1e-6)
+    problems = [(ch, 1.0, 2, 15_000, 1), (ch, 1.0, 2, 15_000, 2)]
+    assert sum(restarts * 36 for *_, restarts, _ in problems) > BATCH_CAP
+    runs = []
+    solve = oracle._projected_gradient_batch
+
+    def spy(gs, starts, owner, **kwargs):
+        runs.append(starts.size)
+        return solve(gs, starts, owner, **kwargs)
+
+    monkeypatch.setattr(oracle, "_projected_gradient_batch", spy)
+    batch = minimize_q_batch(problems)
+    assert runs == [15_000 * 36] * 2
+    _assert_same_results(batch, [minimize_q(*p) for p in problems])
+
+
+def test_face_stacks_cut_each_problem_as_alone():
+    # problem 0 alone gets [0, 1], [2]; its partial chunk shares a stack
+    # with problem 1's, and problem 2's full chunk opens a new one
+    owners = np.array([0, 0, 0, 1, 2, 2, 2])
+    stacks = _face_stacks(np.arange(7), owners, 2)
+    assert [s.tolist() for s in stacks] == [[0, 1], [2, 3], [4, 5], [6]]
+
+
 def _step(g):
     return 1.0 / (2.0 * float(np.max(np.sum(g, axis=1))))
+
+
+def _minimizers(g, supports):
+    """`_face_minimizers` on supports that all lie in the one problem with Gram matrix g."""
+    owner = np.zeros(len(supports), dtype=int)
+    return _face_minimizers(g[None], owner, supports, np.array([_step(g)]))
 
 
 def test_face_step_refuses_a_saddle_and_a_point_off_the_simplex():
@@ -323,14 +406,14 @@ def test_face_step_refuses_a_saddle_and_a_point_off_the_simplex():
     x = np.full((1, 5), 0.2)
     d = _project_simplex_rows(x - 2.0 * _step(g) * (x @ g)) - x
     assert _stationary(x, d, _step(g), GRAD_MAP_TOL)[0]
-    z, ok = _face_minimizers(g, full, _step(g))
+    z, ok = _minimizers(g, full)
     assert np.allclose(z, x) and not ok[0]
     # on {0, 1, 2} with a = alpha^(1/rho) in (1/2, 1/sqrt 2) the face is
     # positive definite, but its minimizer puts weight (1 - 2a)/(3 - 4a) < 0 on 1
     g = gram_matrix(Channel(5, 0.5), 1.5, 1)
     face = np.array([[True, True, True, False, False]])
     assert np.linalg.eigvalsh(g[:3, :3]).min() > 0.0
-    z, ok = _face_minimizers(g, face, _step(g))
+    z, ok = _minimizers(g, face)
     assert not ok[0] and z[0, 1] < 0.0
 
 
@@ -339,7 +422,7 @@ def test_face_step_refuses_a_face_minimum_the_simplex_undercuts():
     # each; it is nonnegative on a definite face, but (g z)_3 = a/2 < 1/2, so
     # moving weight onto 3 lowers the form and the stopping test fails there
     g = gram_matrix(Channel(5, 0.1), 1.5, 1)
-    z, ok = _face_minimizers(g, np.array([[True, False, True, False, False]]), _step(g))
+    z, ok = _minimizers(g, np.array([[True, False, True, False, False]]))
     assert np.allclose(z, [[0.5, 0.0, 0.5, 0.0, 0.0]]) and not ok[0]
 
 
@@ -351,7 +434,8 @@ def test_face_step_skips_a_face_too_large_for_one_stack():
     g = np.eye(m)
     x = np.full((1, m), 1.0 / m)
     faces = {}
-    z, took = _face_steps(g, x, x @ g, _step(g), GRAD_MAP_TOL, faces)
+    z, took = _face_steps(g[None], np.zeros(1, dtype=int), x, x @ g, np.array([_step(g)]),
+                         GRAD_MAP_TOL, faces)
     assert not took[0] and not faces
 
 
@@ -359,7 +443,7 @@ def test_face_step_accepts_definite_and_singular_convex_faces():
     for ch, rho in ((Channel(5, 0.1), 1.5), (Channel(4, 0.1), rho_bar(Channel(4, 0.1)))):
         g = gram_matrix(ch, rho, 2)
         m = ch.q**2
-        z, ok = _face_minimizers(g, np.ones((1, m), dtype=bool), _step(g))
+        z, ok = _minimizers(g, np.ones((1, m), dtype=bool))
         assert ok[0] and z.min() >= 0.0
         assert z[0] @ g @ z[0] == pytest.approx(uniform_value(ch, rho, 2), rel=1e-14)
 
@@ -381,3 +465,17 @@ def test_size_and_restart_caps_refuse_without_work():
 def test_non_finite_tilt_refused(rho):
     with pytest.raises(ValueError, match="finite"):
         minimize_q(Channel(5, 0.1), rho, 1)
+
+
+def test_batch_refuses_a_bad_problem_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("solver ran")
+
+    monkeypatch.setattr(oracle, "_projected_gradient_batch", no_work)
+    good = (Channel(5, 0.1), 2.0, 2, 10, 0)
+    for bad, match in (((Channel(5, 0.1), -1.0, 1, 4, 0), "positive"),
+                       ((Channel(5, 0.1), 2.0, 1, 0, 0), "restart"),
+                       ((Channel(5, 0.1), 2.0, 6, 4, 0), "size cap"),
+                       ((Channel(5, 0.1), 2.0, 5, 400, 0), "restarts")):
+        with pytest.raises(ValueError, match=match):
+            minimize_q_batch([good, bad])
