@@ -5,7 +5,8 @@ Z_q; the constructions build it in numpy and tuples appear only in the
 derived `Code.words` view. Spectra and the Monte-Carlo decoder share one
 pairwise kernel on one-hot encodings, evaluated over row blocks of a
 fixed byte budget; the spectrum of a code that is linear by
-construction (`Code.linear`) is its weight distribution instead. The
+construction (`Code.linear`) is its weight distribution instead, from
+`weight_counts`, the one counter of typewriter weights. The
 maximum-likelihood decoder breaks ties uniformly at random and the
 enumeration accounts for that exactly, by accumulating per-sender error
 mass term by term (so a zero-error code really evaluates to 0.0, not to
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import INF, bhattacharyya
+from .channel import bhattacharyya
 
 OUTPUT_CAP = 10**7
 REACH_CAP = 1 << 22  # reachable (codeword, output) pairs in exact_pe
@@ -140,11 +141,22 @@ def _constructed(words, q, linear):
     return code
 
 
-def code_weights(code):
-    """Semidistance of every word to the all-zero word (float array, inf allowed)."""
-    a = code.array
-    sym = np.where(a == 0, 0.0, np.where((a == 1) | (a == code.q - 1), 1.0, INF))
-    return sym.sum(axis=1)
+def weight_counts(words, q):
+    """Per code of a (..., L, n) stack of words over Z_q, the count at each weight 0..n, then inf.
+
+    A word's weight is its semidistance to the zero word: a symbol 0
+    costs 0, a symbol +-1 costs 1 and any other makes it infinite.
+    """
+    *lead, length, n = words.shape
+    # symbol weights 0, 1 and n + 1, in a dtype that holds the largest sum, n (n + 1)
+    sym = np.full(q, n + 1, dtype=np.min_scalar_type(n * (n + 1)))
+    sym[[0, 1, q - 1]] = (0, 1, 1)
+    w = np.zeros(words.shape[:-1], dtype=sym.dtype)
+    for j in range(n):  # column by column: faster than a sum over a short last axis
+        w += sym[words[..., j]]
+    codes = math.prod(lead)
+    w = np.minimum(w, n + 1).reshape(codes, length) + (n + 2) * np.arange(codes)[:, None]
+    return np.bincount(w.ravel(), minlength=codes * (n + 2)).reshape(*lead, n + 2)
 
 
 @dataclass(frozen=True)
@@ -153,9 +165,6 @@ class Spectrum:
 
     counts: dict
     infinite_count: Fraction
-
-    def total_pairs(self):
-        return sum(self.counts.values(), start=Fraction(0)) + self.infinite_count
 
 
 # The pairwise kernel. With X the one-hot encoding of words (column
@@ -195,46 +204,33 @@ def _row_blocks(rows, cols, bytes_per_entry):
         yield lo, min(rows, lo + step)
 
 
-def _weight_spectrum(code):
-    """spectrum of a linear code, from its O(M n) weight distribution.
-
-    A subgroup holds x - y for every pair, and each of its words is the
-    difference of exactly M ordered pairs. The semidistance depends only
-    on x - y mod q, so the pair counts are M times the weight counts,
-    the zero word standing for the diagonal.
-    """
-    w = code_weights(code)
-    finite = np.isfinite(w)
-    counts = np.bincount(w[finite].astype(np.int64), minlength=code.n + 1)
-    counts[0] -= 1
-    return Spectrum(
-        counts={z: Fraction(int(c)) for z, c in enumerate(counts) if c},
-        infinite_count=Fraction(int(np.count_nonzero(~finite))),
-    )
-
-
 def spectrum(code):
     """A_z = |{(i, j): i != j, d = z}| / M for each finite z, plus the inf mass.
 
-    Codes that are linear by construction take _weight_spectrum; every
-    other code takes the pairwise kernel.
+    A code that is linear by construction takes its O(M n) weight
+    distribution: a subgroup holds x - y for every pair, and each of its
+    words is the difference of exactly M ordered pairs. The semidistance
+    depends only on x - y mod q, so the pair counts are M times the
+    weight counts, the zero word standing for the diagonal. Every other
+    code takes the pairwise kernel.
     """
-    if code.linear:
-        return _weight_spectrum(code)
     a, q, n, m = code.array, code.q, code.n, code.M
-    key = _pair_key(a, q, {1 % q, -1 % q} - {0})
-    hist = np.zeros(n * (n + 1) + 1, dtype=np.int64)
-    for lo, hi in _row_blocks(m, m, 16):
-        v = _one_hot(a[lo:hi], q) @ key
-        hist += np.bincount(v.astype(np.intp).ravel(), minlength=hist.size)
-    same, near = _kernel_split(n)
-    finite = same + near == n
-    counts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(counts, near[finite], hist[finite])
-    counts[0] -= m  # the diagonal; distinct words are never at distance 0
+    if code.linear:
+        counts, scale = weight_counts(a, q), 1  # words, each standing for M pairs
+    else:
+        key = _pair_key(a, q, {1 % q, -1 % q} - {0})
+        hist = np.zeros(n * (n + 1) + 1, dtype=np.int64)
+        for lo, hi in _row_blocks(m, m, 16):
+            v = _one_hot(a[lo:hi], q) @ key
+            hist += np.bincount(v.astype(np.intp).ravel(), minlength=hist.size)
+        same, near = _kernel_split(n)
+        counts = np.zeros(n + 2, dtype=np.int64)  # finite distances 0..n, then inf
+        np.add.at(counts, np.where(same + near == n, near, n + 1), hist)
+        scale = m
+    counts[0] -= scale  # the diagonal; distinct words are never at distance 0
     return Spectrum(
-        counts={z: Fraction(int(c), m) for z, c in enumerate(counts) if c},
-        infinite_count=Fraction(int(hist[~finite].sum()), m),
+        counts={z: Fraction(int(c), scale) for z, c in enumerate(counts[:-1]) if c},
+        infinite_count=Fraction(int(counts[-1]), scale),
     )
 
 
@@ -481,23 +477,28 @@ def q5_weight_census(g):
 
     For every information suffix with image of Hamming weight d, the
     completions of finite weight must number C(d, t) at weight d + t
-    for t = 0..d, all others infinite. Returns (ok, failures).
+    for t = 0..d, all others infinite. Returns (ok, failures). The
+    5^(n+k) words are counted in one stack, capped at CODE_CAP.
     """
     g = np.asarray(g, dtype=np.int64) % 5
     k, n = g.shape
-    failures = []
-    prefixes = all_words(range(5), n)
+    if not _power_within(5, n + k, CODE_CAP):
+        raise ValueError(f"census size 5^{n + k} exceeds the cap {CODE_CAP}")
     suffixes = all_words(range(5), k)
-    for u2, nu in zip(suffixes, suffixes @ g % 5):
-        d = int(np.count_nonzero(nu))
-        both = np.concatenate([prefixes, (2 * prefixes + nu) % 5], axis=1)
-        sym = np.where(both == 0, 0.0, np.where((both == 1) | (both == 4), 1.0, INF))
-        w = sym.sum(axis=1)
-        finite = w[np.isfinite(w)].astype(np.int64)
-        expected = {d + t: math.comb(d, t) for t in range(d + 1)}
-        got = {z: int(c) for z, c in enumerate(np.bincount(finite)) if c}
-        if got != expected or len(finite) != 2**d:
-            failures.append((tuple(int(s) for s in u2), d, got, expected))
+    images = suffixes @ g % 5
+    prefixes = all_words(range(5), n)
+    # one code per suffix: the completions (u1, 2 u1 + nu) of its image nu
+    both = np.broadcast_arrays(prefixes, (2 * prefixes + images[:, None]) % 5)
+    got = weight_counts(np.concatenate(both, axis=2), 5)[:, :-1]
+    d = np.count_nonzero(images, axis=1)
+    # row e: C(e, t) at weight e + t
+    law = np.array([[math.comb(e, z - e) if e <= z <= 2 * e else 0 for z in range(2 * n + 1)]
+                    for e in range(n + 1)])
+    failures = [
+        (tuple(int(s) for s in suffixes[i]), int(d[i]),
+         *({z: int(c) for z, c in enumerate(row) if c} for row in (got[i], law[d[i]])))
+        for i in np.flatnonzero((got != law[d]).any(axis=1))
+    ]
     return len(failures) == 0, failures
 
 

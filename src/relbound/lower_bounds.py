@@ -104,22 +104,6 @@ class CosetSpectra(NamedTuple):
         return CosetSpectrumCheck(bool(self.ok[s]), table)
 
 
-def _weight_counts(words, q):
-    """Per code of an (S, L, n) stack over Z_q, the number of words of each finite weight."""
-    s, _, n = words.shape
-    # symbol weights 0, 1 and n + 1, so a word of weight above n has infinite weight
-    sym = np.full(q, n + 1, dtype=np.uint16)
-    sym[[0, 1, q - 1]] = (0, 1, 1)
-    w = sym[words[:, :, 0]]
-    for j in range(1, n):  # column by column: faster than a sum over a short last axis
-        w += sym[words[:, :, j]]
-    w = np.minimum(w, n + 1)
-    offsets = (n + 2) * np.arange(s)[:, None]
-    counts = np.bincount((w + offsets).ravel(), minlength=s * (n + 2)).reshape(s, n + 2)[:, : n + 1]
-    counts[:, 0] = 0
-    return counts
-
-
 def _require_distinct(idx, what):
     """Refuse a stack in which some code repeats a word, given word indices (S, L)."""
     ordered = np.sort(idx, axis=1)
@@ -141,7 +125,9 @@ def _check_chunk(c2, q):
         raise ValueError("the binary code is not linear (closure fails)")
     lifted = cod.coset_lift(c2, q)
     _require_distinct(cod.word_indices(lifted, q), "coset lift")
-    return _weight_counts(lifted, q), _weight_counts(c2, 2)
+    a, b = cod.weight_counts(lifted, q)[:, :-1], cod.weight_counts(c2, 2)[:, :-1]
+    a[:, 0] = b[:, 0] = 0  # CosetSpectra counts weights 1..n only
+    return a, b
 
 
 def coset_spectra(stack, q):

@@ -20,11 +20,11 @@ the true minimum.
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .channel import bhattacharyya, cycle_constants
+from .codes import _power_within, all_words, pentagon_code, word_indices
 
 SIZE_CAP = 3125
 # start rows x q^n in one solver run: it keeps ~10 float64 arrays of this many entries
@@ -58,12 +58,11 @@ def gram_base(ch, rho):
 def word_count(q, n, size_cap=SIZE_CAP):
     """q^n, the number of n-letter words; ValueError when n < 1 or q^n > size_cap.
 
-    Decided without forming a power above the cap, so a huge n is refused
-    at once: q >= 2 gives q^n >= 2^n > size_cap once n reaches its bit length.
+    Decided without forming a power above the cap, so a huge n is refused at once.
     """
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    if n >= size_cap.bit_length() or q**n > size_cap:
+    if not _power_within(q, n, size_cap):
         raise ValueError(f"q^n = {q}^{n} exceeds the size cap {size_cap}")
     return q**n
 
@@ -336,25 +335,19 @@ def _projected_gradient_batch(gs, starts, owner, max_iter=MAX_ITER, tol=GRAD_MAP
     return points, values, conv, iterations, face_steps
 
 
-PENTAGON_CODE = ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
-
-
 def _structured_seeds(q, n):
     """The uniform, even-symbol product (even q) and pentagon product (q = 5, even n) rows."""
     m = q**n
     seeds = [np.full(m, 1.0 / m)]
+    products = []
     if q % 2 == 0:
-        evens = range(0, q, 2)
-        idx = [sum(s * q**k for k, s in enumerate(reversed(w)))
-               for w in product(evens, repeat=n)]
-        p = np.zeros(m)
-        p[idx] = 1.0 / len(idx)
-        seeds.append(p)
+        products.append(all_words(range(0, q, 2), n))
     if q == 5 and n % 2 == 0:
-        words = [sum(c, ()) for c in product(PENTAGON_CODE, repeat=n // 2)]
-        idx = [sum(s * q**k for k, s in enumerate(reversed(w))) for w in words]
+        # every sequence of n/2 pentagon words, concatenated
+        products.append(pentagon_code().array[all_words(range(5), n // 2)].reshape(-1, n))
+    for words in products:
         p = np.zeros(m)
-        p[idx] = 1.0 / len(idx)
+        p[word_indices(words, q)] = 1.0 / len(words)
         seeds.append(p)
     return seeds
 
@@ -469,8 +462,3 @@ def uniform_value(ch, rho, n):
     """Quadratic form at the uniform distribution: ((1 + 2 a)/q)^n with a = alpha^(1/rho)."""
     a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
     return ((1.0 + 2.0 * a) / ch.q) ** n
-
-
-def expurgated_oracle_ex(ch, rho, n, restarts=200, seed=0):
-    """-(rho/n) log2 of the best simplex minimum found."""
-    return minimize_q(ch, rho, n, restarts=restarts, seed=seed).ex_n

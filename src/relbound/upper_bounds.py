@@ -239,9 +239,9 @@ def straight_line_bound(anchor_rate, anchor_exponent, ch):
     else:
         rho_hi = 1.0
         while defect(rho_hi) <= 0:
-            rho_hi *= 2.0
-            if rho_hi > RHO_CAP:
+            if rho_hi == RHO_CAP:
                 raise ValueError("no tangency found below the slope cap")
+            rho_hi = min(2.0 * rho_hi, RHO_CAP)  # the cap itself is tried last
     rho2 = bisect_root(defect, 0.0, rho_hi)
     r2 = _rate_at_rho(ch, rho2)
     e2 = binary_divergence(eps_rho(eps, rho2), eps)

@@ -1,10 +1,12 @@
 """Tuple-era reference implementations of the code kernels.
 
 These are the earlier per-word implementations of code validation,
-spectrum, exact_pe and mc_pe, kept as oracles: the array kernels in
+spectrum, exact_pe, mc_pe and the per-suffix q = 5 weight census, kept
+as oracles: the array kernels in
 relbound.codes must agree with them exactly (bit for bit on floats).
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -131,3 +133,23 @@ def mc_pe(code, ch, trials, seed=0, block=1 << 14):
         done += b
     lo, hi = wilson_interval(errors, trials)
     return MCResult(errors / trials, lo, hi, trials, errors)
+
+
+def q5_weight_census(g):
+    """The length-doubling weight census, one information suffix at a time."""
+    g = np.asarray(g, dtype=np.int64) % 5
+    k, n = g.shape
+    failures = []
+    prefixes = np.array(list(product(range(5), repeat=n)), dtype=np.int64).reshape(5**n, n)
+    suffixes = np.array(list(product(range(5), repeat=k)), dtype=np.int64).reshape(5**k, k)
+    for u2, nu in zip(suffixes, suffixes @ g % 5):
+        d = int(np.count_nonzero(nu))
+        both = np.concatenate([prefixes, (2 * prefixes + nu) % 5], axis=1)
+        sym = np.where(both == 0, 0.0, np.where((both == 1) | (both == 4), 1.0, INF))
+        w = sym.sum(axis=1)
+        finite = w[np.isfinite(w)].astype(np.int64)
+        expected = {d + t: math.comb(d, t) for t in range(d + 1)}
+        got = {z: int(c) for z, c in enumerate(np.bincount(finite)) if c}
+        if got != expected or len(finite) != 2**d:
+            failures.append((tuple(int(s) for s in u2), d, got, expected))
+    return len(failures) == 0, failures

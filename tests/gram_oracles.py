@@ -6,7 +6,9 @@ relbound.oracle, which must agree with them; and the plain fixed-step
 projected gradient, with its simplex projection, that relbound.oracle's
 accelerated solver replaced, which must reach the same minima; and the
 exact minimum over the simplex by a KKT solve on every face, for the few
-points where the fixed-step oracle is too slow to settle.
+points where the fixed-step oracle is too slow to settle; and the
+structured start rows built word by word from tuples, which the rows
+built through relbound.codes must equal.
 """
 
 import math
@@ -135,3 +137,26 @@ def simplex_minimum_by_faces(g):
             z = found[0]
             best = min(best, float(z @ g @ z))
     return best
+
+
+PENTAGON_WORDS = ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
+
+
+def structured_seeds(q, n):
+    """The uniform, even-symbol product (even q) and pentagon product (q = 5, even n) rows."""
+    m = q**n
+    seeds = [np.full(m, 1.0 / m)]
+    if q % 2 == 0:
+        evens = range(0, q, 2)
+        idx = [sum(s * q**k for k, s in enumerate(reversed(w)))
+               for w in product(evens, repeat=n)]
+        p = np.zeros(m)
+        p[idx] = 1.0 / len(idx)
+        seeds.append(p)
+    if q == 5 and n % 2 == 0:
+        words = [sum(c, ()) for c in product(PENTAGON_WORDS, repeat=n // 2)]
+        idx = [sum(s * q**k for k, s in enumerate(reversed(w))) for w in words]
+        p = np.zeros(m)
+        p[idx] = 1.0 / len(idx)
+        seeds.append(p)
+    return seeds

@@ -165,6 +165,31 @@ def test_bad_specs_refused_quickly_with_usage_exit(capsys, argv):
         assert "--seed" in err
 
 
+# the smallest odd q at each eps whose theta-anchored line finds no tangency
+@pytest.mark.parametrize("q, eps", [(1175, "0.1"), (1887, "0.5"), (773, "0.001"), (909, "0.01")])
+def test_large_odd_q_leaves_out_a_theta_line_that_cannot_be_built(capsys, q, eps):
+    channel = ("--q", str(q), "--eps", eps, "--points", "5")
+    rc, out, err = run(capsys, "bounds", *channel)
+    assert rc == 0 and err == ""
+    names = {c.name for c in csv_to_curves(out)}
+    assert "min_distance" in names and "straight_line_theta" not in names
+    rc, out, err = run(capsys, "bounds", *channel, "--bounds", "envelope_lower,envelope_upper")
+    assert rc == 0 and len(csv_to_curves(out)) == 2
+    rc, out, err = run(capsys, "plot", *channel)
+    assert rc == 0 and out.startswith("<svg")
+    rc, out, err = run(capsys, "bounds", *channel, "--bounds", "straight_line_theta")
+    assert rc == 2 and out == ""
+    assert "'straight_line_theta' is not applicable" in err and "slope cap" in err
+
+
+# tangencies at slopes between 2^19 and the cap 10^6: 5.3e5 at q = 851, 9.99e5 at q = 1173
+@pytest.mark.parametrize("q", [851, 1173])
+def test_theta_line_found_up_to_the_slope_cap(capsys, q):
+    rc, out, err = run(capsys, "bounds", "--q", str(q), "--eps", "0.1", "--points", "5")
+    assert rc == 0
+    assert "straight_line_theta" in {c.name for c in csv_to_curves(out)}
+
+
 @pytest.mark.parametrize("command", ["bounds", "plot", "oracle", "simulate", "verify"])
 def test_negative_seed_from_config_names_the_option(tmp_path, capsys, command):
     cfg = tmp_path / "seed.cfg"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import code_oracles as oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_oracles import semidistance
 
@@ -14,7 +14,6 @@ from relbound.codes import (
     all_words,
     build_coset_code,
     build_q5_code,
-    code_weights,
     exact_pe,
     exact_pe_avg_max,
     exact_word_errors,
@@ -31,6 +30,7 @@ from relbound.codes import (
     rank_mod_p,
     spectrum,
     union_bound_pe,
+    weight_counts,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -158,6 +158,10 @@ def linear_codes(draw):
     return random_linear_code(q, n, k, seed=seed)
 
 
+# longer than a uint8 weight accumulator allows, and, built from one word of
+# 218 symbols 1 and 82 zeros, with multiples whose symbol sums pass 2^16
+@example(random_linear_code(5, 300, 2, seed=0), 0.1)
+@example(codes_mod._constructed(np.outer(range(5), [1] * 218 + [0] * 82) % 5, 5, True), 0.3)
 @PROPERTY
 @given(linear_codes(), st.sampled_from([0.01, 0.1, 0.3, 0.5]))
 def test_linear_code_spectrum_matches_pairwise_kernel(code, eps):
@@ -170,6 +174,19 @@ def test_linear_code_spectrum_matches_pairwise_kernel(code, eps):
     assert union_bound_pe(code, ch) == union_bound_pe(plain, ch)  # bit for bit
     back = parse_code(format_code(code))
     assert not back.linear and back == code
+
+
+def test_weight_counts_on_stacks_and_long_words():
+    # one bin per weight 0..n, then infinite weight; leading axes are kept
+    words = np.array([[[0, 0, 0], [1, 0, 4], [2, 0, 0]], [[3, 3, 3], [4, 4, 4], [1, 1, 0]]])
+    assert weight_counts(words, 5).tolist() == [[1, 0, 1, 0, 1], [0, 0, 1, 1, 1]]
+    assert weight_counts(words[None], 5).shape == (1, 2, 5)
+    assert weight_counts(words[:, :, :2] % 3, 3).tolist() == [[1, 2, 0, 0], [1, 0, 2, 0]]
+    # 218 symbols 2 sum to 218 (n + 1) = 65 618 > 2^16 at n = 300: still infinite
+    word = np.array([[2] * 218 + [0] * 82])
+    counts = weight_counts(word, 5)
+    assert counts.shape == (302,) and counts[-1] == 1 and counts[:-1].sum() == 0
+    assert weight_counts(np.array([[1] * 218 + [4] * 82]), 5)[300] == 1
 
 
 def test_only_linear_constructions_are_marked_linear():
@@ -201,7 +218,7 @@ def test_spectrum_examples():
     assert spectrum(make_code([(2, 3)], 5)).counts == {}
     code = make_code([(0, 0), (0, 1), (2, 2)], 4)
     sp = spectrum(code)
-    assert sp.total_pairs() == Fraction(3 * 2, 3)
+    assert sum(sp.counts.values()) + sp.infinite_count == Fraction(3 * 2, 3)
 
 
 def test_union_bound():
@@ -369,9 +386,41 @@ def test_build_q5_code_and_census():
     # k = 0 reproduces powers of the two-letter zero-error code
     power = build_q5_code(np.zeros((0, 2), dtype=np.int64))
     assert power.M == 25
-    assert set(code_weights(power)) == {0.0, math.inf} or np.isinf(code_weights(power)[1:]).all()
+    # zero-error: every nonzero word has infinite weight
+    assert weight_counts(power.array, 5).tolist() == [1, 0, 0, 0, 0, 24]
     with pytest.raises(ValueError):
         build_q5_code(np.array([[1, 2], [2, 4]], dtype=np.int64))  # rank deficient
+
+
+def test_q5_census_matches_per_suffix_reference():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4):
+        for k in range(0, n + 1):
+            if n + k > 6:
+                continue
+            g = random_generator_matrix(5, n, k, rng)
+            assert q5_weight_census(g) == oracle.q5_weight_census(g) == (True, [])
+    empty = np.zeros((0, 0), dtype=np.int64)
+    assert q5_weight_census(empty) == oracle.q5_weight_census(empty) == (True, [])
+    with pytest.raises(ValueError, match="cap"):
+        q5_weight_census(np.ones((2, 8), dtype=np.int64))  # 5^10 words
+
+
+def test_q5_census_reports_failures_per_suffix(monkeypatch):
+    g = np.array([[1, 0, 3], [0, 2, 2]], dtype=np.int64)
+    real = codes_mod.weight_counts
+
+    def one_word_too_many(words, q):
+        counts = real(words, q)
+        counts[3, 2] += 1  # suffix (0, 3), image (0, 1, 1) of weight 2
+        return counts
+
+    monkeypatch.setattr(codes_mod, "weight_counts", one_word_too_many)
+    ok, failures = q5_weight_census(g)
+    law = {2: 1, 3: 2, 4: 1}
+    # the tuples, with plain ints, that the per-suffix census builds
+    assert not ok
+    assert repr(failures) == repr([((0, 3), 2, {**law, 2: 2}, law)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -409,8 +458,7 @@ def test_gv_spectrum_concentration():
     counts = []
     for seed in range(200):
         code = random_linear_code(2, n, k, seed=seed)
-        w = code_weights(code)
-        counts.append(int(np.sum(w == z)))
+        counts.append(int(weight_counts(code.array, 2)[z]))
     mean = float(np.mean(counts))
     expected = math.comb(n, z) * (2**k - 1) / 2**n
     assert abs(math.log2(mean) - math.log2(expected)) / n <= 0.08

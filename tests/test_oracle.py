@@ -8,6 +8,7 @@ from gram_oracles import (
     project_simplex_rows_by_support,
     projected_gradient_fixed_step,
     simplex_minimum_by_faces,
+    structured_seeds,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,6 @@ from relbound.oracle import (
     _start_points,
     _stationary,
     eigenvalues_g1,
-    expurgated_oracle_ex,
     gram_base,
     gram_matrix,
     minimize_q,
@@ -137,22 +137,33 @@ def test_ex_n_values_and_sandwich():
     ch = Channel(4, 0.1)
     rb = rho_bar(ch)
     rho = 2.0 * rb
-    got = expurgated_oracle_ex(ch, rho, 1, restarts=16, seed=0)
+    got = minimize_q(ch, rho, 1, restarts=16, seed=0).ex_n
     assert got == pytest.approx(rho * math.log2(2.0), abs=1e-6)
     assert got <= rho * math.log2(2.0) + 1e-6
 
     ch5 = Channel(5, 0.1)
     rho5 = 2.0 * rho_bar(ch5)
-    got5 = expurgated_oracle_ex(ch5, rho5, 2, restarts=40, seed=0)
+    got5 = minimize_q(ch5, rho5, 2, restarts=40, seed=0).ex_n
     assert got5 == pytest.approx(rho5 * math.log2(math.sqrt(5.0)), abs=1e-5)
     assert got5 <= rho5 * math.log2(math.sqrt(5.0)) + 1e-6
+
+
+def test_structured_seeds_match_tuple_built_reference():
+    for q in range(4, 10):
+        n = 1
+        while q**n <= SIZE_CAP:
+            got, want = oracle._structured_seeds(q, n), structured_seeds(q, n)
+            assert len(got) == len(want) == 1 + (q % 2 == 0) + (q == 5 and n % 2 == 0)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (q, n)
+            n += 1
 
 
 def test_ex_n_blocklength_free_in_convex_regime():
     ch = Channel(5, 0.2)
     rho = 0.8 * rho_bar(ch)
-    a = expurgated_oracle_ex(ch, rho, 1, restarts=4, seed=1)
-    b = expurgated_oracle_ex(ch, rho, 2, restarts=4, seed=1)
+    a = minimize_q(ch, rho, 1, restarts=4, seed=1).ex_n
+    b = minimize_q(ch, rho, 2, restarts=4, seed=1).ex_n
     assert a == pytest.approx(b, abs=1e-8)
 
 
