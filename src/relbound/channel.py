@@ -55,6 +55,15 @@ def entropy_h(q_prime, x):
     if q_prime <= 1.0:
         raise ValueError(f"alphabet parameter must exceed 1, got {q_prime}")
     require((x >= 0.0) & (x <= 1.0), x, "argument must lie in [0, 1]")
+    return _entropy(q_prime, x)
+
+
+def _entropy(q_prime, x):
+    """entropy_h's arithmetic on a float array x in [0, 1], unchecked.
+
+    For loops that evaluate h many times at arguments in range by
+    construction, such as the passes of a bracket.
+    """
     y = 1.0 - x
     h = x * (math.log2(q_prime - 1.0) - np.log2(np.maximum(x, _TINY)))
     return h - y * np.log2(np.maximum(y, _TINY))
@@ -75,7 +84,7 @@ def entropy_h_inv(q_prime, y):
     ok = (y >= -1e-12) & (y <= top + 1e-12)
     require(ok, y, f"value must lie in [0, log2(q')] = [0, {top}]")
     xmax = (q_prime - 1.0) / q_prime
-    lo = bracket(lambda x: entropy_h(q_prime, x), np.maximum(y, 0.0), 0.0, xmax)[0]
+    lo = bracket(lambda x: _entropy(q_prime, x), np.maximum(y, 0.0), 0.0, xmax)[0]
     # h is flat at its top, where roundoff can stop the bracket short of xmax
     return np.where(y >= entropy_h(q_prime, xmax), xmax, lo)
 

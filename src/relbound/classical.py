@@ -13,6 +13,7 @@ import numpy as np
 
 from .channel import (
     INF,
+    _entropy,
     bhattacharyya,
     capacity,
     cycle_constants,
@@ -48,7 +49,8 @@ def binary_divergence(p, eps):
 
 
 def _h2(x):
-    return entropy_h(2.0, x)
+    """h2 without entropy_h's range check, for arguments in [0, 1] by construction."""
+    return _entropy(2.0, x)
 
 
 def _rate_at_rho(ch, rho):
@@ -81,23 +83,27 @@ def critical_rate(ch):
 
 
 @elementwise
-def random_coding_exponent(ch, r):
+def random_coding_exponent(ch, r, ends=None):
     """Achievable exponent: straight segment below the critical rate, parametric above.
 
     r is a scalar or an array. Exactly 0 at capacity, where the
-    reliability function vanishes.
+    reliability function vanishes. `ends` is _parametric_exponent(ch, r)
+    where the caller has it already (the bound registry evaluates it once
+    for this curve and sphere packing); it is computed here otherwise.
     """
     c = capacity(ch)
     require((r >= -1e-12) & (r <= c + 1e-12), r, f"rate must lie in [0, C] = [0, {c}]")
     r = np.maximum(r, 0.0)
+    if ends is None:
+        ends = _parametric_exponent(ch, r)
     alpha = bhattacharyya(ch.epsilon)
     line = math.log2(ch.q / (1.0 + 2.0 * alpha)) - r
-    out = np.where(r <= critical_rate(ch), line, _parametric_exponent(ch, r)[0])
+    out = np.where(r <= critical_rate(ch), line, ends[0])
     return np.where(r >= c, 0.0, out)
 
 
 @elementwise
-def sphere_packing_exponent(ch, r):
+def sphere_packing_exponent(ch, r, ends=None):
     """Converse exponent: infinite below log2(q/2), parametric up to capacity, 0 at it.
 
     r is a scalar or an array. The parametric value is the bracket end
@@ -105,12 +111,15 @@ def sphere_packing_exponent(ch, r):
     random coding line E0(1) - r, which lies under the true curve at
     every rate. So random coding, which is that line below the critical
     rate and the smaller end above it, never exceeds sphere packing.
+    `ends` is as in random_coding_exponent.
     """
     c = capacity(ch)
     require(r <= c + 1e-12, r, f"rate must not exceed capacity {c}")
+    if ends is None:
+        ends = _parametric_exponent(ch, r)
     alpha = bhattacharyya(ch.epsilon)
     line = math.log2(ch.q / (1.0 + 2.0 * alpha)) - r
-    out = np.where(r < math.log2(ch.q / 2), INF, np.maximum(_parametric_exponent(ch, r)[1], line))
+    out = np.where(r < math.log2(ch.q / 2), INF, np.maximum(ends[1], line))
     # checked last: at eps = 1/2 capacity can round below log2(q/2)
     return np.where(r >= c, 0.0, out)
 

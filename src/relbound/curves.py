@@ -16,6 +16,7 @@ import numpy as np
 
 from .channel import INF, Channel, cycle_constants
 from .classical import (
+    _parametric_exponent,
     expurgated_exponent,
     expurgated_is_exact,
     random_coding_exponent,
@@ -81,16 +82,31 @@ class BoundSpec(NamedTuple):
     domain: Callable = _whole_range
     # Channel -> bool, checked on top of `applies`: the envelope folds the curve in
     envelope_rule: Callable = _always
+    # (Channel, rates ndarray inside the domain) -> an intermediate passed to
+    # evaluate as its third argument; curves with the same `shared` and
+    # domain take it from one evaluation per grid
+    shared: Callable | None = None
 
     def in_envelope(self, ch):
         """Whether upper_bounds.envelope folds this curve in on channel ch."""
         return self.evaluate is not None and self.applies(ch) and self.envelope_rule(ch)
 
-    def curve(self, ch, rates):
-        """The curve on a rate array: evaluated inside the domain, inf outside."""
+    def curve(self, ch, rates, values):
+        """The curve on a rate array: evaluated inside the domain, inf outside.
+
+        `values` is the per-grid dict of evaluate_curve and envelope; the
+        `shared` intermediate is kept in it, keyed by its function and the
+        domain it was evaluated on.
+        """
         out = np.full(rates.shape, INF)
         inside = self.domain(ch, rates)
-        out[inside] = self.evaluate(ch, rates[inside])
+        extra = ()
+        if self.shared is not None:
+            key = (self.shared, self.domain)
+            if key not in values:
+                values[key] = self.shared(ch, rates[inside])
+            extra = (values[key],)
+        out[inside] = self.evaluate(ch, rates[inside], *extra)
         return out
 
 
@@ -126,11 +142,11 @@ def _has_theta_line(ch):
 BOUNDS = {
     "random_coding": BoundSpec(
         "random_coding", "lower", "always applicable",
-        _always, random_coding_exponent, _no_params,
+        _always, random_coding_exponent, _no_params, shared=_parametric_exponent,
     ),
     "sphere_packing": BoundSpec(
         "sphere_packing", "upper", "always applicable",
-        _always, sphere_packing_exponent, _no_params,
+        _always, sphere_packing_exponent, _no_params, shared=_parametric_exponent,
     ),
     "expurgated": BoundSpec(
         "expurgated", "lower", "always applicable (upper bound on itself for odd q >= 7)",
@@ -237,7 +253,7 @@ def evaluate_curve(ch, name, grid, values=None):
         if spec.evaluate is None:
             values[name] = envelope(ch, rates, spec.kind, values)
         else:
-            values[name] = spec.curve(ch, rates)
+            values[name] = spec.curve(ch, rates, values)
     pts = tuple((float(r), float(v)) for r, v in zip(rates, values[name]))
     return BoundCurve(name=name, points=pts, channel=ch, params=tuple(sorted(spec.params(ch).items())))
 

@@ -352,6 +352,11 @@ def _structured_seeds(q, n):
     return seeds
 
 
+def _structured_seed_count(q, n):
+    """len(_structured_seeds(q, n)), without building them."""
+    return 1 + (q % 2 == 0) + (q == 5 and n % 2 == 0)
+
+
 def _start_points(ch, n, restarts, seed):
     """Starting rows: the structured seeds, then random ones up to `restarts` rows.
 
@@ -399,7 +404,7 @@ def minimize_q_batch(problems, size_cap=SIZE_CAP, max_iter=MAX_ITER):
         run, entries = [], 0
         for i in members:
             ch, _, n, restarts, _ = problems[i]
-            size = max(restarts, len(_structured_seeds(ch.q, n))) * m  # its start entries
+            size = max(restarts, _structured_seed_count(ch.q, n)) * m  # its start entries
             if run and (entries + size > BATCH_CAP or (len(run) + 1) * m * m > BATCH_CAP):
                 _solve_run(problems, run, results, size_cap, max_iter)
                 run, entries = [], 0

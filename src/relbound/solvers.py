@@ -73,12 +73,13 @@ def elementwise(fn):
     A scalar runs through the same array code as one entry of an array,
     so both give the same bits. The result (or each field of a tuple
     result) is a float for a scalar x and an array of x's shape otherwise.
+    Further arguments are passed to fn as they are.
     """
 
     @functools.wraps(fn)
-    def wrapper(p, x):
+    def wrapper(p, x, *rest):
         x = np.asarray(x, dtype=float)
-        out = fn(p, x.reshape(-1))
+        out = fn(p, x.reshape(-1), *rest)
 
         def shaped(v):
             return float(v[0]) if x.ndim == 0 else v.reshape(x.shape)

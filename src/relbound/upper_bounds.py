@@ -12,6 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (
+    _TINY,
     INF,
     bhattacharyya,
     capacity,
@@ -27,7 +28,7 @@ from .classical import (
     binary_divergence,
     eps_rho,
 )
-from .solvers import bisect_root, bracket, elementwise, require
+from .solvers import _GOLDEN, bisect_root, bracket, elementwise, require
 
 # below this crossover the binary-reduction anchor improves sphere packing
 LP2_ANCHOR_GATE = 0.5 - math.sqrt(3.0) / 4.0
@@ -44,11 +45,15 @@ class LP2Point(NamedTuple):
     objective: float
 
 
-# delta_lp2's search: a LP2_SCAN-point beta scan, shrunk LP2_ROUNDS times
-# to the two cells around its best point, on LP2_CHUNK rates at a time
-LP2_SCAN = 129
-LP2_ROUNDS = 4
-LP2_CHUNK = 256
+# delta_lp2's golden-section search runs on u = sqrt(b), because the objective
+# falls like sqrt(b) near b = 0, and near r = 1 its minimum sits that close to 0
+# (within 2e-9 at r = 0.9996, closer as r grows). Each step shrinks the interval on u by _GOLDEN; after LP2_STEPS it
+# is under sqrt(machine eps) of its start, where float values of the objective
+# no longer order the trial points.
+LP2_STEPS = math.ceil(math.log(2.0**-26) / math.log(_GOLDEN))
+# Newton steps per trial a; three leave errors up to 3e-7 in the first trials,
+# enough to send the search the wrong way
+LP2_NEWTON = 4
 
 
 def _lp2_objective(alpha, beta):
@@ -57,29 +62,55 @@ def _lp2_objective(alpha, beta):
     return 2.0 * num / (1.0 + 2.0 * np.sqrt(beta * (1.0 - beta)))
 
 
+def _lp2_trial(slack, beta, start):
+    """(a, objective) at b, with a from Newton steps on h2(a) = slack + h2(b).
+
+    `start` is at or below the root. h2 rises and is concave on
+    [0, 1/2], so from below each step stays below the root and climbs
+    toward it. Only the search uses these a; the returned pair's a
+    comes from the safe bracket.
+    """
+    target = slack + _h2(beta)
+    alpha = np.maximum(start, beta)
+    for _ in range(LP2_NEWTON):
+        slope = np.log2(1.0 - alpha) - np.log2(np.maximum(alpha, _TINY))
+        step = np.divide(target - _h2(alpha), slope, out=np.zeros_like(alpha), where=slope > 0.0)
+        alpha = np.minimum(np.maximum(alpha + step, beta), 0.5)
+    return alpha, _lp2_objective(alpha, beta)
+
+
 def _lp2_rows(r):
     """delta_lp2_point on a 1-D array of rates in [0, 1]."""
-    rows = np.arange(r.size)
-    beta_max = bracket(_h2, r, 0.0, 0.5)[0][:, None]
-    slack = 1.0 - r[:, None]
-    steps = np.linspace(0.0, 1.0, LP2_SCAN)
-    lo, hi = np.zeros_like(beta_max), beta_max
-    best = np.full(r.size, INF)
-    best_alpha = np.empty(r.size)
-    best_beta = np.empty(r.size)
-    for _ in range(LP2_ROUNDS):
-        beta = np.minimum(lo + (hi - lo) * steps, beta_max)
-        alpha = bracket(_h2, slack + _h2(beta), beta, 0.5)[1]
-        value = _lp2_objective(alpha, beta)
-        i = np.argmin(value, axis=1)
-        better = value[rows, i] < best
-        pick = rows[better], i[better]
-        best[better] = value[pick]
-        best_alpha[better] = alpha[pick]
-        best_beta[better] = beta[pick]
-        lo = beta[rows, np.maximum(i - 1, 0)][:, None]
-        hi = beta[rows, np.minimum(i + 1, LP2_SCAN - 1)][:, None]
-    return best_alpha, best_beta, best
+    cap = bracket(_h2, r, 0.0, 0.5)[0]
+    slack = 1.0 - r
+    lo, hi = np.zeros_like(r), np.sqrt(cap)
+    # a(b) rises with b, so the a at a smaller b starts a trial from below;
+    # a(0) >= (1 - sqrt(1 - (1 - r)^ln 4)) / 2, as h2(x) <= (4x(1-x))^(1/ln 4)
+    alpha_lo = 0.5 * (1.0 - np.sqrt(1.0 - slack ** math.log(4.0)))
+    # the inner points (u, a, objective), u = sqrt(b)
+    u = hi - _GOLDEN * hi
+    c = (u, *_lp2_trial(slack, u * u, alpha_lo))
+    u = _GOLDEN * hi
+    d = (u, *_lp2_trial(slack, u * u, c[1]))
+    for _ in range(LP2_STEPS):
+        if not np.any(hi > lo):
+            break  # every interval has collapsed
+        # the minimum lies in [lo, d] (left) or in [c, hi]
+        left = c[2] < d[2]
+        hi = np.where(left, d[0], hi)
+        lo = np.where(left, lo, c[0])
+        alpha_lo = np.where(left, alpha_lo, c[1])
+        kept = [np.where(left, x, y) for x, y in zip(c, d)]
+        u = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        new = (u, *_lp2_trial(slack, u * u, np.where(left, alpha_lo, kept[1])))
+        c = [np.where(left, x, y) for x, y in zip(new, kept)]
+        d = [np.where(left, y, x) for x, y in zip(new, kept)]
+    # u^2 can round above the cap once an interval has collapsed onto it
+    beta = np.stack([np.zeros_like(r), np.minimum(c[0] ** 2, cap), np.minimum(d[0] ** 2, cap), cap])
+    alpha = bracket(_h2, slack + _h2(beta), beta, 0.5)[1]
+    value = _lp2_objective(alpha, beta)
+    best = np.argmin(value, axis=0), np.arange(r.size)
+    return alpha[best], beta[best], value[best]
 
 
 def delta_lp2_point(r):
@@ -89,26 +120,35 @@ def delta_lp2_point(r):
     0 <= b <= a <= 1/2 with the feasibility set h2(a) - h2(b) >= 1 - r,
     which pins the endpoints delta_lp2(0) = 1/2 and delta_lp2(1) = 0.
     The objective grows with a, so a is the smallest feasible one,
-    h2^{-1}(1 - r + h2(b)), and b is searched on [0, h2^{-1}(r)] by a
-    scan that shrinks around its best cell.
+    a(b) = h2^{-1}(1 - r + h2(b)), and b is searched on its range
+    [0, h2^{-1}(r)], where the objective of b falls and then rises.
 
-    r may be a scalar or an array; the search runs on whole arrays,
-    LP2_CHUNK rates at a time, so its temporaries stay bounded. Both
-    inverses are bisection brackets (solvers.bracket): a is rounded up
-    (the bracket's upper end) and the cap h2^{-1}(r) on b is rounded
-    down, so every returned (a, b) is feasible, with h2 as evaluated in
-    floating point, and the returned objective is the objective at that
-    pair. It is therefore never below the true minimum beyond that
-    roundoff, which keeps the converse on the safe side.
+    The search is a golden-section search (Kiefer 1953) on sqrt(b),
+    run for all rates at once: LP2_STEPS steps, or fewer once every
+    interval has collapsed. Each trial b gets its a from LP2_NEWTON
+    Newton steps on h2(a) = 1 - r + h2(b), started from the a of a
+    smaller b (a(b) rises with b), so h2's concavity keeps every step
+    below the root.
+
+    Only four candidates leave the search: its last two trial points
+    and the ends b = 0 and b = h2^{-1}(r), the cap rounded down. Each
+    gets its a from one bisection bracket (solvers.bracket), rounded
+    up, and the result is the objective at the best of these pairs.
+    Every pair is feasible, with h2 as evaluated in floating point, so
+    the value is never below the true minimum beyond that roundoff. The
+    search and its Newton a only choose which feasible pair is
+    reported, so any search is on the safe side: a poor choice can only
+    make the bound looser, by as much as it misses the minimum.
+
+    r may be a scalar or an array; a scalar runs through the same array
+    code as one entry of an array, so both give the same bits. The
+    search's temporaries are a few arrays of the rates' size.
     """
     rates = np.asarray(r, dtype=float)
     inside = (rates >= -1e-12) & (rates <= 1.0 + 1e-12)
     if not np.all(inside):
         raise ValueError(f"binary rate must lie in [0, 1], got {rates[~inside].ravel()[0]}")
-    flat = np.clip(rates, 0.0, 1.0).ravel()
-    out = np.empty((3, flat.size))
-    for start in range(0, flat.size, LP2_CHUNK):
-        out[:, start:start + LP2_CHUNK] = _lp2_rows(flat[start:start + LP2_CHUNK])
+    out = _lp2_rows(np.clip(rates, 0.0, 1.0).ravel())
     if rates.ndim == 0:
         return LP2Point(*(float(v[0]) for v in out))
     return LP2Point(*(v.reshape(rates.shape) for v in out))
@@ -366,7 +406,7 @@ def envelope(ch, r, which="both", values=None):
             if spec.kind != kind or not spec.in_envelope(ch):
                 continue
             if name not in values:
-                values[name] = spec.curve(ch, grid)
+                values[name] = spec.curve(ch, grid, values)
             acc = fold(acc, np.where(spec.domain(ch, grid), values[name], absent))
         folded[kind] = float(acc[0]) if rates.ndim == 0 else acc.reshape(rates.shape)
     if which == "both":

@@ -1,16 +1,21 @@
-"""Scalar definitions that relbound computes only in bulk.
+"""Scalar definitions that relbound computes only in bulk, and a scan reference.
 
 The transition law, the 0/1/inf semidistance and its Bhattacharyya
 bound, one pair of symbols or words at a time, the expurgated
 exponent function E_x(rho) in closed form, and the q'-ary entropy of
 one point. The codes kernel, the oracle's Gram matrices and the bound
 curves compute these on arrays; the tests check them against these
-definitions.
+definitions. delta_lp2_scan is the exhaustive grid search that
+relbound's golden-section delta_lp2 is checked against.
 """
 
 import math
 
+import numpy as np
+
 from relbound.channel import INF, bhattacharyya, cycle_constants
+from relbound.channel import entropy_h as array_entropy_h
+from relbound.solvers import bracket
 
 
 def transition_prob(ch, y, x):
@@ -81,3 +86,36 @@ def entropy_h(q_prime, x):
     if x < 1.0:
         out -= (1.0 - x) * math.log2(1.0 - x)
     return out
+
+
+def delta_lp2_scan(r):
+    """delta_lp2's objective on a 1-D rate array by a shrinking grid scan over b.
+
+    Each of 4 rounds scans 129 values of b on the current interval,
+    starting from [0, h2^{-1}(r)], and shrinks the interval to the two
+    cells around its best point. As in relbound, the cap on b is
+    rounded down and every a up (bisection brackets of the checked
+    h2), so each scanned pair is feasible and the value is the
+    objective at the best of them.
+    """
+    points, rounds = 129, 4
+
+    def h2(x):
+        return array_entropy_h(2.0, x)
+
+    rows = np.arange(r.size)
+    beta_max = bracket(h2, r, 0.0, 0.5)[0][:, None]
+    slack = 1.0 - r[:, None]
+    steps = np.linspace(0.0, 1.0, points)
+    lo, hi = np.zeros_like(beta_max), beta_max
+    best = np.full(r.size, INF)
+    for _ in range(rounds):
+        beta = np.minimum(lo + (hi - lo) * steps, beta_max)
+        alpha = bracket(h2, slack + h2(beta), beta, 0.5)[1]
+        num = (alpha - beta) * (1.0 - alpha - beta)
+        value = 2.0 * num / (1.0 + 2.0 * np.sqrt(beta * (1.0 - beta)))
+        i = np.argmin(value, axis=1)
+        best = np.minimum(best, value[rows, i])
+        lo = beta[rows, np.maximum(i - 1, 0)][:, None]
+        hi = beta[rows, np.minimum(i + 1, points - 1)][:, None]
+    return best

@@ -154,6 +154,8 @@ def test_structured_seeds_match_tuple_built_reference():
         while q**n <= SIZE_CAP:
             got, want = oracle._structured_seeds(q, n), structured_seeds(q, n)
             assert len(got) == len(want) == 1 + (q % 2 == 0) + (q == 5 and n % 2 == 0)
+            # the batcher sizes its runs by this count, not by building the seeds
+            assert oracle._structured_seed_count(q, n) == len(want)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b), (q, n)
             n += 1

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_oracles import delta_lp2_scan
 from scalar_oracles import entropy_h as scalar_entropy_h
 
 from relbound import upper_bounds
@@ -16,6 +18,7 @@ from relbound.channel import (
     entropy_h_inv,
 )
 from relbound.classical import sphere_packing_exponent
+from relbound.curves import MAX_GRID_POINTS
 from relbound.solvers import bisect_root, golden_min
 from relbound.upper_bounds import (
     LP2_ANCHOR_GATE,
@@ -82,8 +85,23 @@ def _delta_lp2_oracle(r):
     return golden_min(objective, 0.0, beta_max, tol=1e-12 * beta_max + 1e-300)[1]
 
 
+# the ends, subnormals, and rates near 1, where the minimum over b sits close
+# to b = 0 (within 2e-9 at 0.99959834, where a search equal-stepped in b,
+# not in sqrt(b), came out 2.2e-10 looser than the scan)
+EDGE_RATES = [
+    0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12,
+    0.9995983408592803, 0.9999999, 1.0 - 2.0**-53,
+]
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6))
+@example(EDGE_RATES)
+@given(
+    st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from(EDGE_RATES)),
+        min_size=1, max_size=6,
+    )
+)
 def test_delta_lp2_sound_and_matches_scalar_oracle(rates):
     r = np.array(rates)
     pt = delta_lp2_point(r)
@@ -92,22 +110,38 @@ def test_delta_lp2_sound_and_matches_scalar_oracle(rates):
     assert np.all((0.0 <= pt.beta) & (pt.beta <= pt.alpha) & (pt.alpha <= 0.5))
     assert np.all(entropy_h(2.0, pt.beta) <= r)
     assert np.all(entropy_h(2.0, pt.alpha) >= (1.0 - r) + entropy_h(2.0, pt.beta))
+    # a search can only miss the minimum: never looser than the shrinking scan beyond 1e-10
+    assert np.all(pt.objective <= delta_lp2_scan(r) + 1e-10)
     for rate, a, b, value in zip(rates, pt.alpha, pt.beta, pt.objective):
         # the value is the objective at that feasible pair, hence >= the true minimum
         num = a * (1.0 - a) - b * (1.0 - b)
         assert value == pytest.approx(2.0 * num / (1.0 + 2.0 * math.sqrt(b * (1.0 - b))), abs=1e-15)
         assert abs(value - _delta_lp2_oracle(rate)) <= 1e-8
+        # a scalar rate runs the same search as an entry of an array
+        assert delta_lp2_point(rate) == (a, b, value)
 
 
-def test_delta_lp2_works_in_bounded_chunks(monkeypatch):
-    sizes = []
-    real = upper_bounds._lp2_rows
-    monkeypatch.setattr(upper_bounds, "_lp2_rows", lambda r: sizes.append(r.size) or real(r))
-    monkeypatch.setattr(upper_bounds, "LP2_CHUNK", 8)
-    r = np.linspace(0.0, 1.0, 21)
-    vals = delta_lp2(r)
-    assert sizes == [8, 8, 5]
-    assert vals.tolist() == [delta_lp2(float(x)) for x in r]
+def test_delta_lp2_memory_grows_with_the_rates_only():
+    # the search holds a few dozen arrays of the rates' size at its peak (in the
+    # final bracket on four candidates per rate); an unchunked scan held several
+    # arrays of rates x 129 points
+    r = np.linspace(0.0, 1.0, MAX_GRID_POINTS)
+    tracemalloc.start()
+    try:
+        delta_lp2(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * r.nbytes
+
+
+def test_delta_lp2_brackets_only_its_cap_and_final_candidates(monkeypatch):
+    calls = []
+    real = upper_bounds.bracket
+    monkeypatch.setattr(upper_bounds, "bracket", lambda *a: calls.append(1) or real(*a))
+    delta_lp2(np.linspace(0.0, 1.0, 200))
+    # the cap on b, then one safe a for the search's candidates; a scan adds one per round
+    assert len(calls) == 2
 
 
 def test_binary_reduction_bound():
