@@ -283,11 +283,11 @@ def cmd_simulate(args):
     if s["trials"] < 0:
         raise UsageError(f"--trials must be >= 0 (0 skips Monte Carlo), got {s['trials']}")
     try:
+        spec = cod.spectrum(code)
         mc = cod.mc_pe(code, ch, s["trials"], seed=s["seed"]) if s["trials"] else None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     lines = [f"code: q={code.q} n={code.n} M={code.M}"]
-    spec = cod.spectrum(code)
     lines.append("spectrum (finite z): " + (
         " ".join(f"A_{z}={float(a):g}" for z, a in spec.counts.items()) or "none"
     ))

@@ -6,11 +6,21 @@ derived `Code.words` view. Spectra and the Monte-Carlo decoder share one
 pairwise kernel on one-hot encodings, evaluated over row blocks of a
 fixed byte budget; the spectrum of a code that is linear by
 construction (`Code.linear`) is its weight distribution instead, from
-`weight_counts`, the one counter of typewriter weights. The
-maximum-likelihood decoder breaks ties uniformly at random and the
+`weight_counts`, the one counter of typewriter weights. The kernel
+refuses codes whose one-hot width n q exceeds WIDTH_CAP, so that each
+row block's one-hot rows stay within budget.
+
+The maximum-likelihood decoder breaks ties uniformly at random and the
 enumeration accounts for that exactly, by accumulating per-sender error
 mass term by term (so a zero-error code really evaluates to 0.0, not to
-1 minus float noise).
+1 minus float noise). The enumeration addresses each of the M 2^n
+(codeword, noise pattern) outputs by its base-q index, built as the sum
+of the word's and the pattern's indices less the wrap-arounds. Where
+q^n <= M 2^n that index is the output's label in tables of q^n entries;
+otherwise the reached outputs are ranked by one sort. Either way no
+table is longer than the M 2^n pairs. The Monte-Carlo decoder finds
+ties among small-integer ranks of the likelihoods, equal floats sharing
+a rank, instead of among float64 scores.
 """
 
 import math
@@ -29,6 +39,9 @@ M_CAP = 4096
 MC_PAIR_CAP = 1 << 28  # (trial, codeword) pairs scored by one mc_pe call
 CODE_CAP = 1 << 16  # words in a constructed code
 BLOCK_BYTES = 1 << 23  # temporaries of one row block of the pairwise kernel
+# one-hot columns n q of the pairwise kernel: the widest constructed code
+# within CODE_CAP, a coset lift of length 1 with q = 2 CODE_CAP, fits
+WIDTH_CAP = 2 * CODE_CAP
 MC_DRAW = 1 << 14  # trials per random draw in mc_pe; fixes its random stream
 _INT64_MAX = (1 << 63) - 1
 
@@ -185,11 +198,20 @@ def _one_hot(words, q):
 
 
 def _pair_key(words, q, shifts):
-    """(n*q, M) right factor of the kernel for the given symbol shifts."""
-    key = (words.shape[1] + 1) * _one_hot(words, q)
-    for t in shifts:
-        key += _one_hot(words + t, q)
-    return np.ascontiguousarray(key.T)
+    """(n*q, M) right factor of the kernel for the given symbol shifts.
+
+    Refuses a code whose one-hot width n*q exceeds WIDTH_CAP, before any
+    work: each row block holds one-hot rows of that width.
+    """
+    m, n = words.shape
+    if n * q > WIDTH_CAP:
+        raise ValueError(f"one-hot width n*q = {n}*{q} exceeds the pairwise kernel cap {WIDTH_CAP}")
+    key = np.zeros((n * q, m))
+    rows, cols = np.arange(m), np.arange(n)[:, None] * q
+    key[cols + words.T % q, rows] = n + 1
+    for t in shifts:  # nonzero mod q, so never an entry set above
+        key[cols + (words.T + t) % q, rows] = 1.0
+    return key
 
 
 def _kernel_split(n):
@@ -197,9 +219,9 @@ def _kernel_split(n):
     return np.divmod(np.arange(n * (n + 1) + 1), n + 1)
 
 
-def _row_blocks(rows, cols, bytes_per_entry):
-    """Row ranges whose (rows, cols) temporaries fit the byte budget."""
-    step = max(1, BLOCK_BYTES // (cols * bytes_per_entry))
+def _row_blocks(rows, cols, bytes_per_entry, width):
+    """Row ranges whose (rows, cols) temporaries and (rows, width) one-hot rows fit BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // (cols * bytes_per_entry + width * 8))
     for lo in range(0, rows, step):
         yield lo, min(rows, lo + step)
 
@@ -220,7 +242,7 @@ def spectrum(code):
     else:
         key = _pair_key(a, q, {1 % q, -1 % q} - {0})
         hist = np.zeros(n * (n + 1) + 1, dtype=np.int64)
-        for lo, hi in _row_blocks(m, m, 16):
+        for lo, hi in _row_blocks(m, m, 16, n * q):
             v = _one_hot(a[lo:hi], q) @ key
             hist += np.bincount(v.astype(np.intp).ravel(), minlength=hist.size)
         same, near = _kernel_split(n)
@@ -266,21 +288,33 @@ def exact_word_errors(code, ch):
     weights = pats.sum(axis=1)
     eps = ch.epsilon
     pw = (1.0 - eps) ** (n - weights) * eps**weights
-    # output index of every (codeword, noise pattern) pair, in the order
-    # of pats, built one coordinate at a time; a word reaches distinct
-    # outputs through distinct patterns
-    reach = np.zeros((m, 1), dtype=np.int64)
-    for j in range(n):
-        digits = (code.array[:, j, None] + np.arange(2)) % q
-        reach = (reach[:, :, None] * q + digits[:, None, :]).reshape(m, -1)
-    outputs, out = np.unique(reach.ravel(), return_inverse=True)
+    # output index of every (codeword, noise pattern) pair, in the order of
+    # pats: index(x) + index(p), less q^(n-j) wherever x_j = q - 1 meets
+    # p_j = 1 and wraps to 0. A pattern's position is its 0/1 mask, so a
+    # word's wraps depend only on its mask of symbols q - 1, and they are
+    # tabulated once per distinct mask. A word reaches distinct outputs
+    # through distinct patterns.
+    digits = word_indices(pats, q)  # base-q index of each pattern, that is of each mask
+    masks, kind = np.unique(word_indices(code.array == q - 1, 2), return_inverse=True)
+    shift = digits - q * digits[masks[:, None] & np.arange(digits.size)]
+    reach = (word_indices(code.array, q)[:, None] + shift[kind]).ravel()
+    # dense output labels: the index itself where the q^n outputs are no
+    # more than the pairs, else the rank among the reached outputs; so no
+    # table below is longer than reach
+    if _power_within(q, n, reach.size):
+        size, out = q**n, reach
+    else:
+        outputs, out = np.unique(reach, return_inverse=True)
+        size = outputs.size
     w = np.tile(pw, m)
-    best = np.zeros(outputs.size)
+    best = np.zeros(size)
     np.maximum.at(best, out, w)
     hit = w == best[out]
-    cnt = np.bincount(out[hit], minlength=best.size)
-    share = np.where(hit, 1.0 / cnt[out], 0.0)
-    return (w * (1.0 - share)).reshape(m, -1).sum(axis=1)
+    cnt = np.bincount(out[hit], minlength=size)
+    share = np.where(hit, (1.0 / np.maximum(cnt, 1))[out], 0.0)
+    loss = np.subtract(1.0, share, out=share)
+    loss *= w
+    return loss.reshape(m, -1).sum(axis=1)
 
 
 def exact_pe_avg_max(code, ch):
@@ -333,7 +367,8 @@ def mc_pe(code, ch, trials, seed=0):
     one tie-breaking uniform per (trial, codeword) pair. The uniforms
     are drawn row block by row block, which yields the same stream as
     drawing them at once, so the result depends only on the seed.
-    The work, trials x M scored pairs, is capped at MC_PAIR_CAP.
+    The work, trials x M scored pairs, is capped at MC_PAIR_CAP, and the
+    code's one-hot width n q at WIDTH_CAP.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -351,16 +386,19 @@ def mc_pe(code, ch, trials, seed=0):
     # is the word plus a 0/1 noise pattern of weight `near`, or unreachable
     same, near = _kernel_split(n)
     likelihood = np.where(same + near == n, pw[near], 0.0)
+    # ties are equal likelihoods, found among small-integer ranks, equal
+    # floats (such as underflows to 0) sharing one
+    levels, rank = np.unique(likelihood, return_inverse=True)
+    rank = rank.astype(np.min_scalar_type(levels.size - 1))
     key = _pair_key(arr, q, {1})
     errors = 0
     done = 0
     while done < trials:
         b = min(MC_DRAW, trials - done)
         senders = rng.integers(0, m, size=b)
-        noise = (rng.random((b, n)) < eps).astype(np.int64)
-        y = _one_hot(arr[senders] + noise, q)
-        for lo, hi in _row_blocks(b, m, 48):
-            scores = likelihood[(y[lo:hi] @ key).astype(np.intp)]
+        received = arr[senders] + (rng.random((b, n)) < eps)
+        for lo, hi in _row_blocks(b, m, 48, n * q):
+            scores = rank[(_one_hot(received[lo:hi], q) @ key).astype(np.intp)]
             tie = scores == scores.max(axis=1, keepdims=True)
             pick = np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1)
             errors += int(np.count_nonzero(pick != senders[lo:hi]))

@@ -14,6 +14,7 @@ import numpy as np
 from .channel import (
     _TINY,
     INF,
+    _entropy,
     bhattacharyya,
     capacity,
     cycle_constants,
@@ -183,11 +184,22 @@ def lp1_rate(q_prime, delta):
     expanded form cancels to 0 within 1e-8 of that end); at that end it
     is 0 exactly, and it is clipped against roundoff at the other.
     """
+    if q_prime <= 1.0:
+        raise ValueError(f"alphabet parameter must exceed 1, got {q_prime}")
     dmax = (q_prime - 1.0) / q_prime
     require((delta >= -1e-12) & (delta <= dmax + 1e-12), delta, f"distance must lie in [0, {dmax}]")
-    delta = np.clip(delta, 0.0, dmax)
+    return _lp1_rate(q_prime, np.clip(delta, 0.0, dmax))
+
+
+def _lp1_rate(q_prime, delta):
+    """lp1_rate's arithmetic on a float array delta in [0, (q'-1)/q'], unchecked.
+
+    For the passes of _lp1_distance's bracket, whose points are in range
+    by construction.
+    """
+    dmax = (q_prime - 1.0) / q_prime
     arg = (np.sqrt((q_prime - 1.0) * (1.0 - delta)) - np.sqrt(delta)) ** 2 / q_prime
-    return entropy_h(q_prime, np.where(delta < dmax, np.minimum(arg, 1.0), 0.0))
+    return _entropy(q_prime, np.where(delta < dmax, np.minimum(arg, 1.0), 0.0))
 
 
 @elementwise
@@ -218,7 +230,7 @@ def _lp1_distance(q_prime, rate):
     below has lp1_rate >= rate; 0 from log2 q' on.
     """
     dmax = (q_prime - 1.0) / q_prime
-    hi = bracket(lambda d: -lp1_rate(q_prime, d), -rate, 0.0, dmax)[1]
+    hi = bracket(lambda d: -_lp1_rate(q_prime, d), -rate, 0.0, dmax)[1]
     return np.where(rate >= math.log2(q_prime), 0.0, hi)
 
 

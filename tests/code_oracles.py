@@ -93,7 +93,7 @@ def exact_word_errors(code, ch, dense=True):
     best = {}
     for idx, w in reach:
         for o, wi in zip(idx.tolist(), w.tolist()):
-            if wi > best.get(o, 0.0):
+            if wi > best.get(o, -1.0):  # an output whose likelihoods all underflow to 0 counts too
                 best[o] = wi
     cnt = {}
     for idx, w in reach:

@@ -10,7 +10,7 @@ import pytest
 import relbound
 from relbound import acceptance
 from relbound.cli import main, run as run_cli
-from relbound.codes import format_code, pentagon_code
+from relbound.codes import WIDTH_CAP, format_code, make_code, pentagon_code
 from relbound.curves import csv_to_curves
 
 
@@ -121,6 +121,20 @@ def test_simulate_malformed_file(tmp_path, capsys):
     rc, out, err = run(capsys, "simulate", "--code", str(path), "--eps", "0.3")
     assert rc == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--trials", "16384")])
+def test_simulate_refuses_a_code_too_wide_for_the_pairwise_kernel(tmp_path, capsys, extra):
+    # 20 KB of text: two words of length 5000 over q = 1000, whose one-hot rows
+    # are 5 million floats wide
+    rng = np.random.default_rng(0)
+    path = tmp_path / "wide.txt"
+    path.write_text(format_code(make_code(rng.integers(0, 1000, (2, 5000)), 1000)))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "simulate", "--code", str(path), "--eps", "0.1", *extra)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"cap {WIDTH_CAP}" in err
 
 
 @pytest.mark.parametrize(

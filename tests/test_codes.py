@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import code_oracles as oracle
@@ -124,11 +125,15 @@ def test_spectrum_works_in_bounded_row_blocks(monkeypatch):
 @pytest.mark.parametrize(
     "code_spec, eps",
     [(("coset", 4, 3, 2, 1), 0.1), (("coset", 6, 2, 1, 7), 0.5), (("q5", 2, 1, 3), 0.2),
-     (("q5", 2, 0, 0), 0.5), (("coset", 4, 2, 0, 5), 0.5)],
+     (("q5", 2, 0, 0), 0.5), (("coset", 4, 2, 0, 5), 0.5),
+     # a long code, and likelihoods that underflow to 0 from two flips on and tie
+     (("linear", 5, 16, 2, 0), 0.1), (("coset", 4, 3, 2, 1), 1e-300)],
 )
 def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
     if code_spec[0] == "coset":
         code = random_coset_code(*code_spec[1:4], seed=code_spec[4])[0]
+    elif code_spec[0] == "linear":
+        code = random_linear_code(*code_spec[1:4], seed=code_spec[4])
     else:
         code = random_q5_code(*code_spec[1:3], seed=code_spec[3])
     ch = Channel(code.q, eps)
@@ -138,6 +143,15 @@ def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
     # many small row blocks draw the same tie-breaking stream
     monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 7 * code.M * 48)
     assert mc_pe(code, ch, 20001, seed=5) == oracle.mc_pe(code, ch, 20001, seed=5)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-300])
+def test_mc_pe_with_more_likelihoods_than_uint8_ranks_matches_tuple_oracle(eps):
+    # n = 300 gives 302 likelihood levels at eps 0.1, so the ranks are uint16
+    code = random_linear_code(5, 300, 2, seed=0)
+    ch = Channel(5, eps)
+    for seed, trials in ((0, 1), (1, 999)):  # the oracle holds trials x M x n integers
+        assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed)
 
 
 @st.composite
@@ -291,6 +305,17 @@ def test_exact_pe_matches_tuple_oracles():
     rng = np.random.default_rng(3)
     for q, n, m, eps in ((7, 8, 12, 0.3), (9, 7, 20, 0.5), (5, 3, 40, 0.5), (6, 4, 30, 0.1)):
         codes.append((_random_code(rng, q, n, m), Channel(q, eps)))
+    # outputs labelled by their index where q^n <= M 2^n, by their rank among
+    # the reached ones otherwise: both sides of that rule and its boundary,
+    # with every pattern tied (eps = 1/2) and with likelihoods that underflow
+    # to 0 from two flips on, so that ties form among them
+    sides = set()
+    for q, n, m in ((4, 2, 4), (4, 3, 8), (4, 3, 7), (5, 4, 39), (5, 4, 40), (8, 3, 60)):
+        sides.add(q**n <= m * 2**n)
+        for eps in (0.5, 1e-300, 0.2):
+            codes.append((_random_code(rng, q, n, m), Channel(q, eps)))
+    codes.append((make_code([(3,) * 6, (0, 3, 1, 3, 2, 3)], 4), Channel(4, 1e-300)))  # every wrap
+    assert sides == {True, False}
     for code, ch in codes:
         errs = exact_word_errors(code, ch)
         assert np.array_equal(errs, oracle.exact_word_errors(code, ch, dense=True))
@@ -299,6 +324,38 @@ def test_exact_pe_matches_tuple_oracles():
         assert exact_pe(code, ch, "max") == float(errs.max())
     with pytest.raises(ValueError, match="enumeration"):
         exact_pe(random_q5_code(6, 0, seed=0), Channel(5, 0.1))  # M 2^n = 2^24
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_word_errors_memory():
+    # two words with q^n = 5^10 outputs, near OUTPUT_CAP: a table over every
+    # output would take 78 MB apiece, so the labels come from the reached ones
+    sparse = make_code([(0,) * 10, (4,) * 10], 5)
+    assert 5**10 <= codes_mod.OUTPUT_CAP
+    assert _traced_peak(exact_word_errors, sparse, Channel(5, 0.1)) < 2e6
+    # the benchmark's coset:8:4 code, with 2^20 (word, pattern) pairs, stays
+    # well below the 50-52 MB the enumeration took when it sorted the pairs
+    dense = random_coset_code(4, 8, 4, seed=293407)[0]
+    assert _traced_peak(exact_word_errors, dense, Channel(4, 0.1)) < 45e6
+
+
+def test_pairwise_kernel_refuses_a_code_wider_than_its_cap():
+    cap = codes_mod.WIDTH_CAP
+    widest = make_code([(0,), (1,)], cap)  # as wide as the widest constructed code
+    assert spectrum(widest) == oracle.spectrum(widest)
+    assert mc_pe(widest, Channel(cap, 0.5), 10, seed=0).trials == 10
+    wide = make_code([(0, 0), (1, 1)], cap // 2 + 1)
+    for call in (lambda: spectrum(wide), lambda: mc_pe(wide, Channel(wide.q, 0.1), 10)):
+        with pytest.raises(ValueError, match=f"cap {cap}"):
+            call()
 
 
 @st.composite
