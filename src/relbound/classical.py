@@ -21,9 +21,7 @@ from .channel import (
     gv_delta,
     theta_cycle,
 )
-from .solvers import bisect_root, bracket, elementwise, require
-
-RHO_CAP = 1e6
+from .solvers import bracket, elementwise, require
 
 
 def eps_rho(epsilon, rho):
@@ -53,10 +51,6 @@ def _h2(x):
     return _entropy(2.0, x)
 
 
-def _rate_at_rho(ch, rho):
-    return math.log2(ch.q) - entropy_h(2.0, eps_rho(ch.epsilon, rho))
-
-
 def _parametric_exponent(ch, r):
     """D(p || eps) at both ends of the bracket on the p where log2 q - h2(p) = r.
 
@@ -66,14 +60,11 @@ def _parametric_exponent(ch, r):
     Returned as the pair (smaller, larger) of the two ends' exponents:
     random coding, a lower bound, takes the smaller and sphere packing,
     an upper bound, the larger, so the two never cross where they
-    coincide. At or above the rate at rho = 0 the exponent is 0; at or
-    below the rate at the rho cap the analytic limit D(1/2 || eps) is
-    returned.
+    coincide. Both callers set their own values from capacity on, and
+    sphere packing at and below log2(q/2).
     """
     p = np.stack(bracket(_h2, math.log2(ch.q) - r, ch.epsilon, 0.5))
     ends = binary_divergence(p, ch.epsilon)
-    ends = np.where(r <= _rate_at_rho(ch, RHO_CAP), binary_divergence(0.5, ch.epsilon), ends)
-    ends = np.where(r >= _rate_at_rho(ch, 0.0), 0.0, ends)
     return ends.min(axis=0), ends.max(axis=0)
 
 
@@ -104,9 +95,10 @@ def random_coding_exponent(ch, r, ends=None):
 
 @elementwise
 def sphere_packing_exponent(ch, r, ends=None):
-    """Converse exponent: infinite below log2(q/2), parametric up to capacity, 0 at it.
+    """Converse exponent: infinite up to log2(q/2), parametric up to capacity, 0 at it.
 
-    r is a scalar or an array. The parametric value is the bracket end
+    r is a scalar or an array. At log2(q/2) inf is safe for every q and
+    exact for even q ({0, 2, ..., q-2}^n). The parametric value is the bracket end
     with the larger exponent, raised where roundoff needs it to the
     random coding line E0(1) - r, which lies under the true curve at
     every rate. So random coding, which is that line below the critical
@@ -119,7 +111,7 @@ def sphere_packing_exponent(ch, r, ends=None):
         ends = _parametric_exponent(ch, r)
     alpha = bhattacharyya(ch.epsilon)
     line = math.log2(ch.q / (1.0 + 2.0 * alpha)) - r
-    out = np.where(r < math.log2(ch.q / 2), INF, np.maximum(ends[1], line))
+    out = np.where(r <= math.log2(ch.q / 2), INF, np.maximum(ends[1], line))
     # checked last: at eps = 1/2 capacity can round below log2(q/2)
     return np.where(r >= c, 0.0, out)
 
@@ -136,20 +128,24 @@ def expurgated_is_exact(q):
 
 @lru_cache(maxsize=None)
 def eps_bar(q):
-    """Smallest crossover at which the expurgated junction rate drops to log2(theta).
+    """Crossover at which the expurgated junction rate drops to log2(theta).
 
     Below this threshold the expurgated curve has a strictly concave
     middle section; above it the curve is a single straight line over
     the finite region. For even q the value is q-independent.
+
+    The largest eps in [1e-15, 1/2] whose junction, as evaluated, is at
+    or above log2(theta): the safe side for a lower bound, as below a
+    too small eps_bar the slope -1 line under the section stands in.
     """
     if q < 4:
         raise ValueError(f"alphabet size must be >= 4, got {q}")
     ltheta = math.log2(theta_cycle(q))
 
-    def gap(eps):
-        return _junction_rate_formula(bhattacharyya(eps), q) - ltheta
+    def excess(eps):  # the scalar formula, as every caller evaluates the junction
+        return ltheta - _junction_rate_formula(bhattacharyya(float(eps)), q)
 
-    return bisect_root(gap, 1e-15, 0.5)
+    return float(bracket(excess, 0.0, 1e-15, 0.5)[0])
 
 
 def _junction_rate_formula(alpha, q):

@@ -8,7 +8,8 @@ fixed byte budget; the spectrum of a code that is linear by
 construction (`Code.linear`) is its weight distribution instead, from
 `weight_counts`, the one counter of typewriter weights. The kernel
 refuses codes whose one-hot width n q exceeds WIDTH_CAP, so that each
-row block's one-hot rows stay within budget.
+row block's one-hot rows stay within budget, and codes whose dense
+(n q, M) key exceeds KEY_CAP entries.
 
 The maximum-likelihood decoder breaks ties uniformly at random and the
 enumeration accounts for that exactly, by accumulating per-sender error
@@ -42,6 +43,9 @@ BLOCK_BYTES = 1 << 23  # temporaries of one row block of the pairwise kernel
 # one-hot columns n q of the pairwise kernel: the widest constructed code
 # within CODE_CAP, a coset lift of length 1 with q = 2 CODE_CAP, fits
 WIDTH_CAP = 2 * CODE_CAP
+# entries n q M of the pairwise kernel's dense key (512 MiB of float64): the
+# largest key of a builtin of length >= 2, coset:2:0:S at q = 512, fits
+KEY_CAP = 1 << 26
 MC_DRAW = 1 << 14  # trials per random draw in mc_pe; fixes its random stream
 _INT64_MAX = (1 << 63) - 1
 
@@ -200,12 +204,15 @@ def _one_hot(words, q):
 def _pair_key(words, q, shifts):
     """(n*q, M) right factor of the kernel for the given symbol shifts.
 
-    Refuses a code whose one-hot width n*q exceeds WIDTH_CAP, before any
-    work: each row block holds one-hot rows of that width.
+    Refuses, before any work, a code whose one-hot width n*q exceeds
+    WIDTH_CAP (each row block holds one-hot rows of that width) or whose
+    key of n*q*M entries exceeds KEY_CAP.
     """
     m, n = words.shape
     if n * q > WIDTH_CAP:
         raise ValueError(f"one-hot width n*q = {n}*{q} exceeds the pairwise kernel cap {WIDTH_CAP}")
+    if n * q * m > KEY_CAP:
+        raise ValueError(f"kernel key n*q*M = {n}*{q}*{m} exceeds the cap {KEY_CAP} entries")
     key = np.zeros((n * q, m))
     rows, cols = np.arange(m), np.arange(n)[:, None] * q
     key[cols + words.T % q, rows] = n + 1
@@ -367,8 +374,8 @@ def mc_pe(code, ch, trials, seed=0):
     one tie-breaking uniform per (trial, codeword) pair. The uniforms
     are drawn row block by row block, which yields the same stream as
     drawing them at once, so the result depends only on the seed.
-    The work, trials x M scored pairs, is capped at MC_PAIR_CAP, and the
-    code's one-hot width n q at WIDTH_CAP.
+    The work, trials x M scored pairs, is capped at MC_PAIR_CAP, the
+    code's one-hot width n q at WIDTH_CAP and its kernel key at KEY_CAP.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import INF, Channel, cycle_constants
+from .channel import INF, Channel, capacity, cycle_constants
 from .classical import (
     _parametric_exponent,
     expurgated_exponent,
@@ -127,15 +127,6 @@ def _line_params(line):
     return {"r1": format_value(line.r1), "r2": format_value(line.r2)}
 
 
-def _has_theta_line(ch):
-    """Whether theta_anchored_line(ch) exists: odd q and a tangency below the slope cap."""
-    try:
-        theta_anchored_line(ch)  # raises for even q, and for large odd q (1175 at eps 0.1)
-    except ValueError:
-        return False
-    return True
-
-
 # Every evaluator maps a rate array to a value array. Bounds that take other
 # arguments are called through their module names, so wrappers put on those
 # names (by tests or by tracing) see every call.
@@ -180,9 +171,9 @@ BOUNDS = {
         domain=lambda ch, rates: _above_theta(ch, rates) & (rates < math.log2(ch.q) - 1.0),
     ),
     "straight_line_theta": BoundSpec(
-        "straight_line_theta", "upper",
-        "requires odd q and a tangency on the sphere-packing curve below the slope cap",
-        _has_theta_line,
+        "straight_line_theta", "upper", "requires odd q and log2(theta) below capacity",
+        # at eps = 1/2 log2(theta) can round onto capacity from q = 37104241 on
+        lambda ch: ch.q % 2 == 1 and math.log2(cycle_constants(ch).theta) < capacity(ch),
         lambda ch, r: theta_anchored_line(ch).value(r),
         lambda ch: _line_params(theta_anchored_line(ch)),
     ),

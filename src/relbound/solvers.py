@@ -1,4 +1,8 @@
-"""Small numeric workhorses: the array bracket, scalar bisection, golden-section search."""
+"""Small numeric workhorses: the array bracket, scalar bisection, golden-section search.
+
+`bracket` is the library's one root finder; `bisect_root` and `golden_min`
+are only scalar references for tests and targets the traced benchmark wraps.
+"""
 
 import functools
 import math

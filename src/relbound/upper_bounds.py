@@ -22,14 +22,8 @@ from .channel import (
     entropy_h_inv,
     theta_cycle,
 )
-from .classical import (
-    RHO_CAP,
-    _h2,
-    _rate_at_rho,
-    binary_divergence,
-    eps_rho,
-)
-from .solvers import _GOLDEN, bisect_root, bracket, elementwise, require
+from .classical import _h2, binary_divergence
+from .solvers import _GOLDEN, bracket, elementwise, require
 
 # below this crossover the binary-reduction anchor improves sphere packing
 LP2_ANCHOR_GATE = 0.5 - math.sqrt(3.0) / 4.0
@@ -236,11 +230,12 @@ def _lp1_distance(q_prime, rate):
 
 @dataclass(frozen=True)
 class StraightLine:
-    """Chord from a low-rate anchor to its tangency point on the sphere-packing curve.
+    """Chord from a low-rate anchor (r1, e1) to a point (r2, e2) of the sphere-packing curve.
 
-    The affine value is a bound only between the endpoints, so value(r)
-    reports inf outside [r1, r2] and pointwise-min envelopes ignore it
-    there.
+    The slope is the chord's, except for an anchor on the curve, whose
+    segment degenerates to the tangent there. value(r) reports inf
+    outside (r1, r2], so pointwise-min envelopes ignore the line there;
+    the exponent can be infinite at r1 itself (log2(q/2) for even q).
     """
 
     r1: float
@@ -251,53 +246,53 @@ class StraightLine:
 
     @elementwise
     def value(self, r):
-        """The line at rate r, a scalar or an array; inf outside [r1, r2]."""
+        """The line at rate r, a scalar or an array; inf outside (r1, r2]."""
         # the chord falls to e2; the floor stops it dipping below e2 past r2
         line = np.maximum(self.e1 + self.slope * (r - self.r1), self.e2)
-        return np.where((r < self.r1 - 1e-12) | (r > self.r2 + 1e-12), INF, line)
+        return np.where((r <= self.r1) | (r > self.r2 + 1e-12), INF, line)
+
+
+def _sphere_packing_point(ch, u):
+    """(rate, exponent) of the sphere-packing curve at an array u = 1/(1+rho) in [0, 1]."""
+    eps = ch.epsilon
+    a, b = eps**u, (1.0 - eps) ** u
+    p = a / (a + b)
+    return math.log2(ch.q) - _h2(p), binary_divergence(p, eps)
 
 
 def straight_line_bound(anchor_rate, anchor_exponent, ch):
     """Tangent chord from (anchor_rate, anchor_exponent) to the sphere-packing curve.
 
-    The tangency slope is the parametric -rho, so the defect
-    E_sp(rho) - E1 + rho (R_rho - R1) is driven to zero by bisection.
-    Raises when the anchor sits above the whole curve (no tangency).
+    By Shannon-Gallager-Berlekamp a chord to any curve point right of the
+    anchor is a bound. With (R, E) the curve at u = 1/(1+rho), points
+    where g(u) = u (E - E1) + (1 - u)(R - R1) >= 0 (u times the tangency
+    defect, finite at u = 0) or R <= R1, as evaluated, lie left of the
+    tangency; one bracket on u in [0, 1] takes the first point right of
+    it. A bracket that stops at R1 means the anchor is on the curve,
+    which gives the tangent, or above it, which is refused, unless R1 is
+    at or left of the curve's end log2(q/2).
     """
     if not math.isfinite(anchor_exponent) or anchor_exponent <= 0:
         raise ValueError(f"anchor exponent must be finite positive, got {anchor_exponent}")
     c = capacity(ch)
     if anchor_rate >= c:
         raise ValueError(f"anchor rate must lie below capacity {c}, got {anchor_rate}")
-    eps = ch.epsilon
 
-    def defect(rho):
-        rate = _rate_at_rho(ch, rho)
-        expo = binary_divergence(eps_rho(eps, rho), eps)
-        return expo - anchor_exponent + rho * (rate - anchor_rate)
+    def right_of_tangency(u):
+        rate, expo = _sphere_packing_point(ch, u)
+        g = u * (expo - anchor_exponent) + (1.0 - u) * (rate - anchor_rate)
+        return np.where(rate > anchor_rate, -g, 0.0)
 
-    if anchor_rate >= _rate_at_rho(ch, RHO_CAP):
-        # anchor inside the curve's domain: tangency must come before it
-        rho_hi = bisect_root(lambda t: _rate_at_rho(ch, t) - anchor_rate, 0.0, RHO_CAP)
-        gap = defect(rho_hi)
-        if gap < -1e-9 * max(1.0, anchor_exponent):
-            raise ValueError("anchor lies above the sphere-packing curve, no tangency")
-        if gap <= 0.0:
-            # anchor sits on the curve: the segment degenerates to its tangent
-            rho2 = rho_hi
-            r2 = _rate_at_rho(ch, rho2)
-            e2 = binary_divergence(eps_rho(eps, rho2), eps)
-            return StraightLine(anchor_rate, anchor_exponent, r2, e2, -rho2)
+    ends = np.stack(bracket(right_of_tangency, 0.0, 0.0, 1.0))
+    rates, expos = _sphere_packing_point(ch, ends)
+    u2, r2, e2 = float(ends[1]), float(rates[1]), float(expos[1])
+    if rates[0] > anchor_rate or anchor_rate <= math.log2(ch.q / 2):
+        slope = (e2 - anchor_exponent) / (r2 - anchor_rate)
+    elif expos[0] < anchor_exponent - 1e-9 * max(1.0, anchor_exponent):
+        raise ValueError("anchor lies above the sphere-packing curve, no tangency")
     else:
-        rho_hi = 1.0
-        while defect(rho_hi) <= 0:
-            if rho_hi == RHO_CAP:
-                raise ValueError("no tangency found below the slope cap")
-            rho_hi = min(2.0 * rho_hi, RHO_CAP)  # the cap itself is tried last
-    rho2 = bisect_root(defect, 0.0, rho_hi)
-    r2 = _rate_at_rho(ch, rho2)
-    e2 = binary_divergence(eps_rho(eps, rho2), eps)
-    return StraightLine(anchor_rate, anchor_exponent, r2, e2, -rho2)
+        slope = -(1.0 - u2) / u2  # the tangent, -rho, at the anchor on the curve
+    return StraightLine(anchor_rate, anchor_exponent, r2, e2, slope)
 
 
 @lru_cache(maxsize=None)

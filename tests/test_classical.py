@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scalar_oracles import expurgated_ex
 
-from relbound.channel import Channel, bhattacharyya, capacity, cycle_constants, entropy_h
+from relbound.channel import (
+    Channel,
+    bhattacharyya,
+    capacity,
+    cycle_constants,
+    entropy_h,
+    theta_cycle,
+)
 from relbound.classical import (
-    RHO_CAP,
     _parametric_exponent,
-    _rate_at_rho,
     binary_divergence,
     bsc_expurgated_exponent,
     critical_rate,
@@ -80,7 +85,8 @@ def test_sphere_packing():
     # limit at the zero-error rate is the midpoint divergence
     limit = -0.5 * math.log2(0.01) - 0.5 * math.log2(0.99) - 1.0
     assert sphere_packing_exponent(ch, 1.0 + 1e-12) == pytest.approx(limit, abs=1e-4)
-    assert sphere_packing_exponent(ch, 1.0) == pytest.approx(limit, abs=1e-9)
+    # at log2(q/2) itself the code {0, 2}^n has no errors
+    assert sphere_packing_exponent(ch, 1.0) == math.inf
     with pytest.raises(ValueError):
         sphere_packing_exponent(ch, capacity(ch) + 0.01)
     # just below capacity the divergence's two terms cancel to roundoff
@@ -114,7 +120,7 @@ def test_dual_parametric_point():
     # functions describe one curve
     ch = Channel(4, 0.05)
     for rho in (0.3, 1.0, 2.5):
-        rate = _rate_at_rho(ch, rho)
+        rate = math.log2(ch.q) - entropy_h(2.0, eps_rho(ch.epsilon, rho))
         exponent = binary_divergence(eps_rho(ch.epsilon, rho), ch.epsilon)
         assert sphere_packing_exponent(ch, rate) == pytest.approx(exponent, abs=1e-9)
         if rho <= 1.0:
@@ -171,6 +177,14 @@ def test_eps_bar():
         assert expurgated_junction_rate(eps_bar(q), q) == pytest.approx(
             math.log2(theta), abs=1e-9
         )
+
+
+def test_eps_bar_is_the_last_float_with_a_middle_section():
+    # the junction falls with eps; eps_bar is its last float at or above log2(theta)
+    for q in range(4, 65):
+        ltheta = math.log2(theta_cycle(q))
+        e, above = eps_bar(q), math.nextafter(eps_bar(q), 1.0)
+        assert expurgated_junction_rate(e, q) >= ltheta > expurgated_junction_rate(above, q), q
 
 
 def test_expurgated_junction_rate():
@@ -260,7 +274,7 @@ def test_parametric_exponent_ends_and_each_bound_s_side(case):
     # the bracket on h2 sits on the crossing, at adjacent floats
     y = math.log2(ch.q) - r
     lo, hi = bracket(lambda p: entropy_h(2.0, p), y, eps, 0.5)
-    inner = (r < _rate_at_rho(ch, 0.0)) & (r > _rate_at_rho(ch, RHO_CAP))
+    inner = (r < capacity(ch)) & (r > math.log2(ch.q / 2))
     ok = (entropy_h(2.0, lo) <= y) & (y < entropy_h(2.0, hi)) & (hi == np.nextafter(lo, np.inf))
     assert np.all(ok[inner])
     # the exponent rises with p: the lower bound takes the smaller end, the upper the larger

@@ -1,7 +1,9 @@
 import os
+import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 import relbound
 from relbound import acceptance
 from relbound.cli import main, run as run_cli
-from relbound.codes import WIDTH_CAP, format_code, make_code, pentagon_code
+from relbound.codes import KEY_CAP, WIDTH_CAP, format_code, make_code, pentagon_code
 from relbound.curves import csv_to_curves
 
 
@@ -137,6 +139,21 @@ def test_simulate_refuses_a_code_too_wide_for_the_pairwise_kernel(tmp_path, caps
     assert err.startswith("error: ") and f"cap {WIDTH_CAP}" in err
 
 
+def test_simulate_refuses_a_builtin_whose_kernel_key_is_above_its_cap():
+    # 65536 words of length 1 over q = 131072 need a 64 GiB key; under a 2 GiB
+    # address-space limit a missing check fails fast instead of paging
+    src = str(Path(relbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")  # per-thread buffers count against the limit
+    argv = ["simulate", "--code", "coset:1:0:0", "--q", "131072", "--eps", "0.1", "--trials", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "relbound", *argv], capture_output=True, text=True, env=env,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and f"cap {KEY_CAP} entries" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -179,29 +196,45 @@ def test_bad_specs_refused_quickly_with_usage_exit(capsys, argv):
         assert "--seed" in err
 
 
-# the smallest odd q at each eps whose theta-anchored line finds no tangency
-@pytest.mark.parametrize("q, eps", [(1175, "0.1"), (1887, "0.5"), (773, "0.001"), (909, "0.01")])
-def test_large_odd_q_leaves_out_a_theta_line_that_cannot_be_built(capsys, q, eps):
+# the tangency's slope grows about as q^2: -5.3e5 at q = 851 and -1.0e6 at
+# q = 1175 (eps = 0.1), -7.3e11 at q = 10^6 + 1
+@pytest.mark.parametrize(
+    "q, eps",
+    [(851, "0.1"), (1173, "0.1"), (1175, "0.1"), (1887, "0.5"), (773, "0.001"), (909, "0.01"),
+     (5001, "0.1"), (1000001, "0.1")],
+)
+def test_theta_line_at_every_odd_q(capsys, q, eps):
     channel = ("--q", str(q), "--eps", eps, "--points", "5")
     rc, out, err = run(capsys, "bounds", *channel)
     assert rc == 0 and err == ""
     names = {c.name for c in csv_to_curves(out)}
-    assert "min_distance" in names and "straight_line_theta" not in names
-    rc, out, err = run(capsys, "bounds", *channel, "--bounds", "envelope_lower,envelope_upper")
-    assert rc == 0 and len(csv_to_curves(out)) == 2
+    assert {"min_distance", "straight_line_theta"} <= names
+    picks = "straight_line_theta,envelope_lower,envelope_upper"
+    rc, out, err = run(capsys, "bounds", *channel, "--bounds", picks)
+    assert rc == 0 and len(csv_to_curves(out)) == 3
     rc, out, err = run(capsys, "plot", *channel)
     assert rc == 0 and out.startswith("<svg")
-    rc, out, err = run(capsys, "bounds", *channel, "--bounds", "straight_line_theta")
-    assert rc == 2 and out == ""
-    assert "'straight_line_theta' is not applicable" in err and "slope cap" in err
 
 
-# tangencies at slopes between 2^19 and the cap 10^6: 5.3e5 at q = 851, 9.99e5 at q = 1173
-@pytest.mark.parametrize("q", [851, 1173])
-def test_theta_line_found_up_to_the_slope_cap(capsys, q):
-    rc, out, err = run(capsys, "bounds", "--q", str(q), "--eps", "0.1", "--points", "5")
-    assert rc == 0
-    assert "straight_line_theta" in {c.name for c in csv_to_curves(out)}
+# log2(theta) rounds onto log2(q/2); at eps = 1/2 also onto capacity, where
+# the line would be empty and is refused
+@pytest.mark.parametrize("q", [10**9 + 1, 2**62 - 1])
+def test_theta_line_where_its_anchor_rounds_onto_the_curve_s_end(capsys, q):
+    for eps in ("0.1", "0.001"):
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run(capsys, "bounds", "--q", str(q), "--eps", eps, "--points", "5")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0 and err == ""
+        (line,) = [c for c in csv_to_curves(out) if c.name == "straight_line_theta"]
+        params = dict(line.params)
+        assert float(params["r1"]) < float(params["r2"])
+    half = ("--q", str(q), "--eps", "0.5", "--points", "5")
+    rc, out, err = run(capsys, "bounds", *half)
+    assert rc == 0 and "straight_line_theta" not in out
+    rc, out, err = run(capsys, "bounds", *half, "--bounds", "straight_line_theta")
+    assert rc == 2 and "log2(theta) below capacity" in err
 
 
 @pytest.mark.parametrize("command", ["bounds", "plot", "oracle", "simulate", "verify"])

@@ -358,6 +358,23 @@ def test_pairwise_kernel_refuses_a_code_wider_than_its_cap():
             call()
 
 
+def test_pairwise_kernel_refuses_a_key_above_its_cap_before_allocating(monkeypatch):
+    rng = np.random.default_rng(0)
+    code = make_code(np.unique(rng.integers(0, 4, (4096, 8)), axis=0), 4)  # not marked linear
+    entries = code.n * code.q * code.M  # a key of 1 MB
+    monkeypatch.setattr(codes_mod, "KEY_CAP", entries - 1)
+    ch = Channel(4, 0.1)
+
+    def refused(call):
+        with pytest.raises(ValueError, match=f"cap {entries - 1} entries"):
+            call()
+
+    for call in (lambda: spectrum(code), lambda: mc_pe(code, ch, 10)):
+        assert _traced_peak(refused, call) < entries  # under an eighth of the key's bytes
+    monkeypatch.setattr(codes_mod, "KEY_CAP", entries)
+    assert spectrum(code) == oracle.spectrum(code)
+
+
 @st.composite
 def builtin_codes(draw):
     if draw(st.booleans()):

@@ -180,6 +180,18 @@ def test_bounds_at_capacity(q, eps):
     assert upper_bounds.envelope(ch, cap, "upper")[0] == 0.0
 
 
+@pytest.mark.parametrize("q", [4, 5, 6])
+def test_upper_curves_read_inf_where_the_exponent_is_infinite(q):
+    # for even q the code {0, 2, ..., q-2}^n has rate log2(q/2) and no errors;
+    # for q = 5 the pentagon's powers have rate log2(sqrt 5), the theta line's anchor
+    ch = Channel(q, 0.01)
+    rate = math.log2(q / 2) if q % 2 == 0 else upper_bounds.theta_anchored_line(ch).r1
+    names = [n for n, spec in BOUNDS.items() if spec.kind == "upper" and spec.applies(ch)]
+    assert "envelope_upper" in names and len(names) >= 4
+    for curve in evaluate_curves(ch, names, np.array([rate])):
+        assert curve.values == [math.inf], curve.name
+
+
 @st.composite
 def channels_and_grids(draw):
     q = draw(st.integers(min_value=4, max_value=9))

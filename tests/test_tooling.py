@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -16,3 +17,19 @@ def test_every_traced_benchmark_target_resolves():
         assert callable(getattr(importlib.import_module(f"relbound.{module}"), function, None)), (
             f"relbound.{module}.{function}"
         )
+
+
+def test_solvers_alone_name_the_scalar_root_finders():
+    # every root in the library is a solvers.bracket; bisect_root and golden_min
+    # stay only as the traced benchmark's targets and the tests' scalar references
+    package = Path(__file__).resolve().parents[1] / "src" / "relbound"
+    banned = {"bisect_root", "golden_min", "RHO_CAP"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "solvers.py":
+            continue
+        # names, attributes, imports (ast.alias) and definitions
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            found += [f"{path.name}:{node.lineno} {n}" for n in names & banned]
+    assert found == []

@@ -19,7 +19,7 @@ from relbound.channel import (
 )
 from relbound.classical import sphere_packing_exponent
 from relbound.curves import MAX_GRID_POINTS
-from relbound.solvers import bisect_root, golden_min
+from relbound.solvers import bisect_root, bracket, golden_min
 from relbound.upper_bounds import (
     LP2_ANCHOR_GATE,
     _lp1_distance,
@@ -165,7 +165,7 @@ def test_binary_reduction_improves_sphere_packing_iff_small_eps():
     for eps, improves in ((0.02, True), (0.0669, True), (0.0671, False), (0.3, False)):
         ch = Channel(4, eps)
         anchor = 0.5 * math.log2(1.0 / bhattacharyya(eps))
-        limit = sphere_packing_exponent(ch, 1.0)
+        limit = sphere_packing_exponent(ch, math.nextafter(1.0, 2.0))  # inf at log2(q/2) itself
         assert (anchor < limit) == improves
     assert LP2_ANCHOR_GATE == pytest.approx(0.5 - math.sqrt(3.0) / 4.0, abs=1e-15)
 
@@ -238,10 +238,9 @@ def test_straight_line_tangency():
 
 
 def _rho_at(ch, r):
-    from relbound.classical import RHO_CAP, _rate_at_rho
-    from relbound.solvers import bisect_root
-
-    return bisect_root(lambda t: _rate_at_rho(ch, t) - r, 0.0, RHO_CAP)
+    # the curve's rate rises with u = 1/(1+rho) on [0, 1]
+    u = bracket(lambda t: upper_bounds._sphere_packing_point(ch, t)[0], r, 0.0, 1.0)[1]
+    return (1.0 - u) / u
 
 
 def test_straight_line_on_curve_degenerates_to_tangent():
@@ -256,6 +255,47 @@ def test_straight_line_no_tangency_reported():
     ch = Channel(4, 0.1)
     with pytest.raises(ValueError):
         straight_line_bound(1.5, 10.0, ch)  # anchor far above the curve
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.integers(2, 499_999).map(lambda k: 2 * k + 1),
+    st.floats(0.0, 0.5, exclude_min=True),
+    st.booleans(),
+)
+@example(5, 0.01, True)  # the anchor log2(2.5) rounds 2.2e-16 above the curve's end log2 5 - 1
+def test_straight_line_is_the_lowest_chord_at_every_odd_q(q, eps, lp2):
+    ch = Channel(q, eps)
+    seg = lp2_anchored_line(ch) if lp2 and eps < LP2_ANCHOR_GATE else theta_anchored_line(ch)
+    assert seg.slope == (seg.e2 - seg.e1) / (seg.r2 - seg.r1)
+    assert seg.value(seg.r2) == pytest.approx(seg.e2, rel=1e-15, abs=1e-15)
+    # the tangent chord lies under the chord to any other curve point right of the anchor
+    rates, expos = upper_bounds._sphere_packing_point(ch, np.linspace(0.0, 1.0, 64))
+    right = rates > seg.r1
+    slopes = (expos[right] - seg.e1) / (rates[right] - seg.r1)
+    half_width = 0.5 * (seg.r2 - seg.r1)
+    assert np.all((slopes - seg.slope) * half_width >= -1e-12 * max(1.0, seg.e1))
+
+
+def test_one_bracket_per_line_and_per_eps_bar(monkeypatch):
+    from relbound import classical
+
+    calls = []
+    for module in (upper_bounds, classical):
+        def spy(*args, _bracket=module.bracket):
+            calls.append(args)
+            return _bracket(*args)
+
+        monkeypatch.setattr(module, "bracket", spy)
+    for ch in (Channel(5, 0.01), Channel(7, 0.5), Channel(1175, 0.1)):
+        theta_anchored_line.__wrapped__(ch)
+        assert len(calls) == 1
+        calls.clear()
+    lp2_anchored_line.__wrapped__(Channel(4, 0.01))
+    assert len(calls) == 1
+    calls.clear()
+    classical.eps_bar.__wrapped__(5)
+    assert len(calls) == 1
 
 
 def test_straight_line_above_sphere_packing_off_segment():
