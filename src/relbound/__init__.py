@@ -50,7 +50,7 @@ from .lower_bounds import (
     lower_bound_even,
     lower_bound_q5,
 )
-from .oracle import OracleResult, eigenvalues_g1, gram_matrix, minimize_q
+from .oracle import OracleResult, eigenvalues_g1, minimize_q
 from .upper_bounds import (
     LP2Point,
     SpectrumBoundPoint,

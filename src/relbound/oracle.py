@@ -1,13 +1,18 @@
 """Brute-force verification of the expurgated exponent at small blocklengths.
 
-Builds the n-letter Gram matrix of pairwise Bhattacharyya weights and
-minimizes the induced quadratic form over the probability simplex with a
-multi-start accelerated projected gradient (FISTA momentum with adaptive
-restart), all starts in one batch; `minimize_q_batch` stacks the starts
-of many problems of one size q^n into the same batch. A start stops, as
-converged, where the gradient mapping at the point it returns is at most
-GRAD_MAP_TOL or where no representable projected step is left; MAX_ITER
-caps the run.
+Minimizes the quadratic form p^T G p over the probability simplex, with
+G the n-letter Gram matrix of pairwise Bhattacharyya weights: the n-fold
+Kronecker power of the q x q circulant base with 1 on the diagonal and
+a = alpha^(1/rho) on the two cyclic neighbours (Jelinek; Gallager's
+multi-letter expurgated bound). G is never formed: a product with it
+applies the base along each of the n letter axes (Van Loan 2000), and
+the face step gathers the entries it needs from the words' letters.
+The search is a multi-start accelerated projected gradient (FISTA
+momentum with adaptive restart), all starts in one batch;
+`minimize_q_batch` stacks the starts of many problems of one (q, n) into
+the same batch. A start stops, as converged, where the gradient mapping
+at the point it returns is at most GRAD_MAP_TOL or where no
+representable projected step is left; MAX_ITER caps the run.
 A start whose support has settled finishes with one face-restricted
 Newton step (projected Newton, Bertsekas 1982): the exact minimizer of
 the form on its face, taken only where it is a nonnegative, not worse,
@@ -28,31 +33,16 @@ from .codes import _power_within, all_words, pentagon_code, word_indices
 
 SIZE_CAP = 3125
 # start rows x q^n in one solver run: it keeps ~10 float64 arrays of this many entries
-# (~80 MB at the cap) besides its Gram matrices (at most this many entries too, or one
-# matrix alone: 78 MB at SIZE_CAP) and a face-step stack (a few FACE_BYTES); the default
-# 200 restarts fit at SIZE_CAP
+# (~80 MB at the cap) and a face-step stack (a few FACE_BYTES); the default 200 restarts
+# fit at SIZE_CAP
 BATCH_CAP = 1 << 20
 GRAD_MAP_TOL = 1e-10
 MAX_ITER = 100_000
 FACE_PERIOD = 8  # a face step is tried every FACE_PERIOD iterations, on supports that old
-# reduced Hessians stacked in one face-step solve; a face whose own reduced Hessian would
-# not fit (more than 1024 points) takes no face step, which bounds its memory and its
-# O(|S|^3) eigensolve
+# Gram blocks G_SS stacked in one face-step solve; a face whose own block would not fit
+# (more than 1024 points) takes no face step, which bounds its memory and its O(|S|^3)
+# eigensolve
 FACE_BYTES = 1 << 23
-
-
-def gram_base(ch, rho):
-    """One-letter matrix with entries alpha^(d(x1,x2)/rho)."""
-    if rho <= 0:
-        raise ValueError(f"tilt parameter must be positive, got {rho}")
-    a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
-    q = ch.q
-    g = np.zeros((q, q))
-    np.fill_diagonal(g, 1.0)
-    for x in range(q):
-        g[x, (x + 1) % q] = a
-        g[x, (x - 1) % q] = a
-    return g
 
 
 def word_count(q, n, size_cap=SIZE_CAP):
@@ -65,16 +55,6 @@ def word_count(q, n, size_cap=SIZE_CAP):
     if not _power_within(q, n, size_cap):
         raise ValueError(f"q^n = {q}^{n} exceeds the size cap {size_cap}")
     return q**n
-
-
-def gram_matrix(ch, rho, n, size_cap=SIZE_CAP):
-    """n-letter Gram matrix as the n-fold Kronecker power of the base."""
-    word_count(ch.q, n, size_cap)
-    g = gram_base(ch, rho)
-    out = g
-    for _ in range(n - 1):
-        out = np.kron(out, g)
-    return out
 
 
 def eigenvalues_g1(ch, rho):
@@ -123,31 +103,60 @@ def _stationary(x, d, step, tol):
     return (np.linalg.norm(d, axis=1) / step <= tol) | np.all(x + d == x, axis=1)
 
 
-def _times_gram(gs, owner, x):
-    """Each row of x times its problem's Gram matrix: x[i] @ gs[owner[i]], owner sorted.
+def _times_gram(x, a, q, n):
+    """Each row x[i] times its n-letter Gram matrix, the one whose base has weight a[i].
 
-    One product per run of equal owners. BLAS picks its kernel by the
-    number of rows, so a row's product depends on the run it is in; every
-    caller passes runs that hold exactly the rows the problem would hold
-    alone, which keeps each problem's arithmetic the same in any batch.
+    The base is applied along each of the n letter axes in turn (Van Loan
+    2000): y = x + a (x shifted by +1 + x shifted by -1, cyclically). It
+    works on x transposed, one word per row, so that every shift copies
+    contiguous blocks. Every entry is computed elementwise, so a row gets
+    the same bits in any stack.
     """
-    out = np.empty_like(x)
-    if len(x):
-        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(x)]):
-            out[lo:hi] = x[lo:hi] @ gs[owner[lo]]
+    y = np.ascontiguousarray(x.T)
+    for k in range(n):
+        y3 = y.reshape(q**k, q, -1)  # letter k on the middle axis
+        s = np.empty_like(y3)
+        np.add(y3[:, :-2], y3[:, 2:], out=s[:, 1:-1])
+        np.add(y3[:, -1], y3[:, 1], out=s[:, 0])
+        np.add(y3[:, -2], y3[:, 0], out=s[:, -1])
+        s = s.reshape(y.shape)
+        s *= a
+        s += y
+        y = s
+    return np.ascontiguousarray(y.T)
+
+
+def _face_grams(a, q, n, idx):
+    """G[S, S] for each row S of word indices idx, in the problem whose base has weight a[i].
+
+    G[i, j] is the product over the n letters of g[(i_k - j_k) mod q],
+    with g = (1, a, 0, ..., 0, a) the base's first row. Every factor is
+    1, a or 0, so an entry is 0 or a power of a multiplied out one factor
+    at a time, as np.kron multiplies it: the entries equal the Kronecker
+    power's bit for bit.
+    """
+    g = np.zeros((len(a), 2 * q - 1))  # the weight of letter difference d sits in column d + q - 1
+    g[:, q - 1] = 1.0
+    g[:, [0, q - 2, q, 2 * q - 2]] = a[:, None]  # d = +-1 and +-(q - 1) are cyclic neighbours
+    rows = np.arange(len(a))[:, None, None]
+    out = np.ones(idx.shape + idx.shape[-1:])
+    for k in range(n):
+        letter = idx // q ** (n - 1 - k) % q
+        d = letter[:, :, None] - letter[:, None, :]
+        d += q - 1
+        out *= g[rows, d]
     return out
 
 
-def _face_minimizers(gs, owner, supports, steps, tol=GRAD_MAP_TOL):
-    """Minimizer z of p^T g p on each simplex face in a stack of equal-size supports.
+def _face_minimizers(a, q, n, owner, supports, steps, tol=GRAD_MAP_TOL):
+    """Minimizer z of p^T G p on each simplex face in a stack of equal-size supports.
 
-    Support i lies in problem owner[i] (sorted), with Gram matrix
-    g = gs[owner[i]] and step steps[owner[i]]. Solves the KKT system
-    g_SS z = lambda 1, 1^T z = 1 in null-space form:
+    Support i lies in problem owner[i], with base weight a[owner[i]] and
+    step steps[owner[i]]. Solves the KKT system
+    G_SS z = lambda 1, 1^T z = 1 in null-space form:
     with r the last index of S and the tangent basis e_i - e_r (i in S
     other than r), z = e_r + sum_i u_i (e_i - e_r), where H u = g_rr - g_ir
-    and H = Z^T g_SS Z is the reduced Hessian, H_ij = g_ij - g_ir - g_rj + g_rr.
+    and H = Z^T G_SS Z is the reduced Hessian, H_ij = g_ij - g_ir - g_rj + g_rr.
     Eigenvalues of H within rounding of 0 (|w| <= |S| eps max|w|) count
     as 0, and u is the least-norm solution, so a singular face (as at
     rho_bar) still yields one of its minimizers. A face's z is accepted
@@ -158,58 +167,41 @@ def _face_minimizers(gs, owner, supports, steps, tol=GRAD_MAP_TOL):
     """
     b = len(supports)
     idx = np.nonzero(supports)[1].reshape(b, -1)
-    r, rest = idx[:, -1], idx[:, :-1]
-    grr = gs[owner, r, r]
-    col = gs[owner[:, None], rest, r[:, None]]
-    h = gs[owner[:, None, None], rest[:, :, None], rest[:, None, :]]
-    h = h - col[:, :, None] - col[:, None, :]
+    r = idx[:, -1]
+    gss = _face_grams(a[owner], q, n, idx)
+    grr, col = gss[:, -1, -1], gss[:, :-1, -1]
+    h = gss[:, :-1, :-1]  # in place: col and grr lie outside it
+    h -= col[:, :, None]
+    h -= col[:, None, :]
     h += grr[:, None, None]
     w, v = np.linalg.eigh(h)
     noise = w.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1, initial=0.0)
     live = np.abs(w) > noise[:, None]
     coef = np.einsum("bij,bi->bj", v, grr[:, None] - col) / np.where(live, w, 1.0)
     u = np.einsum("bij,bj->bi", v, np.where(live, coef, 0.0))
-    z = np.zeros((b, gs.shape[1]))
-    np.put_along_axis(z, rest, u, axis=1)
+    z = np.zeros((b, q**n))
+    np.put_along_axis(z, idx[:, :-1], u, axis=1)
     z[np.arange(b), r] = 1.0 - u.sum(axis=1)
     ok = np.all(w >= -noise[:, None], axis=1) & np.all(np.isfinite(z), axis=1)
     ok[ok] = z[ok].min(axis=1) >= 0.0
     z[ok] /= z[ok].sum(axis=1, keepdims=True)
     zk, own = z[ok], owner[ok]
     step = steps[own]
-    d = _project_simplex_rows(zk - 2.0 * step[:, None] * _times_gram(gs, own, zk)) - zk
+    d = _project_simplex_rows(zk - 2.0 * step[:, None] * _times_gram(zk, a[own], q, n)) - zk
     ok[ok] = _stationary(zk, d, step, tol)
     return z, ok
 
 
-def _face_stacks(todo, owners, chunk):
-    """Cut support indices `todo` (sorted by owner) into stacks of at most `chunk`.
-
-    Each owner's run is cut into the chunks it would get alone, and a
-    stack takes whole chunks only, so a problem's supports share a stack
-    (and a product in `_times_gram`) exactly as when it runs alone.
-    """
-    stacks = []
-    for run in np.split(todo, np.flatnonzero(np.diff(owners[todo])) + 1):
-        for lo in range(0, len(run), chunk):
-            piece = run[lo:lo + chunk]
-            if stacks and len(stacks[-1]) + len(piece) <= chunk:
-                stacks[-1] = np.concatenate((stacks[-1], piece))
-            else:
-                stacks.append(piece)
-    return stacks
-
-
-def _face_steps(gs, owner, x, xg, steps, tol, faces):
-    """Face step for each row of x, row i in problem owner[i] (sorted): (points, accepted flags).
+def _face_steps(a, q, n, owner, x, xg, steps, tol, faces):
+    """Face step for each row of x, row i in problem owner[i]: (points, accepted flags).
 
     Rows are grouped by (problem, support); `faces` maps a (problem,
-    support bytes) key to its (z, z^T g z), or to None where
+    support bytes) key to its (z, z^T G z), or to None where
     `_face_minimizers` refused it, so each support is solved once per
     problem and batch. New supports are solved in stacks of one size,
-    across problems, whose reduced Hessians fit in FACE_BYTES; a support
+    across problems, whose faces' Gram blocks fit in FACE_BYTES; a support
     too large for one is not solved, and its rows take no step. A row
-    accepts z only where z^T g z <= x^T g x.
+    accepts z only where z^T G z <= x^T G x.
     """
     keyed, group = np.unique(np.column_stack((owner, x > 0.0)), axis=0, return_inverse=True)
     group = group.reshape(-1)
@@ -219,12 +211,14 @@ def _face_steps(gs, owner, x, xg, steps, tol, faces):
     new = np.array([key not in faces for key in keys]) & (8 * sizes * sizes <= FACE_BYTES)
     for k in sorted(set(sizes[new].tolist())):
         todo = np.flatnonzero(new & (sizes == k))
-        for part in _face_stacks(todo, owners, FACE_BYTES // (8 * k * k)):
-            z, ok = _face_minimizers(gs, owners[part], supports[part], steps, tol)
+        chunk = FACE_BYTES // (8 * k * k)
+        for lo in range(0, len(todo), chunk):
+            part = todo[lo:lo + chunk]
+            z, ok = _face_minimizers(a, q, n, owners[part], supports[part], steps, tol)
             for j in part[~ok]:
                 faces[keys[j]] = None
             z = z[ok]
-            values = np.einsum("bi,bi->b", _times_gram(gs, owners[part[ok]], z), z)
+            values = np.einsum("bi,bi->b", _times_gram(z, a[owners[part[ok]]], q, n), z)
             for j, zj, value in zip(part[ok], z, values):
                 faces[keys[j]] = (zj, value)
     values = np.einsum("bi,bi->b", x, xg)
@@ -239,18 +233,18 @@ def _face_steps(gs, owner, x, xg, steps, tol, faces):
     return z, took
 
 
-def _projected_gradient_batch(gs, starts, owner, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
-    """Minimize p^T g p over the simplex from every start of every problem at once.
+def _projected_gradient_batch(a, q, n, starts, owner, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
+    """Minimize p^T G p over the simplex from every start of every problem at once.
 
-    Problem p has Gram matrix gs[p]; row i of starts belongs to problem
-    owner[i], with owner sorted. Step sizes, products with g and values
-    are taken per problem, on contiguous runs of rows, and dropping
-    frozen rows keeps the order, so each row follows bit for bit the
-    trajectory it follows when its problem runs alone.
+    Every problem has q^n words; problem p's Gram matrix G is the n-fold
+    Kronecker power of the base with weight a[p], and row i of starts
+    belongs to problem owner[i]. Step sizes are taken per problem, and
+    products with G row by row (`_times_gram`), so each row follows bit
+    for bit the trajectory it follows when its problem runs alone.
 
     Accelerated projected gradient (FISTA, Beck-Teboulle 2009) with the
-    step 1/L, L = 2 max row sum of g >= 2 max |eigenvalue|, and the
-    adaptive gradient restart of O'Donoghue-Candes (2015): a row's
+    step 1/L, L = 2 (1 + 2a)^n = 2 max row sum of G >= 2 max |eigenvalue|,
+    and the adaptive gradient restart of O'Donoghue-Candes (2015): a row's
     momentum is reset when (y - x+).(x+ - x) > 0, and also when x+ has
     another support than x. Momentum so builds up only within one face
     of the simplex; past the PSD threshold, where the form has many
@@ -262,37 +256,37 @@ def _projected_gradient_batch(gs, starts, owner, max_iter=MAX_ITER, tol=GRAD_MAP
     tolerance or when the plain projected step from x is not
     representable (which is as converged as float64 gets). Only rows
     still moving at the iteration cap come back unconverged. Frozen rows
-    leave the working arrays, and y.g is carried by linearity from x.g,
-    so an iteration costs one matrix product per problem and one
-    projection call on the steps from x and from y stacked.
+    leave the working arrays, and y G is carried by linearity from x G,
+    so an iteration costs one product with G and one projection call on
+    the steps from x and from y stacked.
 
     Face step, a fixed rule (projected Newton, Bertsekas 1982): every
     FACE_PERIOD-th iteration, each row whose support (x > 0) has not
     changed for at least FACE_PERIOD iterations, and whose face's
-    reduced Hessian fits in FACE_BYTES, tries the exact minimizer z of
+    Gram block G_SS fits in FACE_BYTES, tries the exact minimizer z of
     the form on its face (`_face_minimizers`). The row
     accepts z, and is frozen there as converged, only where z is finite
     and nonnegative, the reduced Hessian on the face is PSD,
-    z^T g z <= x^T g x, and z passes the same stopping test;
+    z^T G z <= x^T G x, and z passes the same stopping test;
     every other row carries on with FISTA unchanged. Returns (points,
     values, converged_flags, iterations, face_steps), the last two per
     problem: the iteration at which its last row froze (max_iter where
     one never did) and the number of its rows the face step finished.
     """
-    steps = np.array([1.0 / (2.0 * float(np.max(np.sum(g, axis=1)))) for g in gs])
+    steps = np.array([1.0 / (2.0 * (1.0 + 2.0 * w) ** n) for w in a.tolist()])
     start_owner = owner
     x = np.asarray(starts, dtype=float)
     points = np.empty_like(x)  # every row is written where it freezes, or after the loop
     conv = np.zeros(x.shape[0], dtype=bool)
     rows = np.arange(x.shape[0])
     step = steps[owner]
-    xg = _times_gram(gs, owner, x)
+    xg = _times_gram(x, a[owner], q, n)
     y, yg = x, xg
     t = np.ones(x.shape[0])
     settled = np.zeros(x.shape[0], dtype=int)  # iterations since the support last changed
     faces = {}
-    face_steps = np.zeros(len(gs), dtype=int)
-    iterations = np.zeros(len(gs), dtype=int)
+    face_steps = np.zeros(len(a), dtype=int)
+    iterations = np.zeros(len(a), dtype=int)
     it = 0
     while it < max_iter and rows.size:
         it += 1
@@ -305,20 +299,21 @@ def _projected_gradient_batch(gs, starts, owner, max_iter=MAX_ITER, tol=GRAD_MAP
         if it % FACE_PERIOD == 0:
             trial = np.flatnonzero(~done & (settled >= FACE_PERIOD))
             if trial.size:
-                z, took = _face_steps(gs, owner[trial], x[trial], xg[trial], steps, tol, faces)
+                z, took = _face_steps(a, q, n, owner[trial], x[trial], xg[trial], steps, tol,
+                                      faces)
                 points[rows[trial[took]]] = z[took]
                 done[trial[took]] = True
-                face_steps += np.bincount(owner[trial[took]], minlength=len(gs))
+                face_steps += np.bincount(owner[trial[took]], minlength=len(a))
         if done.any():
             conv[rows[done]] = True
             iterations[owner[done]] = it
             keep = ~done
             rows, owner, step, x, xg, y, nxt, t, settled = (
-                a[keep] for a in (rows, owner, step, x, xg, y, nxt, t, settled)
+                arr[keep] for arr in (rows, owner, step, x, xg, y, nxt, t, settled)
             )
             if not rows.size:
                 break
-        nxt_g = _times_gram(gs, owner, nxt)
+        nxt_g = _times_gram(nxt, a[owner], q, n)
         move = nxt - x
         resupported = np.any((nxt > 0.0) != (x > 0.0), axis=1)
         restart = resupported | (np.einsum("bi,bi->b", y - nxt, move) > 0.0)
@@ -331,7 +326,7 @@ def _projected_gradient_batch(gs, starts, owner, max_iter=MAX_ITER, tol=GRAD_MAP
         x, xg = nxt, nxt_g
     points[rows] = x
     iterations[owner] = it  # problems with rows still moving ran to the cap
-    values = np.einsum("bi,bi->b", _times_gram(gs, start_owner, points), points)
+    values = np.einsum("bi,bi->b", _times_gram(points, a[start_owner], q, n), points)
     return points, values, conv, iterations, face_steps
 
 
@@ -373,12 +368,11 @@ def minimize_q_batch(problems, size_cap=SIZE_CAP, max_iter=MAX_ITER):
     """`minimize_q` on each (channel, rho, n, restarts, seed) of `problems`, in few runs.
 
     Every problem's tilt, restarts and caps are checked before any work
-    starts. Problems are grouped by q^n, and the start rows of a group
+    starts. Problems are grouped by (q, n), and the start rows of a group
     run as one stack in `_projected_gradient_batch`, each row tagged
     with its problem. A group is cut into several runs where one run
     would hold more than BATCH_CAP entries in its start rows (rows x
-    q^n) or, past its first problem, in its Gram matrices (problems x
-    q^2n). Each row follows
+    q^n). Each row follows
     the same arithmetic as when its problem runs alone, so every result
     equals, field for field, what `minimize_q` returns for that problem;
     `iterations` is the run's iteration at which the problem's last row
@@ -398,34 +392,32 @@ def minimize_q_batch(problems, size_cap=SIZE_CAP, max_iter=MAX_ITER):
             )
     groups = {}
     for i, (ch, _, n, _, _) in enumerate(problems):
-        groups.setdefault(ch.q**n, []).append(i)
+        groups.setdefault((ch.q, n), []).append(i)
     results = [None] * len(problems)
-    for m, members in groups.items():
+    for (q, n), members in groups.items():
         run, entries = [], 0
         for i in members:
-            ch, _, n, restarts, _ = problems[i]
-            size = max(restarts, _structured_seed_count(ch.q, n)) * m  # its start entries
-            if run and (entries + size > BATCH_CAP or (len(run) + 1) * m * m > BATCH_CAP):
-                _solve_run(problems, run, results, size_cap, max_iter)
+            size = max(problems[i][3], _structured_seed_count(q, n)) * q**n  # its start entries
+            if run and entries + size > BATCH_CAP:
+                _solve_run(problems, run, results, max_iter)
                 run, entries = [], 0
             run.append(i)
             entries += size
-        _solve_run(problems, run, results, size_cap, max_iter)
+        _solve_run(problems, run, results, max_iter)
     return results
 
 
-def _solve_run(problems, run, results, size_cap, max_iter):
-    """Solve the problems with indices `run` as one stack into `results`."""
-    grams = [gram_matrix(*problems[i][:3], size_cap=size_cap) for i in run]
-    # a lone Gram matrix (78 MB at SIZE_CAP) is viewed, not copied
-    gs = np.stack(grams) if len(grams) > 1 else grams[0][None]
-    starts = [_start_points(ch, n, restarts, seed) for ch, _, n, restarts, seed in
-              (problems[i] for i in run)]
+def _solve_run(problems, run, results, max_iter):
+    """Solve the problems with indices `run`, all of one (q, n), as one stack into `results`."""
+    members = [problems[i] for i in run]
+    q, n = members[0][0].q, members[0][2]
+    a = np.array([bhattacharyya(ch.epsilon) ** (1.0 / rho) for ch, rho, *_ in members])
+    starts = [_start_points(ch, n, restarts, seed) for ch, _, n, restarts, seed in members]
     counts = [len(s) for s in starts]
     starts = np.concatenate(starts)
     owner = np.repeat(np.arange(len(run)), counts)
     pts, values, conv, iterations, face_steps = _projected_gradient_batch(
-        gs, starts, owner, max_iter=max_iter
+        a, q, n, starts, owner, max_iter=max_iter
     )
     lo = 0
     for p, (i, count) in enumerate(zip(run, counts)):

@@ -1,14 +1,15 @@
 """Entry-by-entry reference implementations for the simplex oracle.
 
-The Gram matrix from the additive semidistance and the double-loop
-quadratic form, kept independent of the Kronecker and numpy paths in
-relbound.oracle, which must agree with them; and the plain fixed-step
-projected gradient, with its simplex projection, that relbound.oracle's
-accelerated solver replaced, which must reach the same minima; and the
-exact minimum over the simplex by a KKT solve on every face, for the few
-points where the fixed-step oracle is too slow to settle; and the
-structured start rows built word by word from tuples, which the rows
-built through relbound.codes must equal.
+The dense n-letter Gram matrix as the Kronecker power of its circulant
+base, which relbound.oracle's per-letter products and face-block
+gathers must agree with; the Gram matrix from the additive semidistance
+and the double-loop quadratic form, kept independent of both; and the
+plain fixed-step projected gradient, with its simplex projection, that
+relbound.oracle's accelerated solver replaced, which must reach the same
+minima; and the exact minimum over the simplex by a KKT solve on every
+face, for the few points where the fixed-step oracle is too slow to
+settle; and the structured start rows built word by word from tuples,
+which the rows built through relbound.codes must equal.
 """
 
 import math
@@ -18,7 +19,31 @@ import numpy as np
 from scalar_oracles import semidistance
 
 from relbound.channel import bhattacharyya
-from relbound.oracle import GRAD_MAP_TOL, MAX_ITER
+from relbound.oracle import GRAD_MAP_TOL, MAX_ITER, word_count
+
+
+def gram_base(ch, rho):
+    """One-letter matrix with entries alpha^(d(x1,x2)/rho)."""
+    if rho <= 0:
+        raise ValueError(f"tilt parameter must be positive, got {rho}")
+    a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
+    q = ch.q
+    g = np.zeros((q, q))
+    np.fill_diagonal(g, 1.0)
+    for x in range(q):
+        g[x, (x + 1) % q] = a
+        g[x, (x - 1) % q] = a
+    return g
+
+
+def gram_matrix(ch, rho, n):
+    """n-letter Gram matrix as the n-fold Kronecker power of the base; q^n capped as in oracle."""
+    word_count(ch.q, n)
+    g = gram_base(ch, rho)
+    out = g
+    for _ in range(n - 1):
+        out = np.kron(out, g)
+    return out
 
 
 def gram_matrix_direct(ch, rho, n):

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from gram_oracles import (
     evaluate_quadratic_slow,
+    gram_base,
+    gram_matrix,
     gram_matrix_direct,
     project_simplex_rows_by_support,
     projected_gradient_fixed_step,
@@ -14,22 +17,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbound import oracle
-from relbound.channel import Channel
+from relbound.channel import Channel, bhattacharyya
 from relbound.classical import rho_bar
 from relbound.oracle import (
     BATCH_CAP,
     FACE_BYTES,
     GRAD_MAP_TOL,
     SIZE_CAP,
+    _face_grams,
     _face_minimizers,
-    _face_stacks,
     _face_steps,
     _project_simplex_rows,
     _start_points,
     _stationary,
+    _times_gram,
     eigenvalues_g1,
-    gram_base,
-    gram_matrix,
     minimize_q,
     minimize_q_batch,
     uniform_value,
@@ -70,6 +72,42 @@ def test_gram_matrix_size_cap():
     for n in (6, 10**9):  # 5^(10^9) is never formed
         with pytest.raises(ValueError):
             gram_matrix(Channel(5, 0.1), 1.0, n)
+
+
+@st.composite
+def stencil_cases(draw):
+    """q in 4..9, n with q^n <= SIZE_CAP, 1-20 rows, each row in one of up to 3 problems."""
+    q = draw(st.integers(min_value=4, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=max(k for k in range(1, 7) if q**k <= SIZE_CAP)))
+    ch = Channel(q, draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True)))
+    rhos = draw(st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=1, max_size=3))
+    rows = draw(st.integers(min_value=1, max_value=20))
+    return ch, rhos, n, rows, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@PROPERTY
+@given(stencil_cases())
+@example((Channel(5, 0.1), [2.0, 1.0], 5, 20, 0))  # q^n = SIZE_CAP
+@example((Channel(4, 0.5), [1.0], 3, 1, 1))  # 4^3 = 8^2
+@example((Channel(8, 0.5), [1.0], 2, 1, 1))
+def test_stencil_product_and_face_gather_match_the_kronecker_power(case):
+    ch, rhos, n, rows, seed = case
+    q, m = ch.q, ch.q**n
+    rng = np.random.default_rng(seed)
+    owner = rng.integers(len(rhos), size=rows)
+    a = np.array([bhattacharyya(ch.epsilon) ** (1.0 / rho) for rho in rhos])[owner]
+    x = rng.normal(size=(rows, m))
+    got = _times_gram(x, a, q, n)
+    k = int(rng.integers(1, min(m, 40) + 1))
+    idx = np.sort([rng.choice(m, size=k, replace=False) for _ in range(rows)], axis=1)
+    blocks = _face_grams(a, q, n, idx)
+    for p, rho in enumerate(rhos):
+        g = gram_matrix(ch, rho, n)
+        mine = owner == p
+        scale = (np.abs(x[mine]) @ g).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(got[mine] - x[mine] @ g) <= 1e-14 * scale)
+        for s, block in zip(idx[mine], blocks[mine]):
+            assert np.array_equal(block, g[np.ix_(s, s)])
 
 
 def test_eigenvalues_closed_form():
@@ -356,6 +394,11 @@ def oracle_batches(draw):
 
 @PROPERTY
 @given(oracle_batches())
+# q^n = 64 for both, so the batch must group by (q, n), not by q^n
+@example([(Channel(4, 0.1), 1.0, 3, 5, 1), (Channel(8, 0.1), 1.0, 2, 5, 2)])
+@example([(Channel(8, 0.3), 3.0 * rho_bar(Channel(8, 0.3)), 2, 12, 3),
+          (Channel(4, 0.3), 0.99 * rho_bar(Channel(4, 0.3)), 3, 7, 4),
+          (Channel(4, 0.2), 2.5 * rho_bar(Channel(4, 0.2)), 3, 9, 5)])
 def test_batch_equals_separate_calls(problems):
     _assert_same_results(minimize_q_batch(problems), [minimize_q(*p) for p in problems])
 
@@ -380,9 +423,9 @@ def test_batch_past_the_entry_cap_runs_in_several_stacks(monkeypatch):
     runs = []
     solve = oracle._projected_gradient_batch
 
-    def spy(gs, starts, owner, **kwargs):
+    def spy(a, q, n, starts, owner, **kwargs):
         runs.append(starts.size)
-        return solve(gs, starts, owner, **kwargs)
+        return solve(a, q, n, starts, owner, **kwargs)
 
     monkeypatch.setattr(oracle, "_projected_gradient_batch", spy)
     batch = minimize_q_batch(problems)
@@ -390,43 +433,77 @@ def test_batch_past_the_entry_cap_runs_in_several_stacks(monkeypatch):
     _assert_same_results(batch, [minimize_q(*p) for p in problems])
 
 
-def test_face_stacks_cut_each_problem_as_alone():
-    # problem 0 alone gets [0, 1], [2]; its partial chunk shares a stack
-    # with problem 1's, and problem 2's full chunk opens a new one
-    owners = np.array([0, 0, 0, 1, 2, 2, 2])
-    stacks = _face_stacks(np.arange(7), owners, 2)
-    assert [s.tolist() for s in stacks] == [[0, 1], [2, 3], [4, 5], [6]]
+def test_memory_at_the_size_cap_stays_a_few_rows_of_words():
+    # the dense Gram matrix alone is 78 MB at SIZE_CAP; 20 start rows of
+    # 3125 words are 0.5 MB an array
+    tracemalloc.start()
+    try:
+        minimize_q(Channel(5, 0.1), 2.0, 5, restarts=20, max_iter=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def _step(g):
     return 1.0 / (2.0 * float(np.max(np.sum(g, axis=1))))
 
 
-def _minimizers(g, supports):
-    """`_face_minimizers` on supports that all lie in the one problem with Gram matrix g."""
+def _minimizers(ch, rho, n, supports):
+    """`_face_minimizers` on supports that all lie in the one problem (ch, rho, n)."""
+    a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
     owner = np.zeros(len(supports), dtype=int)
-    return _face_minimizers(g[None], owner, supports, np.array([_step(g)]))
+    steps = np.array([1.0 / (2.0 * (1.0 + 2.0 * a) ** n)])
+    return _face_minimizers(np.array([a]), ch.q, n, owner, supports, steps)
+
+
+def test_face_minimizers_give_each_support_the_same_bits_in_any_stack():
+    # the face step cuts its stacks by size alone, so a support's result may
+    # not depend on which supports share its stack, or where it sits there
+    rng = np.random.default_rng(7)
+    a = np.array([bhattacharyya(eps) ** (1.0 / rho) for eps, rho in ((0.1, 1.0), (0.3, 4.0),
+                                                                       (0.5, 1.2))])
+    steps = 1.0 / (2.0 * (1.0 + 2.0 * a) ** 2)
+    supports = np.zeros((12, 25), dtype=bool)
+    supports[:6] = True  # the uniform point is accepted on the full face where G is PSD
+    for row in supports[6:]:
+        row[rng.choice(25, size=25 if rng.random() < 0.5 else 9, replace=False)] = True
+    supports = supports[np.argsort(supports.sum(axis=1), kind="stable")]
+    owner = rng.integers(3, size=12)
+    accepted = 0
+    for size in (9, 25):
+        same = supports.sum(axis=1) == size
+        z, ok = _face_minimizers(a, 5, 2, owner[same], supports[same], steps)
+        accepted += ok.sum()
+        zr, okr = _face_minimizers(a, 5, 2, owner[same][::-1], supports[same][::-1], steps)
+        assert np.array_equal(zr[::-1], z) and np.array_equal(okr[::-1], ok)
+        for i in range(len(z)):
+            zi, oki = _face_minimizers(a, 5, 2, owner[same][i:i + 1], supports[same][i:i + 1],
+                                       steps)
+            assert np.array_equal(zi[0], z[i]) and oki[0] == ok[i]
+    assert accepted > 0
 
 
 def test_face_step_refuses_a_saddle_and_a_point_off_the_simplex():
     # past rho_bar the uniform point is stationary on the full face (g 1 is
     # a multiple of 1) and nonnegative, but the face is indefinite there
     ch = Channel(5, 0.1)
-    g = gram_matrix(ch, 2.0 * rho_bar(ch), 1)
+    rho = 2.0 * rho_bar(ch)
+    g = gram_matrix(ch, rho, 1)
     full = np.ones((1, 5), dtype=bool)
     basis = np.eye(5)[:, :4] - np.eye(5)[:, [4]]
     assert np.linalg.eigvalsh(basis.T @ g @ basis).min() < -0.1
     x = np.full((1, 5), 0.2)
     d = _project_simplex_rows(x - 2.0 * _step(g) * (x @ g)) - x
     assert _stationary(x, d, _step(g), GRAD_MAP_TOL)[0]
-    z, ok = _minimizers(g, full)
+    z, ok = _minimizers(ch, rho, 1, full)
     assert np.allclose(z, x) and not ok[0]
     # on {0, 1, 2} with a = alpha^(1/rho) in (1/2, 1/sqrt 2) the face is
     # positive definite, but its minimizer puts weight (1 - 2a)/(3 - 4a) < 0 on 1
     g = gram_matrix(Channel(5, 0.5), 1.5, 1)
     face = np.array([[True, True, True, False, False]])
     assert np.linalg.eigvalsh(g[:3, :3]).min() > 0.0
-    z, ok = _minimizers(g, face)
+    z, ok = _minimizers(Channel(5, 0.5), 1.5, 1, face)
     assert not ok[0] and z[0, 1] < 0.0
 
 
@@ -434,21 +511,20 @@ def test_face_step_refuses_a_face_minimum_the_simplex_undercuts():
     # {0, 2} are not neighbours, so g_SS = I and the face minimizer puts 1/2 on
     # each; it is nonnegative on a definite face, but (g z)_3 = a/2 < 1/2, so
     # moving weight onto 3 lowers the form and the stopping test fails there
-    g = gram_matrix(Channel(5, 0.1), 1.5, 1)
-    z, ok = _minimizers(g, np.array([[True, False, True, False, False]]))
+    z, ok = _minimizers(Channel(5, 0.1), 1.5, 1, np.array([[True, False, True, False, False]]))
     assert np.allclose(z, [[0.5, 0.0, 0.5, 0.0, 0.0]]) and not ok[0]
 
 
 def test_face_step_skips_a_face_too_large_for_one_stack():
-    # the uniform point is the exact minimizer on this face, but its
-    # reduced Hessian alone would exceed FACE_BYTES, so it is not solved
+    # with base weight 0, G is the identity on q = 1100 one-letter words; the
+    # uniform point is the exact minimizer on the full face, but the face's
+    # Gram block alone would exceed FACE_BYTES, so it is not solved
     m = 1100
-    assert 8 * (m - 1) ** 2 > FACE_BYTES
-    g = np.eye(m)
+    assert 8 * m * m > FACE_BYTES
     x = np.full((1, m), 1.0 / m)
     faces = {}
-    z, took = _face_steps(g[None], np.zeros(1, dtype=int), x, x @ g, np.array([_step(g)]),
-                         GRAD_MAP_TOL, faces)
+    z, took = _face_steps(np.zeros(1), m, 1, np.zeros(1, dtype=int), x, x, np.array([0.5]),
+                          GRAD_MAP_TOL, faces)
     assert not took[0] and not faces
 
 
@@ -456,7 +532,7 @@ def test_face_step_accepts_definite_and_singular_convex_faces():
     for ch, rho in ((Channel(5, 0.1), 1.5), (Channel(4, 0.1), rho_bar(Channel(4, 0.1)))):
         g = gram_matrix(ch, rho, 2)
         m = ch.q**2
-        z, ok = _minimizers(g, np.ones((1, m), dtype=bool))
+        z, ok = _minimizers(ch, rho, 2, np.ones((1, m), dtype=bool))
         assert ok[0] and z.min() >= 0.0
         assert z[0] @ g @ z[0] == pytest.approx(uniform_value(ch, rho, 2), rel=1e-14)
 

@@ -19,17 +19,30 @@ def test_every_traced_benchmark_target_resolves():
         )
 
 
-def test_solvers_alone_name_the_scalar_root_finders():
-    # every root in the library is a solvers.bracket; bisect_root and golden_min
-    # stay only as the traced benchmark's targets and the tests' scalar references
-    package = Path(__file__).resolve().parents[1] / "src" / "relbound"
-    banned = {"bisect_root", "golden_min", "RHO_CAP"}
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "relbound"
+
+
+def _uses(banned, skip=()):
+    """Every `file:line name` in the package, outside `skip`, that names one of `banned`."""
     found = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "solvers.py":
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in skip:
             continue
         # names, attributes, imports (ast.alias) and definitions
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = {getattr(node, field, None) for field in ("id", "attr", "name")}
             found += [f"{path.name}:{node.lineno} {n}" for n in names & banned]
-    assert found == []
+    return found
+
+
+def test_solvers_alone_name_the_scalar_root_finders():
+    # every root in the library is a solvers.bracket; bisect_root and golden_min
+    # stay only as the traced benchmark's targets and the tests' scalar references
+    assert _uses({"bisect_root", "golden_min", "RHO_CAP"}, skip={"solvers.py"}) == []
+
+
+def test_no_module_builds_a_dense_gram_matrix():
+    # the oracle applies the circulant base along each letter axis and gathers
+    # face blocks from the letters; a Kronecker power would bring back the
+    # q^n x q^n matrix (78 MB at the size cap), so it lives in the tests alone
+    assert _uses({"kron", "gram_matrix"}) == []
