@@ -21,7 +21,8 @@ q^n <= M 2^n that index is the output's label in tables of q^n entries;
 otherwise the reached outputs are ranked by one sort. Either way no
 table is longer than the M 2^n pairs. The Monte-Carlo decoder finds
 ties among small-integer ranks of the likelihoods, equal floats sharing
-a rank, instead of among float64 scores.
+a rank, instead of among float64 scores, and draws tie-breaking
+uniforms only for tied rows, skipping the rest of the seeded stream.
 """
 
 import math
@@ -46,7 +47,15 @@ WIDTH_CAP = 2 * CODE_CAP
 # entries n q M of the pairwise kernel's dense key (512 MiB of float64): the
 # largest key of a builtin of length >= 2, coset:2:0:S at q = 512, fits
 KEY_CAP = 1 << 26
-MC_DRAW = 1 << 14  # trials per random draw in mc_pe; fixes its random stream
+# trials per random draw in mc_pe; fixes its random stream, of which
+# mc_pe draws only the uniforms of tied rows and skips the rest
+MC_DRAW = 1 << 14
+# uniforms between two runs of tied rows that mc_pe draws rather than skips:
+# below this, one more advance and draw call costs more than the draws
+_SKIP_MIN = 1 << 10
+# codewords below which mc_pe draws every row's uniforms: scanning a short
+# row for ties costs about as much as drawing them
+_SCAN_MIN = 1 << 6
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -367,13 +376,69 @@ def wilson_interval(errors, trials, z=_Z95):
     return lo, hi
 
 
+def _tied_runs(tie):
+    """Starts and stops of row runs holding every row of `tie` with more than one maximizer.
+
+    Runs fewer than _SKIP_MIN uniforms apart join, and so do the block's ends.
+    """
+    rows, m = tie.shape
+    tied = np.flatnonzero(tie.sum(axis=1, dtype=np.min_scalar_type(m)) > 1)
+    if tied.size == 0:
+        return tied, tied
+    cut = np.flatnonzero((np.diff(tied) - 1) * m >= _SKIP_MIN)
+    starts = tied[np.concatenate(([0], cut + 1))]
+    stops = tied[np.append(cut, -1)] + 1
+    if starts[0] * m < _SKIP_MIN:
+        starts[0] = 0
+    if (rows - stops[-1]) * m < _SKIP_MIN:
+        stops[-1] = rows
+    return starts, stops
+
+
+def _ml_picks(rng, scores, behind):
+    """Each row's pick among the maximizers of its `scores`, and the uniforms left to skip after it.
+
+    The block's tie-breaking uniforms follow `behind` uniforms of the
+    stream still to be skipped. Only the runs of tied rows draw theirs,
+    into one buffer; `advance` skips the gaps before them.
+    """
+    tie = scores == scores.max(axis=1, keepdims=True)
+    rows, m = tie.shape
+    if m < _SCAN_MIN:  # short rows all draw theirs, so `behind` stays 0
+        return np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1), behind
+    starts, stops = _tied_runs(tie)
+    sizes = stops - starts
+    uniforms = np.empty((int(sizes.sum()), m))
+    flat = uniforms.reshape(-1)
+    # the stream's position before the block and after each run, in
+    # uniforms from the block's first
+    marks = np.concatenate(([-behind], stops * m))
+    first = np.cumsum(sizes) - sizes  # each run's first row in `uniforms`
+    skips = starts * m - marks[:-1]
+    for skip, lo, hi in zip(skips.tolist(), (first * m).tolist(), ((first + sizes) * m).tolist()):
+        rng.bit_generator.advance(skip)
+        rng.random(out=flat[lo:hi])
+    behind = rows * m - int(marks[-1])
+    # -1 where a codeword is not a maximizer, in place: no second array
+    if len(uniforms) == rows:  # one run over the block: no gathers
+        np.putmask(uniforms, ~tie, -1.0)
+        return uniforms.argmax(axis=1), behind
+    drawn = np.arange(len(uniforms)) + np.repeat(starts - first, sizes)  # their rows in `tie`
+    np.putmask(uniforms, ~tie[drawn], -1.0)
+    pick = tie.argmax(axis=1)  # an untied row's only maximizer
+    pick[drawn] = uniforms.argmax(axis=1)
+    return pick, behind
+
+
 def mc_pe(code, ch, trials, seed=0):
     """Monte-Carlo average ML error with randomized tie-breaking.
 
     Each draw of MC_DRAW trials takes the senders, then the noise, then
-    one tie-breaking uniform per (trial, codeword) pair. The uniforms
-    are drawn row block by row block, which yields the same stream as
-    drawing them at once, so the result depends only on the seed.
+    a stream of one tie-breaking uniform per (trial, codeword) pair, row
+    by row. Only rows whose maximum likelihood ties read theirs: runs of
+    tied rows draw them and PCG64's `advance` skips the rest of the
+    stream. Each row reads the uniforms it would read if the whole
+    stream were drawn, so the result depends only on the seed.
     The work, trials x M scored pairs, is capped at MC_PAIR_CAP, the
     code's one-hot width n q at WIDTH_CAP and its kernel key at KEY_CAP.
     """
@@ -386,6 +451,7 @@ def mc_pe(code, ch, trials, seed=0):
             f"{trials} trials x {code.M} codewords exceeds the cap of {MC_PAIR_CAP} scored pairs"
         )
     rng = np.random.default_rng(seed)
+    bits = rng.bit_generator
     arr, q, n, m = code.array, code.q, code.n, code.M
     eps = ch.epsilon
     pw = (1.0 - eps) ** (n - np.arange(n + 1)) * eps ** np.arange(n + 1)
@@ -404,11 +470,18 @@ def mc_pe(code, ch, trials, seed=0):
         b = min(MC_DRAW, trials - done)
         senders = rng.integers(0, m, size=b)
         received = arr[senders] + (rng.random((b, n)) < eps)
+        # `advance` drops the 32-bit half `integers` may have buffered for
+        # the next draw, so it is put back after this draw's stream
+        half = [bits.state[k] for k in ("has_uint32", "uinteger")]
+        behind = 0
         for lo, hi in _row_blocks(b, m, 48, n * q):
             scores = rank[(_one_hot(received[lo:hi], q) @ key).astype(np.intp)]
-            tie = scores == scores.max(axis=1, keepdims=True)
-            pick = np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1)
+            pick, behind = _ml_picks(rng, scores, behind)
             errors += int(np.count_nonzero(pick != senders[lo:hi]))
+        bits.advance(behind)
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = half
+        bits.state = state
         done += b
     lo, hi = wilson_interval(errors, trials)
     return MCResult(errors / trials, lo, hi, trials, errors)

@@ -122,20 +122,34 @@ def test_spectrum_works_in_bounded_row_blocks(monkeypatch):
     assert spectrum(code) == whole == oracle.spectrum(code)
 
 
+def _spec_code(spec):
+    kind, *args = spec
+    if kind == "coset":
+        return random_coset_code(*args[:3], seed=args[3])[0]
+    if kind == "linear":
+        return random_linear_code(*args[:3], seed=args[3])
+    if kind == "q5":
+        return random_q5_code(*args[:2], seed=args[2])
+    return make_code(*args)
+
+
+THREE_WORDS = ("words", [(0, 0), (1, 2), (3, 1)], 4)
+
+
 @pytest.mark.parametrize(
     "code_spec, eps",
     [(("coset", 4, 3, 2, 1), 0.1), (("coset", 6, 2, 1, 7), 0.5), (("q5", 2, 1, 3), 0.2),
      (("q5", 2, 0, 0), 0.5), (("coset", 4, 2, 0, 5), 0.5),
      # a long code, and likelihoods that underflow to 0 from two flips on and tie
-     (("linear", 5, 16, 2, 0), 0.1), (("coset", 4, 3, 2, 1), 1e-300)],
+     (("linear", 5, 16, 2, 0), 0.1), (("coset", 4, 3, 2, 1), 1e-300),
+     # every row ties: each output is reached from 2^k = 4 codewords
+     (("coset", 4, 4, 2, 3), 0.5),
+     # a 3-word code, whose rows, once scanned, give short runs of tied and
+     # untied rows, and a single word
+     (THREE_WORDS, 0.3), (THREE_WORDS, 0.5), (("words", [(2, 0, 1)], 4), 0.3)],
 )
 def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
-    if code_spec[0] == "coset":
-        code = random_coset_code(*code_spec[1:4], seed=code_spec[4])[0]
-    elif code_spec[0] == "linear":
-        code = random_linear_code(*code_spec[1:4], seed=code_spec[4])
-    else:
-        code = random_q5_code(*code_spec[1:3], seed=code_spec[3])
+    code = _spec_code(code_spec)
     ch = Channel(code.q, eps)
     # trial counts below, at and off multiples of the 16384-trial draw
     for seed, trials in ((0, 1), (1, 999), (2, 16384), (3, 16385), (4, 40000)):
@@ -143,6 +157,81 @@ def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
     # many small row blocks draw the same tie-breaking stream
     monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 7 * code.M * 48)
     assert mc_pe(code, ch, 20001, seed=5) == oracle.mc_pe(code, ch, 20001, seed=5)
+    # so does scanning every row for ties and skipping every gap between
+    # tied rows, with runs crossing block edges and the draw edge
+    monkeypatch.setattr(codes_mod, "_SCAN_MIN", 1)
+    monkeypatch.setattr(codes_mod, "_SKIP_MIN", 1)
+    for seed, trials in ((6, 999), (7, 16385)):
+        assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed)
+
+
+@pytest.mark.parametrize("draw", [7, 1])
+def test_mc_pe_keeps_the_buffered_half_across_odd_draws(draw, monkeypatch):
+    # an odd draw of senders leaves half of a 64-bit word buffered for the
+    # next draw's senders; skipping uniforms with `advance` must not lose it
+    monkeypatch.setattr(codes_mod, "MC_DRAW", draw)
+    monkeypatch.setattr(codes_mod, "_SCAN_MIN", 1)
+    for spec, eps in ((("coset", 4, 3, 2, 1), 0.3), (("q5", 2, 1, 3), 0.2), (THREE_WORDS, 0.5)):
+        code = _spec_code(spec)
+        ch = Channel(code.q, eps)
+        for seed, trials in ((0, 1), (1, 2), (2, 61), (3, 200)):
+            expected = oracle.mc_pe(code, ch, trials, seed=seed, block=draw)
+            assert mc_pe(code, ch, trials, seed=seed) == expected
+
+
+def test_numpy_stream_facts_mc_pe_relies_on():
+    """mc_pe skips tie-breaking uniforms with PCG64's advance; these facts make that exact."""
+    rng = np.random.default_rng(3)
+    assert isinstance(rng.bit_generator, np.random.PCG64), (
+        f"default_rng now uses {type(rng.bit_generator).__name__}, not PCG64: mc_pe's skips need advance"
+    )
+    k, j = 1000, 37
+    whole = np.random.default_rng(3).random(k + j)
+    rng.bit_generator.advance(k)
+    assert np.array_equal(rng.random(j), whole[k:]), "advance(k) no longer skips k float64 uniforms"
+    buf = np.empty(j)
+    np.random.default_rng(4).random(out=buf)
+    assert np.array_equal(buf, np.random.default_rng(4).random(j)), "random(out=) differs from random(j)"
+    rng = np.random.default_rng(5)
+    rng.integers(0, 5, size=1)
+    rng.random(3)
+    assert rng.bit_generator.state["has_uint32"] == 1, (
+        "a bounded 32-bit draw no longer leaves half a word buffered past float draws"
+    )
+    rng.bit_generator.advance(0)
+    assert rng.bit_generator.state["has_uint32"] == 0, (
+        "advance keeps the buffered half now; mc_pe restores it after each draw's stream"
+    )
+
+
+@st.composite
+def mc_cases(draw):
+    """Small codes (q 4..7, n <= 3), a channel, trials, seed, draw size, and scan and skip limits."""
+    q = draw(st.integers(4, 7))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, q**n))
+    code = _random_code(np.random.default_rng(draw(st.integers(0, 2**32))), q, n, m)
+    eps = draw(st.sampled_from([0.01, 0.3, 0.5]))
+    # draws of MC_DRAW trials, or shorter ones to keep the oracle's arrays small
+    block = draw(st.sampled_from([codes_mod.MC_DRAW, 1000, 7]))
+    if block * code.M * n > 1 << 21:
+        block = 1000
+    trials = draw(st.integers(1, 40000 if block > 7 else 500))
+    seed = draw(st.integers(0, 2**64 - 1))
+    scan_min = draw(st.sampled_from([1, codes_mod._SCAN_MIN]))
+    skip_min = draw(st.sampled_from([1, 100, codes_mod._SKIP_MIN]))
+    return code, Channel(q, eps), trials, seed, block, scan_min, skip_min
+
+
+@settings(PROPERTY, max_examples=100)
+@given(mc_cases())
+def test_mc_pe_matches_tuple_oracle_on_generated_codes(case):
+    code, ch, trials, seed, block, scan_min, skip_min = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes_mod, "MC_DRAW", block)
+        mp.setattr(codes_mod, "_SCAN_MIN", scan_min)
+        mp.setattr(codes_mod, "_SKIP_MIN", skip_min)
+        assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed, block=block)
 
 
 @pytest.mark.parametrize("eps", [0.1, 1e-300])
