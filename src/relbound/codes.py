@@ -2,27 +2,33 @@
 
 A code owns one validated, read-only int64 array of shape (M, n) over
 Z_q; the constructions build it in numpy and tuples appear only in the
-derived `Code.words` view. Spectra and the Monte-Carlo decoder share one
-pairwise kernel on one-hot encodings, evaluated over row blocks of a
-fixed byte budget; the spectrum of a code that is linear by
-construction (`Code.linear`) is its weight distribution instead, from
-`weight_counts`, the one counter of typewriter weights. The kernel
-refuses codes whose one-hot width n q exceeds WIDTH_CAP, so that each
-row block's one-hot rows stay within budget, and codes whose dense
-(n q, M) key exceeds KEY_CAP entries.
+derived `Code.words` view. Spectra share one pairwise kernel on one-hot
+encodings with the Monte-Carlo decoder where it cannot address outputs
+directly, evaluated over row blocks of a fixed byte budget; the spectrum
+of a code that is linear by construction (`Code.linear`) is its weight
+distribution instead, from `weight_counts`, the one counter of
+typewriter weights. The kernel refuses codes whose one-hot width n q
+exceeds WIDTH_CAP, so that each row block's one-hot rows stay within
+budget, and codes whose dense (n q, M) key exceeds KEY_CAP entries.
 
 The maximum-likelihood decoder breaks ties uniformly at random and the
 enumeration accounts for that exactly, by accumulating per-sender error
 mass term by term (so a zero-error code really evaluates to 0.0, not to
-1 minus float noise). The enumeration addresses each of the M 2^n
-(codeword, noise pattern) outputs by its base-q index, built as the sum
-of the word's and the pattern's indices less the wrap-arounds. Where
-q^n <= M 2^n that index is the output's label in tables of q^n entries;
-otherwise the reached outputs are ranked by one sort. Either way no
-table is longer than the M 2^n pairs. The Monte-Carlo decoder finds
-ties among small-integer ranks of the likelihoods, equal floats sharing
-a rank, instead of among float64 scores, and draws tie-breaking
-uniforms only for tied rows, skipping the rest of the seeded stream.
+1 minus float noise). Each output letter comes from exactly two inputs,
+y and y - 1, so both decoders address outputs as word +- noise pattern:
+`_pattern_outputs` gives the base-q index of w + p (the enumeration,
+from each codeword) or of y - p (the Monte-Carlo decoder, the 2^n
+possible senders of a received y), with the wraps or borrows tabulated
+once per 0/1 mask. One rule, `_addressable` (q^n <= M 2^n and q^n <=
+OUTPUT_CAP), decides for both whether that index labels tables of q^n
+entries directly. Otherwise the enumeration ranks the reached outputs
+by one sort, and the Monte-Carlo decoder scores each trial against all
+M codewords through the pairwise kernel; only there do WIDTH_CAP and
+KEY_CAP bind it. So no enumeration table is longer than the M 2^n
+pairs. The Monte-Carlo decoder finds ties among small-integer ranks of
+the likelihoods, equal floats sharing a rank, instead of among float64
+scores, and draws tie-breaking uniforms only for tied rows, skipping
+the rest of the seeded stream.
 """
 
 import math
@@ -206,7 +212,7 @@ class Spectrum:
 def _one_hot(words, q):
     rows, n = words.shape
     out = np.zeros((rows, n * q))
-    out[np.arange(rows)[:, None], np.arange(n) * q + words % q] = 1.0
+    out[np.arange(rows)[:, None], np.arange(n) * q + words] = 1.0
     return out
 
 
@@ -285,6 +291,35 @@ def union_bound_pe(code, ch, spec=None):
     return float(sum(float(a) * alpha**z for z, a in spec.counts.items()))
 
 
+def _addressable(q, n, m):
+    """Whether both decoders label outputs by their base-q index: q^n <= M 2^n and q^n <= OUTPUT_CAP.
+
+    Tables over the q^n outputs are then no longer than the M 2^n
+    (codeword, noise pattern) pairs, and as q >= 4 the 2^n patterns are
+    no more than the M codewords.
+    """
+    return _power_within(q, n, OUTPUT_CAP) and q**n <= m << n
+
+
+def _pattern_outputs(words, q, sign):
+    """Base-q index of w + sign p mod q for each word w (row) and 0/1 pattern p (column).
+
+    The patterns are in all_words((0, 1), n) order, so a pattern's
+    position is its 0/1 mask. Adding p (sign 1) wraps where w_j = q - 1
+    meets p_j = 1, and subtracting it (sign -1) borrows where w_j = 0
+    does:
+      idx(w + p) = idx(w) + idx(p) - q idx(p AND [w == q - 1]),
+      idx(w - p) = idx(w) - idx(p) + q idx(p AND [w == 0]).
+    A word's wraps or borrows depend only on its mask of those symbols,
+    so they are tabulated once per distinct mask.
+    """
+    n = words.shape[1]
+    digits = word_indices(all_words((0, 1), n), q)  # base-q index of each pattern, that is of each mask
+    masks, kind = np.unique(word_indices(words == (q - 1 if sign > 0 else 0), 2), return_inverse=True)
+    shift = sign * (digits - q * digits[masks[:, None] & np.arange(digits.size)])
+    return word_indices(words, q)[:, None] + shift[kind]
+
+
 def exact_word_errors(code, ch):
     """Exact ML error probability of each codeword, by output enumeration.
 
@@ -300,24 +335,16 @@ def exact_word_errors(code, ch):
         raise ValueError(f"code size {m} exceeds the cap {M_CAP}")
     if m * 2**n > REACH_CAP:
         raise ValueError("reachable-output enumeration exceeds the cap")
-    pats = all_words((0, 1), n)
-    weights = pats.sum(axis=1)
+    weights = all_words((0, 1), n).sum(axis=1)
     eps = ch.epsilon
     pw = (1.0 - eps) ** (n - weights) * eps**weights
     # output index of every (codeword, noise pattern) pair, in the order of
-    # pats: index(x) + index(p), less q^(n-j) wherever x_j = q - 1 meets
-    # p_j = 1 and wraps to 0. A pattern's position is its 0/1 mask, so a
-    # word's wraps depend only on its mask of symbols q - 1, and they are
-    # tabulated once per distinct mask. A word reaches distinct outputs
-    # through distinct patterns.
-    digits = word_indices(pats, q)  # base-q index of each pattern, that is of each mask
-    masks, kind = np.unique(word_indices(code.array == q - 1, 2), return_inverse=True)
-    shift = digits - q * digits[masks[:, None] & np.arange(digits.size)]
-    reach = (word_indices(code.array, q)[:, None] + shift[kind]).ravel()
-    # dense output labels: the index itself where the q^n outputs are no
-    # more than the pairs, else the rank among the reached outputs; so no
+    # all_words((0, 1), n); a word reaches distinct outputs through distinct
+    # patterns. Dense output labels: the index itself where the outputs can
+    # be addressed directly, else the rank among the reached outputs; so no
     # table below is longer than reach
-    if _power_within(q, n, reach.size):
+    reach = _pattern_outputs(code.array, q, 1).ravel()
+    if _addressable(q, n, m):
         size, out = q**n, reach
     else:
         outputs, out = np.unique(reach, return_inverse=True)
@@ -402,10 +429,15 @@ def _ml_picks(rng, scores, behind):
     stream still to be skipped. Only the runs of tied rows draw theirs,
     into one buffer; `advance` skips the gaps before them.
     """
-    tie = scores == scores.max(axis=1, keepdims=True)
-    rows, m = tie.shape
+    rows, m = scores.shape
     if m < _SCAN_MIN:  # short rows all draw theirs, so `behind` stays 0
+        # column by column: faster than numpy's per-row reduction on short rows
+        best = scores[:, 0].copy()
+        for j in range(1, m):
+            np.maximum(best, scores[:, j], out=best)
+        tie = scores == best[:, None]
         return np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1), behind
+    tie = scores == scores.max(axis=1, keepdims=True)
     starts, stops = _tied_runs(tie)
     sizes = stops - starts
     uniforms = np.empty((int(sizes.sum()), m))
@@ -430,6 +462,58 @@ def _ml_picks(rng, scores, behind):
     return pick, behind
 
 
+def _weight_ranks(n, eps):
+    """Rank of the likelihood of each noise-pattern weight 0..n among those and 0.
+
+    An output a word cannot reach has likelihood 0, which is the least
+    level and so rank 0. Equal floats share a rank: a likelihood that
+    underflows to 0 ties with the unreachable outputs.
+    """
+    pw = (1.0 - eps) ** (n - np.arange(n + 1)) * eps ** np.arange(n + 1)
+    levels, rank = np.unique(np.append(pw, 0.0), return_inverse=True)
+    return rank[:-1].astype(np.min_scalar_type(levels.size - 1))
+
+
+def _kernel_scores(code, rank):
+    """Scorer of received rows (reduced mod q) against every codeword, through the pairwise kernel.
+
+    It returns each row's (rows, M) likelihood ranks; `rank` is
+    _weight_ranks of the code's length. The key is built here, once.
+    """
+    same, near = _kernel_split(code.n)
+    # rank of the likelihood by kernel value: the output is the word plus
+    # a 0/1 noise pattern of weight `near`, or unreachable
+    by_value = np.where(same + near == code.n, rank[near], 0).astype(rank.dtype)
+    key = _pair_key(code.array, code.q, {1})
+    return lambda received: by_value[(_one_hot(received, code.q) @ key).astype(np.intp)]
+
+
+def _candidate_scores(code, rank):
+    """Scorer of received rows (reduced mod q) against their 2^n possible senders y - p.
+
+    Gives the same (rows, M) likelihood ranks as _kernel_scores: a
+    q^n table maps each candidate's index to its codeword number, or to
+    column M where the candidate is not in the code; each pattern's rank
+    is scattered into a row of rank 0 (likelihood 0) at its candidate's
+    column, and column M is dropped. Distinct patterns give distinct
+    candidates, so no codeword is written twice.
+    """
+    arr, q, n, m = code.array, code.q, code.n, code.M
+    table = np.full(q**n, m, dtype=np.min_scalar_type(m))
+    table[word_indices(arr, q)] = np.arange(m)
+    pattern_rank = rank[all_words((0, 1), n).sum(axis=1)]
+
+    def scores(received):
+        rows = len(received)
+        out = np.zeros((rows, m + 1), dtype=rank.dtype)
+        # flat positions: faster than a two-index scatter
+        at = table[_pattern_outputs(received, q, -1)] + np.arange(0, rows * (m + 1), m + 1)[:, None]
+        out.reshape(-1)[at] = pattern_rank
+        return out[:, :m]
+
+    return scores
+
+
 def mc_pe(code, ch, trials, seed=0):
     """Monte-Carlo average ML error with randomized tie-breaking.
 
@@ -439,8 +523,15 @@ def mc_pe(code, ch, trials, seed=0):
     tied rows draw them and PCG64's `advance` skips the rest of the
     stream. Each row reads the uniforms it would read if the whole
     stream were drawn, so the result depends only on the seed.
-    The work, trials x M scored pairs, is capped at MC_PAIR_CAP, the
-    code's one-hot width n q at WIDTH_CAP and its kernel key at KEY_CAP.
+    A received word y can only have been sent as one of the 2^n words
+    y - p, p a 0/1 noise pattern. Where the outputs can be addressed
+    directly (_addressable, the rule exact_word_errors also follows),
+    each row is scored against those candidates by table lookup;
+    otherwise, as for pentagon (q^n = 25 > 20 = M 2^n), against all M
+    codewords through the pairwise kernel. Both give the same ranks, so
+    the path does not change the result. The work, trials x M scored
+    pairs, is capped at MC_PAIR_CAP; on the kernel path only, the code's
+    one-hot width n q is capped at WIDTH_CAP and its key at KEY_CAP.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -454,29 +545,21 @@ def mc_pe(code, ch, trials, seed=0):
     bits = rng.bit_generator
     arr, q, n, m = code.array, code.q, code.n, code.M
     eps = ch.epsilon
-    pw = (1.0 - eps) ** (n - np.arange(n + 1)) * eps ** np.arange(n + 1)
-    # likelihood of an output given a word, by kernel value: the output
-    # is the word plus a 0/1 noise pattern of weight `near`, or unreachable
-    same, near = _kernel_split(n)
-    likelihood = np.where(same + near == n, pw[near], 0.0)
-    # ties are equal likelihoods, found among small-integer ranks, equal
-    # floats (such as underflows to 0) sharing one
-    levels, rank = np.unique(likelihood, return_inverse=True)
-    rank = rank.astype(np.min_scalar_type(levels.size - 1))
-    key = _pair_key(arr, q, {1})
+    # ties are equal likelihoods, found among small-integer ranks
+    rank = _weight_ranks(n, eps)
+    score = (_candidate_scores if _addressable(q, n, m) else _kernel_scores)(code, rank)
     errors = 0
     done = 0
     while done < trials:
         b = min(MC_DRAW, trials - done)
         senders = rng.integers(0, m, size=b)
-        received = arr[senders] + (rng.random((b, n)) < eps)
+        received = (arr[senders] + (rng.random((b, n)) < eps)) % q
         # `advance` drops the 32-bit half `integers` may have buffered for
         # the next draw, so it is put back after this draw's stream
         half = [bits.state[k] for k in ("has_uint32", "uinteger")]
         behind = 0
         for lo, hi in _row_blocks(b, m, 48, n * q):
-            scores = rank[(_one_hot(received[lo:hi], q) @ key).astype(np.intp)]
-            pick, behind = _ml_picks(rng, scores, behind)
+            pick, behind = _ml_picks(rng, score(received[lo:hi]), behind)
             errors += int(np.count_nonzero(pick != senders[lo:hi]))
         bits.advance(behind)
         state = bits.state

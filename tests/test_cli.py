@@ -139,17 +139,31 @@ def test_simulate_refuses_a_code_too_wide_for_the_pairwise_kernel(tmp_path, caps
     assert err.startswith("error: ") and f"cap {WIDTH_CAP}" in err
 
 
-def test_simulate_refuses_a_builtin_whose_kernel_key_is_above_its_cap():
-    # 65536 words of length 1 over q = 131072 need a 64 GiB key; under a 2 GiB
-    # address-space limit a missing check fails fast instead of paging
+def test_simulate_runs_a_builtin_past_the_key_cap_and_refuses_a_file_code_above_it(tmp_path):
+    # under a 2 GiB address-space limit a missing check fails fast instead of paging
     src = str(Path(relbound.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                OPENBLAS_NUM_THREADS="1")  # per-thread buffers count against the limit
-    argv = ["simulate", "--code", "coset:1:0:0", "--q", "131072", "--eps", "0.1", "--trials", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "relbound", *argv], capture_output=True, text=True, env=env,
-        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
-    )
+
+    def simulate(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "relbound", "simulate", *argv, "--eps", "0.1"], capture_output=True,
+            text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+
+    # 65536 words of length 1 over q = 131072 would need a 64 GiB key, but
+    # q^n = M 2^n: mc_pe looks up each trial's candidates instead, and the
+    # spectrum of a linear code needs no key either
+    proc = simulate("--code", "coset:1:0:0", "--q", "131072", "--trials", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "monte carlo avg error" in proc.stdout
+    # 1024 words of length 2 over q = 65536: a key of n q M = 2^27 entries,
+    # one-hot rows within WIDTH_CAP, and q^n past OUTPUT_CAP
+    words = np.random.default_rng(0).choice(65536**2, size=1024, replace=False)
+    path = tmp_path / "wide.txt"
+    path.write_text(format_code(make_code(np.stack(np.divmod(words, 65536), axis=1), 65536)))
+    proc = simulate("--code", str(path), "--trials", "1")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and f"cap {KEY_CAP} entries" in proc.stderr
 

@@ -449,19 +449,88 @@ def test_pairwise_kernel_refuses_a_code_wider_than_its_cap():
 
 def test_pairwise_kernel_refuses_a_key_above_its_cap_before_allocating(monkeypatch):
     rng = np.random.default_rng(0)
-    code = make_code(np.unique(rng.integers(0, 4, (4096, 8)), axis=0), 4)  # not marked linear
-    entries = code.n * code.q * code.M  # a key of 1 MB
-    monkeypatch.setattr(codes_mod, "KEY_CAP", entries - 1)
     ch = Channel(4, 0.1)
 
-    def refused(call):
-        with pytest.raises(ValueError, match=f"cap {entries - 1} entries"):
-            call()
+    def refused_below(code, call):
+        """call() is refused with KEY_CAP one entry short of the code's key, then runs at it."""
+        entries = code.n * code.q * code.M
+        monkeypatch.setattr(codes_mod, "KEY_CAP", entries - 1)
 
-    for call in (lambda: spectrum(code), lambda: mc_pe(code, ch, 10)):
-        assert _traced_peak(refused, call) < entries  # under an eighth of the key's bytes
-    monkeypatch.setattr(codes_mod, "KEY_CAP", entries)
+        def refused():
+            with pytest.raises(ValueError, match=f"cap {entries - 1} entries"):
+                call()
+
+        assert _traced_peak(refused) < entries  # under an eighth of the key's bytes
+        monkeypatch.setattr(codes_mod, "KEY_CAP", entries)
+
+    # spectrum builds the key for any code not marked linear (a key of 1 MB)
+    code = make_code(np.unique(rng.integers(0, 4, (4096, 8)), axis=0), 4)
+    refused_below(code, lambda: spectrum(code))
     assert spectrum(code) == oracle.spectrum(code)
+    # mc_pe builds it only for a code it cannot address directly: here
+    # q^n = 4^10 > M 2^10, as M < 1024 (a key of 320 KB)
+    code = make_code(np.unique(rng.integers(0, 4, (1000, 10)), axis=0), 4)
+    assert not codes_mod._addressable(code.q, code.n, code.M)
+    refused_below(code, lambda: mc_pe(code, ch, 10))
+    assert mc_pe(code, ch, 10, seed=1) == oracle.mc_pe(code, ch, 10, seed=1)
+
+
+def test_candidate_path_never_builds_the_key(monkeypatch):
+    def no_key(*args):
+        raise AssertionError("the pairwise kernel's key was built")
+
+    monkeypatch.setattr(codes_mod, "_pair_key", no_key)
+    for code, eps in ((random_coset_code(4, 6, 3, seed=1)[0], 0.1), (random_q5_code(3, 1, seed=2), 0.2)):
+        assert codes_mod._addressable(code.q, code.n, code.M)
+        assert mc_pe(code, Channel(code.q, eps), 2000, seed=3).trials == 2000
+    with pytest.raises(AssertionError, match="key was built"):  # q^n = 25 > 20 = M 2^n
+        mc_pe(pentagon_code(), Channel(5, 0.2), 10)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.3, 0.5])
+@pytest.mark.parametrize("q, n", [(4, 3), (6, 2), (5, 2)])
+def test_mc_pe_matches_tuple_oracle_on_both_sides_of_the_addressing_rule(q, n, eps):
+    # M = ceil(q^n / 2^n) words is the smallest code scored by candidate
+    # lookup (exactly q^n = M 2^n for even q); one word fewer takes the kernel
+    rng = np.random.default_rng(q * n)
+    at = -(-(q**n) // 2**n)
+    ch = Channel(q, eps)
+    for m, candidates in ((at, True), (at - 1, False)):
+        code = _random_code(rng, q, n, m)
+        assert codes_mod._addressable(q, n, m) == candidates
+        for seed, trials in ((0, 999), (1, 16385)):
+            assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed)
+        # an odd draw leaves a buffered half that each draw's skips must keep
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes_mod, "MC_DRAW", 7)
+            mp.setattr(codes_mod, "_SCAN_MIN", 1)
+            assert mc_pe(code, ch, 200, seed=2) == oracle.mc_pe(code, ch, 200, seed=2, block=7)
+
+
+def test_candidate_scores_rank_underflowed_likelihoods_with_the_unreachable():
+    # {0, 2}^3 over Z_4, at the rule: q^n = 64 = M 2^n. Each received row
+    # is two or three flips from its one candidate codeword, and those
+    # likelihoods underflow to 0 at eps = 1e-200, so all M codewords tie
+    code = random_coset_code(4, 3, 0)[0]
+    assert codes_mod._addressable(code.q, code.n, code.M)
+    rank = codes_mod._weight_ranks(3, 1e-200)
+    assert rank.tolist() == [2, 1, 0, 0]
+    received = np.array([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (3, 3, 3), (3, 1, 2)])
+    got = codes_mod._candidate_scores(code, rank)(received)
+    assert np.array_equal(got, codes_mod._kernel_scores(code, rank)(received))
+    assert not got.any()
+
+
+def test_pattern_outputs_address_word_plus_and_minus_each_pattern():
+    rng = np.random.default_rng(0)
+    pats = all_words((0, 1), 4)
+    for q in (4, 5, 7):
+        words = rng.integers(0, q, (50, 4))
+        words[:5] = 0
+        words[5:10] = q - 1
+        for sign in (1, -1):
+            expected = codes_mod.word_indices((words[:, None, :] + sign * pats) % q, q)
+            assert np.array_equal(codes_mod._pattern_outputs(words, q, sign), expected)
 
 
 @st.composite
