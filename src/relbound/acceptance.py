@@ -253,7 +253,7 @@ def check_simulator(seed=0):
         rec.require(f"pentagon exact_pe({crit}) = 0 exactly", pe == 0.0, f"measured {pe!r}")
 
     rng = np.random.default_rng(seed)
-    worst_gap = 0.0
+    worst_gap = math.inf
     ok_union = True
     for _ in range(50):
         n = int(rng.integers(2, 7))

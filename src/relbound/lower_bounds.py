@@ -105,12 +105,13 @@ class CosetSpectra(NamedTuple):
 
 
 def _require_distinct(idx, what):
-    """Refuse a stack in which some code repeats a word, given word indices (S, L)."""
-    ordered = np.sort(idx, axis=1)
-    repeat = ordered[:, 1:] == ordered[:, :-1]
+    """Refuse word indices, one row (L,) or a stack (S, L), in which a row repeats a word."""
+    ordered = np.sort(idx, axis=-1)
+    repeat = ordered[..., 1:] == ordered[..., :-1]
     if repeat.any():
-        s, j = np.argwhere(repeat)[0]
-        raise ValueError(f"{what} {s} has a duplicate word (index {int(ordered[s, j])})")
+        *s, j = np.argwhere(repeat)[0]
+        name = f"{what} {s[0]}" if s else what
+        raise ValueError(f"{name} has a duplicate word (index {int(ordered[(*s, j)])})")
 
 
 def _check_chunk(c2, q):
@@ -123,9 +124,16 @@ def _check_chunk(c2, q):
     member[np.arange(s)[:, None], idx] = True
     if not member[np.arange(s)[:, None, None], idx[:, :, None] ^ idx[:, None, :]].all():
         raise ValueError("the binary code is not linear (closure fails)")
-    lifted = cod.coset_lift(c2, q)
-    _require_distinct(cod.word_indices(lifted, q), "coset lift")
-    a, b = cod.weight_counts(lifted, q)[:, :-1], cod.weight_counts(c2, 2)[:, :-1]
+    # lift each word of the chunk's union once: a code's lift is the union
+    # of its words' lifts, so its A sums their weight counts (in float64,
+    # exact: every count is at most CODE_CAP)
+    words = np.flatnonzero(member.any(axis=0))
+    bits = (words[:, None] >> np.arange(n - 1, -1, -1)).astype(np.uint8) & 1
+    lifted = cod.coset_lift(bits[:, None, :], q)
+    # each code's words are distinct, so its lift is a subset of this union
+    _require_distinct(cod.word_indices(lifted, q).ravel(), "the coset lift")
+    a = (member[:, words] @ cod.weight_counts(lifted, q)[:, :-1].astype(float)).astype(np.int64)
+    b = cod.weight_counts(c2, 2)[:, :-1]
     a[:, 0] = b[:, 0] = 0  # CosetSpectra counts weights 1..n only
     return a, b
 
@@ -136,10 +144,13 @@ def coset_spectra(stack, q):
     stack is an (S, M, n) integer array of S binary codes. The whole
     stack is refused (ValueError) unless every code has 0/1 symbols and
     distinct words, is closed under addition and has a lift within
-    codes.CODE_CAP; the lifts' words are checked distinct too. A_z is taken
-    from the weights of the lift (valid because a linear c2 makes the
-    lift linear over Z_q); B_z is the Hamming weight count of c2. Codes
-    are checked in chunks whose temporaries fit codes.BLOCK_BYTES.
+    codes.CODE_CAP. A_z is taken from the weights of the lift (valid
+    because a linear c2 makes the lift linear over Z_q); B_z is the Hamming
+    weight count of c2. Codes are checked in chunks whose temporaries fit
+    codes.BLOCK_BYTES. A chunk lifts each distinct binary word of its codes
+    once, and a code's A_z sums the weight counts of its words' lifts.
+    The words of that shared lift are checked distinct: each code's words
+    are distinct, so its lift is a subset of the shared one, and distinct too.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3 or 0 in stack.shape:
@@ -148,10 +159,19 @@ def coset_spectra(stack, q):
         raise ValueError("the shift code must be binary")
     count, m, n = stack.shape
     size = cod.coset_size(q, n, m)
-    # the lift caps (q/2)^n M >= M^2 words, which bounds the closure table
-    # too; per code: the lift and its symbol weights, word indices and
-    # their sort, and the M x M closure table
-    step = max(1, cod.BLOCK_BYTES // (size * (3 * n + 32) + 8 * m * m + (1 << n)))
+    # per code: its word indices and their sort, membership rows and the
+    # M x M closure table; per lifted word: the lift, the int64 cast and
+    # output of its word indices, their sort and the even-symbol table
+    # behind it. A chunk of S codes lifts at most min(S M, 2^n) binary
+    # words, so its lift is bounded both by S times the code's lift and by
+    # the lift of all of F_2^n.
+    code_bytes = 9 * m * m + 2 * (1 << n) + m * (9 * n + 24)
+    word_bytes = 16 * n + 16
+    step = cod.BLOCK_BYTES // (code_bytes + size * word_bytes)
+    full = (q // 2) ** n << n
+    if full * word_bytes < cod.BLOCK_BYTES:
+        step = max(step, (cod.BLOCK_BYTES - full * word_bytes) // code_bytes)
+    step = max(1, step)
     a = np.empty((count, n + 1), dtype=np.int64)
     b = np.empty_like(a)
     for lo in range(0, count, step):

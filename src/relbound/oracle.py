@@ -203,9 +203,14 @@ def _face_steps(a, q, n, owner, x, xg, steps, tol, faces):
     too large for one is not solved, and its rows take no step. A row
     accepts z only where z^T G z <= x^T G x.
     """
-    keyed, group = np.unique(np.column_stack((owner, x > 0.0)), axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    owners, supports = keyed[:, 0], keyed[:, 1:].astype(bool)
+    support = x > 0.0
+    # one opaque key per row, big-endian owner then packed support bits: its
+    # bytewise order is the (problem, support) order
+    packed = np.column_stack((owner.astype(">u8").view(np.uint8).reshape(-1, 8),
+                              np.packbits(support, axis=1)))
+    _, first, group = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True,
+                                return_inverse=True)
+    owners, supports = owner[first], support[first]
     keys = [(o, s.tobytes()) for o, s in zip(owners.tolist(), supports)]
     sizes = supports.sum(axis=1)
     new = np.array([key not in faces for key in keys]) & (8 * sizes * sizes <= FACE_BYTES)

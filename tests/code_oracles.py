@@ -1,9 +1,10 @@
 """Tuple-era reference implementations of the code kernels.
 
 These are the earlier per-word implementations of code validation,
-spectrum, exact_pe, mc_pe and the per-suffix q = 5 weight census, kept
-as oracles: the array kernels in
-relbound.codes must agree with them exactly (bit for bit on floats).
+spectrum, exact_pe, mc_pe, the per-suffix q = 5 weight census and the
+per-code coset spectrum check, kept as oracles: the array kernels in
+relbound.codes and relbound.lower_bounds must agree with them exactly
+(bit for bit on floats).
 """
 
 import math
@@ -13,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from relbound.channel import INF
-from relbound.codes import MCResult, Spectrum, wilson_interval
+from relbound.codes import MCResult, Spectrum, coset_lift, weight_counts, wilson_interval, word_indices
 
 
 def validate_words(words, q):
@@ -153,3 +154,27 @@ def q5_weight_census(g):
         if got != expected or len(finite) != 2**d:
             failures.append((tuple(int(s) for s in u2), d, got, expected))
     return len(failures) == 0, failures
+
+
+def _require_distinct(idx, what):
+    ordered = np.sort(idx, axis=1)
+    repeat = ordered[:, 1:] == ordered[:, :-1]
+    if repeat.any():
+        s, j = np.argwhere(repeat)[0]
+        raise ValueError(f"{what} {s} has a duplicate word (index {int(ordered[s, j])})")
+
+
+def coset_check_chunk(c2, q):
+    """(A, B) of a uint8 stack of binary codes, each code lifted, indexed and counted on its own."""
+    s, m, n = c2.shape
+    idx = word_indices(c2, 2)
+    _require_distinct(idx, "binary code")
+    member = np.zeros((s, 1 << n), dtype=bool)
+    member[np.arange(s)[:, None], idx] = True
+    if not member[np.arange(s)[:, None, None], idx[:, :, None] ^ idx[:, None, :]].all():
+        raise ValueError("the binary code is not linear (closure fails)")
+    lifted = coset_lift(c2, q)
+    _require_distinct(word_indices(lifted, q), "coset lift")
+    a, b = weight_counts(lifted, q)[:, :-1], weight_counts(c2, 2)[:, :-1]
+    a[:, 0] = b[:, 0] = 0
+    return a, b

@@ -1,7 +1,10 @@
 import math
 
+import code_oracles as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relbound import codes as codes_mod
 from relbound.acceptance import _binary_subspace_stacks
@@ -11,8 +14,17 @@ from relbound.classical import (
     expurgated_exponent,
     expurgated_junction_rate,
 )
-from relbound.codes import build_coset_code, make_code, random_linear_code, spectrum
+from relbound.codes import (
+    CODE_CAP,
+    all_words,
+    build_coset_code,
+    make_code,
+    random_generator_matrix,
+    random_linear_code,
+    spectrum,
+)
 from relbound.lower_bounds import (
+    _check_chunk,
     coset_spectra,
     coset_spectrum_check,
     junction_rate_even,
@@ -193,3 +205,70 @@ def test_stacked_sweep_refuses_like_the_per_code_check():
         coset_spectra(np.zeros((2, 1, 17), dtype=np.int64), 4)
     with pytest.raises(ValueError, match="even alphabet"):
         coset_spectra([linear], 5)
+
+
+@st.composite
+def binary_code_stacks(draw, q):
+    """uint8 stack of S random k-dim binary subspaces of F_2^n, some stacks corrupted.
+
+    The codes lie in one random (k + spare)-dimensional space: with no
+    spare dimension they share every word, with n - k spare ones they are
+    independent subspaces of F_2^n and share few.
+    """
+    n = draw(st.integers(1, 7))
+    half = (q // 2) ** n
+    k = draw(st.integers(0, min(n, (CODE_CAP // half).bit_length() - 1)))
+    # at most 2^18 lifted words in all, so the per-code reference stays small
+    count = draw(st.integers(1, max(1, min(20, (1 << 18) // (half << k)))))
+    spare = draw(st.integers(0, n - k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    space = random_generator_matrix(2, n, k + spare, rng)
+    stack = np.array([
+        rng.permutation(all_words((0, 1), k) @ random_generator_matrix(2, k + spare, k, rng) @ space % 2)
+        for _ in range(count)
+    ], dtype=np.uint8)
+    fault = draw(st.sampled_from((None, "repeat a word", "flip a bit")))
+    s, i, j = rng.integers(count), rng.integers(1 << k), rng.integers(1 << k)
+    if fault == "repeat a word" and i != j:
+        stack[s, j] = stack[s, i]
+    elif fault == "flip a bit":  # leaves the code not closed, or repeats a word
+        stack[s, j, rng.integers(n)] ^= 1
+    return stack
+
+
+def _outcome(check, stack, q):
+    try:
+        return check(stack, q)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("q", [4, 6, 8])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shared_lift_matches_per_code_reference(q, data):
+    stack = data.draw(binary_code_stacks(q))
+    got, want = _outcome(_check_chunk, stack, q), _outcome(oracle.coset_check_chunk, stack, q)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for chunk in (got, coset_spectra(stack, q)):
+        for x, y in zip(chunk, want, strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("collide", ["within one word's lift", "across two words' lifts"])
+def test_coset_spectra_refuses_a_lift_with_colliding_words(monkeypatch, collide):
+    real = codes_mod.coset_lift
+
+    def colliding_lift(stack, q):
+        out = real(stack, q)
+        out[(0, 1) if collide == "within one word's lift" else (-1, -1)] = out[0, 0]
+        return out
+
+    monkeypatch.setattr(codes_mod, "coset_lift", colliding_lift)
+    c2 = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    with pytest.raises(ValueError, match="coset lift"):
+        coset_spectra([c2], 4)
+    with pytest.raises(ValueError, match="coset lift"):
+        coset_spectrum_check(make_code(c2, 2), 6)
