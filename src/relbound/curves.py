@@ -1,15 +1,25 @@
 """Named bound curves on rate grids, with CSV emission and parsing.
 
 The CSV schema is one row per (curve, grid point):
-R,bound,value,q,epsilon,params with 17 significant digits, inf spelled
-"inf", and params as semicolon-joined key=value pairs. Parsing the
-emitted text reproduces the curves exactly.
+R,bound,value,q,epsilon,params with 17 significant digits (inf, -inf
+and nan spelled as Python spells them), and params as semicolon-joined
+key=value pairs. Parsing the emitted text reproduces the curves exactly.
+
+The writer works a column at a time. Per curve, csv.writer renders the
+fields that do not change down the column (bound, q, epsilon, params)
+once, each grid's R column is formatted once for all the curves on it,
+and a curve's rows are joined in C from its R and value cells. The bytes
+are those of one csv.writer row per point: csv quotes each field on its
+own content, and the one context it looks at, a row that is a single
+empty field (written ""), never arises in the rows of three or more
+fields the constant cells are cut from.
 """
 
 import csv
 import io
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -245,7 +255,7 @@ def evaluate_curve(ch, name, grid, values=None):
             values[name] = envelope(ch, rates, spec.kind, values)
         else:
             values[name] = spec.curve(ch, rates, values)
-    pts = tuple((float(r), float(v)) for r, v in zip(rates, values[name]))
+    pts = tuple(zip(rates.tolist(), values[name].tolist()))
     return BoundCurve(name=name, points=pts, channel=ch, params=tuple(sorted(spec.params(ch).items())))
 
 
@@ -255,33 +265,38 @@ def evaluate_curves(ch, names, grid):
     return [evaluate_curve(ch, n, grid, values) for n in names]
 
 
-def format_value(x):
-    if x == INF:
-        return "inf"
-    return f"{x:.17g}"
+# 17 significant digits give back every float exactly
+format_value = "{:.17g}".format
 
-
-def _parse_value(s):
-    return INF if s == "inf" else float(s)
+CSV_HEADER = ("R", "bound", "value", "q", "epsilon", "params")
 
 
 def curves_to_csv(curves):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["R", "bound", "value", "q", "epsilon", "params"])
+    # writerow returns what its file's write returns: with str as write, the line
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    out = [line(CSV_HEADER)]
+    r_cells = {}
     for c in curves:
+        if not c.points:
+            continue
+        rates, values = zip(*c.points)
+        # keyed by the doubles' bytes: tuples of floats compare 0.0 equal to -0.0
+        grid = np.array(rates).tobytes()
+        if grid not in r_cells:
+            r_cells[grid] = list(map(format_value, rates))
         params = ";".join(f"{k}={v}" for k, v in c.params)
-        for r, v in c.points:
-            w.writerow(
-                [format_value(r), c.name, format_value(v), c.channel.q,
-                 format_value(c.channel.epsilon), params]
-            )
-    return buf.getvalue()
+        # ",bound,\n" and ",q,epsilon,params\n": cut from rows of three or
+        # more fields, so each cell is quoted as in the full row
+        name = line(("", c.name, ""))[1:-2]
+        tail = line(("", c.channel.q, format_value(c.channel.epsilon), params))
+        out.append(tail.join(map(f",{name},".join, zip(r_cells[grid], map(format_value, values)))))
+        out.append(tail)
+    return "".join(out)
 
 
 def csv_to_curves(text):
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["R", "bound", "value", "q", "epsilon", "params"]:
+    if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("missing or malformed CSV header")
     order = []
     grouped = {}
@@ -291,11 +306,11 @@ def csv_to_curves(text):
         if len(row) != 6:
             raise ValueError(f"row {i}: expected 6 columns, got {len(row)}")
         r, name, value, q, eps, params = row
-        key = (name, int(q), _parse_value(eps), params)
+        key = (name, int(q), float(eps), params)
         if key not in grouped:
             order.append(key)
             grouped[key] = []
-        grouped[key].append((_parse_value(r), _parse_value(value)))
+        grouped[key].append((float(r), float(value)))
     out = []
     for key in order:
         name, q, eps, params = key

@@ -104,21 +104,27 @@ class CosetSpectra(NamedTuple):
         return CosetSpectrumCheck(bool(self.ok[s]), table)
 
 
-def _require_distinct(idx, what):
-    """Refuse word indices, one row (L,) or a stack (S, L), in which a row repeats a word."""
+def _require_distinct(idx, what, first=0):
+    """Refuse word indices, one row (L,) or a stack (S, L), in which a row repeats a word.
+
+    Rows of a stack are named from `first` on.
+    """
     ordered = np.sort(idx, axis=-1)
     repeat = ordered[..., 1:] == ordered[..., :-1]
     if repeat.any():
         *s, j = np.argwhere(repeat)[0]
-        name = f"{what} {s[0]}" if s else what
+        name = f"{what} {first + s[0]}" if s else what
         raise ValueError(f"{name} has a duplicate word (index {int(ordered[(*s, j)])})")
 
 
-def _check_chunk(c2, q):
-    """(A, B) weight counts of a stack of binary codes that passes every check."""
+def _check_chunk(c2, q, first=0):
+    """(A, B) weight counts of a stack of binary codes that passes every check.
+
+    The chunk's codes are numbered from `first` on in refusals.
+    """
     s, m, n = c2.shape
     idx = cod.word_indices(c2, 2)
-    _require_distinct(idx, "binary code")
+    _require_distinct(idx, "binary code", first)
     # for binary words, index(a + b) = index(a) XOR index(b)
     member = np.zeros((s, 1 << n), dtype=bool)
     member[np.arange(s)[:, None], idx] = True
@@ -175,7 +181,7 @@ def coset_spectra(stack, q):
     a = np.empty((count, n + 1), dtype=np.int64)
     b = np.empty_like(a)
     for lo in range(0, count, step):
-        a[lo : lo + step], b[lo : lo + step] = _check_chunk(stack[lo : lo + step].astype(np.uint8), q)
+        a[lo : lo + step], b[lo : lo + step] = _check_chunk(stack[lo : lo + step].astype(np.uint8), q, lo)
     return CosetSpectra(a, b)
 
 

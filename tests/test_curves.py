@@ -1,9 +1,11 @@
+import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relbound import upper_bounds
@@ -102,6 +104,66 @@ def test_csv_infinity_token():
     text = curves_to_csv(curves)
     assert ",inf," in text
     assert csv_to_curves(text)[0].points[0][1] == math.inf
+
+
+def reference_curves_to_csv(curves):
+    """The row-at-a-time writer: one csv.writer row per point, inf spelled by its own branch."""
+
+    def format_value(x):
+        if x == math.inf:
+            return "inf"
+        return f"{x:.17g}"
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["R", "bound", "value", "q", "epsilon", "params"])
+    for c in curves:
+        params = ";".join(f"{k}={v}" for k, v in c.params)
+        for r, v in c.points:
+            w.writerow(
+                [format_value(r), c.name, format_value(v), c.channel.q,
+                 format_value(c.channel.epsilon), params]
+            )
+    return buf.getvalue()
+
+
+# every character csv quotes or a str.format template would read, and "" alone
+CSV_TEXT = st.one_of(st.just(""), st.text(st.sampled_from('ab ,"{};=\n\r'), max_size=6))
+CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e308, -1e308]),
+    st.floats(),
+)
+
+
+@st.composite
+def csv_curve_lists(draw):
+    """Curves with quoting-prone names and params, several to a grid, any float values."""
+    grids = draw(st.lists(
+        st.lists(st.floats(allow_nan=False), unique=True, max_size=6).map(sorted), min_size=1, max_size=3,
+    ))
+    curves = []
+    for _ in range(draw(st.integers(0, 5))):
+        rates = draw(st.sampled_from(grids))
+        values = draw(st.lists(CSV_VALUES, min_size=len(rates), max_size=len(rates)))
+        ch = Channel(draw(st.integers(4, 12)), draw(st.floats(0.0, 0.5, exclude_min=True)))
+        params = tuple(draw(st.lists(st.tuples(CSV_TEXT, CSV_TEXT), max_size=3)))
+        curves.append(BoundCurve(draw(CSV_TEXT), tuple(zip(rates, values)), ch, params))
+    return curves
+
+
+_CH = Channel(5, 0.1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(csv_curve_lists())
+@example([])
+# csv writes a row of one empty field as "", but an empty field in a longer row bare
+@example([BoundCurve("", ((0.5, 1.0), (0.75, -0.0)), _CH)])
+@example([BoundCurve("x", (), _CH), BoundCurve("y", ((1.0, math.nan),), _CH, (("k", "{0}"),))])
+# 0.0 == -0.0, so equal-looking grids must not share their R cells
+@example([BoundCurve("a", ((0.0, 1.0), (1.0, 2.0)), _CH), BoundCurve("b", ((-0.0, 1.0), (1.0, 2.0)), _CH)])
+def test_csv_writer_matches_the_row_writer(curves):
+    assert curves_to_csv(curves) == reference_curves_to_csv(curves)
 
 
 def test_csv_rejects_bad_header():

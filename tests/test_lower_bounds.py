@@ -207,6 +207,17 @@ def test_stacked_sweep_refuses_like_the_per_code_check():
         coset_spectra([linear], 5)
 
 
+def test_stacked_sweep_names_the_refused_code_across_chunks():
+    # at q = 8 and n = 7 a chunk holds one code, so a chunk-local number would read 0
+    rng = np.random.default_rng(7)
+    stack = np.array(
+        [all_words((0, 1), 2) @ random_generator_matrix(2, 7, 2, rng) % 2 for _ in range(10)]
+    )
+    stack[7, 3] = stack[7, 1]
+    with pytest.raises(ValueError, match="binary code 7 has a duplicate word"):
+        coset_spectra(stack, 8)
+
+
 @st.composite
 def binary_code_stacks(draw, q):
     """uint8 stack of S random k-dim binary subspaces of F_2^n, some stacks corrupted.
