@@ -27,10 +27,13 @@ M codewords through the pairwise kernel; only there do WIDTH_CAP and
 KEY_CAP bind it. So no enumeration table is longer than the M 2^n
 pairs. The Monte-Carlo decoder finds ties among small-integer ranks of
 the likelihoods, equal floats sharing a rank, instead of among float64
-scores, and draws tie-breaking uniforms only for tied rows, skipping
-the rest of the seeded stream.
+scores, and computes only the tied rows' tie-breaking uniforms, each
+where it lies in the seeded PCG64 stream, whose state there is an
+affine map of the stream's start.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +47,9 @@ from .channel import bhattacharyya
 OUTPUT_CAP = 10**7
 REACH_CAP = 1 << 22  # reachable (codeword, output) pairs in exact_pe
 M_CAP = 4096
-MC_PAIR_CAP = 1 << 28  # (trial, codeword) pairs scored by one mc_pe call
+# (trial, codeword) pairs scored by one mc_pe call; below 2^32, so that
+# pcg64's tables reach every uniform of a draw's tie-breaking stream
+MC_PAIR_CAP = 1 << 28
 CODE_CAP = 1 << 16  # words in a constructed code
 BLOCK_BYTES = 1 << 23  # temporaries of one row block of the pairwise kernel
 # one-hot columns n q of the pairwise kernel: the widest constructed code
@@ -54,15 +59,13 @@ WIDTH_CAP = 2 * CODE_CAP
 # largest key of a builtin of length >= 2, coset:2:0:S at q = 512, fits
 KEY_CAP = 1 << 26
 # trials per random draw in mc_pe; fixes its random stream, of which
-# mc_pe draws only the uniforms of tied rows and skips the rest
+# mc_pe computes only the uniforms its tied rows read
 MC_DRAW = 1 << 14
-# uniforms between two runs of tied rows that mc_pe draws rather than skips:
-# below this, one more advance and draw call costs more than the draws
-_SKIP_MIN = 1 << 10
-# codewords below which mc_pe draws every row's uniforms: scanning a short
-# row for ties costs about as much as drawing them
-_SCAN_MIN = 1 << 6
 _INT64_MAX = (1 << 63) - 1
+_QUEUE_CAP = 1 << 13  # tied pairs queued before they are picked
+# temporaries of one mc_pe row block: within BLOCK_BYTES, and small enough
+# that its arrays stay in cache and are not fresh pages
+_MC_BLOCK_BYTES = 1 << 21
 
 
 def _power_within(base, exponent, cap):
@@ -72,9 +75,16 @@ def _power_within(base, exponent, cap):
 
 
 def word_indices(arr, q):
-    """Base-q value of each word (last axis), first symbol most significant."""
-    powers = q ** np.arange(arr.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return arr @ powers
+    """Base-q value of each word (last axis), first symbol most significant, as int64.
+
+    By Horner's rule, column by column into one int64 array: no int64
+    copy of a narrower stack is made.
+    """
+    out = np.zeros(arr.shape[:-1], dtype=np.int64)
+    for j in range(arr.shape[-1]):
+        out *= q
+        out += arr[..., j]
+    return out
 
 
 def all_words(symbols, n):
@@ -241,9 +251,9 @@ def _kernel_split(n):
     return np.divmod(np.arange(n * (n + 1) + 1), n + 1)
 
 
-def _row_blocks(rows, cols, bytes_per_entry, width):
-    """Row ranges whose (rows, cols) temporaries and (rows, width) one-hot rows fit BLOCK_BYTES."""
-    step = max(1, BLOCK_BYTES // (cols * bytes_per_entry + width * 8))
+def _row_blocks(rows, cols, bytes_per_entry, width, budget=None):
+    """Row ranges whose (rows, cols) temporaries and (rows, width) one-hot rows fit budget, or BLOCK_BYTES."""
+    step = max(1, (budget or BLOCK_BYTES) // (cols * bytes_per_entry + width * 8))
     for lo in range(0, rows, step):
         yield lo, min(rows, lo + step)
 
@@ -311,13 +321,24 @@ def _pattern_outputs(words, q, sign):
       idx(w + p) = idx(w) + idx(p) - q idx(p AND [w == q - 1]),
       idx(w - p) = idx(w) - idx(p) + q idx(p AND [w == 0]).
     A word's wraps or borrows depend only on its mask of those symbols,
-    so they are tabulated once per distinct mask.
+    so they are tabulated once per distinct mask (_pattern_shifts).
+    """
+    index, shift, kind = _pattern_shifts(words, q, sign)
+    return index[:, None] + shift[kind]
+
+
+def _pattern_shifts(words, q, sign):
+    """(index, shift, kind) with index[i] + shift[kind[i], p] the _pattern_outputs of word i and pattern p.
+
+    index is each word's base-q index; shift has a row per distinct
+    mask of wraps or borrows and a column per pattern, and kind gives
+    each word's row.
     """
     n = words.shape[1]
     digits = word_indices(all_words((0, 1), n), q)  # base-q index of each pattern, that is of each mask
     masks, kind = np.unique(word_indices(words == (q - 1 if sign > 0 else 0), 2), return_inverse=True)
     shift = sign * (digits - q * digits[masks[:, None] & np.arange(digits.size)])
-    return word_indices(words, q)[:, None] + shift[kind]
+    return word_indices(words, q), shift, kind
 
 
 def exact_word_errors(code, ch):
@@ -403,63 +424,32 @@ def wilson_interval(errors, trials, z=_Z95):
     return lo, hi
 
 
-def _tied_runs(tie):
-    """Starts and stops of row runs holding every row of `tie` with more than one maximizer.
+def _tie_picks(u, rows, cols, m):
+    """Each run of equal rows and its pick: the col of the largest uniform u, the lowest col on equal ones.
 
-    Runs fewer than _SKIP_MIN uniforms apart join, and so do the block's ends.
+    That is where argmax over the row's full run of m uniforms, masked
+    to its cols, would land.
     """
-    rows, m = tie.shape
-    tied = np.flatnonzero(tie.sum(axis=1, dtype=np.min_scalar_type(m)) > 1)
-    if tied.size == 0:
-        return tied, tied
-    cut = np.flatnonzero((np.diff(tied) - 1) * m >= _SKIP_MIN)
-    starts = tied[np.concatenate(([0], cut + 1))]
-    stops = tied[np.append(cut, -1)] + 1
-    if starts[0] * m < _SKIP_MIN:
-        starts[0] = 0
-    if (rows - stops[-1]) * m < _SKIP_MIN:
-        stops[-1] = rows
-    return starts, stops
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    top = np.repeat(np.maximum.reduceat(u, first), np.diff(first, append=rows.size))
+    return rows[first], np.minimum.reduceat(np.where(u == top, cols, m), first)
 
 
-def _ml_picks(rng, scores, behind):
-    """Each row's pick among the maximizers of its `scores`, and the uniforms left to skip after it.
+def _pick_batches(batches, pick, uniforms, m):
+    """Set pick at the rows of each batch of tied (rows, cols), reading uniforms(rows, cols).
 
-    The block's tie-breaking uniforms follow `behind` uniforms of the
-    stream still to be skipped. Only the runs of tied rows draw theirs,
-    into one buffer; `advance` skips the gaps before them.
+    Batches are picked together (_tie_picks), about _QUEUE_CAP pairs at once.
     """
-    rows, m = scores.shape
-    if m < _SCAN_MIN:  # short rows all draw theirs, so `behind` stays 0
-        # column by column: faster than numpy's per-row reduction on short rows
-        best = scores[:, 0].copy()
-        for j in range(1, m):
-            np.maximum(best, scores[:, j], out=best)
-        tie = scores == best[:, None]
-        return np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1), behind
-    tie = scores == scores.max(axis=1, keepdims=True)
-    starts, stops = _tied_runs(tie)
-    sizes = stops - starts
-    uniforms = np.empty((int(sizes.sum()), m))
-    flat = uniforms.reshape(-1)
-    # the stream's position before the block and after each run, in
-    # uniforms from the block's first
-    marks = np.concatenate(([-behind], stops * m))
-    first = np.cumsum(sizes) - sizes  # each run's first row in `uniforms`
-    skips = starts * m - marks[:-1]
-    for skip, lo, hi in zip(skips.tolist(), (first * m).tolist(), ((first + sizes) * m).tolist()):
-        rng.bit_generator.advance(skip)
-        rng.random(out=flat[lo:hi])
-    behind = rows * m - int(marks[-1])
-    # -1 where a codeword is not a maximizer, in place: no second array
-    if len(uniforms) == rows:  # one run over the block: no gathers
-        np.putmask(uniforms, ~tie, -1.0)
-        return uniforms.argmax(axis=1), behind
-    drawn = np.arange(len(uniforms)) + np.repeat(starts - first, sizes)  # their rows in `tie`
-    np.putmask(uniforms, ~tie[drawn], -1.0)
-    pick = tie.argmax(axis=1)  # an untied row's only maximizer
-    pick[drawn] = uniforms.argmax(axis=1)
-    return pick, behind
+    queue, queued = [], 0
+    for batch in itertools.chain(batches, [None]):
+        if batch is not None and batch[0].size:
+            queue.append(batch)
+            queued += batch[0].size
+        if queue and (batch is None or queued >= _QUEUE_CAP):
+            rows, cols = map(np.concatenate, zip(*queue))
+            at, pick_at = _tie_picks(uniforms(rows, cols), rows, cols, m)
+            pick[at] = pick_at
+            queue, queued = [], 0
 
 
 def _weight_ranks(n, eps):
@@ -474,44 +464,84 @@ def _weight_ranks(n, eps):
     return rank[:-1].astype(np.min_scalar_type(levels.size - 1))
 
 
-def _kernel_scores(code, rank):
-    """Scorer of received rows (reduced mod q) against every codeword, through the pairwise kernel.
+def _maximizers(scores):
+    """Flat indices of the maximizers in each column of a (K, rows) score array, and the columns of maximum 0.
 
-    It returns each row's (rows, M) likelihood ranks; `rank` is
-    _weight_ranks of the code's length. The key is built here, once.
+    The columns of maximum 0 are left out of the indices. The layout,
+    a row per candidate sender, makes each reduction over the senders
+    run along the received rows, which is fast however few the senders.
+    """
+    best = scores.max(axis=0)
+    hit = scores == best
+    open_rows = np.flatnonzero(best == 0)
+    hit[:, open_rows] = False
+    return np.flatnonzero(hit), open_rows
+
+
+def _kernel_maximizers(code, rank):
+    """Maximum-likelihood senders of received rows (reduced mod q), by the pairwise kernel on every codeword.
+
+    It returns (rows, cols, open): the (row, codeword) pairs of greatest
+    likelihood rank of the rows whose greatest rank is above 0, and the
+    rows whose greatest rank is 0, where all M codewords tie. `rank` is
+    _weight_ranks of the code's length; the key is built here, once.
     """
     same, near = _kernel_split(code.n)
     # rank of the likelihood by kernel value: the output is the word plus
     # a 0/1 noise pattern of weight `near`, or unreachable
     by_value = np.where(same + near == code.n, rank[near], 0).astype(rank.dtype)
     key = _pair_key(code.array, code.q, {1})
-    return lambda received: by_value[(_one_hot(received, code.q) @ key).astype(np.intp)]
+
+    def maximizers(received):
+        flat, open_rows = _maximizers(by_value[(key.T @ _one_hot(received, code.q).T).astype(np.intp)])
+        cols, rows = np.divmod(flat, len(received))
+        return rows, cols, open_rows
+
+    return maximizers
 
 
-def _candidate_scores(code, rank):
-    """Scorer of received rows (reduced mod q) against their 2^n possible senders y - p.
+def _candidate_maximizers(code, rank):
+    """What _kernel_maximizers returns, from each received row's 2^n possible senders y - p.
 
-    Gives the same (rows, M) likelihood ranks as _kernel_scores: a
-    q^n table maps each candidate's index to its codeword number, or to
-    column M where the candidate is not in the code; each pattern's rank
-    is scattered into a row of rank 0 (likelihood 0) at its candidate's
-    column, and column M is dropped. Distinct patterns give distinct
-    candidates, so no codeword is written twice.
+    A q^n table maps each candidate's index to its codeword number, or
+    to M where the candidate is not in the code, which has likelihood 0
+    (rank 0). Distinct patterns give distinct candidates, so a row never
+    lists a codeword twice.
     """
     arr, q, n, m = code.array, code.q, code.n, code.M
     table = np.full(q**n, m, dtype=np.min_scalar_type(m))
     table[word_indices(arr, q)] = np.arange(m)
-    pattern_rank = rank[all_words((0, 1), n).sum(axis=1)]
+    pattern_rank = rank[all_words((0, 1), n).sum(axis=1)][:, None]
 
-    def scores(received):
-        rows = len(received)
-        out = np.zeros((rows, m + 1), dtype=rank.dtype)
-        # flat positions: faster than a two-index scatter
-        at = table[_pattern_outputs(received, q, -1)] + np.arange(0, rows * (m + 1), m + 1)[:, None]
-        out.reshape(-1)[at] = pattern_rank
-        return out[:, :m]
+    def maximizers(received):
+        index, shift, kind = _pattern_shifts(received, q, -1)
+        cand = np.ascontiguousarray(shift.T).take(kind, axis=1)  # a row per pattern
+        cand += index
+        cand = table[cand]
+        flat, open_rows = _maximizers(np.where(cand < m, pattern_rank, 0))
+        return flat % len(received), cand.ravel()[flat].astype(np.intp), open_rows
 
-    return scores
+    return maximizers
+
+
+def _tied_batches(maximizers, received, blocks, m, pick):
+    """Set pick at each received row with one maximizer; yield the other rows' (rows, cols), grouped by row.
+
+    The rows are scored in row blocks of _MC_BLOCK_BYTES, blocks being
+    the (columns, bytes per entry, one-hot width) of their temporaries.
+    A row whose every codeword ties yields all m of them, in batches of
+    rows of about _QUEUE_CAP pairs.
+    """
+    for lo, hi in _row_blocks(len(received), *blocks, _MC_BLOCK_BYTES):
+        rows, cols, open_rows = maximizers(received[lo:hi])
+        pick[rows + lo] = cols  # right for the rows with one maximizer
+        tied = (np.bincount(rows, minlength=hi - lo) > 1)[rows]
+        order = np.argsort(rows[tied], kind="stable")
+        yield rows[tied][order] + lo, cols[tied][order]
+        step = max(1, _QUEUE_CAP // m)
+        for i in range(0, open_rows.size, step):
+            few = open_rows[i:i + step] + lo
+            yield np.repeat(few, m), np.tile(np.arange(m), few.size)
 
 
 def mc_pe(code, ch, trials, seed=0):
@@ -519,19 +549,22 @@ def mc_pe(code, ch, trials, seed=0):
 
     Each draw of MC_DRAW trials takes the senders, then the noise, then
     a stream of one tie-breaking uniform per (trial, codeword) pair, row
-    by row. Only rows whose maximum likelihood ties read theirs: runs of
-    tied rows draw them and PCG64's `advance` skips the rest of the
-    stream. Each row reads the uniforms it would read if the whole
-    stream were drawn, so the result depends only on the seed.
+    by row; a tied row picks its maximizer of largest uniform. Only the
+    tied rows' maximizers read theirs, and each is computed where it
+    lies in PCG64's stream (pcg64.uniforms_at): its state there is an
+    affine map of the stream's start. One `advance` then passes the
+    draw's stream. So the result depends only on the seed, as if the
+    whole stream were drawn.
     A received word y can only have been sent as one of the 2^n words
     y - p, p a 0/1 noise pattern. Where the outputs can be addressed
     directly (_addressable, the rule exact_word_errors also follows),
-    each row is scored against those candidates by table lookup;
-    otherwise, as for pentagon (q^n = 25 > 20 = M 2^n), against all M
-    codewords through the pairwise kernel. Both give the same ranks, so
-    the path does not change the result. The work, trials x M scored
-    pairs, is capped at MC_PAIR_CAP; on the kernel path only, the code's
-    one-hot width n q is capped at WIDTH_CAP and its key at KEY_CAP.
+    each row's maximizers are found among those candidates by table
+    lookup; otherwise, as for pentagon (q^n = 25 > 20 = M 2^n), among
+    all M codewords through the pairwise kernel. Both find the same
+    maximizers, so the path does not change the result. The work,
+    trials x M pairs, is capped at MC_PAIR_CAP; on the kernel path
+    only, the code's one-hot width n q is capped at WIDTH_CAP and its
+    key at KEY_CAP.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -541,30 +574,36 @@ def mc_pe(code, ch, trials, seed=0):
         raise ValueError(
             f"{trials} trials x {code.M} codewords exceeds the cap of {MC_PAIR_CAP} scored pairs"
         )
-    rng = np.random.default_rng(seed)
-    bits = rng.bit_generator
-    arr, q, n, m = code.array, code.q, code.n, code.M
+    q, n, m = code.q, code.n, code.M
+    arr = code.array.astype(np.min_scalar_type(q))  # received words in the smallest dtype that holds q
     eps = ch.epsilon
     # ties are equal likelihoods, found among small-integer ranks
     rank = _weight_ranks(n, eps)
-    score = (_candidate_scores if _addressable(q, n, m) else _kernel_scores)(code, rank)
+    if _addressable(q, n, m):
+        maximizers, blocks = _candidate_maximizers(code, rank), (1 << n, 24, 0)
+    else:
+        maximizers, blocks = _kernel_maximizers(code, rank), (m, 48, n * q)
+    from . import pcg64  # imported on first use: only Monte Carlo reads the stream
+
+    rng = np.random.default_rng(seed)
+    bits = rng.bit_generator
+    tables = pcg64.step_tables(bits.state["state"]["inc"])
     errors = 0
     done = 0
     while done < trials:
         b = min(MC_DRAW, trials - done)
         senders = rng.integers(0, m, size=b)
         received = (arr[senders] + (rng.random((b, n)) < eps)) % q
-        # `advance` drops the 32-bit half `integers` may have buffered for
-        # the next draw, so it is put back after this draw's stream
-        half = [bits.state[k] for k in ("has_uint32", "uinteger")]
-        behind = 0
-        for lo, hi in _row_blocks(b, m, 48, n * q):
-            pick, behind = _ml_picks(rng, score(received[lo:hi]), behind)
-            errors += int(np.count_nonzero(pick != senders[lo:hi]))
-        bits.advance(behind)
         state = bits.state
-        state["has_uint32"], state["uinteger"] = half
-        bits.state = state
+        pick = np.empty(b, dtype=np.intp)
+        ties = _tied_batches(maximizers, received, blocks, m, pick)
+        uniforms = functools.partial(pcg64.uniforms_at, tables, state["state"]["state"], m)
+        _pick_batches(ties, pick, uniforms, m)
+        errors += int(np.count_nonzero(pick != senders))
+        # past the draw's stream; `advance` drops the 32-bit half `integers`
+        # may have buffered for the next draw, so it is put back
+        bits.advance(b * m)
+        bits.state = state | {"state": bits.state["state"]}
         done += b
     lo, hi = wilson_interval(errors, trials)
     return MCResult(errors / trials, lo, hi, trials, errors)

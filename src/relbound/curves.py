@@ -17,7 +17,9 @@ fields the constant cells are cut from.
 
 import csv
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -44,6 +46,9 @@ from .upper_bounds import (
 )
 
 
+_FIRST = operator.itemgetter(0)
+
+
 @dataclass(frozen=True)
 class BoundCurve:
     """One named bound sampled on a strictly increasing rate grid."""
@@ -54,8 +59,9 @@ class BoundCurve:
     params: tuple = ()
 
     def __post_init__(self):
-        rates = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(rates, rates[1:])):
+        rates = list(map(_FIRST, self.points))
+        # compared in C; a nan rate compares false both ways and passes
+        if any(map(operator.le, rates[1:], rates)):
             raise ValueError(f"rates must be strictly increasing in curve {self.name}")
 
     @property
@@ -269,6 +275,8 @@ def evaluate_curves(ch, names, grid):
 format_value = "{:.17g}".format
 
 CSV_HEADER = ("R", "bound", "value", "q", "epsilon", "params")
+_KEY_CELLS = operator.itemgetter(1, 3, 4, 5)  # the cells that name a row's curve
+_POINT_CELLS = operator.itemgetter(0, 2)  # R and value
 
 
 def curves_to_csv(curves):
@@ -295,32 +303,35 @@ def curves_to_csv(curves):
 
 
 def csv_to_curves(text):
+    """The curves of curves_to_csv text, in order of first appearance.
+
+    Rows come in runs of equal (name, q, eps, params) cells, each read
+    at once; runs of one curve that are not adjacent are merged. Rows
+    before the first of a wrong column count are read before it is
+    refused, so the first bad row is the one reported.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("missing or malformed CSV header")
-    order = []
+    body = rows[1:]
+    widths = list(map(len, body))
+    cut = len(body)
+    if widths.count(6) + widths.count(0) < cut:  # a blank row is skipped
+        cut = next(i for i, w in enumerate(widths) if w not in (0, 6))
     grouped = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 6:
-            raise ValueError(f"row {i}: expected 6 columns, got {len(row)}")
-        r, name, value, q, eps, params = row
+    for (name, q, eps, params), run in itertools.groupby(filter(None, body[:cut]), _KEY_CELLS):
         key = (name, int(q), float(eps), params)
-        if key not in grouped:
-            order.append(key)
-            grouped[key] = []
-        grouped[key].append((float(r), float(value)))
-    out = []
-    for key in order:
-        name, q, eps, params = key
-        pstr = tuple(tuple(kv.split("=", 1)) for kv in params.split(";") if kv)
-        out.append(
-            BoundCurve(
-                name=name,
-                points=tuple(grouped[key]),
-                channel=Channel(q, eps),
-                params=pstr,
-            )
+        # rate, value, rate, ...: converted in row order, so the first bad cell fails
+        cells = list(map(float, itertools.chain.from_iterable(map(_POINT_CELLS, run))))
+        grouped.setdefault(key, []).extend(zip(cells[::2], cells[1::2]))
+    if cut < len(body):
+        raise ValueError(f"row {cut + 2}: expected 6 columns, got {widths[cut]}")
+    return [
+        BoundCurve(
+            name=name,
+            points=tuple(points),
+            channel=Channel(q, eps),
+            params=tuple(tuple(kv.split("=", 1)) for kv in params.split(";") if kv),
         )
-    return out
+        for (name, q, eps, params), points in grouped.items()
+    ]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scalar_oracles import semidistance
 
 from relbound import codes as codes_mod
+from relbound import pcg64
 from relbound.channel import Channel
 from relbound.codes import (
     all_words,
@@ -154,15 +155,17 @@ def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
     # trial counts below, at and off multiples of the 16384-trial draw
     for seed, trials in ((0, 1), (1, 999), (2, 16384), (3, 16385), (4, 40000)):
         assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed)
-    # many small row blocks draw the same tie-breaking stream
-    monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 7 * code.M * 48)
+    # many small row blocks read the same tie-breaking stream
+    monkeypatch.setattr(codes_mod, "_MC_BLOCK_BYTES", 7 * code.M * 48)
     assert mc_pe(code, ch, 20001, seed=5) == oracle.mc_pe(code, ch, 20001, seed=5)
-    # so does scanning every row for ties and skipping every gap between
-    # tied rows, with runs crossing block edges and the draw edge
-    monkeypatch.setattr(codes_mod, "_SCAN_MIN", 1)
-    monkeypatch.setattr(codes_mod, "_SKIP_MIN", 1)
-    for seed, trials in ((6, 999), (7, 16385)):
-        assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed)
+    # so do blocks of 1 and 3 pairs, which split a tied row's maximizers,
+    # and the M of a row where all tie, between blocks of the stream
+    # reader; those blocks cross row-block edges and, in draws of 100
+    # trials, draw edges
+    for pair_block, draw, seed in ((1, codes_mod.MC_DRAW, 6), (3, 100, 7)):
+        monkeypatch.setattr(pcg64, "_PAIR_BLOCK", pair_block)
+        monkeypatch.setattr(codes_mod, "MC_DRAW", draw)
+        assert mc_pe(code, ch, 999, seed=seed) == oracle.mc_pe(code, ch, 999, seed=seed, block=draw)
 
 
 @pytest.mark.parametrize("draw", [7, 1])
@@ -170,7 +173,6 @@ def test_mc_pe_keeps_the_buffered_half_across_odd_draws(draw, monkeypatch):
     # an odd draw of senders leaves half of a 64-bit word buffered for the
     # next draw's senders; skipping uniforms with `advance` must not lose it
     monkeypatch.setattr(codes_mod, "MC_DRAW", draw)
-    monkeypatch.setattr(codes_mod, "_SCAN_MIN", 1)
     for spec, eps in ((("coset", 4, 3, 2, 1), 0.3), (("q5", 2, 1, 3), 0.2), (THREE_WORDS, 0.5)):
         code = _spec_code(spec)
         ch = Channel(code.q, eps)
@@ -179,19 +181,35 @@ def test_mc_pe_keeps_the_buffered_half_across_odd_draws(draw, monkeypatch):
             assert mc_pe(code, ch, trials, seed=seed) == expected
 
 
+def _xsl_rr(state):
+    """PCG64's 64-bit output from a 128-bit state: the halves' xor, rotated right by the top 6 bits."""
+    x, rot = (state >> 64 ^ state) & (2**64 - 1), state >> 122
+    return (x >> rot | x << (64 - rot)) & (2**64 - 1)
+
+
 def test_numpy_stream_facts_mc_pe_relies_on():
-    """mc_pe skips tie-breaking uniforms with PCG64's advance; these facts make that exact."""
+    """mc_pe computes tie-breaking uniforms where they lie in PCG64's stream; these facts make that exact."""
     rng = np.random.default_rng(3)
     assert isinstance(rng.bit_generator, np.random.PCG64), (
-        f"default_rng now uses {type(rng.bit_generator).__name__}, not PCG64: mc_pe's skips need advance"
+        f"default_rng now uses {type(rng.bit_generator).__name__}, not PCG64, whose stream pcg64 reads"
     )
     k, j = 1000, 37
     whole = np.random.default_rng(3).random(k + j)
     rng.bit_generator.advance(k)
     assert np.array_equal(rng.random(j), whole[k:]), "advance(k) no longer skips k float64 uniforms"
-    buf = np.empty(j)
-    np.random.default_rng(4).random(out=buf)
-    assert np.array_equal(buf, np.random.default_rng(4).random(j)), "random(out=) differs from random(j)"
+    bits = np.random.default_rng(4).bit_generator
+    state, inc = bits.state["state"]["state"], bits.state["state"]["inc"]
+    raw = [int(v) for v in bits.random_raw(3)]
+    for v in raw:
+        state = (pcg64.MULT * state + inc) % 2**128
+        assert v == _xsl_rr(state), (
+            "PCG64 no longer steps s -> a s + inc mod 2^128 with pcg64.MULT and then "
+            "outputs XSL-RR of the new state: pcg64's tables and output are wrong"
+        )
+    assert bits.state["state"]["state"] == state, "PCG64 no longer takes one step per 64-bit output"
+    assert np.random.default_rng(4).random(3).tolist() == [(v >> 11) * 2.0**-53 for v in raw], (
+        "random() no longer makes a double of the top 53 bits of one 64-bit output"
+    )
     rng = np.random.default_rng(5)
     rng.integers(0, 5, size=1)
     rng.random(3)
@@ -204,9 +222,75 @@ def test_numpy_stream_facts_mc_pe_relies_on():
     )
 
 
+_BOUNDARIES = [256**k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1)]
+
+
+@st.composite
+def stream_reads(draw):
+    """A PCG64 state, some with a buffered half, an M and sorted (row, col) pairs at generated positions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    rng.integers(0, 7, size=draw(st.integers(0, 3)))  # an odd count leaves half a word buffered
+    rng.random(draw(st.integers(0, 5)))
+    m = draw(st.one_of(st.integers(1, 300), st.sampled_from([255, 256, 257, 65535]),
+                       st.integers(1, codes_mod.CODE_CAP)))
+    top = codes_mod.MC_PAIR_CAP - 1
+    # positions, some at a base-256 digit boundary of the position, of its
+    # row's offset or of its col
+    position = st.one_of(st.integers(0, top), st.sampled_from(_BOUNDARIES + [top]),
+                         st.sampled_from(_BOUNDARIES).map(lambda p: p * m % (top + 1)),
+                         st.tuples(st.integers(0, top // m), st.sampled_from([0, 254, 255, 256, m - 1]))
+                         .map(lambda rc: rc[0] * m + min(rc[1], m - 1)))
+    positions = sorted(draw(st.lists(position, min_size=1, max_size=12)))
+    return rng, m, np.array(positions) // m, np.array(positions) % m
+
+
+@settings(PROPERTY, max_examples=60)
+@given(stream_reads())
+def test_uniforms_at_are_the_doubles_random_draws_at_their_positions(case):
+    rng, m, rows, cols = case
+    assert codes_mod.MC_PAIR_CAP <= 256**pcg64._LEVELS  # every position of a draw is in reach
+    state = rng.bit_generator.state
+    tables = pcg64.step_tables(state["state"]["inc"])
+    got = pcg64.uniforms_at(tables, state["state"]["state"], m, rows, cols)
+    for u, p in zip(got.tolist(), (rows * m + cols).tolist()):
+        at = np.random.default_rng()
+        at.bit_generator.state = state
+        at.bit_generator.advance(p)
+        assert u == at.random(), f"position {p} (row {p // m}, col {p % m}, M = {m})"
+    # what is drawn in full, from the start
+    for p in range(3):
+        assert pcg64.uniforms_at(tables, state["state"]["state"], 1, np.array([p]), np.array([0]))[0] \
+            == rng.random()
+
+
+def test_mc_pe_where_every_likelihood_underflows_matches_tuple_oracle(monkeypatch):
+    # at length 2200 and eps 0.3 every noise pattern's likelihood underflows
+    # to 0, so each row's best rank is 0 and all M codewords tie; with
+    # blocks of 3 pairs and draws of 7 and 1 trials, a row's M pairs are
+    # split between blocks, and rows cross row-block and draw edges
+    code = random_linear_code(5, 2200, 1, seed=0)
+    ch = Channel(5, 0.3)
+    assert not codes_mod._weight_ranks(code.n, ch.epsilon).any()
+    assert mc_pe(code, ch, 300, seed=1) == oracle.mc_pe(code, ch, 300, seed=1)
+    monkeypatch.setattr(pcg64, "_PAIR_BLOCK", 3)
+    for draw in (7, 1):
+        monkeypatch.setattr(codes_mod, "MC_DRAW", draw)
+        assert mc_pe(code, ch, 60, seed=draw) == oracle.mc_pe(code, ch, 60, seed=draw, block=draw)
+
+
+def test_mc_pe_builds_no_array_of_trials_by_codewords():
+    # q5plus:3:1 (M = 625): a (MC_DRAW, M) array of even one byte an entry
+    # would be 10 MB, above BLOCK_BYTES; the row blocks stay far below it
+    code = random_q5_code(3, 1, seed=0)
+    ch = Channel(5, 0.2)
+    assert codes_mod.MC_DRAW * code.M > codes_mod.BLOCK_BYTES
+    mc_pe(code, ch, 10)  # the stream's tables are built on first use
+    assert _traced_peak(mc_pe, code, ch, 20000) < codes_mod.BLOCK_BYTES
+
+
 @st.composite
 def mc_cases(draw):
-    """Small codes (q 4..7, n <= 3), a channel, trials, seed, draw size, and scan and skip limits."""
+    """Small codes (q 4..7, n <= 3), a channel, trials, seed, draw size and stream reader block."""
     q = draw(st.integers(4, 7))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, q**n))
@@ -218,19 +302,17 @@ def mc_cases(draw):
         block = 1000
     trials = draw(st.integers(1, 40000 if block > 7 else 500))
     seed = draw(st.integers(0, 2**64 - 1))
-    scan_min = draw(st.sampled_from([1, codes_mod._SCAN_MIN]))
-    skip_min = draw(st.sampled_from([1, 100, codes_mod._SKIP_MIN]))
-    return code, Channel(q, eps), trials, seed, block, scan_min, skip_min
+    pair_block = draw(st.sampled_from([1, 5, pcg64._PAIR_BLOCK]))
+    return code, Channel(q, eps), trials, seed, block, pair_block
 
 
 @settings(PROPERTY, max_examples=100)
 @given(mc_cases())
 def test_mc_pe_matches_tuple_oracle_on_generated_codes(case):
-    code, ch, trials, seed, block, scan_min, skip_min = case
+    code, ch, trials, seed, block, pair_block = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes_mod, "MC_DRAW", block)
-        mp.setattr(codes_mod, "_SCAN_MIN", scan_min)
-        mp.setattr(codes_mod, "_SKIP_MIN", skip_min)
+        mp.setattr(pcg64, "_PAIR_BLOCK", pair_block)
         assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed, block=block)
 
 
@@ -503,7 +585,6 @@ def test_mc_pe_matches_tuple_oracle_on_both_sides_of_the_addressing_rule(q, n, e
         # an odd draw leaves a buffered half that each draw's skips must keep
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codes_mod, "MC_DRAW", 7)
-            mp.setattr(codes_mod, "_SCAN_MIN", 1)
             assert mc_pe(code, ch, 200, seed=2) == oracle.mc_pe(code, ch, 200, seed=2, block=7)
 
 
@@ -516,9 +597,24 @@ def test_candidate_scores_rank_underflowed_likelihoods_with_the_unreachable():
     rank = codes_mod._weight_ranks(3, 1e-200)
     assert rank.tolist() == [2, 1, 0, 0]
     received = np.array([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (3, 3, 3), (3, 1, 2)])
-    got = codes_mod._candidate_scores(code, rank)(received)
-    assert np.array_equal(got, codes_mod._kernel_scores(code, rank)(received))
-    assert not got.any()
+    for maximizers in (codes_mod._candidate_maximizers, codes_mod._kernel_maximizers):
+        rows, cols, open_rows = maximizers(code, rank)(received)
+        assert rows.size == cols.size == 0
+        assert open_rows.tolist() == list(range(len(received)))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+def test_word_indices_match_the_matmul_on_stacks(dtype):
+    # the column-by-column Horner sum gives the integers of the matmul
+    # with the powers of q, on stacks up to n = 16
+    rng = np.random.default_rng(7)
+    for q in (2,) if dtype is bool else (2, 4, 7, 15, 255):
+        for n in (n for n in range(1, 17) if codes_mod._power_within(q, n, codes_mod._INT64_MAX)):
+            words = rng.integers(0, q, (3, 5, n)).astype(dtype)
+            got = codes_mod.word_indices(words, q)
+            assert got.dtype == np.int64 and got.shape == (3, 5)
+            expected = words.astype(np.int64) @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+            assert np.array_equal(got, expected)
 
 
 def test_pattern_outputs_address_word_plus_and_minus_each_pattern():

@@ -86,6 +86,69 @@ def test_bound_curve_rejects_unsorted_rates():
         BoundCurve("x", ((0.5, 1.0), (0.5, 0.9)), ch)
 
 
+def _strictly_increasing(rates):
+    """The per-point check BoundCurve made before it compared rates in C."""
+    return not any(b <= a for a, b in zip(rates, rates[1:]))
+
+
+@pytest.mark.parametrize(
+    "rates, accepted",
+    [((0.1, 0.2, 0.3), True), ((), True), ((0.4,), True),
+     # equal rates, anywhere
+     ((0.1, 0.2, 0.2), False), ((-0.0, 0.0), False),
+     # falling rates
+     ((0.1, 0.3, 0.2), False), ((0.3, 0.2), False),
+     # nan compares false both ways, so it is never refused, alone or next
+     # to a fall that it hides; a fall elsewhere still is
+     ((0.1, math.nan, 0.05), True), ((math.nan, math.nan), True), ((0.2, math.nan, 0.3, 0.1), False)],
+)
+def test_bound_curve_refuses_equal_and_falling_rates_as_the_per_point_check_did(rates, accepted):
+    ch = Channel(4, 0.1)
+    assert _strictly_increasing(rates) == accepted
+    points = tuple((r, 1.0) for r in rates)
+    if accepted:
+        assert BoundCurve("x", points, ch).rates == list(rates)
+    else:
+        with pytest.raises(ValueError, match="rates must be strictly increasing in curve x"):
+            BoundCurve("x", points, ch)
+
+
+_HEADER = "R,bound,value,q,epsilon,params\n"
+
+
+def test_csv_merges_the_interleaved_runs_of_one_curve():
+    text = _HEADER + (
+        "0.1,a,1,4,0.1,\n0.2,a,0.5,4,0.1,\n"
+        "0.1,b,2,4,0.1,k=1\n\n"
+        # a again, with its eps spelled otherwise; then b and a third curve
+        "0.3,a,0.25,4,0.10,\n0.2,b,1,4,0.1,k=1\n0.1,a,9,5,0.1,\n"
+    )
+    got = csv_to_curves(text)
+    assert [(c.name, c.channel.q, c.params, c.points) for c in got] == [
+        ("a", 4, (), ((0.1, 1.0), (0.2, 0.5), (0.3, 0.25))),
+        ("b", 4, (("k", "1"),), ((0.1, 2.0), (0.2, 1.0))),
+        ("a", 5, (), ((0.1, 9.0),)),
+    ]
+
+
+def test_csv_refuses_a_wrong_column_count_by_its_row_number():
+    # the blank line is row 3, so the short row is row 5
+    text = _HEADER + "0.1,a,1,4,0.1,\n\n0.2,a,0.5,4,0.1,\n0.3,a,0.25,4,0.1\n0.4,a,0.1,4,0.1,\n"
+    with pytest.raises(ValueError, match="^row 5: expected 6 columns, got 5$"):
+        csv_to_curves(text)
+
+
+def test_csv_refuses_a_bad_float_and_reports_the_first_bad_row():
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        csv_to_curves(_HEADER + "0.1,a,1,4,0.1,\n0.2,a,x,4,0.1,\n0.3,a,y,4,0.1,\n")
+    # a bad cell before a row of the wrong width is the one reported,
+    # and one after it is not
+    with pytest.raises(ValueError, match="could not convert string to float: '0.2z'"):
+        csv_to_curves(_HEADER + "0.1,a,1,4,0.1,\n0.2z,a,1,4,0.1,\n0.3,a,1,4\n")
+    with pytest.raises(ValueError, match="^row 3: expected 6 columns, got 4$"):
+        csv_to_curves(_HEADER + "0.1,a,1,4,0.1,\n0.3,a,1,4\n0.2z,a,1,4,0.1,\n")
+
+
 def test_csv_roundtrip_exact():
     ch = Channel(5, 0.5)
     grid = rate_grid(0.3, capacity(ch), 17)
