@@ -7,6 +7,7 @@ deterministic for a fixed seed.
 
 import math
 import time
+import traceback
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -333,13 +334,22 @@ CRITERIA = [
 
 
 def run_checks(only=None, seed=0):
-    """Run all (or a name-filtered subset of) acceptance checks."""
+    """Run all (or a name-filtered subset of) acceptance checks.
+
+    A check that raises fails with one line naming the exception, and the
+    other checks still run; the traceback goes to stderr.
+    """
     results = []
     for name, _desc, fn in CRITERIA:
         if only and only != name:
             continue
         t0 = time.time()
-        rec = fn(seed=seed)
+        try:
+            rec = fn(seed=seed)
+        except Exception as exc:
+            traceback.print_exc()
+            rec = _Recorder()
+            rec.require(f"criterion raised {type(exc).__name__}: {exc}", False)
         results.append(
             CheckResult(name=name, passed=rec.ok, lines=rec.lines, seconds=time.time() - t0)
         )

@@ -1,8 +1,16 @@
 """Command-line interface: bounds | oracle | simulate | verify | plot.
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
-Option precedence is flags over config file over built-in defaults; the
-config file is flat key=value text.
+Each option is one OPTIONS entry and each subcommand one COMMANDS entry;
+the parser, the config file and the merged settings all read these two
+tables. Option precedence is flags over config file over the OPTIONS
+defaults; the config file is flat key=value text that may set any
+option but config.
+
+Exit codes: 0 on success; 1 when `oracle` or `verify` prints a FAIL line,
+a verify criterion that raised included; 2 on any refused input, an
+unreadable config or code file and an unwritable --out included. `main`
+is the one place that turns a ValueError or OSError into
+`error: <message>` on stderr and exit 2.
 """
 
 import argparse
@@ -15,46 +23,40 @@ from . import curves as crv
 from .acceptance import CRITERIA, run_checks
 from .channel import Channel, capacity, cycle_constants
 from .classical import rho_bar
-from .oracle import BATCH_CAP, minimize_q, uniform_value, word_count
+from .oracle import BATCH_CAP, minimize_q, uniform_value
 from .svgplot import render_svg
 
-DEFAULTS = {
-    "q": 4,
-    "eps": 0.1,
-    "rmin": None,
-    "rmax": None,
-    "points": 200,
-    "bounds": "all",
-    "seed": 0,
-    "rho": None,
-    "n": 1,
-    "restarts": 200,
-    "trials": 0,
-    "code": None,
-    "out": None,
-    "format": None,
-    "only": None,
-    "ceiling": None,
+# name: (type, default, help), in --help order; a tuple type lists the allowed strings
+OPTIONS = {
+    "q": (int, 4, "alphabet size (>= 4)"),
+    "eps": (float, 0.1, "crossover probability in (0, 1/2]"),
+    "seed": (int, 0, "master random seed"),
+    "out": (str, None, "output path (default stdout)"),
+    "config": (str, None, "flat key=value config file"),
+    "rmin": (float, None, "grid start (default C/50)"),
+    "rmax": (float, None, "grid end (default capacity)"),
+    "points": (int, 200, f"grid size (2 to {crv.MAX_GRID_POINTS})"),
+    "bounds": (str, "all", "comma list of bound names, or 'all'"),
+    "format": (("csv", "svg"), None, None),
+    "ceiling": (float, None, "SVG clipping ceiling for infinite/large values"),
+    "rho": (float, None, "slope parameter (>= 1)"),
+    "n": (int, 1, "blocklength (q^n capped)"),
+    "restarts": (int, 200, "start rows in all, never fewer than the structured seeds "
+                 f"(restarts x q^n at most {BATCH_CAP})"),
+    "code": (str, None, "code file path, or builtin: pentagon | coset:N:K:SEED | q5plus:N:K:SEED"),
+    "trials": (int, 0, f"Monte-Carlo trials (0 = skip; trials x M at most {cod.MC_PAIR_CAP})"),
+    "only": (str, None, "run a single criterion: " + ", ".join(n for n, _, _ in CRITERIA)),
 }
-
-_TYPES = {
-    "q": int, "eps": float, "rmin": float, "rmax": float, "points": int,
-    "bounds": str, "seed": int, "rho": float, "n": int, "restarts": int,
-    "trials": int, "code": str, "out": str, "format": str, "only": str,
-    "ceiling": float,
+COMMON = ("q", "eps", "seed", "out", "config")
+_GRID = ("rmin", "rmax", "points", "bounds", "format", "ceiling")
+# name: (help, its options after the common ones)
+COMMANDS = {
+    "bounds": ("evaluate bound curves on a rate grid (CSV or SVG)", _GRID),
+    "plot": ("like bounds, but defaults to SVG output", _GRID),
+    "oracle": ("brute-force expurgated exponent at small blocklength", ("rho", "n", "restarts")),
+    "simulate": ("exact/Monte-Carlo error of an explicit code", ("code", "trials")),
+    "verify": ("run the acceptance suite", ("only",)),
 }
-
-
-class UsageError(ValueError):
-    pass
-
-
-def _add_common(p):
-    p.add_argument("--q", type=int, default=None, help="alphabet size (>= 4)")
-    p.add_argument("--eps", type=float, default=None, help="crossover probability in (0, 1/2]")
-    p.add_argument("--seed", type=int, default=None, help="master random seed")
-    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--config", type=str, default=None, help="flat key=value config file")
 
 
 def build_parser():
@@ -63,74 +65,50 @@ def build_parser():
         description="Reliability-function bounds for q-ary cyclic-shift channels.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, helptext in (
-        ("bounds", "evaluate bound curves on a rate grid (CSV or SVG)"),
-        ("plot", "like bounds, but defaults to SVG output"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        p.add_argument("--rmin", type=float, default=None, help="grid start (default C/50)")
-        p.add_argument("--rmax", type=float, default=None, help="grid end (default capacity)")
-        p.add_argument("--points", type=int, default=None,
-                       help=f"grid size (2 to {crv.MAX_GRID_POINTS})")
-        p.add_argument("--bounds", type=str, default=None,
-                       help="comma list of bound names, or 'all'")
-        p.add_argument("--format", type=str, default=None, choices=("csv", "svg"))
-        p.add_argument("--ceiling", type=float, default=None,
-                       help="SVG clipping ceiling for infinite/large values")
-
-    p = sub.add_parser("oracle", help="brute-force expurgated exponent at small blocklength")
-    _add_common(p)
-    p.add_argument("--rho", type=float, default=None, help="slope parameter (>= 1)")
-    p.add_argument("--n", type=int, default=None, help="blocklength (q^n capped)")
-    p.add_argument("--restarts", type=int, default=None,
-                   help="start rows in all, never fewer than the structured seeds "
-                   f"(restarts x q^n at most {BATCH_CAP})")
-
-    p = sub.add_parser("simulate", help="exact/Monte-Carlo error of an explicit code")
-    _add_common(p)
-    p.add_argument("--code", type=str, default=None,
-                   help="code file path, or builtin: pentagon | coset:N:K:SEED | q5plus:N:K:SEED")
-    p.add_argument("--trials", type=int, default=None,
-                   help=f"Monte-Carlo trials (0 = skip; trials x M at most {cod.MC_PAIR_CAP})")
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    _add_common(p)
-    p.add_argument("--only", type=str, default=None,
-                   help="run a single criterion: " + ", ".join(n for n, _, _ in CRITERIA))
+    for command, (about, own) in COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for name in COMMON + own:
+            typ, _, helptext = OPTIONS[name]
+            kind = {"choices": typ} if isinstance(typ, tuple) else {"type": typ}
+            p.add_argument(f"--{name}", help=helptext, **kind)
     return ap
 
 
 def load_config(path):
+    """The options a flat key=value file sets; ValueError, prefixed with the path, on a bad file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     settings = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{i}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise UsageError(f"{path}:{i}: unknown key {key!r}")
-            try:
-                settings[key] = _TYPES[key](value.strip())
-            except ValueError:
-                raise UsageError(f"{path}:{i}: bad value for {key}: {value.strip()!r}") from None
+    for i, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{i}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in OPTIONS or key == "config":
+            raise ValueError(f"{path}:{i}: unknown key {key!r}")
+        typ = OPTIONS[key][0]
+        try:
+            settings[key] = typ[typ.index(value)] if isinstance(typ, tuple) else typ(value)
+        except ValueError:
+            raise ValueError(f"{path}:{i}: bad value for {key}: {value!r}") from None
     return settings
 
 
 def effective_settings(args):
     """Flags beat config-file values beat defaults; a negative seed is refused."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else {}
+    cfg = load_config(args.config) if args.config else {}
     merged = {}
-    for key, default in DEFAULTS.items():
+    for key, (_, default, _) in OPTIONS.items():
         flag = getattr(args, key, None)
         merged[key] = flag if flag is not None else cfg.get(key, default)
     if merged["seed"] < 0:
-        raise UsageError(f"--seed must be >= 0, got {merged['seed']}")
+        raise ValueError(f"--seed must be >= 0, got {merged['seed']}")
     return merged
 
 
@@ -142,58 +120,32 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _channel(s):
-    try:
-        return Channel(s["q"], s["eps"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def cmd_bounds(args, default_format="csv"):
-    s = effective_settings(args)
-    ch = _channel(s)
+def cmd_bounds(s, default_format):
+    ch = Channel(s["q"], s["eps"])
     cap = capacity(ch)
     rmin = s["rmin"] if s["rmin"] is not None else cap / 50.0
     rmax = s["rmax"] if s["rmax"] is not None else cap
     if rmax > cap + 1e-9:
-        raise UsageError(f"rmax {rmax} exceeds capacity {cap}")
+        raise ValueError(f"rmax {rmax} exceeds capacity {cap}")
     if not 0.0 < rmin < rmax:
-        raise UsageError(f"need 0 < rmin < rmax, got {rmin}, {rmax}")
-    try:
-        names = crv.resolve_selection(ch, s["bounds"])
-        grid = crv.rate_grid(rmin, min(rmax, cap), s["points"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"need 0 < rmin < rmax, got {rmin}, {rmax}")
+    names = crv.resolve_selection(ch, s["bounds"])
+    grid = crv.rate_grid(rmin, min(rmax, cap), s["points"])
     curves = crv.evaluate_curves(ch, names, grid)
-    fmt = s["format"] or default_format
-    if fmt == "csv":
+    if (s["format"] or default_format) == "csv":
         _emit(crv.curves_to_csv(curves), s["out"])
-    elif fmt == "svg":
-        try:
-            svg = render_svg(curves, ceiling=s["ceiling"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        _emit(svg, s["out"])
     else:
-        raise UsageError(f"unknown format {fmt!r} (csv or svg)")
+        _emit(render_svg(curves, ceiling=s["ceiling"]), s["out"])
     return 0
 
 
-def cmd_oracle(args):
-    s = effective_settings(args)
-    ch = _channel(s)
+def cmd_oracle(s):
+    ch = Channel(s["q"], s["eps"])
     if s["rho"] is None:
-        raise UsageError("oracle requires --rho")
-    try:
-        word_count(ch.q, s["n"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError("oracle requires --rho")
     if not 1.0 <= s["rho"] < math.inf:
-        raise UsageError(f"slope parameter must satisfy 1 <= rho < inf, got {s['rho']}")
-    try:
-        res = minimize_q(ch, s["rho"], s["n"], restarts=s["restarts"], seed=s["seed"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"slope parameter must satisfy 1 <= rho < inf, got {s['rho']}")
+    res = minimize_q(ch, s["rho"], s["n"], restarts=s["restarts"], seed=s["seed"])
     rb = rho_bar(ch)
     theta = cycle_constants(ch).theta
     lines = [
@@ -242,51 +194,44 @@ def cmd_oracle(args):
     return 0 if ok else 1
 
 
-def _load_code(spec, s):
+def _load_code(spec, q):
     if spec is None:
-        raise UsageError("simulate requires --code (file path or builtin name)")
+        raise ValueError("simulate requires --code (file path or builtin name)")
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(spec, encoding="utf-8") as fh:
                 return cod.parse_code(fh.read()), None
-            except ValueError as exc:
-                raise UsageError(f"{spec}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{spec}: {exc}") from None
     parts = spec.split(":")
     if parts[0] == "pentagon":
         return cod.pentagon_code(), None
     if parts[0] in ("coset", "q5plus"):
         if len(parts) != 4:
-            raise UsageError(f"builtin spec must be {parts[0]}:N:K:SEED, got {spec!r}")
+            raise ValueError(f"builtin spec must be {parts[0]}:N:K:SEED, got {spec!r}")
         try:
             n, k, seed = int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError:
-            raise UsageError(f"non-integer field in builtin spec {spec!r}") from None
+            raise ValueError(f"non-integer field in builtin spec {spec!r}") from None
         try:
             if parts[0] == "coset":
-                return cod.random_coset_code(s["q"], n, k, seed=seed)
+                return cod.random_coset_code(q, n, k, seed=seed)
             return cod.random_q5_code(n, k, seed=seed), None
         except ValueError as exc:
-            raise UsageError(f"{spec}: {exc}") from None
-    raise UsageError(
+            raise ValueError(f"{spec}: {exc}") from None
+    raise ValueError(
         f"--code {spec!r} is neither a file nor a builtin "
         "(pentagon | coset:N:K:SEED | q5plus:N:K:SEED)"
     )
 
 
-def cmd_simulate(args):
-    s = effective_settings(args)
-    code, c2 = _load_code(s["code"], s)
-    try:
-        ch = Channel(code.q, s["eps"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def cmd_simulate(s):
+    code, c2 = _load_code(s["code"], s["q"])
+    ch = Channel(code.q, s["eps"])
     if s["trials"] < 0:
-        raise UsageError(f"--trials must be >= 0 (0 skips Monte Carlo), got {s['trials']}")
-    try:
-        spec = cod.spectrum(code)
-        mc = cod.mc_pe(code, ch, s["trials"], seed=s["seed"]) if s["trials"] else None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"--trials must be >= 0 (0 skips Monte Carlo), got {s['trials']}")
+    spec = cod.spectrum(code)
+    mc = cod.mc_pe(code, ch, s["trials"], seed=s["seed"]) if s["trials"] else None
     lines = [f"code: q={code.q} n={code.n} M={code.M}"]
     lines.append("spectrum (finite z): " + (
         " ".join(f"A_{z}={float(a):g}" for z, a in spec.counts.items()) or "none"
@@ -315,12 +260,8 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_verify(args):
-    s = effective_settings(args)
-    try:
-        results = run_checks(only=s["only"], seed=s["seed"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def cmd_verify(s):
+    results = run_checks(only=s["only"], seed=s["seed"])
     lines = []
     failed = False
     for res in results:
@@ -334,21 +275,14 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "bounds":
-            return cmd_bounds(args, default_format="csv")
-        if args.command == "plot":
-            return cmd_bounds(args, default_format="svg")
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+        s = effective_settings(args)
+        if args.command in ("bounds", "plot"):
+            return cmd_bounds(s, "svg" if args.command == "plot" else "csv")
+        command = {"oracle": cmd_oracle, "simulate": cmd_simulate, "verify": cmd_verify}
+        return command[args.command](s)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

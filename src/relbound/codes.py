@@ -414,7 +414,8 @@ class MCResult(NamedTuple):
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(errors, trials, z=_Z95):
+def wilson_interval(errors, trials):
+    z = _Z95
     phat = errors / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -45,15 +45,15 @@ FACE_PERIOD = 8  # a face step is tried every FACE_PERIOD iterations, on support
 FACE_BYTES = 1 << 23
 
 
-def word_count(q, n, size_cap=SIZE_CAP):
-    """q^n, the number of n-letter words; ValueError when n < 1 or q^n > size_cap.
+def word_count(q, n):
+    """q^n, the number of n-letter words; ValueError when n < 1 or q^n > SIZE_CAP.
 
     Decided without forming a power above the cap, so a huge n is refused at once.
     """
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    if not _power_within(q, n, size_cap):
-        raise ValueError(f"q^n = {q}^{n} exceeds the size cap {size_cap}")
+    if not _power_within(q, n, SIZE_CAP):
+        raise ValueError(f"q^n = {q}^{n} exceeds the size cap {SIZE_CAP}")
     return q**n
 
 
@@ -148,7 +148,7 @@ def _face_grams(a, q, n, idx):
     return out
 
 
-def _face_minimizers(a, q, n, owner, supports, steps, tol=GRAD_MAP_TOL):
+def _face_minimizers(a, q, n, owner, supports, steps):
     """Minimizer z of p^T G p on each simplex face in a stack of equal-size supports.
 
     Support i lies in problem owner[i], with base weight a[owner[i]] and
@@ -188,11 +188,11 @@ def _face_minimizers(a, q, n, owner, supports, steps, tol=GRAD_MAP_TOL):
     zk, own = z[ok], owner[ok]
     step = steps[own]
     d = _project_simplex_rows(zk - 2.0 * step[:, None] * _times_gram(zk, a[own], q, n)) - zk
-    ok[ok] = _stationary(zk, d, step, tol)
+    ok[ok] = _stationary(zk, d, step, GRAD_MAP_TOL)
     return z, ok
 
 
-def _face_steps(a, q, n, owner, x, xg, steps, tol, faces):
+def _face_steps(a, q, n, owner, x, xg, steps, faces):
     """Face step for each row of x, row i in problem owner[i]: (points, accepted flags).
 
     Rows are grouped by (problem, support); `faces` maps a (problem,
@@ -219,7 +219,7 @@ def _face_steps(a, q, n, owner, x, xg, steps, tol, faces):
         chunk = FACE_BYTES // (8 * k * k)
         for lo in range(0, len(todo), chunk):
             part = todo[lo:lo + chunk]
-            z, ok = _face_minimizers(a, q, n, owners[part], supports[part], steps, tol)
+            z, ok = _face_minimizers(a, q, n, owners[part], supports[part], steps)
             for j in part[~ok]:
                 faces[keys[j]] = None
             z = z[ok]
@@ -238,7 +238,7 @@ def _face_steps(a, q, n, owner, x, xg, steps, tol, faces):
     return z, took
 
 
-def _projected_gradient_batch(a, q, n, starts, owner, max_iter=MAX_ITER, tol=GRAD_MAP_TOL):
+def _projected_gradient_batch(a, q, n, starts, owner, max_iter=MAX_ITER):
     """Minimize p^T G p over the simplex from every start of every problem at once.
 
     Every problem has q^n words; problem p's Gram matrix G is the n-fold
@@ -297,15 +297,14 @@ def _projected_gradient_batch(a, q, n, starts, owner, max_iter=MAX_ITER, tol=GRA
         it += 1
         two_step = 2.0 * step[:, None]
         proj = _project_simplex_rows(np.concatenate((x - two_step * xg, y - two_step * yg)))
-        done = _stationary(x, proj[: len(x)] - x, step, tol)
+        done = _stationary(x, proj[: len(x)] - x, step, GRAD_MAP_TOL)
         nxt = proj[len(x):].copy()  # a view would keep the half for x alive
         del proj
         points[rows[done]] = x[done]
         if it % FACE_PERIOD == 0:
             trial = np.flatnonzero(~done & (settled >= FACE_PERIOD))
             if trial.size:
-                z, took = _face_steps(a, q, n, owner[trial], x[trial], xg[trial], steps, tol,
-                                      faces)
+                z, took = _face_steps(a, q, n, owner[trial], x[trial], xg[trial], steps, faces)
                 points[rows[trial[took]]] = z[took]
                 done[trial[took]] = True
                 face_steps += np.bincount(owner[trial[took]], minlength=len(a))
@@ -369,7 +368,7 @@ def _start_points(ch, n, restarts, seed):
     return np.array(seeds)
 
 
-def minimize_q_batch(problems, size_cap=SIZE_CAP, max_iter=MAX_ITER):
+def minimize_q_batch(problems, max_iter=MAX_ITER):
     """`minimize_q` on each (channel, rho, n, restarts, seed) of `problems`, in few runs.
 
     Every problem's tilt, restarts and caps are checked before any work
@@ -390,7 +389,7 @@ def minimize_q_batch(problems, size_cap=SIZE_CAP, max_iter=MAX_ITER):
             raise ValueError(f"tilt parameter must be positive and finite, got {rho}")
         if restarts < 1:
             raise ValueError(f"need at least one restart, got {restarts}")
-        m = word_count(ch.q, n, size_cap)
+        m = word_count(ch.q, n)
         if restarts * m > BATCH_CAP:
             raise ValueError(
                 f"{restarts} restarts x q^n = {m} exceeds the cap of {BATCH_CAP} entries"
@@ -444,7 +443,7 @@ def _solve_run(problems, run, results, max_iter):
         )
 
 
-def minimize_q(ch, rho, n, restarts=200, seed=0, size_cap=SIZE_CAP, max_iter=MAX_ITER):
+def minimize_q(ch, rho, n, restarts=200, seed=0, max_iter=MAX_ITER):
     """Best local minimum of the n-letter quadratic form over the simplex.
 
     In the convex regime (rho <= rho_bar) every start converges to the
@@ -455,9 +454,9 @@ def minimize_q(ch, rho, n, restarts=200, seed=0, size_cap=SIZE_CAP, max_iter=MAX
     vectorized batch; this is `minimize_q_batch` on one problem.
     Deterministic for a fixed seed. Non-convergence of the winning run is
     reported through the `converged` flag, never silently. q^n is capped
-    at `size_cap` and restarts x q^n at BATCH_CAP.
+    at SIZE_CAP and restarts x q^n at BATCH_CAP.
     """
-    return minimize_q_batch([(ch, rho, n, restarts, seed)], size_cap=size_cap, max_iter=max_iter)[0]
+    return minimize_q_batch([(ch, rho, n, restarts, seed)], max_iter=max_iter)[0]
 
 
 def uniform_value(ch, rho, n):

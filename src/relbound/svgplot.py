@@ -36,7 +36,7 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def render_svg(curves, ceiling=None, title=None):
+def render_svg(curves, ceiling=None):
     """Draw the curves on shared axes, clipping values above the ceiling.
 
     Curves with infinite values get a dashed vertical asymptote marker
@@ -64,8 +64,7 @@ def render_svg(curves, ceiling=None, title=None):
         return MARGIN_T + (y_hi - min(v, y_hi)) / (y_hi - y_lo) * ph
 
     ch = curves[0].channel
-    if title is None:
-        title = f"exponent bounds, q={ch.q}, eps={ch.epsilon:g}"
+    title = f"exponent bounds, q={ch.q}, eps={ch.epsilon:g}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="13">',

@@ -1,4 +1,5 @@
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relbound
 from relbound import acceptance
-from relbound.cli import main, run as run_cli
+from relbound.cli import COMMANDS, COMMON, OPTIONS, build_parser, effective_settings, main
+from relbound.cli import run as run_cli
 from relbound.codes import KEY_CAP, WIDTH_CAP, format_code, make_code, pentagon_code
 from relbound.curves import csv_to_curves
 
@@ -316,6 +320,84 @@ def test_failing_criterion_exits_1_through_the_entry_point(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli()
     assert exc.value.code == 1
+
+
+def test_a_raising_criterion_fails_and_the_others_still_run(monkeypatch, capsys):
+    def raising(seed=0):
+        raise ValueError("injected library refusal")
+
+    criteria = [(n, d, raising if n == "envelope" else fn) for n, d, fn in acceptance.CRITERIA]
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    rc, out, err = run(capsys, "verify")
+    assert rc == 1
+    assert "FAIL envelope (" in out
+    assert "\n  FAIL criterion raised ValueError: injected library refusal\n" in out
+    assert all(f"PASS {n} (" in out for n, _, _ in criteria if n != "envelope")
+    assert out.endswith(f"FAIL: {len(criteria)} criteria run\n")
+    assert "ValueError: injected library refusal" in err  # the traceback, on stderr
+
+
+@pytest.mark.parametrize("case", ["missing config", "non-utf-8 config", "out in a missing dir",
+                                  "code is a dir"])
+def test_file_errors_are_usage_errors_that_name_the_file(tmp_path, capsys, case):
+    path = tmp_path / "missing.cfg"
+    argv = ("bounds", "--points", "3", "--config", str(path))
+    if case == "non-utf-8 config":
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# caf\u00e9\neps=0.1\n".encode("latin-1"))
+        argv = ("bounds", "--points", "3", "--config", str(path))
+    elif case == "out in a missing dir":
+        path = tmp_path / "no" / "curves.csv"
+        argv = ("bounds", "--points", "3", "--out", str(path))
+    elif case == "code is a dir":
+        path = tmp_path / "codes"
+        path.mkdir()
+        argv = ("simulate", "--code", str(path), "--eps", "0.2")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+def _option_values(name):
+    typ = OPTIONS[name][0]
+    if isinstance(typ, tuple):
+        return st.sampled_from(typ)
+    if typ is int:
+        return st.integers(min_value=0 if name == "seed" else None)  # a negative seed is refused
+    if typ is float:
+        return st.floats(allow_nan=False)
+    return st.from_regex(r"[A-Za-z0-9_.:/,+-]{1,20}", fullmatch=True)
+
+
+@pytest.mark.parametrize("name", [name for name in OPTIONS if name != "config"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), in_file=st.booleans(), as_flag=st.booleans())
+def test_flag_beats_file_beats_default(tmp_path_factory, name, data, in_file, as_flag):
+    command = data.draw(st.sampled_from([c for c, (_, own) in COMMANDS.items()
+                                         if name in COMMON + own]))
+    file_value, flag_value = data.draw(_option_values(name)), data.draw(_option_values(name))
+    argv = [command]
+    if in_file:
+        cfg = tmp_path_factory.getbasetemp() / "precedence.cfg"
+        cfg.write_text(f"{name}={file_value}\n")
+        argv += ["--config", str(cfg)]
+    if as_flag:
+        argv.append(f"--{name}={flag_value}")  # the = form takes values that start with -
+    merged = effective_settings(build_parser().parse_args(argv))
+    expected = flag_value if as_flag else file_value if in_file else OPTIONS[name][1]
+    assert merged[name] == expected and type(merged[name]) is type(expected)
+    others = {key: entry[1] for key, entry in OPTIONS.items() if key not in (name, "config")}
+    assert {key: merged[key] for key in others} == others
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.just("config") | st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+    lambda key: key not in OPTIONS))
+def test_config_key_that_is_no_option_is_refused(tmp_path_factory, key):
+    cfg = tmp_path_factory.getbasetemp() / "unknown.cfg"
+    cfg.write_text(f"{key}=1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:1: unknown key {key!r}")):
+        effective_settings(build_parser().parse_args(["verify", "--config", str(cfg)]))
 
 
 def test_config_file_precedence(tmp_path, capsys):

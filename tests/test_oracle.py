@@ -523,8 +523,7 @@ def test_face_step_skips_a_face_too_large_for_one_stack():
     assert 8 * m * m > FACE_BYTES
     x = np.full((1, m), 1.0 / m)
     faces = {}
-    z, took = _face_steps(np.zeros(1), m, 1, np.zeros(1, dtype=int), x, x, np.array([0.5]),
-                          GRAD_MAP_TOL, faces)
+    z, took = _face_steps(np.zeros(1), m, 1, np.zeros(1, dtype=int), x, x, np.array([0.5]), faces)
     assert not took[0] and not faces
 
 

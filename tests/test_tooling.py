@@ -3,6 +3,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from relbound.cli import build_parser
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -46,3 +50,19 @@ def test_no_module_builds_a_dense_gram_matrix():
     # face blocks from the letters; a Kronecker power would bring back the
     # q^n x q^n matrix (78 MB at the size cap), so it lives in the tests alone
     assert _uses({"kron", "gram_matrix"}) == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_readme_cli_line_parses():
+    # the README's CLI block is what users copy; an option renamed or dropped
+    # in the parser must not leave it showing a command line that is refused
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("relbound ")]
+    assert len(lines) >= 5
+    for line in lines:
+        try:
+            build_parser().parse_args(line.replace("[", "").replace("]", "").split()[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
