@@ -76,7 +76,7 @@ def check_eps_bar(seed=0):
 def check_oracle(seed=0):
     rec = _Recorder()
     eps_grid = (0.01, 0.1, 0.5)
-    checks = []  # (a) and (b): (label, problem, expected Ex_n, tol)
+    checks = []  # (a): (label, problem, expected Ex_n, tol)
     for q, eps in product((4, 5, 6), eps_grid):
         ch = Channel(q, eps)
         rb = cls.rho_bar(ch)
@@ -89,22 +89,26 @@ def check_oracle(seed=0):
             for n in (1, 2):
                 checks.append((f"(a) q={q} eps={eps} rho={rho:.4f} n={n}",
                                (ch, rho, n, 6, seed), target_fn, 1e-6))
+    even = []  # (b): (label, problem), checked by oracle.check_even_q
     for q, eps in product((4, 6), eps_grid):
         ch = Channel(q, eps)
         rb = cls.rho_bar(ch)
         for mult in (1.5, 3.0):
             rho = mult * rb
-            checks.append((f"(b) q={q} eps={eps} rho={rho:.3f} n=1",
-                           (ch, rho, 1, 16, seed), rho * math.log2(q / 2), 1e-4))
+            even.append((f"(b) q={q} eps={eps} rho={rho:.3f} n=1", (ch, rho, 1, 16, seed)))
     pentagon = [(Channel(5, eps), 2.0 * cls.rho_bar(Channel(5, eps)), 2, 200, seed)
                 for eps in eps_grid]
     # every problem runs in one batch, and (c) times the whole of it
     t0 = time.time()
-    results = orc.minimize_q_batch([problem for _, problem, _, _ in checks] + pentagon)
+    results = orc.minimize_q_batch(
+        [problem for _, problem, _, _ in checks] + [problem for _, problem in even] + pentagon
+    )
     dt = time.time() - t0
     for (label, _, expected, tol), res in zip(checks, results):
         rec.expect(label, res.ex_n, expected, tol)
-    for eps, res in zip(eps_grid, results[len(checks):]):
+    for (label, (ch, *_)), res in zip(even, results[len(checks):]):
+        rec.require(label, *orc.check_even_q(ch.q, res))
+    for eps, res in zip(eps_grid, results[len(checks) + len(even):]):
         rec.expect(f"(c) q=5 n=2 eps={eps} min_Q", res.min_q, 0.2, 1e-5)
         rec.require(
             f"(c) q=5 n=2 eps={eps} runtime <= 60 s (200 restarts)",

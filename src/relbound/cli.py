@@ -23,7 +23,7 @@ from . import curves as crv
 from .acceptance import CRITERIA, run_checks
 from .channel import Channel, capacity, cycle_constants
 from .classical import rho_bar
-from .oracle import BATCH_CAP, minimize_q, uniform_value
+from .oracle import BATCH_CAP, check_even_q, minimize_q, uniform_value
 from .svgplot import render_svg
 
 # name: (type, default, help), in --help order; a tuple type lists the allowed strings
@@ -169,12 +169,9 @@ def cmd_oracle(s):
             f"{target:.12g} (tol 1e-9)"
         )
     elif ch.q % 2 == 0:
-        target = res.rho * math.log2(ch.q / 2)
-        good = abs(res.ex_n - target) <= 1e-4
+        good, detail = check_even_q(ch.q, res)
         ok &= good
-        lines.append(
-            f"{'PASS' if good else 'FAIL'} even q: Ex_n vs rho log2(q/2) = {target:.8g} (tol 1e-4)"
-        )
+        lines.append(f"{'PASS' if good else 'FAIL'} even q: {detail}")
     elif ch.q == 5 and res.n % 2 == 0:
         target = 5.0 ** (-res.n / 2)
         good = abs(res.min_q - target) <= 1e-5

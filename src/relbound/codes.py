@@ -24,7 +24,12 @@ OUTPUT_CAP), decides for both whether that index labels tables of q^n
 entries directly. Otherwise the enumeration ranks the reached outputs
 by one sort, and the Monte-Carlo decoder scores each trial against all
 M codewords through the pairwise kernel; only there do WIDTH_CAP and
-KEY_CAP bind it. So no enumeration table is longer than the M 2^n
+KEY_CAP bind it. A code marked linear is geometrically uniform: every
+codeword has the zero word's error, so within the rule the enumeration
+scores only the zero word's 2^n outputs, each against its competitors
+p - p' in a q^n membership table, and every other code enumerates all
+M 2^n (codeword, pattern) pairs. The rule gives 4^n <= q^n <= M 2^n,
+so on either path no enumeration table is longer than the M 2^n
 pairs. The Monte-Carlo decoder finds ties among small-integer ranks of
 the likelihoods, equal floats sharing a rank, instead of among float64
 scores, and computes only the tied rows' tie-breaking uniforms, each
@@ -346,6 +351,21 @@ def exact_word_errors(code, ch):
 
     Ties are charged their exact expected cost under a uniformly random
     choice among the maximizers.
+
+    A code marked linear is a subgroup of Z_q^n, and the channel adds
+    its noise mod q, so translating by a codeword maps every decision
+    region, and every tie, onto another one: each codeword has the error
+    of the zero word (the code is geometrically uniform). Where the
+    outputs can be addressed directly (`code.linear and _addressable`),
+    only the zero word is scored, over its 2^n outputs p; p's
+    competitors are the codewords p - p', p' a 0/1 pattern, found in a
+    q^n membership table. The zero word's outputs, competitors and
+    losses are then those of any codeword, in the same pattern order,
+    so each error has the bits the enumeration gives. That rule gives
+    4^n <= q^n <= M 2^n, so neither the table nor the 2^n x 2^n
+    competitor grid is longer than the M 2^n pairs. Every other code
+    enumerates all M 2^n (codeword, pattern) pairs. The caps refuse the
+    same codes on both paths.
     """
     if code.q != ch.q:
         raise ValueError("code and channel alphabet sizes differ")
@@ -356,9 +376,22 @@ def exact_word_errors(code, ch):
         raise ValueError(f"code size {m} exceeds the cap {M_CAP}")
     if m * 2**n > REACH_CAP:
         raise ValueError("reachable-output enumeration exceeds the cap")
-    weights = all_words((0, 1), n).sum(axis=1)
+    patterns = all_words((0, 1), n)
+    weights = patterns.sum(axis=1)
     eps = ch.epsilon
     pw = (1.0 - eps) ** (n - weights) * eps**weights
+    if code.linear and _addressable(q, n, m):
+        member = np.zeros(q**n, dtype=bool)
+        member[word_indices(code.array, q)] = True
+        # row: the zero word's output p; column: the competitor p - p' if it is a codeword
+        rival = member[_pattern_outputs(patterns, q, -1)]
+        best = np.where(rival, pw, 0.0).max(axis=1)
+        hit = pw == best
+        cnt = np.count_nonzero(rival & (pw == best[:, None]), axis=1)
+        share = np.where(hit, 1.0 / np.maximum(cnt, 1), 0.0)
+        loss = np.subtract(1.0, share, out=share)
+        loss *= pw
+        return np.full(m, loss.sum())
     # output index of every (codeword, noise pattern) pair, in the order of
     # all_words((0, 1), n); a word reaches distinct outputs through distinct
     # patterns. Dense output labels: the index itself where the outputs can

@@ -459,6 +459,25 @@ def minimize_q(ch, rho, n, restarts=200, seed=0, max_iter=MAX_ITER):
     return minimize_q_batch([(ch, rho, n, restarts, seed)], max_iter=max_iter)[0]
 
 
+# relative tolerance of min_Q against (2/q)^n. An absolute 1e-4 on Ex_n lets
+# min_Q err by 2^(1e-4 n / rho) - 1 relative, 6.9e-6 at the largest rho the
+# acceptance criterion checks (9.99, n = 1); 1e-9 is tighter at every point,
+# and far above the optimizer's rounding (a few ulps)
+EVEN_Q_RTOL = 1e-9
+
+
+def check_even_q(q, res):
+    """(passed, detail) for an even q past rho_bar, where min_Q is (2/q)^n.
+
+    The even-symbol product attains it, so Ex_n = rho log2(q/2). min_Q
+    is compared at relative tolerance EVEN_Q_RTOL: unlike Ex_n = -(rho/n)
+    log2 min_Q, whose rounding grows with rho, it does not scale with rho.
+    """
+    target = (2.0 / q) ** res.n
+    passed = abs(res.min_q - target) <= EVEN_Q_RTOL * target
+    return passed, f"min_Q {res.min_q!r} vs (2/q)^n = {target!r} (rel tol {EVEN_Q_RTOL:g})"
+
+
 def uniform_value(ch, rho, n):
     """Quadratic form at the uniform distribution: ((1 + 2 a)/q)^n with a = alpha^(1/rho)."""
     a = bhattacharyya(ch.epsilon) ** (1.0 / rho)

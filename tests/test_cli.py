@@ -89,6 +89,15 @@ def test_oracle_convex_report(capsys):
     assert "convex" in out and "PASS" in out
 
 
+@pytest.mark.parametrize("q, rho", [(6, "1e12"), (4, "1e300")])
+def test_oracle_even_q_check_holds_at_huge_rho(capsys, q, rho):
+    # one ulp of Ex_n = rho log2(q/2) there exceeds any fixed absolute
+    # tolerance; min_Q is 1/3 and one ulp under 1/2
+    rc, out, err = run(capsys, "oracle", "--q", str(q), "--eps", "0.1", "--rho", rho, "--n", "1")
+    assert rc == 0, out + err
+    assert re.search(r"^PASS even q: ", out, re.M) and "FAIL" not in out
+
+
 def test_oracle_usage_errors(capsys):
     rc, _, err = run(capsys, "oracle", "--q", "5", "--eps", "0.1")
     assert rc == 2 and "--rho" in err

@@ -33,6 +33,7 @@ from relbound.codes import (
     spectrum,
     union_bound_pe,
     weight_counts,
+    word_indices,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -361,6 +362,40 @@ def test_linear_code_spectrum_matches_pairwise_kernel(code, eps):
     assert not back.linear and back == code
 
 
+@PROPERTY
+@given(linear_codes())
+def test_linear_codes_are_closed_under_subtraction(code):
+    # the mark lets spectrum and exact_word_errors work from the zero word
+    # alone, which holds only for a subgroup of Z_q^n
+    assert code.linear
+    index = word_indices(code.array, code.q)
+    for word in code.array:  # M^2 differences, a row of M at a time
+        assert np.isin(word_indices((word - code.array) % code.q, code.q), index).all()
+
+
+# the benchmark's coset:8:4 code and a q5plus:4:1 code, both within the
+# addressing rule; random_q5_code(1, 0) is the pentagon, outside it
+@example(random_coset_code(4, 8, 4, seed=293407)[0], 0.1)
+@example(random_q5_code(4, 1, seed=0), 0.3)
+@PROPERTY
+@given(linear_codes(), st.sampled_from([1e-300, 0.01, 0.3, 0.5]))
+def test_linear_code_errors_match_the_enumeration(code, eps):
+    ch = Channel(code.q, eps)
+    plain = make_code(code.array, code.q)  # not marked linear: enumerates every codeword
+    assert np.array_equal(exact_word_errors(code, ch), exact_word_errors(plain, ch))
+    assert exact_pe_avg_max(code, ch) == exact_pe_avg_max(plain, ch)
+
+
+def test_a_non_linear_code_marked_linear_gets_wrong_errors():
+    # the property above can fail: the lift of a non-linear shift code,
+    # within the addressing rule, forced through the linear path
+    lift = build_coset_code(make_code([(0, 0), (0, 1), (1, 0)], 2), 4)
+    forced = codes_mod._constructed(lift.array, 4, True)
+    assert codes_mod._addressable(4, lift.n, lift.M)
+    ch = Channel(4, 0.3)
+    assert not np.array_equal(exact_word_errors(forced, ch), exact_word_errors(lift, ch))
+
+
 def test_weight_counts_on_stacks_and_long_words():
     # one bin per weight 0..n, then infinite weight; leading axes are kept
     words = np.array([[[0, 0, 0], [1, 0, 4], [2, 0, 0]], [[3, 3, 3], [4, 4, 4], [1, 1, 0]]])
@@ -512,10 +547,14 @@ def test_exact_word_errors_memory():
     sparse = make_code([(0,) * 10, (4,) * 10], 5)
     assert 5**10 <= codes_mod.OUTPUT_CAP
     assert _traced_peak(exact_word_errors, sparse, Channel(5, 0.1)) < 2e6
-    # the benchmark's coset:8:4 code, with 2^20 (word, pattern) pairs, stays
-    # well below the 50-52 MB the enumeration took when it sorted the pairs
+    # the benchmark's coset:8:4 code scores only its zero word: a 2^8 x 2^8
+    # competitor grid and a 4^8 membership table
     dense = random_coset_code(4, 8, 4, seed=293407)[0]
-    assert _traced_peak(exact_word_errors, dense, Channel(4, 0.1)) < 45e6
+    assert dense.linear and _traced_peak(exact_word_errors, dense, Channel(4, 0.1)) < 4e6
+    # its unmarked copy enumerates all 2^20 (word, pattern) pairs, and stays
+    # well below the 50-52 MB the enumeration took when it sorted the pairs
+    plain = make_code(dense.array, 4)
+    assert _traced_peak(exact_word_errors, plain, Channel(4, 0.1)) < 45e6
 
 
 def test_pairwise_kernel_refuses_a_code_wider_than_its_cap():
