@@ -10,8 +10,15 @@ the face step gathers the entries it needs from the words' letters.
 The search is a multi-start accelerated projected gradient (FISTA
 momentum with adaptive restart), all starts in one batch;
 `minimize_q_batch` stacks the starts of many problems of one (q, n) into
-the same batch. A start stops, as converged, where the gradient mapping
-at the point it returns is at most GRAD_MAP_TOL or where no
+the same batch, and solves twins once: problems with the same q, n,
+restarts, integer seed and, bit for bit, the same a are one quadratic
+program from the same start rows, so they share every solver output
+(each row's trajectory is independent of the rows stacked with it).
+Twins are common at rho = c rho_bar: rho_bar = log(alpha) / log(phi)
+makes alpha^(1/rho_bar) = phi, which depends on q alone, so a = phi^(1/c)
+for every eps, up to rounding (one ulp can still part two eps, and
+then they are two programs). A start stops, as converged, where the
+gradient mapping at the point it returns is at most GRAD_MAP_TOL or where no
 representable projected step is left; MAX_ITER caps the run.
 A start whose support has settled finishes with one face-restricted
 Newton step (projected Newton, Bertsekas 1982): the exact minimizer of
@@ -372,18 +379,28 @@ def minimize_q_batch(problems, max_iter=MAX_ITER):
     """`minimize_q` on each (channel, rho, n, restarts, seed) of `problems`, in few runs.
 
     Every problem's tilt, restarts and caps are checked before any work
-    starts. Problems are grouped by (q, n), and the start rows of a group
-    run as one stack in `_projected_gradient_batch`, each row tagged
-    with its problem. A group is cut into several runs where one run
-    would hold more than BATCH_CAP entries in its start rows (rows x
-    q^n). Each row follows
-    the same arithmetic as when its problem runs alone, so every result
-    equals, field for field, what `minimize_q` returns for that problem;
-    `iterations` is the run's iteration at which the problem's last row
-    froze, and `face_steps` counts its own rows. Returns one
-    OracleResult per problem, in order.
+    starts. Problems whose (q, n, a, restarts, seed) are equal, with
+    a = alpha^(1/rho) compared as a float (bit for bit) and seed an
+    integer, are twins: one quadratic program from the same start rows,
+    so the first of them is solved and the rest take its solution. A
+    seed that is not an integer (None draws fresh starts on every call)
+    makes no twin. Distinct problems are grouped by (q, n), and the start
+    rows of a group run as one stack in `_projected_gradient_batch`, each
+    row tagged with its problem. A group is cut into several runs where
+    one run would hold more than BATCH_CAP entries in its start rows
+    (rows x q^n). Each row follows the same arithmetic as when its
+    problem runs alone, so every result equals, field for field, what
+    `minimize_q` returns for that problem; a twin's `rho`, `n`, `ex_n`
+    and `convex` come from its own (channel, rho), and its
+    `distribution` is its own copy. Twins arise across eps at a fixed
+    multiple of rho_bar, where a depends on q alone (module docstring);
+    a key on a rounded a would merge problems one ulp apart, which are
+    different programs. `iterations` is the run's iteration at which
+    the problem's last row froze, and `face_steps` counts its own rows.
+    Returns one OracleResult per problem, in order.
     """
     problems = list(problems)
+    a = []
     for ch, rho, n, restarts, _ in problems:
         if not 0.0 < rho < math.inf:
             raise ValueError(f"tilt parameter must be positive and finite, got {rho}")
@@ -394,53 +411,66 @@ def minimize_q_batch(problems, max_iter=MAX_ITER):
             raise ValueError(
                 f"{restarts} restarts x q^n = {m} exceeds the cap of {BATCH_CAP} entries"
             )
+        a.append(bhattacharyya(ch.epsilon) ** (1.0 / rho))
+    first = {}  # twin key -> index of the problem that is solved for all its twins
+    solver = []  # per problem, the index of the problem whose solution it takes
+    for i, ((ch, _, n, restarts, seed), w) in enumerate(zip(problems, a)):
+        key = (ch.q, n, w, restarts, seed) if isinstance(seed, (int, np.integer)) else i
+        solver.append(first.setdefault(key, i))
     groups = {}
-    for i, (ch, _, n, _, _) in enumerate(problems):
+    for i in first.values():
+        ch, _, n, _, _ = problems[i]
         groups.setdefault((ch.q, n), []).append(i)
-    results = [None] * len(problems)
+    solved = {}
     for (q, n), members in groups.items():
         run, entries = [], 0
         for i in members:
             size = max(problems[i][3], _structured_seed_count(q, n)) * q**n  # its start entries
             if run and entries + size > BATCH_CAP:
-                _solve_run(problems, run, results, max_iter)
+                solved.update(zip(run, _solve_run(problems, a, run, max_iter)))
                 run, entries = [], 0
             run.append(i)
             entries += size
-        _solve_run(problems, run, results, max_iter)
-    return results
-
-
-def _solve_run(problems, run, results, max_iter):
-    """Solve the problems with indices `run`, all of one (q, n), as one stack into `results`."""
-    members = [problems[i] for i in run]
-    q, n = members[0][0].q, members[0][2]
-    a = np.array([bhattacharyya(ch.epsilon) ** (1.0 / rho) for ch, rho, *_ in members])
-    starts = [_start_points(ch, n, restarts, seed) for ch, _, n, restarts, seed in members]
-    counts = [len(s) for s in starts]
-    starts = np.concatenate(starts)
-    owner = np.repeat(np.arange(len(run)), counts)
-    pts, values, conv, iterations, face_steps = _projected_gradient_batch(
-        a, q, n, starts, owner, max_iter=max_iter
-    )
-    lo = 0
-    for p, (i, count) in enumerate(zip(run, counts)):
-        ch, rho, n, _, _ = problems[i]
-        best = lo + int(np.argmin(values[lo:lo + count]))
-        lo += count
-        value = float(values[best])
-        results[i] = OracleResult(
+        solved.update(zip(run, _solve_run(problems, a, run, max_iter)))
+    results = []
+    for (ch, rho, n, _, _), i in zip(problems, solver):
+        point, value, count, converged, iterations, face_steps = solved[i]
+        results.append(OracleResult(
             rho=rho,
             n=n,
             min_q=value,
-            distribution=pts[best],
+            distribution=point.copy(),
             ex_n=-(rho / n) * math.log2(value),
             restarts=count,
-            converged=bool(conv[best]),
+            converged=converged,
             convex=rho <= cycle_constants(ch).rho_bar,
-            iterations=int(iterations[p]),
-            face_steps=int(face_steps[p]),
-        )
+            iterations=iterations,
+            face_steps=face_steps,
+        ))
+    return results
+
+
+def _solve_run(problems, a, run, max_iter):
+    """Solve the problems with indices `run`, all of one (q, n), as one stack.
+
+    a[i] is problem i's base weight. Returns, per problem of `run`, its
+    (best point, value, start rows, converged, iterations, face_steps).
+    """
+    members = [problems[i] for i in run]
+    q, n = members[0][0].q, members[0][2]
+    starts = [_start_points(ch, n, restarts, seed) for ch, _, n, restarts, seed in members]
+    counts = [len(s) for s in starts]
+    owner = np.repeat(np.arange(len(run)), counts)
+    pts, values, conv, iterations, face_steps = _projected_gradient_batch(
+        np.array([a[i] for i in run]), q, n, np.concatenate(starts), owner, max_iter=max_iter
+    )
+    out, lo = [], 0
+    for p, count in enumerate(counts):
+        best = lo + int(np.argmin(values[lo:lo + count]))
+        lo += count
+        out.append((pts[best], float(values[best]), count, bool(conv[best]), int(iterations[p]),
+                    int(face_steps[p])))
+    return out
 
 
 def minimize_q(ch, rho, n, restarts=200, seed=0, max_iter=MAX_ITER):

@@ -16,7 +16,7 @@ from gram_oracles import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relbound import oracle
+from relbound import acceptance, oracle
 from relbound.channel import Channel, bhattacharyya
 from relbound.classical import rho_bar
 from relbound.oracle import (
@@ -365,10 +365,23 @@ def test_slow_cases_below_rho_bar_finish_by_face_steps(q, eps, rho, restarts, se
 def _assert_same_results(batch, alone):
     assert len(batch) == len(alone)
     for got, ref in zip(batch, alone):
-        for field in ("min_q", "ex_n", "converged", "convex", "restarts", "iterations",
-                      "face_steps"):
+        for field in ("rho", "n", "min_q", "ex_n", "converged", "convex", "restarts",
+                      "iterations", "face_steps"):
             assert getattr(got, field) == getattr(ref, field), field
         assert np.array_equal(got.distribution, ref.distribution)
+
+
+def _spy_on_runs(monkeypatch):
+    """Record the a and start rows of every `_projected_gradient_batch` call."""
+    runs = []
+    solve = oracle._projected_gradient_batch
+
+    def spy(a, q, n, starts, owner, **kwargs):
+        runs.append((a.copy(), starts.shape))
+        return solve(a, q, n, starts, owner, **kwargs)
+
+    monkeypatch.setattr(oracle, "_projected_gradient_batch", spy)
+    return runs
 
 
 @st.composite
@@ -389,6 +402,8 @@ def oracle_batches(draw):
             draw(st.integers(min_value=1, max_value=40)),
             draw(st.integers(min_value=0, max_value=2**32 - 1)),
         ))
+    if draw(st.booleans()):  # a twin, solved once
+        problems.append(draw(st.sampled_from(problems)))
     return problems
 
 
@@ -399,8 +414,61 @@ def oracle_batches(draw):
 @example([(Channel(8, 0.3), 3.0 * rho_bar(Channel(8, 0.3)), 2, 12, 3),
           (Channel(4, 0.3), 0.99 * rho_bar(Channel(4, 0.3)), 3, 7, 4),
           (Channel(4, 0.2), 2.5 * rho_bar(Channel(4, 0.2)), 3, 9, 5)])
+@example([(Channel(5, 0.1), 3.0, 2, 10, 42)] * 3)  # exact duplicates
+# a = 0.5 exactly at rho_bar for q = 4, whatever eps, so these are twins whose rho and
+# ex_n differ
+@example([(Channel(4, eps), rho_bar(Channel(4, eps)), 1, 6, 0) for eps in (0.01, 0.1, 0.5)])
+# the oracle criterion's pentagon problems: one a for the three eps
+@example([(Channel(5, eps), 2.0 * rho_bar(Channel(5, eps)), 2, 20, 0)
+          for eps in (0.01, 0.1, 0.5)])
+# q = 7 has no structured seed that is optimal, so the random starts decide the result
+@example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 1, 8, seed) for seed in (1, 2)])
+@example([(Channel(6, 0.1), 3.0 * rho_bar(Channel(6, 0.1)), 1, restarts, 1)
+          for restarts in (8, 9)])
 def test_batch_equals_separate_calls(problems):
     _assert_same_results(minimize_q_batch(problems), [minimize_q(*p) for p in problems])
+
+
+def test_problems_one_ulp_apart_in_a_are_solved_apart(monkeypatch):
+    # 3 rho_bar leaves a one ulp apart for these two; a key on a rounded a would merge them
+    problems = [(Channel(4, eps), 3.0 * rho_bar(Channel(4, eps)), 1, 16, 0) for eps in (0.01, 0.1)]
+    runs = _spy_on_runs(monkeypatch)
+    batch = minimize_q_batch(problems)
+    assert len(runs) == 1
+    assert [w.hex() for w in runs[0][0].tolist()] == ["0x1.965fea53d6e3cp-1",
+                                                      "0x1.965fea53d6e3dp-1"]
+    _assert_same_results(batch, [minimize_q(*p) for p in problems])
+
+
+def test_problems_without_a_seed_are_never_twins(monkeypatch):
+    # seed None draws fresh starts on every call, so equal problems are two searches
+    runs = _spy_on_runs(monkeypatch)
+    minimize_q_batch([(Channel(7, 0.1), 3.0, 1, 8, None)] * 2)
+    assert [len(a) for a, _ in runs] == [2]
+
+
+def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
+    # 61 problems, but at c rho_bar a depends on q alone, so only 41 are distinct
+    runs = _spy_on_runs(monkeypatch)
+    batches = []
+    batch = oracle.minimize_q_batch
+
+    def keep(problems, **kwargs):
+        batches.append(batch(problems, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(oracle, "minimize_q_batch", keep)
+    assert acceptance.check_oracle(0).ok
+    assert sum(len(a) for a, _ in runs) == 41
+    assert sum(rows * m for _, (rows, m) in runs) == 8600
+    (results,) = batches
+    assert len(results) == 61
+    # the three pentagon problems are twins; each owns its distribution
+    twin, other = results[-3], results[-2]
+    assert np.array_equal(twin.distribution, other.distribution)
+    kept = other.distribution.copy()
+    twin.distribution[:] = -1.0
+    assert np.array_equal(other.distribution, kept)
 
 
 def test_batch_keeps_an_unconverged_problem_apart():
@@ -420,16 +488,9 @@ def test_batch_past_the_entry_cap_runs_in_several_stacks(monkeypatch):
     ch = Channel(6, 1e-6)
     problems = [(ch, 1.0, 2, 15_000, 1), (ch, 1.0, 2, 15_000, 2)]
     assert sum(restarts * 36 for *_, restarts, _ in problems) > BATCH_CAP
-    runs = []
-    solve = oracle._projected_gradient_batch
-
-    def spy(a, q, n, starts, owner, **kwargs):
-        runs.append(starts.size)
-        return solve(a, q, n, starts, owner, **kwargs)
-
-    monkeypatch.setattr(oracle, "_projected_gradient_batch", spy)
+    runs = _spy_on_runs(monkeypatch)
     batch = minimize_q_batch(problems)
-    assert runs == [15_000 * 36] * 2
+    assert [shape for _, shape in runs] == [(15_000, 36)] * 2
     _assert_same_results(batch, [minimize_q(*p) for p in problems])
 
 
