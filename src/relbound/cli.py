@@ -21,9 +21,9 @@ import sys
 from . import codes as cod
 from . import curves as crv
 from .acceptance import CRITERIA, run_checks
-from .channel import Channel, capacity, cycle_constants
+from .channel import Channel, capacity
 from .classical import rho_bar
-from .oracle import BATCH_CAP, check_even_q, minimize_q, uniform_value
+from .oracle import BATCH_CAP, minimize_q, regime_check
 from .svgplot import render_svg
 
 # name: (type, default, help), in --help order; a tuple type lists the allowed strings
@@ -147,7 +147,6 @@ def cmd_oracle(s):
         raise ValueError(f"slope parameter must satisfy 1 <= rho < inf, got {s['rho']}")
     res = minimize_q(ch, s["rho"], s["n"], restarts=s["restarts"], seed=s["seed"])
     rb = rho_bar(ch)
-    theta = cycle_constants(ch).theta
     lines = [
         f"q={ch.q} eps={ch.epsilon:g} rho={res.rho:g} n={res.n} restarts={res.restarts}",
         f"min_Q = {res.min_q:.12g}",
@@ -159,34 +158,8 @@ def cmd_oracle(s):
         + str(int((res.distribution > 1e-9).sum()))
         + f" of {ch.q ** res.n} points",
     ]
-    ok = True
-    if res.convex:
-        target = uniform_value(ch, res.rho, res.n)
-        good = abs(res.min_q - target) <= 1e-9
-        ok &= good
-        lines.append(
-            f"{'PASS' if good else 'FAIL'} convex regime: min_Q vs uniform closed form "
-            f"{target:.12g} (tol 1e-9)"
-        )
-    elif ch.q % 2 == 0:
-        good, detail = check_even_q(ch.q, res)
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} even q: {detail}")
-    elif ch.q == 5 and res.n % 2 == 0:
-        target = 5.0 ** (-res.n / 2)
-        good = abs(res.min_q - target) <= 1e-5
-        ok &= good
-        lines.append(
-            f"{'PASS' if good else 'FAIL'} q=5 even n: min_Q vs 5^(-n/2) = {target:.8g} (tol 1e-5)"
-        )
-    else:
-        cap_ex = res.rho * math.log2(theta)
-        good = res.ex_n <= cap_ex + 1e-6
-        ok &= good
-        lines.append(
-            f"{'PASS' if good else 'FAIL'} odd q: Ex_n <= rho log2(theta) = {cap_ex:.8g} "
-            "(upper bound only)"
-        )
+    ok, check = regime_check(ch, res)
+    lines.append(f"{'PASS' if ok else 'FAIL'} {check}")
     _emit("\n".join(lines) + "\n", s["out"])
     return 0 if ok else 1
 

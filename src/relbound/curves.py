@@ -219,11 +219,19 @@ def applicable_bounds(ch):
 
 
 def resolve_selection(ch, selector):
-    """Expand a --bounds selector, refusing inapplicable explicit picks."""
+    """Expand a --bounds selector, refusing an empty or repeated list and inapplicable picks.
+
+    A curve named twice would break the CSV round trip (its rates must
+    rise), and a list of no names would emit only the header.
+    """
     if selector in ("all", "", None):
         return applicable_bounds(ch)
     names = [s.strip() for s in selector.split(",") if s.strip()]
-    for n in names:
+    if not names:
+        raise ValueError(f"--bounds {selector!r} names no bound")
+    for i, n in enumerate(names):
+        if n in names[:i]:
+            raise ValueError(f"--bounds names {n!r} more than once")
         if n not in BOUNDS:
             raise ValueError(f"unknown bound {n!r}; known: {', '.join(BOUNDS)}")
         spec = BOUNDS[n]

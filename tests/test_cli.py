@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import resource
@@ -13,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relbound
-from relbound import acceptance
+from relbound import acceptance, cli
+from relbound.channel import Channel, theta_cycle
+from relbound.classical import rho_bar
 from relbound.cli import COMMANDS, COMMON, OPTIONS, build_parser, effective_settings, main
 from relbound.cli import run as run_cli
 from relbound.codes import KEY_CAP, WIDTH_CAP, format_code, make_code, pentagon_code
 from relbound.curves import csv_to_curves
+from relbound.oracle import REGIME_RTOL, minimize_q, uniform_value
 
 
 def run(capsys, *argv):
@@ -96,6 +100,48 @@ def test_oracle_even_q_check_holds_at_huge_rho(capsys, q, rho):
     rc, out, err = run(capsys, "oracle", "--q", str(q), "--eps", "0.1", "--rho", rho, "--n", "1")
     assert rc == 0, out + err
     assert re.search(r"^PASS even q: ", out, re.M) and "FAIL" not in out
+
+
+# (argv, label, closed form of min_Q); q = 5 with odd n is an odd-q case
+ORACLE_REGIMES = [
+    (("--q", "4", "--eps", "0.1", "--rho", "1.5", "--n", "2", "--restarts", "4"), "convex regime",
+     uniform_value(Channel(4, 0.1), 1.5, 2)),
+    (("--q", "6", "--eps", "0.1", "--rho", "3", "--n", "1"), "even q", 1.0 / 3.0),
+    (("--q", "5", "--eps", "0.1", "--rho", "6", "--n", "2", "--restarts", "40"), "q=5 even n",
+     5.0 ** -1),
+    (("--q", "7", "--eps", "0.1", "--rho", "5", "--n", "1"), "odd q", 1.0 / theta_cycle(7)),
+    (("--q", "5", "--eps", "0.1", "--rho", "6", "--n", "1"), "odd q", 5.0 ** -0.5),
+    # huge rho, where one ulp of Ex_n exceeds any fixed absolute tolerance
+    (("--q", "7", "--eps", "0.1", "--rho", "1e12", "--n", "1"), "odd q", 1.0 / theta_cycle(7)),
+    (("--q", "5", "--eps", "0.1", "--rho", "1e12", "--n", "2", "--restarts", "20"), "q=5 even n",
+     5.0 ** -1),
+]
+
+
+@pytest.mark.parametrize("argv, label, target", ORACLE_REGIMES)
+def test_oracle_fails_a_min_q_off_by_twice_the_regime_tolerance(capsys, monkeypatch, argv, label,
+                                                                target):
+    rc, out, err = run(capsys, "oracle", *argv)
+    assert rc == 0 and re.search(f"^PASS {label}: ", out, re.M) and "FAIL" not in out
+
+    def off(*args, **kwargs):
+        return dataclasses.replace(minimize_q(*args, **kwargs),
+                                   min_q=target * (1.0 - 2.0 * REGIME_RTOL))
+
+    monkeypatch.setattr(cli, "minimize_q", off)
+    rc, out, err = run(capsys, "oracle", *argv)
+    assert rc == 1 and re.search(f"^FAIL {label}: min_Q ", out, re.M)
+
+
+def test_oracle_and_verify_print_the_same_pentagon_check(capsys):
+    # the (c) problem at eps = 0.1 and seed 0 is the same program, so it gives the same bits
+    (line,) = [line for line in acceptance.check_oracle(0).lines
+               if line.startswith("PASS (c) q=5 n=2 eps=0.1:")]
+    rho = repr(2.0 * rho_bar(Channel(5, 0.1)))
+    rc, out, err = run(capsys, "oracle", "--q", "5", "--eps", "0.1", "--rho", rho, "--n", "2",
+                       "--restarts", "200", "--seed", "0")
+    (check,) = [row for row in out.splitlines() if row.startswith("PASS ")]
+    assert rc == 0 and line.startswith(f"PASS (c) q=5 n=2 eps=0.1: {check[len('PASS '):]}; ")
 
 
 def test_oracle_usage_errors(capsys):
@@ -190,6 +236,9 @@ def test_simulate_runs_a_builtin_past_the_key_cap_and_refuses_a_file_code_above_
         ("simulate", "--code", "coset:1000000000:1:0", "--q", "4"),
         ("simulate", "--code", "q5plus:1000000000:3:0"),
         ("oracle", "--rho", "2", "--restarts", "0"),
+        # a bound named twice, or none: the CSV would not parse back
+        ("bounds", "--points", "5", "--bounds", "sphere_packing,sphere_packing"),
+        ("bounds", "--points", "5", "--bounds", ","),
         # a slope outside 1 <= rho < inf
         ("oracle", "--q", "5", "--eps", "0.1", "--rho", "nan", "--n", "1"),
         ("oracle", "--q", "5", "--eps", "0.1", "--rho", "inf", "--n", "1"),

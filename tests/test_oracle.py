@@ -17,13 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbound import acceptance, oracle
-from relbound.channel import Channel, bhattacharyya
+from relbound.channel import Channel, bhattacharyya, theta_cycle
 from relbound.classical import rho_bar
 from relbound.oracle import (
     BATCH_CAP,
     FACE_BYTES,
     GRAD_MAP_TOL,
+    REGIME_RTOL,
     SIZE_CAP,
+    OracleResult,
     _face_grams,
     _face_minimizers,
     _face_steps,
@@ -34,6 +36,7 @@ from relbound.oracle import (
     eigenvalues_g1,
     minimize_q,
     minimize_q_batch,
+    regime_check,
     uniform_value,
     word_count,
 )
@@ -184,6 +187,43 @@ def test_ex_n_values_and_sandwich():
     got5 = minimize_q(ch5, rho5, 2, restarts=40, seed=0).ex_n
     assert got5 == pytest.approx(rho5 * math.log2(math.sqrt(5.0)), abs=1e-5)
     assert got5 <= rho5 * math.log2(math.sqrt(5.0)) + 1e-6
+
+
+def _result_at(ch, rho, n, min_q, convex=None):
+    """An OracleResult for (ch, rho, n) that claims min_q, as the checks read it."""
+    return OracleResult(rho=rho, n=n, min_q=min_q, distribution=np.zeros(ch.q**n),
+                        ex_n=-(rho / n) * math.log2(min_q), restarts=1, converged=True,
+                        convex=rho <= rho_bar(ch) if convex is None else convex,
+                        iterations=0, face_steps=0)
+
+
+# (channel, rho, n, label, target, two-sided); q = 5 with odd n takes the odd-q branch
+REGIMES = [
+    (Channel(5, 0.1), 2.0, 2, "convex regime", uniform_value(Channel(5, 0.1), 2.0, 2), True),
+    (Channel(6, 0.1), 3.0, 2, "even q", 1.0 / 9.0, True),
+    (Channel(5, 0.1), 6.0, 2, "q=5 even n", 0.2, True),
+    (Channel(7, 0.1), 5.0, 1, "odd q", 1.0 / theta_cycle(7), False),
+    (Channel(5, 0.1), 6.0, 1, "odd q", 5.0 ** -0.5, False),
+]
+
+
+@pytest.mark.parametrize("ch, rho, n, label, target, two_sided", REGIMES)
+@pytest.mark.parametrize("k", [-2.0, -0.5, 0.5, 2.0])
+def test_regime_check_holds_within_its_relative_tolerance(ch, rho, n, label, target, two_sided,
+                                                          k):
+    passed, line = regime_check(ch, _result_at(ch, rho, n, target * (1.0 + k * REGIME_RTOL)))
+    # half the tolerance passes and twice it fails; the odd-q bound fails only from below
+    assert passed == (abs(k) < 1.0 or (k > 0.0 and not two_sided))
+    assert line.startswith(f"{label}: min_Q ") and f"{target!r} (rel tol 1e-09" in line
+
+
+def test_regime_check_takes_the_convex_branch_from_the_result_flag():
+    ch, rho = Channel(4, 0.1), 3.0
+    uniform, even = uniform_value(ch, rho, 1), 0.5
+    for convex, label, target in ((True, "convex regime", uniform), (False, "even q", even)):
+        for value, passed in ((uniform, convex), (even, not convex)):
+            ok, line = regime_check(ch, _result_at(ch, rho, 1, value, convex=convex))
+            assert ok == passed and line.startswith(f"{label}: ") and repr(target) in line
 
 
 def test_structured_seeds_match_tuple_built_reference():

@@ -45,6 +45,12 @@ def test_solvers_alone_name_the_scalar_root_finders():
     assert _uses({"bisect_root", "golden_min", "RHO_CAP"}, skip={"solvers.py"}) == []
 
 
+def test_oracle_alone_names_the_regime_targets():
+    # oracle.regime_check decides which closed form applies and how close counts;
+    # a second copy of a target in the CLI or the acceptance suite would drift from it
+    assert _uses({"uniform_value", "REGIME_RTOL"}, skip={"oracle.py"}) == []
+
+
 def test_no_module_builds_a_dense_gram_matrix():
     # the oracle applies the circulant base along each letter axis and gathers
     # face blocks from the letters; a Kronecker power would bring back the
