@@ -32,7 +32,6 @@ from .codes import (
     build_coset_code,
     build_q5_code,
     exact_pe,
-    exact_pe_avg_max,
     exact_word_errors,
     make_code,
     mc_pe,

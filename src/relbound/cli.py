@@ -204,12 +204,12 @@ def cmd_simulate(s):
     mc = cod.mc_pe(code, ch, s["trials"], seed=s["seed"]) if s["trials"] else None
     lines = [f"code: q={code.q} n={code.n} M={code.M}"]
     lines.append("spectrum (finite z): " + (
-        " ".join(f"A_{z}={float(a):g}" for z, a in spec.counts.items()) or "none"
+        " ".join(f"A_{z}={a:g}" for z, a in enumerate(spec[:-1].tolist()) if a) or "none"
     ))
-    lines.append(f"pairs at infinite distance per word: {float(spec.infinite_count):g}")
+    lines.append(f"pairs at infinite distance per word: {spec[-1]:g}")
     lines.append(f"union bound on avg error: {cod.union_bound_pe(code, ch, spec):.12g}")
     try:
-        avg, worst = cod.exact_pe_avg_max(code, ch)
+        avg, worst = cod.exact_pe(code, ch)
         lines.append(f"exact avg ML error: {avg:.12g}")
         lines.append(f"exact max ML error: {worst:.12g}")
     except ValueError as exc:

@@ -1,15 +1,16 @@
 """Explicit small codes: spectra, exact and Monte-Carlo ML error, constructions.
 
 A code owns one validated, read-only int64 array of shape (M, n) over
-Z_q; the constructions build it in numpy and tuples appear only in the
-derived `Code.words` view. Spectra share one pairwise kernel on one-hot
-encodings with the Monte-Carlo decoder where it cannot address outputs
-directly, evaluated over row blocks of a fixed byte budget; the spectrum
-of a code that is linear by construction (`Code.linear`) is its weight
-distribution instead, from `weight_counts`, the one counter of
-typewriter weights. The kernel refuses codes whose one-hot width n q
-exceeds WIDTH_CAP, so that each row block's one-hot rows stay within
-budget, and codes whose dense (n q, M) key exceeds KEY_CAP entries.
+Z_q; the constructions build it in numpy, a spectrum comes back as a
+read-only float64 array and an exact error as floats. Spectra share one
+pairwise kernel on one-hot encodings with the Monte-Carlo decoder where
+it cannot address outputs directly, evaluated over row blocks of a
+fixed byte budget; the spectrum of a code that is linear by
+construction (`Code.linear`) is its weight distribution instead, from
+`weight_counts`, the one counter of typewriter weights. The kernel
+refuses codes whose one-hot width n q exceeds WIDTH_CAP, so that each
+row block's one-hot rows stay within budget, and codes whose dense
+(n q, M) key exceeds KEY_CAP entries.
 
 The maximum-likelihood decoder breaks ties uniformly at random and the
 enumeration accounts for that exactly, by accumulating per-sender error
@@ -41,8 +42,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -162,11 +161,6 @@ class Code:
         """
         return self._linear
 
-    @cached_property
-    def words(self):
-        """The words as a tuple of int tuples (for text output and tests)."""
-        return tuple(map(tuple, self.array.tolist()))
-
     def __eq__(self, other):
         if not isinstance(other, Code):
             return NotImplemented
@@ -204,14 +198,6 @@ def weight_counts(words, q):
     codes = math.prod(lead)
     w = np.minimum(w, n + 1).reshape(codes, length) + (n + 2) * np.arange(codes)[:, None]
     return np.bincount(w.ravel(), minlength=codes * (n + 2)).reshape(*lead, n + 2)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Pair counts at each finite semidistance, normalized by code size."""
-
-    counts: dict
-    infinite_count: Fraction
 
 
 # The pairwise kernel. With X the one-hot encoding of words (column
@@ -264,7 +250,10 @@ def _row_blocks(rows, cols, bytes_per_entry, width, budget=None):
 
 
 def spectrum(code):
-    """A_z = |{(i, j): i != j, d = z}| / M for each finite z, plus the inf mass.
+    """A_0 .. A_n, A_z = |{(i, j): i != j, d = z}| / M, then the mass at infinite distance.
+
+    A read-only float64 array of length n + 2; each entry is its exact
+    ratio of integers rounded once (both are below 2^53).
 
     A code that is linear by construction takes its O(M n) weight
     distribution: a subgroup holds x - y for every pair, and each of its
@@ -287,14 +276,13 @@ def spectrum(code):
         np.add.at(counts, np.where(same + near == n, near, n + 1), hist)
         scale = m
     counts[0] -= scale  # the diagonal; distinct words are never at distance 0
-    return Spectrum(
-        counts={z: Fraction(int(c), scale) for z, c in enumerate(counts[:-1]) if c},
-        infinite_count=Fraction(int(counts[-1]), scale),
-    )
+    spec = counts / scale
+    spec.flags.writeable = False
+    return spec
 
 
 def union_bound_pe(code, ch, spec=None):
-    """Spectrum-weighted pairwise bound: sum of A_z alpha^z over finite z.
+    """Spectrum-weighted pairwise bound: sum of A_z alpha^z over the finite z with A_z > 0.
 
     spec is spectrum(code), when the caller already has it.
     """
@@ -303,7 +291,7 @@ def union_bound_pe(code, ch, spec=None):
     if spec is None:
         spec = spectrum(code)
     alpha = bhattacharyya(ch.epsilon)
-    return float(sum(float(a) * alpha**z for z, a in spec.counts.items()))
+    return float(sum(a * alpha**z for z, a in enumerate(spec[:-1].tolist()) if a))
 
 
 def _addressable(q, n, m):
@@ -414,24 +402,12 @@ def exact_word_errors(code, ch):
     return loss.reshape(m, -1).sum(axis=1)
 
 
-def exact_pe_avg_max(code, ch):
-    """(average, worst) exact ML error over the codewords, from one enumeration."""
+def exact_pe(code, ch):
+    """(average, worst) exact ML error over the codewords, from one exact_word_errors call."""
     errs = exact_word_errors(code, ch)
     worst = float(errs.max())
     # the rounded mean of equal errors can come out an ulp above them
     return min(float(errs.mean()), worst), worst
-
-
-def exact_pe(code, ch, criterion="avg"):
-    """Exact ML error probability by output enumeration.
-
-    criterion "avg" averages over codewords, "max" takes the worst one
-    (see exact_word_errors).
-    """
-    if criterion not in ("avg", "max"):
-        raise ValueError(f"criterion must be 'avg' or 'max', got {criterion}")
-    avg, worst = exact_pe_avg_max(code, ch)
-    return avg if criterion == "avg" else worst
 
 
 class MCResult(NamedTuple):
@@ -839,7 +815,7 @@ def random_linear_code(q_prime, n, k, seed=0):
 def format_code(code):
     """Plain-text form: header 'q n M', then one word per line."""
     lines = [f"{code.q} {code.n} {code.M}"]
-    for w in code.words:
+    for w in code.array.tolist():
         lines.append(" ".join(str(s) for s in w))
     return "\n".join(lines) + "\n"
 

@@ -44,7 +44,7 @@ SIZE_CAP = 3125
 # fit at SIZE_CAP
 BATCH_CAP = 1 << 20
 GRAD_MAP_TOL = 1e-10
-MAX_ITER = 100_000
+MAX_ITER = 100_000  # read by the solver on each call
 FACE_PERIOD = 8  # a face step is tried every FACE_PERIOD iterations, on supports that old
 # Gram blocks G_SS stacked in one face-step solve; a face whose own block would not fit
 # (more than 1024 points) takes no face step, which bounds its memory and its O(|S|^3)
@@ -245,7 +245,7 @@ def _face_steps(a, q, n, owner, x, xg, steps, faces):
     return z, took
 
 
-def _projected_gradient_batch(a, q, n, starts, owner, max_iter=MAX_ITER):
+def _projected_gradient_batch(a, q, n, starts, owner):
     """Minimize p^T G p over the simplex from every start of every problem at once.
 
     Every problem has q^n words; problem p's Gram matrix G is the n-fold
@@ -282,7 +282,7 @@ def _projected_gradient_batch(a, q, n, starts, owner, max_iter=MAX_ITER):
     z^T G z <= x^T G x, and z passes the same stopping test;
     every other row carries on with FISTA unchanged. Returns (points,
     values, converged_flags, iterations, face_steps), the last two per
-    problem: the iteration at which its last row froze (max_iter where
+    problem: the iteration at which its last row froze (MAX_ITER where
     one never did) and the number of its rows the face step finished.
     """
     steps = np.array([1.0 / (2.0 * (1.0 + 2.0 * w) ** n) for w in a.tolist()])
@@ -300,7 +300,7 @@ def _projected_gradient_batch(a, q, n, starts, owner, max_iter=MAX_ITER):
     face_steps = np.zeros(len(a), dtype=int)
     iterations = np.zeros(len(a), dtype=int)
     it = 0
-    while it < max_iter and rows.size:
+    while it < MAX_ITER and rows.size:
         it += 1
         two_step = 2.0 * step[:, None]
         proj = _project_simplex_rows(np.concatenate((x - two_step * xg, y - two_step * yg)))
@@ -375,7 +375,7 @@ def _start_points(ch, n, restarts, seed):
     return np.array(seeds)
 
 
-def minimize_q_batch(problems, max_iter=MAX_ITER):
+def minimize_q_batch(problems):
     """`minimize_q` on each (channel, rho, n, restarts, seed) of `problems`, in few runs.
 
     Every problem's tilt, restarts and caps are checked before any work
@@ -427,11 +427,11 @@ def minimize_q_batch(problems, max_iter=MAX_ITER):
         for i in members:
             size = max(problems[i][3], _structured_seed_count(q, n)) * q**n  # its start entries
             if run and entries + size > BATCH_CAP:
-                solved.update(zip(run, _solve_run(problems, a, run, max_iter)))
+                solved.update(zip(run, _solve_run(problems, a, run)))
                 run, entries = [], 0
             run.append(i)
             entries += size
-        solved.update(zip(run, _solve_run(problems, a, run, max_iter)))
+        solved.update(zip(run, _solve_run(problems, a, run)))
     results = []
     for (ch, rho, n, _, _), i in zip(problems, solver):
         point, value, count, converged, iterations, face_steps = solved[i]
@@ -450,7 +450,7 @@ def minimize_q_batch(problems, max_iter=MAX_ITER):
     return results
 
 
-def _solve_run(problems, a, run, max_iter):
+def _solve_run(problems, a, run):
     """Solve the problems with indices `run`, all of one (q, n), as one stack.
 
     a[i] is problem i's base weight. Returns, per problem of `run`, its
@@ -462,7 +462,7 @@ def _solve_run(problems, a, run, max_iter):
     counts = [len(s) for s in starts]
     owner = np.repeat(np.arange(len(run)), counts)
     pts, values, conv, iterations, face_steps = _projected_gradient_batch(
-        np.array([a[i] for i in run]), q, n, np.concatenate(starts), owner, max_iter=max_iter
+        np.array([a[i] for i in run]), q, n, np.concatenate(starts), owner
     )
     out, lo = [], 0
     for p, count in enumerate(counts):
@@ -473,7 +473,7 @@ def _solve_run(problems, a, run, max_iter):
     return out
 
 
-def minimize_q(ch, rho, n, restarts=200, seed=0, max_iter=MAX_ITER):
+def minimize_q(ch, rho, n, restarts=200, seed=0):
     """Best local minimum of the n-letter quadratic form over the simplex.
 
     In the convex regime (rho <= rho_bar) every start converges to the
@@ -486,7 +486,7 @@ def minimize_q(ch, rho, n, restarts=200, seed=0, max_iter=MAX_ITER):
     reported through the `converged` flag, never silently. q^n is capped
     at SIZE_CAP and restarts x q^n at BATCH_CAP.
     """
-    return minimize_q_batch([(ch, rho, n, restarts, seed)], max_iter=max_iter)[0]
+    return minimize_q_batch([(ch, rho, n, restarts, seed)])[0]
 
 
 # relative tolerance of min_Q against each regime's closed form. min_Q does not

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from relbound.channel import INF
-from relbound.codes import MCResult, Spectrum, coset_lift, weight_counts, wilson_interval, word_indices
+from relbound.codes import MCResult, coset_lift, weight_counts, wilson_interval, word_indices
 
 
 def validate_words(words, q):
@@ -38,8 +38,11 @@ def validate_words(words, q):
 
 
 def spectrum(code):
-    """Pairwise semidistances by broadcasting differences, block of rows at a time."""
-    a = np.array(code.words, dtype=np.int64)
+    """Exact A_0 .. A_n and the infinite-distance mass, as Fractions, from pairwise differences.
+
+    The semidistances come from broadcast differences, a block of rows at a time.
+    """
+    a = code.array
     m = code.M
     finite = {}
     inf_pairs = 0
@@ -59,10 +62,7 @@ def spectrum(code):
             for z, c in enumerate(counts):
                 if c:
                     finite[z] = finite.get(z, 0) + int(c)
-    return Spectrum(
-        counts={z: Fraction(c, m) for z, c in sorted(finite.items())},
-        infinite_count=Fraction(inf_pairs, m),
-    )
+    return [Fraction(finite.get(z, 0), m) for z in range(code.n + 1)] + [Fraction(inf_pairs, m)]
 
 
 def _word_index(arr, q):
@@ -72,7 +72,7 @@ def _word_index(arr, q):
 def exact_word_errors(code, ch, dense=True):
     """Per-word exact ML error: a dense output array, or a dict over reached outputs."""
     q, n, m = code.q, code.n, code.M
-    arr = np.array(code.words, dtype=np.int64)
+    arr = code.array
     pats = np.array(list(product((0, 1), repeat=n)), dtype=np.int64)
     weights = pats.sum(axis=1)
     eps = ch.epsilon
@@ -117,7 +117,7 @@ def mc_pe(code, ch, trials, seed=0, block=1 << 14):
     pw = (1.0 - eps) ** (n - np.arange(n + 1)) * eps ** np.arange(n + 1)
     errors = 0
     done = 0
-    arr = np.array(code.words, dtype=np.int64)
+    arr = code.array
     while done < trials:
         b = min(block, trials - done)
         senders = rng.integers(0, m, size=b)

@@ -25,7 +25,7 @@ def test_simulator_reports_the_smallest_union_slack(monkeypatch, lift):
 
     def union_bound_pe(code, ch):
         value = real(code, ch) + lift * (len(gaps) + 1)
-        gaps.append(value - codes_mod.exact_pe(code, ch, "avg"))
+        gaps.append(value - codes_mod.exact_pe(code, ch)[0])
         return value
 
     monkeypatch.setattr(codes_mod, "union_bound_pe", union_bound_pe)

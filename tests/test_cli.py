@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import math
 import os
 import re
 import resource
@@ -6,16 +9,18 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbound
 from relbound import acceptance, cli
-from relbound.channel import Channel, theta_cycle
+from relbound import codes as codes_mod
+from relbound.channel import Channel, bhattacharyya, cycle_constants, theta_cycle
 from relbound.classical import rho_bar
 from relbound.cli import COMMANDS, COMMON, OPTIONS, build_parser, effective_settings, main
 from relbound.cli import run as run_cli
@@ -174,6 +179,23 @@ def test_simulate_code_file(tmp_path, capsys):
     rc, out, err = run(capsys, "simulate", "--code", str(path), "--eps", "0.3")
     assert rc == 0
     assert "q=5 n=2 M=5" in out
+
+
+def test_simulate_takes_both_exact_lines_from_one_exact_pe_call(capsys, monkeypatch):
+    # codes.exact_pe is the name the traced benchmark wraps: one call per run
+    argv = ("simulate", "--code", "coset:4:2:7", "--q", "4", "--eps", "0.1")
+    rc, plain, _ = run(capsys, *argv)
+    real, calls = codes_mod.exact_pe, []
+
+    def counted(code, ch):
+        calls.append(code.M)
+        return real(code, ch)
+
+    monkeypatch.setattr(codes_mod, "exact_pe", counted)
+    rc2, counted_out, _ = run(capsys, *argv)
+    assert rc == rc2 == 0 and counted_out == plain
+    assert calls == [64]
+    assert "exact avg ML error: " in plain and "exact max ML error: " in plain
 
 
 def test_simulate_malformed_file(tmp_path, capsys):
@@ -488,3 +510,77 @@ def test_cli_deterministic(capsys):
     rc1, out1, _ = run(capsys, *args)
     rc2, out2, _ = run(capsys, *args)
     assert (rc1, out1) == (rc2, out2)
+
+
+# eps over (0, 1/2], with the smallest subnormal and 1/2 - ulp drawn on purpose
+CLI_EPS = st.floats(min_value=0.0, max_value=0.5, exclude_min=True) | st.sampled_from(
+    [5e-324, math.nextafter(0.5, 0.0)])
+
+
+@st.composite
+def cli_argvs(draw):
+    """bounds, oracle and simulate argvs over valid ranges: q 4..40, rho in [1, 1e300],
+    q^n at most 125 with a few restarts, builtin codes of length at most 4."""
+    command = draw(st.sampled_from(["bounds", "oracle", "simulate"]))
+    q = draw(st.integers(min_value=4, max_value=40))
+    argv = [command, "--q", str(q), "--eps", repr(draw(CLI_EPS)),
+            "--seed", str(draw(st.integers(min_value=0, max_value=2**32 - 1)))]
+    if command == "bounds":
+        argv += ["--points", str(draw(st.integers(min_value=2, max_value=20)))]
+    elif command == "oracle":
+        n = draw(st.integers(min_value=1, max_value=max(k for k in (1, 2, 3) if q**k <= 125)))
+        argv += ["--rho", repr(draw(st.floats(min_value=1.0, max_value=1e300))), "--n", str(n),
+                 "--restarts", str(draw(st.integers(min_value=1, max_value=4)))]
+    else:
+        code = draw(st.sampled_from(["pentagon", "coset", "q5plus"]))
+        if code != "pentagon":
+            n = draw(st.integers(min_value=1, max_value=2))
+            code += f":{n}:{draw(st.integers(min_value=0, max_value=n))}:{draw(st.integers(0, 99))}"
+        argv += ["--code", code, "--trials", str(draw(st.integers(min_value=0, max_value=300)))]
+    return argv
+
+
+def _exact_regime_check(argv, out):
+    """oracle.regime_check on the printed min_Q, recomputed in exact rational arithmetic."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    q, eps, rho, n = int(opts["--q"]), float(opts["--eps"]), float(opts["--rho"]), int(opts["--n"])
+    got = Fraction(float(re.search(r"^(?:PASS|FAIL) .*?min_Q (\S+) ", out, re.M).group(1)))
+    tol = Fraction(REGIME_RTOL)
+    if "regime = convex" in out:
+        target = ((1 + 2 * Fraction(bhattacharyya(eps) ** (1.0 / rho))) / q) ** n
+    elif q % 2 == 0:
+        target = Fraction(2, q) ** n
+    elif q == 5 and n % 2 == 0:
+        target = Fraction(1, 5 ** (n // 2))
+    else:
+        return got >= Fraction(cycle_constants(Channel(q, eps)).theta) ** -n * (1 - tol)
+    return abs(got - target) <= tol * target
+
+
+def _printed(out, label):
+    return float(re.search(f"^{label}: (\\S+)$", out, re.M).group(1))
+
+
+@example(["bounds", "--q", "4", "--eps", "5e-324", "--seed", "0", "--points", "3"])
+@example(["oracle", "--q", "6", "--eps", "0.1", "--seed", "0", "--rho", "1e12", "--n", "1",
+          "--restarts", "1"])
+@example(["simulate", "--q", "4", "--eps", "0.49999999999999994", "--seed", "0",
+          "--code", "coset:2:1:0", "--trials", "50"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_cli_exits_cleanly_on_valid_ranges(argv):
+    # in-process through cli.main: an exception here is a traceback the user would see
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out == "" and err.startswith("error: ")
+    elif rc == 1:
+        # a FAIL line only where the check also fails in exact arithmetic
+        assert argv[0] == "oracle" and not _exact_regime_check(argv, out), out
+    elif argv[0] == "simulate" and "exact avg ML error" in out:
+        avg, worst = _printed(out, "exact avg ML error"), _printed(out, "exact max ML error")
+        assert avg <= _printed(out, "union bound on avg error") + 1e-15
+        assert worst >= avg

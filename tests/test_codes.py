@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import code_oracles as oracle
 import numpy as np
@@ -17,7 +16,6 @@ from relbound.codes import (
     build_coset_code,
     build_q5_code,
     exact_pe,
-    exact_pe_avg_max,
     exact_word_errors,
     format_code,
     make_code,
@@ -63,12 +61,12 @@ def test_code_owns_a_read_only_array():
     words = np.array([[0, 1], [2, 3]])
     code = make_code(words, 4)
     words[0, 0] = 3  # the caller's array is not shared
-    assert code.words == ((0, 1), (2, 3))
+    assert code.array.tolist() == [[0, 1], [2, 3]]
     assert code.array.dtype == np.int64 and code.array.shape == (2, 2)
     with pytest.raises(ValueError):
         code.array[0, 0] = 1
     assert code == make_code([(0, 1), (2, 3)], 4) and code != make_code([(0, 1), (2, 3)], 5)
-    assert len({code, make_code(code.words, 4)}) == 1
+    assert len({code, make_code(code.array.tolist(), 4)}) == 1
 
 
 @st.composite
@@ -97,12 +95,17 @@ def test_array_validation_refuses_what_tuple_validation_refused(case):
     refused = _refused(oracle.validate_words, words, q)
     assert _refused(make_code, words, q) == refused
     if not refused:
-        assert make_code(words, q).words == oracle.validate_words(words, q)
+        assert make_code(words, q).array.tolist() == list(map(list, oracle.validate_words(words, q)))
 
 
 def _random_code(rng, q, n, m):
     idx = rng.choice(q**n, size=m, replace=False)
     return make_code(all_words(range(q), n)[idx], q)
+
+
+def _exact_spectrum(code):
+    """The tuple oracle's exact Fractions, each rounded once to a float."""
+    return [float(a) for a in oracle.spectrum(code)]
 
 
 @pytest.mark.parametrize("q", range(2, 10))
@@ -111,7 +114,7 @@ def test_spectrum_matches_tuple_oracle(q):
     for n in (1, 2, 3, 4):
         for m in sorted({1, 2, min(q**n, 7), min(q**n, 60)}):
             code = _random_code(rng, q, n, m)
-            assert spectrum(code) == oracle.spectrum(code)
+            assert spectrum(code).tolist() == _exact_spectrum(code)
         with pytest.raises(ValueError):
             make_code([(q - 1,) * n, (0,) * n, (q - 1,) * n], q)  # duplicates refused
 
@@ -121,7 +124,7 @@ def test_spectrum_works_in_bounded_row_blocks(monkeypatch):
     code = make_code(build_coset_code(random_linear_code(2, 5, 3, seed=2), 4).array, 4)
     whole = spectrum(code)
     monkeypatch.setattr(codes_mod, "BLOCK_BYTES", 3 * code.M * 16)
-    assert spectrum(code) == whole == oracle.spectrum(code)
+    assert np.array_equal(spectrum(code), whole) and whole.tolist() == _exact_spectrum(code)
 
 
 def _spec_code(spec):
@@ -354,8 +357,7 @@ def test_linear_code_spectrum_matches_pairwise_kernel(code, eps):
     assert code.linear
     plain = make_code(code.array, code.q)  # same words, not marked linear
     assert not plain.linear and plain == code and hash(plain) == hash(code)
-    assert spectrum(code) == spectrum(plain)
-    assert list(spectrum(code).counts) == list(spectrum(plain).counts)  # same printing order
+    assert spectrum(code).tolist() == spectrum(plain).tolist()
     ch = Channel(code.q, eps)
     assert union_bound_pe(code, ch) == union_bound_pe(plain, ch)  # bit for bit
     back = parse_code(format_code(code))
@@ -383,7 +385,7 @@ def test_linear_code_errors_match_the_enumeration(code, eps):
     ch = Channel(code.q, eps)
     plain = make_code(code.array, code.q)  # not marked linear: enumerates every codeword
     assert np.array_equal(exact_word_errors(code, ch), exact_word_errors(plain, ch))
-    assert exact_pe_avg_max(code, ch) == exact_pe_avg_max(plain, ch)
+    assert exact_pe(code, ch) == exact_pe(plain, ch)
 
 
 def test_a_non_linear_code_marked_linear_gets_wrong_errors():
@@ -418,27 +420,28 @@ def test_only_linear_constructions_are_marked_linear():
     assert not words.linear and not build_coset_code(words, 4).linear
     # the lift of a non-linear shift code is not linear, and is not marked
     lift = build_coset_code(make_code([(0, 0), (0, 1), (1, 0)], 2), 4)
-    assert not lift.linear and spectrum(lift) == oracle.spectrum(lift)
+    assert not lift.linear and spectrum(lift).tolist() == _exact_spectrum(lift)
     with pytest.raises(AttributeError):
         c2.linear = False
 
 
 def test_pentagon_code_is_shannons():
     code = pentagon_code()
-    assert sorted(code.words) == [(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)]
+    assert sorted(code.array.tolist()) == [[0, 0], [1, 2], [2, 4], [3, 1], [4, 3]]
     # zero-error: all pairs at infinite semidistance
-    sp = spectrum(code)
-    assert sp.counts == {}
-    assert sp.infinite_count == Fraction(4)
+    assert spectrum(code).tolist() == [0.0, 0.0, 0.0, 4.0]
 
 
 def test_spectrum_examples():
+    # A_0 .. A_n, then the mass at infinite distance, as a read-only float64 array
     sp = spectrum(make_code([(0, 0), (1, 1)], 4))
-    assert sp.counts == {2: Fraction(1)}
-    assert spectrum(make_code([(2, 3)], 5)).counts == {}
+    assert sp.dtype == np.float64 and sp.tolist() == [0.0, 0.0, 1.0, 0.0]
+    with pytest.raises(ValueError):
+        sp[0] = 1.0
+    assert spectrum(make_code([(2, 3)], 5)).tolist() == [0.0, 0.0, 0.0, 0.0]
     code = make_code([(0, 0), (0, 1), (2, 2)], 4)
-    sp = spectrum(code)
-    assert sum(sp.counts.values()) + sp.infinite_count == Fraction(3 * 2, 3)
+    # each entry is the exact ratio rounded once: 2/3 pairs per word
+    assert spectrum(code).tolist() == [0.0, 2 / 3, 0.0, 4 / 3]
 
 
 def test_union_bound():
@@ -451,31 +454,31 @@ def test_exact_pe_two_word_example():
     # single-letter code {0, 1}: only output 1 is ambiguous
     ch = Channel(4, 0.1)
     code = make_code([(0,), (1,)], 4)
-    assert exact_pe(code, ch, "avg") == pytest.approx(0.05, abs=1e-15)
+    avg, worst = exact_pe(code, ch)
+    assert avg == pytest.approx(0.05, abs=1e-15)
     # only the lower word ever errs: its whole crossover mass is lost
-    assert exact_pe(code, ch, "max") == pytest.approx(0.1, abs=1e-15)
+    assert worst == pytest.approx(0.1, abs=1e-15)
     # with symmetric crossover the tie costs a quarter on average
     ch = Channel(4, 0.5)
-    assert exact_pe(code, ch, "avg") == pytest.approx(0.25, abs=1e-15)
+    assert exact_pe(code, ch)[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_exact_pe_zero_error_exact():
     for code, q in ((pentagon_code(), 5), (build_coset_code(make_code([(0, 0, 0)], 2), 6), 6)):
-        for crit in ("avg", "max"):
-            assert exact_pe(code, Channel(q, 0.3), crit) == 0.0
-    assert exact_pe(build_q5_code(np.zeros((0, 2), dtype=np.int64)), Channel(5, 0.5)) == 0.0
+        assert exact_pe(code, Channel(q, 0.3)) == (0.0, 0.0)
+    assert exact_pe(build_q5_code(np.zeros((0, 2), dtype=np.int64)), Channel(5, 0.5)) == (0.0, 0.0)
 
 
 def test_exact_pe_single_word():
-    assert exact_pe(make_code([(1, 2, 3)], 5), Channel(5, 0.2)) == 0.0
+    assert exact_pe(make_code([(1, 2, 3)], 5), Channel(5, 0.2)) == (0.0, 0.0)
 
 
 def test_exact_pe_avg_never_rounds_above_max():
     # 18 words with error 0.01 each: their float mean is 0.010000000000000002
     code = random_coset_code(6, 2, 1, seed=0)[0]
     ch = Channel(6, 0.01)
-    assert float(exact_word_errors(code, ch).mean()) > exact_pe(code, ch, "max")
-    assert exact_pe(code, ch, "avg") == exact_pe(code, ch, "max") == 0.01
+    assert float(exact_word_errors(code, ch).mean()) > 0.01
+    assert exact_pe(code, ch) == (0.01, 0.01)
 
 
 def test_exact_pe_avg_below_max_and_union():
@@ -488,8 +491,7 @@ def test_exact_pe_avg_below_max_and_union():
         while len(words) < m:
             words.add(tuple(int(s) for s in rng.integers(0, 4, n)))
         code = make_code(sorted(words), 4)
-        avg = exact_pe(code, ch, "avg")
-        mx = exact_pe(code, ch, "max")
+        avg, mx = exact_pe(code, ch)
         assert avg <= mx + 1e-15
         assert avg <= union_bound_pe(code, ch) + 1e-15
 
@@ -500,7 +502,7 @@ def test_exact_pe_pairwise_floor():
     for w1, w2 in (((0, 0), (1, 1)), ((2,), (3,)), ((0, 1, 2), (1, 1, 2))):
         code = make_code([w1, w2], 5)
         d = semidistance(w1, w2, 5)
-        assert exact_pe(code, ch, "max") >= 0.5 * ch.epsilon**d - 1e-15
+        assert exact_pe(code, ch)[1] >= 0.5 * ch.epsilon**d - 1e-15
 
 
 def test_exact_pe_matches_tuple_oracles():
@@ -526,8 +528,7 @@ def test_exact_pe_matches_tuple_oracles():
         errs = exact_word_errors(code, ch)
         assert np.array_equal(errs, oracle.exact_word_errors(code, ch, dense=True))
         assert np.allclose(errs, oracle.exact_word_errors(code, ch, dense=False), rtol=0, atol=1e-14)
-        assert exact_pe(code, ch, "avg") == min(float(errs.mean()), float(errs.max()))
-        assert exact_pe(code, ch, "max") == float(errs.max())
+        assert exact_pe(code, ch) == (min(float(errs.mean()), float(errs.max())), float(errs.max()))
     with pytest.raises(ValueError, match="enumeration"):
         exact_pe(random_q5_code(6, 0, seed=0), Channel(5, 0.1))  # M 2^n = 2^24
 
@@ -560,7 +561,7 @@ def test_exact_word_errors_memory():
 def test_pairwise_kernel_refuses_a_code_wider_than_its_cap():
     cap = codes_mod.WIDTH_CAP
     widest = make_code([(0,), (1,)], cap)  # as wide as the widest constructed code
-    assert spectrum(widest) == oracle.spectrum(widest)
+    assert spectrum(widest).tolist() == _exact_spectrum(widest)
     assert mc_pe(widest, Channel(cap, 0.5), 10, seed=0).trials == 10
     wide = make_code([(0, 0), (1, 1)], cap // 2 + 1)
     for call in (lambda: spectrum(wide), lambda: mc_pe(wide, Channel(wide.q, 0.1), 10)):
@@ -587,7 +588,7 @@ def test_pairwise_kernel_refuses_a_key_above_its_cap_before_allocating(monkeypat
     # spectrum builds the key for any code not marked linear (a key of 1 MB)
     code = make_code(np.unique(rng.integers(0, 4, (4096, 8)), axis=0), 4)
     refused_below(code, lambda: spectrum(code))
-    assert spectrum(code) == oracle.spectrum(code)
+    assert spectrum(code).tolist() == _exact_spectrum(code)
     # mc_pe builds it only for a code it cannot address directly: here
     # q^n = 4^10 > M 2^10, as M < 1024 (a key of 320 KB)
     code = make_code(np.unique(rng.integers(0, 4, (1000, 10)), axis=0), 4)
@@ -685,10 +686,9 @@ def builtin_codes(draw):
 @given(builtin_codes())
 def test_exact_pe_below_union_bound_and_max_above_avg(case):
     code, ch = case
-    avg, worst = exact_pe_avg_max(code, ch)
+    avg, worst = exact_pe(code, ch)
     assert avg <= union_bound_pe(code, ch) + 1e-15
     assert worst >= avg
-    assert (avg, worst) == (exact_pe(code, ch, "avg"), exact_pe(code, ch, "max"))
     assert union_bound_pe(code, ch, spectrum(code)) == union_bound_pe(code, ch)
 
 
@@ -717,7 +717,7 @@ def test_mc_pe_interval_calibration():
     ch = Channel(4, 0.2)
     c2 = random_linear_code(2, 3, 1, seed=5)
     code = build_coset_code(c2, 4)
-    exact = exact_pe(code, ch, "avg")
+    exact, _ = exact_pe(code, ch)
     hits = sum(
         1
         for s in range(100)
@@ -733,7 +733,7 @@ def test_build_coset_code():
     # rate decomposes exactly
     assert math.log2(code.M) / code.n == pytest.approx(1.0 + 1.0 / 3.0)
     # linear shift code gives a linear lift: closed under q-ary addition
-    words = set(code.words)
+    words = set(map(tuple, code.array.tolist()))
     arr = code.array
     sums = (arr[:, None, :] + arr[None, :, :]) % 4
     for row in sums.reshape(-1, 3):
@@ -803,7 +803,7 @@ def test_q5_census_random_generators(seed):
 
 
 def test_random_linear_code():
-    assert random_linear_code(2, 4, 0, seed=1).words == ((0, 0, 0, 0),)
+    assert random_linear_code(2, 4, 0, seed=1).array.tolist() == [[0, 0, 0, 0]]
     full = random_linear_code(2, 3, 3, seed=1)
     assert full.M == 8
     code = random_linear_code(5, 4, 2, seed=9)

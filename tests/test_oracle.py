@@ -247,7 +247,7 @@ def test_ex_n_blocklength_free_in_convex_regime():
     assert a == pytest.approx(b, abs=1e-8)
 
 
-def test_determinism_and_flags():
+def test_determinism_and_flags(monkeypatch):
     ch = Channel(5, 0.1)
     r1 = minimize_q(ch, 3.0, 2, restarts=10, seed=42)
     r2 = minimize_q(ch, 3.0, 2, restarts=10, seed=42)
@@ -259,11 +259,12 @@ def test_determinism_and_flags():
     ch7 = Channel(7, 0.1)
     rho7 = 3.0 * rho_bar(ch7)
     full = minimize_q(ch7, rho7, 1, restarts=8, seed=42)
-    starved = minimize_q(ch7, rho7, 1, restarts=8, seed=42, max_iter=1)
-    assert full.converged
-    assert not starved.converged
     with pytest.raises(ValueError):
         minimize_q(ch, 3.0, 2, restarts=0)
+    monkeypatch.setattr(oracle, "MAX_ITER", 1)
+    starved = minimize_q(ch7, rho7, 1, restarts=8, seed=42)
+    assert full.converged
+    assert not starved.converged
 
 
 def test_projection_matches_support_search_reference():
@@ -294,7 +295,7 @@ def test_slowest_convex_case_converges_in_few_iterations():
 
 
 @pytest.mark.parametrize("q,mult,n", [(5, 0.5, 2), (5, 2.0, 2), (7, 3.0, 1), (4, 2.5, 2)])
-def test_converged_point_carries_the_certificate(q, mult, n):
+def test_converged_point_carries_the_certificate(q, mult, n, monkeypatch):
     ch = Channel(q, 0.1)
     rho = max(1.0, mult * rho_bar(ch))
     res = minimize_q(ch, rho, n, restarts=12, seed=3)
@@ -304,7 +305,8 @@ def test_converged_point_carries_the_certificate(q, mult, n):
     x = res.distribution[None, :]
     d = _project_simplex_rows(x - 2.0 * step * (x @ g)) - x
     assert np.linalg.norm(d) / step <= GRAD_MAP_TOL or np.all(x + d == x)
-    starved = minimize_q(ch, rho, n, restarts=12, seed=3, max_iter=1)
+    monkeypatch.setattr(oracle, "MAX_ITER", 1)
+    starved = minimize_q(ch, rho, n, restarts=12, seed=3)
     assert starved.iterations == 1
 
 
@@ -511,14 +513,15 @@ def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
     assert np.array_equal(other.distribution, kept)
 
 
-def test_batch_keeps_an_unconverged_problem_apart():
+def test_batch_keeps_an_unconverged_problem_apart(monkeypatch):
     # the uniform start is optimal at once in the convex regime; q = 7 past
     # rho_bar has no structured seed to mask a starved search
     ch7 = Channel(7, 0.1)
     problems = [(Channel(4, 0.1), 1.0, 1, 4, 0), (ch7, 3.0 * rho_bar(ch7), 1, 8, 42),
                 (Channel(7, 0.2), 1.0, 1, 3, 5)]
-    batch = minimize_q_batch(problems, max_iter=2)
-    _assert_same_results(batch, [minimize_q(*p, max_iter=2) for p in problems])
+    monkeypatch.setattr(oracle, "MAX_ITER", 2)
+    batch = minimize_q_batch(problems)
+    _assert_same_results(batch, [minimize_q(*p) for p in problems])
     assert [res.converged for res in batch] == [True, False, True]
     assert batch[1].iterations == 2
 
@@ -534,12 +537,13 @@ def test_batch_past_the_entry_cap_runs_in_several_stacks(monkeypatch):
     _assert_same_results(batch, [minimize_q(*p) for p in problems])
 
 
-def test_memory_at_the_size_cap_stays_a_few_rows_of_words():
+def test_memory_at_the_size_cap_stays_a_few_rows_of_words(monkeypatch):
     # the dense Gram matrix alone is 78 MB at SIZE_CAP; 20 start rows of
     # 3125 words are 0.5 MB an array
+    monkeypatch.setattr(oracle, "MAX_ITER", 50)
     tracemalloc.start()
     try:
-        minimize_q(Channel(5, 0.1), 2.0, 5, restarts=20, max_iter=50)
+        minimize_q(Channel(5, 0.1), 2.0, 5, restarts=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,24 @@ def test_no_module_builds_a_dense_gram_matrix():
     # face blocks from the letters; a Kronecker power would bring back the
     # q^n x q^n matrix (78 MB at the size cap), so it lives in the tests alone
     assert _uses({"kron", "gram_matrix"}) == []
+
+
+def test_codes_hand_back_plain_numpy_values():
+    # a spectrum is a float64 array and exact_pe returns (avg, worst) from one
+    # enumeration: no rational type, spectrum class or second entry point to
+    # convert back and forth or to drift apart
+    assert _uses({"Fraction", "Spectrum", "exact_pe_avg_max"}) == []
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    # fractions also imports decimal; no relbound module needs exact
+    # rationals, so no command should pay for importing them
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    probe = "import sys, relbound.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
