@@ -91,21 +91,20 @@ def check_oracle(seed=0):
         for mult in (1.5, 3.0):
             rho = mult * rb
             checks.append((f"(b) q={q} eps={eps} rho={rho:.3f} n=1", (ch, rho, 1, 16, seed)))
-    pentagon = len(checks)  # (c), the last problems
-    for eps in eps_grid:
-        ch = Channel(5, eps)
-        checks.append((f"(c) q=5 n=2 eps={eps}", (ch, 2.0 * cls.rho_bar(ch), 2, 200, seed)))
-    # every problem runs in one batch, and (c) times the whole of it
     t0 = time.time()
     results = orc.minimize_q_batch([problem for _, problem in checks])
+    for (label, (ch, *_)), res in zip(checks, results):
+        rec.require(label, *orc.regime_check(ch, res))
+    # (c): random rows alone, with no witness and no certification, must find L. At
+    # 2 rho_bar, a = phi^(1/2) depends on q alone, so one eps stands for all. On the
+    # pentagon about 1 row in 10 reaches L, so 150 rows all miss with probability ~3e-7
+    # (seeds 0-999 each had 5 to 27 hits)
+    for q, rows in ((5, 150), (4, 20)):
+        ch = Channel(q, 0.1)
+        rec.require(f"(c) q={q} n=2 rho=2 rho_bar, random rows only",
+                    *orc.search_check(ch, 2.0 * cls.rho_bar(ch), 2, rows, seed))
     dt = time.time() - t0
-    for i, ((label, (ch, *_)), res) in enumerate(zip(checks, results)):
-        passed, line = orc.regime_check(ch, res)
-        if i >= pentagon:
-            line += f"; {res.iterations} iterations, {res.face_steps} face steps"
-        rec.require(label, passed, line)
-    rec.require("(c) runtime <= 60 s (the whole batch, pentagon at 200 restarts)", dt <= 60.0,
-                f"{dt:.1f} s")
+    rec.require("(c) runtime <= 60 s (the whole criterion)", dt <= 60.0, f"{dt:.1f} s")
     return rec
 
 
@@ -316,7 +315,7 @@ def check_fig7_ordering(seed=0):
 CRITERIA = [
     ("theta", "zero-error constants and the cycle Lovasz number", check_theta),
     ("eps_bar", "junction threshold and figure-caption ratios", check_eps_bar),
-    ("oracle", "simplex minimizer against the closed forms", check_oracle),
+    ("oracle", "simplex minimizer against its certified lower bound L", check_oracle),
     ("psd_boundary", "Gram matrix loses PSD exactly at rho_bar", check_psd_boundary),
     ("endpoints", "LP endpoint identities and the entropy identity", check_endpoints),
     ("counterexample", "coset bounds strictly beat the expurgated bound", check_counterexample),

@@ -41,8 +41,8 @@ OPTIONS = {
     "ceiling": (float, None, "SVG clipping ceiling for infinite/large values"),
     "rho": (float, None, "slope parameter (>= 1)"),
     "n": (int, 1, "blocklength (q^n capped)"),
-    "restarts": (int, 200, "start rows in all, never fewer than the structured seeds "
-                 f"(restarts x q^n at most {BATCH_CAP})"),
+    "restarts": (int, 200, "start rows of a search, the uniform row first; unused where a "
+                 f"witness attains the lower bound L (restarts x q^n at most {BATCH_CAP})"),
     "code": (str, None, "code file path, or builtin: pentagon | coset:N:K:SEED | q5plus:N:K:SEED"),
     "trials": (int, 0, f"Monte-Carlo trials (0 = skip; trials x M at most {cod.MC_PAIR_CAP})"),
     "only": (str, None, "run a single criterion: " + ", ".join(n for n, _, _ in CRITERIA)),

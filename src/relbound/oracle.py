@@ -7,8 +7,21 @@ a = alpha^(1/rho) on the two cyclic neighbours (Jelinek; Gallager's
 multi-letter expurgated bound). G is never formed: a product with it
 applies the base along each of the n letter axes (Van Loan 2000), and
 the face step gathers the entries it needs from the words' letters.
-The search is a multi-start accelerated projected gradient (FISTA
-momentum with adaptive restart), all starts in one batch;
+
+Every problem carries one certified lower bound, L = ((1 + 2 a')/q)^n
+with a' = min(a, phi) and phi the largest weight for which the base is
+PSD (`min_q_lower_bound`): the PSD condition of the expurgated bound
+already holds Lovasz's bound, so L is the uniform value for rho <= rho_bar,
+(2/q)^n for even q and theta(C_q)^(-n) for odd q past it. A known
+distribution attains L in the convex regime (the uniform row), for even q
+(the even-symbol product) and for q = 5 with even n (the pentagon
+product); there the witness is evaluated once, and where its value meets
+L it is the certified global minimum and nothing is searched.
+
+Every other problem (odd q past rho_bar, except q = 5 with even n) is
+searched: a multi-start accelerated projected gradient (FISTA momentum
+with adaptive restart) from the uniform row and random ones, all starts
+in one batch, and its value is an upper bound on the true minimum.
 `minimize_q_batch` stacks the starts of many problems of one (q, n) into
 the same batch, and solves twins once: problems with the same q, n,
 restarts, integer seed and, bit for bit, the same a are one quadratic
@@ -24,10 +37,6 @@ A start whose support has settled finishes with one face-restricted
 Newton step (projected Newton, Bertsekas 1982): the exact minimizer of
 the form on its face, taken only where it is a nonnegative, not worse,
 certified local minimum.
-In the PSD regime the problem is convex and the uniform distribution is
-provably optimal, which gives the closed-form cross-check; past the PSD
-threshold the search is heuristic and its value is an upper bound on
-the true minimum.
 """
 
 import math
@@ -85,6 +94,7 @@ class OracleResult:
     convex: bool
     iterations: int
     face_steps: int
+    lower: float
 
 
 def _project_simplex_rows(v):
@@ -341,38 +351,43 @@ def _projected_gradient_batch(a, q, n, starts, owner):
     return points, values, conv, iterations, face_steps
 
 
-def _structured_seeds(q, n):
-    """The uniform, even-symbol product (even q) and pentagon product (q = 5, even n) rows."""
-    m = q**n
-    seeds = [np.full(m, 1.0 / m)]
-    products = []
+def _witness_name(q, n, convex):
+    """The name of a distribution that attains L, or None where none is known.
+
+    The uniform row in the convex regime; past it, the even-symbol product
+    for even q and the pentagon product for q = 5 with even n.
+    """
+    if convex:
+        return "uniform row"
     if q % 2 == 0:
-        products.append(all_words(range(0, q, 2), n))
-    if q == 5 and n % 2 == 0:
-        # every sequence of n/2 pentagon words, concatenated
-        products.append(pentagon_code().array[all_words(range(5), n // 2)].reshape(-1, n))
-    for words in products:
-        p = np.zeros(m)
-        p[word_indices(words, q)] = 1.0 / len(words)
-        seeds.append(p)
-    return seeds
+        return "even-symbol product"
+    return "pentagon product" if q == 5 and n % 2 == 0 else None
 
 
-def _structured_seed_count(q, n):
-    """len(_structured_seeds(q, n)), without building them."""
-    return 1 + (q % 2 == 0) + (q == 5 and n % 2 == 0)
+def _witness_row(q, n, convex):
+    """The distribution `_witness_name` names, where it names one."""
+    m = q**n
+    if convex:
+        return np.full(m, 1.0 / m)
+    # past rho_bar: the even symbols, or every sequence of n/2 pentagon words concatenated
+    words = (all_words(range(0, q, 2), n) if q % 2 == 0
+             else pentagon_code().array[all_words(range(5), n // 2)].reshape(-1, n))
+    p = np.zeros(m)
+    p[word_indices(words, q)] = 1.0 / len(words)
+    return p
 
 
 def _start_points(ch, n, restarts, seed):
-    """Starting rows: the structured seeds, then random ones up to `restarts` rows.
+    """Starting rows of a search: the uniform row, then restarts - 1 Dirichlet draws from `seed`."""
+    m = ch.q**n
+    draws = np.random.default_rng(seed).dirichlet(np.ones(m), size=restarts - 1)
+    return np.vstack((np.full((1, m), 1.0 / m), draws))
 
-    The random rows are Dirichlet draws from `seed`.
-    """
-    seeds = _structured_seeds(ch.q, n)
-    n_random = max(restarts - len(seeds), 0)
-    if n_random:
-        seeds.extend(np.random.default_rng(seed).dirichlet(np.ones(ch.q**n), size=n_random))
-    return np.array(seeds)
+
+def _search(ch, rho, n, starts):
+    """`_projected_gradient_batch` from the rows `starts` of the one problem (ch, rho, n)."""
+    a = np.array([bhattacharyya(ch.epsilon) ** (1.0 / rho)])
+    return _projected_gradient_batch(a, ch.q, n, starts, np.zeros(len(starts), dtype=int))
 
 
 def minimize_q_batch(problems):
@@ -384,20 +399,26 @@ def minimize_q_batch(problems):
     integer, are twins: one quadratic program from the same start rows,
     so the first of them is solved and the rest take its solution. A
     seed that is not an integer (None draws fresh starts on every call)
-    makes no twin. Distinct problems are grouped by (q, n), and the start
-    rows of a group run as one stack in `_projected_gradient_batch`, each
-    row tagged with its problem. A group is cut into several runs where
-    one run would hold more than BATCH_CAP entries in its start rows
-    (rows x q^n). Each row follows the same arithmetic as when its
-    problem runs alone, so every result equals, field for field, what
-    `minimize_q` returns for that problem; a twin's `rho`, `n`, `ex_n`
-    and `convex` come from its own (channel, rho), and its
-    `distribution` is its own copy. Twins arise across eps at a fixed
-    multiple of rho_bar, where a depends on q alone (module docstring);
-    a key on a rounded a would merge problems one ulp apart, which are
-    different programs. `iterations` is the run's iteration at which
-    the problem's last row froze, and `face_steps` counts its own rows.
-    Returns one OracleResult per problem, in order.
+    makes no twin. Each distinct problem with a witness (`_witness_name`) first
+    has its witness evaluated, with one product with G; where that value
+    is at most L (1 + 1e-12), the witness is the problem's result,
+    converged after 0 iterations and 0 face steps, and none of its rows
+    is searched. A witness is within a few ulps of L wherever it exists,
+    so only problems without one are searched: they are grouped by
+    (q, n), and the start rows of a group run as one stack in
+    `_projected_gradient_batch`, each row tagged with its problem. A
+    group is cut into several runs where one run would hold more than
+    BATCH_CAP entries in its start rows (restarts x q^n). Each row
+    follows the same arithmetic as when its problem runs alone, so every
+    result equals, field for field, what `minimize_q` returns for that
+    problem; a twin's `rho`, `n`, `ex_n`, `convex` and `lower` come from
+    its own (channel, rho), and its `distribution` is its own copy. Twins
+    arise across eps at a fixed multiple of rho_bar, where a depends on q
+    alone (module docstring); a key on a rounded a would merge problems
+    one ulp apart, which are different programs. `iterations` is the
+    run's iteration at which the problem's last row froze, and
+    `face_steps` counts its own rows. Returns one OracleResult per
+    problem, in order.
     """
     problems = list(problems)
     a = []
@@ -417,15 +438,21 @@ def minimize_q_batch(problems):
     for i, ((ch, _, n, restarts, seed), w) in enumerate(zip(problems, a)):
         key = (ch.q, n, w, restarts, seed) if isinstance(seed, (int, np.integer)) else i
         solver.append(first.setdefault(key, i))
-    groups = {}
+    solved, groups = {}, {}
     for i in first.values():
-        ch, _, n, _, _ = problems[i]
+        ch, rho, n, _, _ = problems[i]
+        convex = rho <= cycle_constants(ch).rho_bar
+        if _witness_name(ch.q, n, convex) is not None:
+            p = _witness_row(ch.q, n, convex)
+            value = float(p @ _times_gram(p[None, :], np.array(a[i:i + 1]), ch.q, n)[0])
+            if value <= min_q_lower_bound(ch, rho, n) * (1.0 + 1e-12):
+                solved[i] = (p, value, True, 0, 0)
+                continue
         groups.setdefault((ch.q, n), []).append(i)
-    solved = {}
     for (q, n), members in groups.items():
         run, entries = [], 0
         for i in members:
-            size = max(problems[i][3], _structured_seed_count(q, n)) * q**n  # its start entries
+            size = problems[i][3] * q**n  # its start entries
             if run and entries + size > BATCH_CAP:
                 solved.update(zip(run, _solve_run(problems, a, run)))
                 run, entries = [], 0
@@ -433,101 +460,138 @@ def minimize_q_batch(problems):
             entries += size
         solved.update(zip(run, _solve_run(problems, a, run)))
     results = []
-    for (ch, rho, n, _, _), i in zip(problems, solver):
-        point, value, count, converged, iterations, face_steps = solved[i]
+    for (ch, rho, n, restarts, _), i in zip(problems, solver):
+        point, value, converged, iterations, face_steps = solved[i]
         results.append(OracleResult(
             rho=rho,
             n=n,
             min_q=value,
             distribution=point.copy(),
             ex_n=-(rho / n) * math.log2(value),
-            restarts=count,
+            restarts=restarts,
             converged=converged,
             convex=rho <= cycle_constants(ch).rho_bar,
             iterations=iterations,
             face_steps=face_steps,
+            lower=min_q_lower_bound(ch, rho, n),
         ))
     return results
 
 
 def _solve_run(problems, a, run):
-    """Solve the problems with indices `run`, all of one (q, n), as one stack.
+    """Search the problems with indices `run`, all of one (q, n), as one stack.
 
     a[i] is problem i's base weight. Returns, per problem of `run`, its
-    (best point, value, start rows, converged, iterations, face_steps).
+    (best point, value, converged, iterations, face_steps).
     """
     members = [problems[i] for i in run]
     q, n = members[0][0].q, members[0][2]
-    starts = [_start_points(ch, n, restarts, seed) for ch, _, n, restarts, seed in members]
-    counts = [len(s) for s in starts]
+    counts = [restarts for *_, restarts, _ in members]
+    starts = np.concatenate([_start_points(ch, n, r, seed) for ch, _, n, r, seed in members])
     owner = np.repeat(np.arange(len(run)), counts)
     pts, values, conv, iterations, face_steps = _projected_gradient_batch(
-        np.array([a[i] for i in run]), q, n, np.concatenate(starts), owner
+        np.array([a[i] for i in run]), q, n, starts, owner
     )
     out, lo = [], 0
     for p, count in enumerate(counts):
         best = lo + int(np.argmin(values[lo:lo + count]))
         lo += count
-        out.append((pts[best], float(values[best]), count, bool(conv[best]), int(iterations[p]),
+        out.append((pts[best], float(values[best]), bool(conv[best]), int(iterations[p]),
                     int(face_steps[p])))
     return out
 
 
 def minimize_q(ch, rho, n, restarts=200, seed=0):
-    """Best local minimum of the n-letter quadratic form over the simplex.
+    """Global minimum of the n-letter quadratic form over the simplex, or the best local one found.
 
-    In the convex regime (rho <= rho_bar) every start converges to the
-    global optimum; beyond it the search runs from `restarts` start rows
-    in all, never fewer than the structured seeds (uniform, and the
-    even-symbol or pentagon products where they apply), the rest random
-    simplex draws, and the smallest value wins. The starts run as one
-    vectorized batch; this is `minimize_q_batch` on one problem.
-    Deterministic for a fixed seed. Non-convergence of the winning run is
-    reported through the `converged` flag, never silently. q^n is capped
-    at SIZE_CAP and restarts x q^n at BATCH_CAP.
+    Where a witness attains L (`min_q_lower_bound`; the convex regime, even
+    q, and q = 5 with even n) the witness is returned as the certified
+    global minimum, without a search. Elsewhere the search runs from
+    `restarts` start rows, the uniform row and then random simplex draws,
+    as one vectorized batch, and the smallest value wins; min_Q is then an
+    upper bound on the true minimum and at least L. This is
+    `minimize_q_batch` on one problem. Deterministic for a fixed seed.
+    Non-convergence of the winning run is reported through the
+    `converged` flag, never silently. q^n is capped at SIZE_CAP and
+    restarts x q^n at BATCH_CAP.
     """
     return minimize_q_batch([(ch, rho, n, restarts, seed)])[0]
 
 
-# relative tolerance of min_Q against each regime's closed form. min_Q does not
-# scale with rho, whereas Ex_n = -(rho/n) log2 min_Q does: at rho = 1e12 one ulp
-# of Ex_n passes any fixed absolute tolerance. 1e-9 is far above the optimizer's
-# rounding (a few ulps), and tighter than an absolute 1e-6 on Ex_n for rho < 693 n
+def min_q_lower_bound(ch, rho, n):
+    """L, a lower bound on min_Q in every regime, rounded down: ((1 + 2 a')/q)^n (1 - 6 n u).
+
+    With a = alpha^(1/rho), phi = `cycle_constants(ch).phi` (the largest
+    weight for which the base B(a) is PSD) and u = 2^-53, a' = min(a,
+    phi (1 - 4u)). M = B(a')^(x)n is PSD, and M <= G entry by entry
+    (every entry is a product of 1, a and 0), so p^T G p >= p^T M p for
+    p >= 0. p^T M p is convex and invariant under the translations of
+    Z_q^n, so its minimum over the simplex is at the uniform row:
+    ((1 + 2 a')/q)^n. This is Lovasz's bound held in the PSD condition of
+    the expurgated bound (Jelinek; Gallager): for a >= phi, L is (2/q)^n
+    for even q and theta(C_q)^(-n) for odd q (Lovasz 1979). As a -> 1,
+    min_Q tends to 1/alpha of the n-th strong power of the q-cycle
+    (Motzkin-Straus 1965), and L is Lovasz's bound on it.
+
+    Rounding. For even q, phi = 1/2 exactly. For odd q, fl(phi) =
+    1/(2 cos(pi/q)) is within 3u of phi: pi and pi/q round by 0.35u and
+    u, which moves cos(pi/q) by at most (pi/5) tan(pi/5) 1.35u < 0.62u;
+    cos is within one ulp, at most 1.24u relative on [0.8, 1); the
+    division adds u. So the computed a' is at most phi (1 + 3u)(1 - 4u)(1 + u)
+    < phi, and B(a') is PSD. Then 1 + 2a' (2a' is exact) and the division
+    by q round once each, and pow within one ulp (2u): the computed power
+    is at most (1 + u)^(2n) (1 + 2u) times the exact one. 1 - 6nu is
+    exact, and the last product rounds once, so the result is at most
+    (1 + u)^(2n+1) (1 + 2u) (1 - 6nu) <= (1 + (2n+3)u + (2n+3)^2 u^2)
+    (1 - 6nu) < 1 times the exact L, since (4n - 3)u > (2n+3)^2 u^2 for
+    every n >= 1: c = 6 covers the 2n + 3 roundings with n to spare.
+    """
+    u = 2.0**-53
+    a = min(bhattacharyya(ch.epsilon) ** (1.0 / rho), cycle_constants(ch).phi * (1.0 - 4.0 * u))
+    return ((1.0 + 2.0 * a) / ch.q) ** n * (1.0 - 6 * n * u)
+
+
+# relative tolerance of min_Q against L. min_Q does not scale with rho, whereas
+# Ex_n = -(rho/n) log2 min_Q does: at rho = 1e12 one ulp of Ex_n passes any fixed
+# absolute tolerance. 1e-9 is far above the optimizer's rounding (a few ulps), and
+# tighter than an absolute 1e-6 on Ex_n for rho < 693 n
 REGIME_RTOL = 1e-9
 
 
 def regime_check(ch, res):
-    """(passed, line): res.min_q against the closed form of its regime, at relative REGIME_RTOL.
+    """(passed, line): res.min_q against res.lower = L, at relative REGIME_RTOL.
 
-    - convex regime (rho <= rho_bar): the uniform distribution is optimal,
-      min_Q = ((1 + 2a)/q)^n (`uniform_value`);
-    - even q past rho_bar: min_Q = (2/q)^n, attained by the even-symbol product;
-    - q = 5 and even n past rho_bar: min_Q = 5^(-n/2), attained by the
-      pentagon product (Lovasz's theta(C5) = sqrt(5));
-    - every other odd q: only min_Q >= theta^(-n), the same statement as
-      Ex_n <= rho log2(theta), so the check is one-sided.
-
-    The line names the regime and the comparison, without PASS or FAIL.
+    min_Q >= L (1 - REGIME_RTOL) in every regime. Where a witness attains
+    L (`_witness_name`: the uniform row in the convex regime, the even-symbol
+    product for even q, the pentagon product for q = 5 with even n), also
+    min_Q <= L (1 + REGIME_RTOL); elsewhere the check is one-sided, the
+    same statement as Ex_n <= rho log2(theta) past rho_bar. The line
+    gives L and the gap min_Q/L - 1, without PASS or FAIL.
     """
-    q, n, got = ch.q, res.n, res.min_q
-    if res.convex:
-        label, form, target = "convex regime", "uniform closed form", uniform_value(ch, res.rho, n)
-    elif q % 2 == 0:
-        label, form, target = "even q", "(2/q)^n", (2.0 / q) ** n
-    elif q == 5 and n % 2 == 0:
-        label, form, target = "q=5 even n", "5^(-n/2)", 5.0 ** (-n / 2)
-    else:
-        target = cycle_constants(ch).theta ** -n
-        return got >= target * (1.0 - REGIME_RTOL), (
-            f"odd q: min_Q {got!r} >= theta^(-n) = {target!r} (rel tol {REGIME_RTOL:g}, "
-            "one-sided: Ex_n <= rho log2(theta))"
-        )
-    return abs(got - target) <= REGIME_RTOL * target, (
-        f"{label}: min_Q {got!r} vs {form} = {target!r} (rel tol {REGIME_RTOL:g})"
+    got, lower = res.min_q, res.lower
+    witness = _witness_name(ch.q, res.n, res.convex)
+    passed = lower * (1.0 - REGIME_RTOL) <= got <= (
+        math.inf if witness is None else lower * (1.0 + REGIME_RTOL))
+    how = ("one-sided: no known distribution attains L" if witness is None
+           else f"two-sided: the {witness} attains L")
+    return passed, (f"min_Q {got!r} vs L = {lower!r}, min_Q/L - 1 = {got / lower - 1.0:.3g} "
+                    f"(rel tol {REGIME_RTOL:g}; {how})")
+
+
+def search_check(ch, rho, n, rows, seed):
+    """(passed, line): the search alone, from `rows` random rows, finds L where a witness does.
+
+    The rows are `_start_points`' Dirichlet draws from `seed`, without its
+    uniform row and with no certification. It passes where the best row's
+    value is within REGIME_RTOL of L; the line counts the rows that are.
+    """
+    starts = _start_points(ch, n, rows + 1, seed)[1:]
+    _, values, _, iterations, face_steps = _search(ch, rho, n, starts)
+    lower = min_q_lower_bound(ch, rho, n)
+    best = float(values.min())
+    hits = int(np.count_nonzero(np.abs(values - lower) <= REGIME_RTOL * lower))
+    return abs(best - lower) <= REGIME_RTOL * lower, (
+        f"best of {rows} random rows {best!r} vs L = {lower!r}, min_Q/L - 1 = "
+        f"{best / lower - 1.0:.3g} (rel tol {REGIME_RTOL:g}); {hits} of {rows} rows reach L; "
+        f"{iterations[0]} iterations, {face_steps[0]} face steps"
     )
-
-
-def uniform_value(ch, rho, n):
-    """Quadratic form at the uniform distribution: ((1 + 2 a)/q)^n with a = alpha^(1/rho)."""
-    a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
-    return ((1.0 + 2.0 * a) / ch.q) ** n

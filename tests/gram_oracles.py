@@ -8,8 +8,9 @@ plain fixed-step projected gradient, with its simplex projection, that
 relbound.oracle's accelerated solver replaced, which must reach the same
 minima; and the exact minimum over the simplex by a KKT solve on every
 face, for the few points where the fixed-step oracle is too slow to
-settle; and the structured start rows built word by word from tuples,
-which the rows built through relbound.codes must equal.
+settle; and the uniform, even-symbol product and pentagon product rows
+built word by word from tuples, which relbound.oracle's witnesses, built
+through relbound.codes, must equal.
 """
 
 import math

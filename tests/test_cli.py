@@ -26,7 +26,7 @@ from relbound.cli import COMMANDS, COMMON, OPTIONS, build_parser, effective_sett
 from relbound.cli import run as run_cli
 from relbound.codes import KEY_CAP, WIDTH_CAP, format_code, make_code, pentagon_code
 from relbound.curves import csv_to_curves
-from relbound.oracle import REGIME_RTOL, minimize_q, uniform_value
+from relbound.oracle import REGIME_RTOL, _witness_name, minimize_q
 
 
 def run(capsys, *argv):
@@ -104,30 +104,32 @@ def test_oracle_even_q_check_holds_at_huge_rho(capsys, q, rho):
     # tolerance; min_Q is 1/3 and one ulp under 1/2
     rc, out, err = run(capsys, "oracle", "--q", str(q), "--eps", "0.1", "--rho", rho, "--n", "1")
     assert rc == 0, out + err
-    assert re.search(r"^PASS even q: ", out, re.M) and "FAIL" not in out
+    assert re.search(r"^PASS min_Q .*; two-sided: the even-symbol product attains L\)$", out, re.M)
+    assert "FAIL" not in out
 
 
-# (argv, label, closed form of min_Q); q = 5 with odd n is an odd-q case
+# (argv, what the check line names, closed form of min_Q); q = 5 with odd n has no witness
 ORACLE_REGIMES = [
-    (("--q", "4", "--eps", "0.1", "--rho", "1.5", "--n", "2", "--restarts", "4"), "convex regime",
-     uniform_value(Channel(4, 0.1), 1.5, 2)),
-    (("--q", "6", "--eps", "0.1", "--rho", "3", "--n", "1"), "even q", 1.0 / 3.0),
-    (("--q", "5", "--eps", "0.1", "--rho", "6", "--n", "2", "--restarts", "40"), "q=5 even n",
-     5.0 ** -1),
-    (("--q", "7", "--eps", "0.1", "--rho", "5", "--n", "1"), "odd q", 1.0 / theta_cycle(7)),
-    (("--q", "5", "--eps", "0.1", "--rho", "6", "--n", "1"), "odd q", 5.0 ** -0.5),
+    (("--q", "4", "--eps", "0.1", "--rho", "1.5", "--n", "2", "--restarts", "4"),
+     "two-sided: the uniform row", ((1.0 + 2.0 * bhattacharyya(0.1) ** (1.0 / 1.5)) / 4.0) ** 2),
+    (("--q", "6", "--eps", "0.1", "--rho", "3", "--n", "1"), "two-sided: the even-symbol product",
+     1.0 / 3.0),
+    (("--q", "5", "--eps", "0.1", "--rho", "6", "--n", "2", "--restarts", "40"),
+     "two-sided: the pentagon product", 5.0 ** -1),
+    (("--q", "7", "--eps", "0.1", "--rho", "5", "--n", "1"), "one-sided", 1.0 / theta_cycle(7)),
+    (("--q", "5", "--eps", "0.1", "--rho", "6", "--n", "1"), "one-sided", 5.0 ** -0.5),
     # huge rho, where one ulp of Ex_n exceeds any fixed absolute tolerance
-    (("--q", "7", "--eps", "0.1", "--rho", "1e12", "--n", "1"), "odd q", 1.0 / theta_cycle(7)),
-    (("--q", "5", "--eps", "0.1", "--rho", "1e12", "--n", "2", "--restarts", "20"), "q=5 even n",
-     5.0 ** -1),
+    (("--q", "7", "--eps", "0.1", "--rho", "1e12", "--n", "1"), "one-sided", 1.0 / theta_cycle(7)),
+    (("--q", "5", "--eps", "0.1", "--rho", "1e12", "--n", "2", "--restarts", "20"),
+     "two-sided: the pentagon product", 5.0 ** -1),
 ]
 
 
-@pytest.mark.parametrize("argv, label, target", ORACLE_REGIMES)
-def test_oracle_fails_a_min_q_off_by_twice_the_regime_tolerance(capsys, monkeypatch, argv, label,
+@pytest.mark.parametrize("argv, how, target", ORACLE_REGIMES)
+def test_oracle_fails_a_min_q_off_by_twice_the_regime_tolerance(capsys, monkeypatch, argv, how,
                                                                 target):
     rc, out, err = run(capsys, "oracle", *argv)
-    assert rc == 0 and re.search(f"^PASS {label}: ", out, re.M) and "FAIL" not in out
+    assert rc == 0 and re.search(f"^PASS min_Q .*; {how}", out, re.M) and "FAIL" not in out
 
     def off(*args, **kwargs):
         return dataclasses.replace(minimize_q(*args, **kwargs),
@@ -135,18 +137,33 @@ def test_oracle_fails_a_min_q_off_by_twice_the_regime_tolerance(capsys, monkeypa
 
     monkeypatch.setattr(cli, "minimize_q", off)
     rc, out, err = run(capsys, "oracle", *argv)
-    assert rc == 1 and re.search(f"^FAIL {label}: min_Q ", out, re.M)
+    assert rc == 1 and re.search(f"^FAIL min_Q .*; {how}", out, re.M)
 
 
-def test_oracle_and_verify_print_the_same_pentagon_check(capsys):
-    # the (c) problem at eps = 0.1 and seed 0 is the same program, so it gives the same bits
-    (line,) = [line for line in acceptance.check_oracle(0).lines
-               if line.startswith("PASS (c) q=5 n=2 eps=0.1:")]
-    rho = repr(2.0 * rho_bar(Channel(5, 0.1)))
-    rc, out, err = run(capsys, "oracle", "--q", "5", "--eps", "0.1", "--rho", rho, "--n", "2",
-                       "--restarts", "200", "--seed", "0")
+def test_oracle_and_verify_print_the_same_check(capsys):
+    # the (b) problem at eps = 0.1, 3 rho_bar and seed 0 is the same program, so it gives
+    # the same bits
+    rho = 3.0 * rho_bar(Channel(4, 0.1))
+    label = f"PASS (b) q=4 eps=0.1 rho={rho:.3f} n=1: "
+    (line,) = [line for line in acceptance.check_oracle(0).lines if line.startswith(label)]
+    rc, out, err = run(capsys, "oracle", "--q", "4", "--eps", "0.1", "--rho", repr(rho), "--n", "1",
+                       "--restarts", "16", "--seed", "0")
     (check,) = [row for row in out.splitlines() if row.startswith("PASS ")]
-    assert rc == 0 and line.startswith(f"PASS (c) q=5 n=2 eps=0.1: {check[len('PASS '):]}; ")
+    assert rc == 0 and line == label + check[len("PASS "):]
+
+
+def test_oracle_finishes_where_every_search_row_once_ran_to_the_cap(capsys):
+    # min_Q = 1/4 exactly; the even-symbol product certifies it before any search
+    rc, out, err = run(capsys, "oracle", "--q", "8", "--eps", "0.01", "--rho", "1e9", "--n", "1")
+    assert rc == 0 and "min_Q = 0.25\n" in out and "FAIL" not in out
+
+
+def test_oracle_prints_how_far_a_search_without_a_witness_stays_above_l(capsys):
+    # the lone start is the uniform row, a saddle past rho_bar about 17% above L
+    rc, out, err = run(capsys, "oracle", "--q", "3125", "--eps", "0.1", "--rho", "3", "--n", "1",
+                       "--restarts", "1")
+    gap = float(re.search(r"^PASS min_Q .* min_Q/L - 1 = (\S+) .*one-sided", out, re.M).group(1))
+    assert rc == 0 and gap == pytest.approx(0.17, abs=0.005)
 
 
 def test_oracle_usage_errors(capsys):
@@ -541,20 +558,20 @@ def cli_argvs(draw):
 
 
 def _exact_regime_check(argv, out):
-    """oracle.regime_check on the printed min_Q, recomputed in exact rational arithmetic."""
+    """oracle.regime_check on the printed min_Q, recomputed in exact rational arithmetic.
+
+    L is ((1 + 2 min(a, phi))/q)^n at the floats a and phi, unrounded; the check is
+    two-sided in the convex regime, for even q and for q = 5 with even n.
+    """
     opts = dict(zip(argv[1::2], argv[2::2]))
     q, eps, rho, n = int(opts["--q"]), float(opts["--eps"]), float(opts["--rho"]), int(opts["--n"])
-    got = Fraction(float(re.search(r"^(?:PASS|FAIL) .*?min_Q (\S+) ", out, re.M).group(1)))
+    got = Fraction(float(re.search(r"^(?:PASS|FAIL) min_Q (\S+) ", out, re.M).group(1)))
     tol = Fraction(REGIME_RTOL)
-    if "regime = convex" in out:
-        target = ((1 + 2 * Fraction(bhattacharyya(eps) ** (1.0 / rho))) / q) ** n
-    elif q % 2 == 0:
-        target = Fraction(2, q) ** n
-    elif q == 5 and n % 2 == 0:
-        target = Fraction(1, 5 ** (n // 2))
-    else:
-        return got >= Fraction(cycle_constants(Channel(q, eps)).theta) ** -n * (1 - tol)
-    return abs(got - target) <= tol * target
+    a = min(bhattacharyya(eps) ** (1.0 / rho), cycle_constants(Channel(q, eps)).phi)
+    lower = ((1 + 2 * Fraction(a)) / q) ** n
+    if _witness_name(q, n, "regime = convex" in out) is not None:
+        return abs(got - lower) <= tol * lower
+    return got >= lower * (1 - tol)
 
 
 def _printed(out, label):

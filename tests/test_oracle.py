@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbound import acceptance, oracle
-from relbound.channel import Channel, bhattacharyya, theta_cycle
+from relbound.channel import Channel, bhattacharyya, cycle_constants, theta_cycle
 from relbound.classical import rho_bar
 from relbound.oracle import (
     BATCH_CAP,
@@ -34,14 +35,30 @@ from relbound.oracle import (
     _stationary,
     _times_gram,
     eigenvalues_g1,
+    min_q_lower_bound,
     minimize_q,
     minimize_q_batch,
     regime_check,
-    uniform_value,
     word_count,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
+
+
+def _uniform_value(ch, rho, n):
+    """The form at the uniform row, ((1 + 2a)/q)^n: the minimum in the convex regime."""
+    return ((1.0 + 2.0 * bhattacharyya(ch.epsilon) ** (1.0 / rho)) / ch.q) ** n
+
+
+def _search(ch, rho, n, restarts, seed):
+    """The search `minimize_q` runs where no witness certifies the problem, on any problem.
+
+    Returns (best value, its converged flag, iterations, face steps).
+    """
+    _, values, conv, iterations, face_steps = oracle._search(
+        ch, rho, n, _start_points(ch, n, restarts, seed))
+    best = int(np.argmin(values))
+    return float(values[best]), bool(conv[best]), int(iterations[0]), int(face_steps[0])
 
 
 def test_gram_base_entries():
@@ -133,7 +150,7 @@ def test_minimize_q_convex_regime(q, n):
     for rho in (1.0, rb):
         res = minimize_q(ch, rho, n, restarts=4, seed=1)
         assert res.convex
-        assert res.min_q == pytest.approx(uniform_value(ch, rho, n), abs=1e-9)
+        assert res.min_q == pytest.approx(_uniform_value(ch, rho, n), abs=1e-9)
 
 
 def test_minimize_q_even_nonconvex():
@@ -150,7 +167,7 @@ def test_minimize_q_pentagon():
     rho = 2.0 * rho_bar(ch)
     res = minimize_q(ch, rho, 2, restarts=40, seed=2)
     assert res.min_q == pytest.approx(0.2, abs=1e-5)
-    # the optimizer rediscovers a five-point support
+    # the witness is the pentagon product, a five-point support
     assert int((res.distribution > 1e-6).sum()) == 5
 
 
@@ -194,49 +211,71 @@ def _result_at(ch, rho, n, min_q, convex=None):
     return OracleResult(rho=rho, n=n, min_q=min_q, distribution=np.zeros(ch.q**n),
                         ex_n=-(rho / n) * math.log2(min_q), restarts=1, converged=True,
                         convex=rho <= rho_bar(ch) if convex is None else convex,
-                        iterations=0, face_steps=0)
+                        iterations=0, face_steps=0, lower=min_q_lower_bound(ch, rho, n))
 
 
-# (channel, rho, n, label, target, two-sided); q = 5 with odd n takes the odd-q branch
+# (channel, rho, n, what the line names, the closed form L equals, two-sided); q = 5 with
+# odd n has no witness
 REGIMES = [
-    (Channel(5, 0.1), 2.0, 2, "convex regime", uniform_value(Channel(5, 0.1), 2.0, 2), True),
-    (Channel(6, 0.1), 3.0, 2, "even q", 1.0 / 9.0, True),
-    (Channel(5, 0.1), 6.0, 2, "q=5 even n", 0.2, True),
-    (Channel(7, 0.1), 5.0, 1, "odd q", 1.0 / theta_cycle(7), False),
-    (Channel(5, 0.1), 6.0, 1, "odd q", 5.0 ** -0.5, False),
+    (Channel(5, 0.1), 2.0, 2, "two-sided: the uniform row attains L",
+     _uniform_value(Channel(5, 0.1), 2.0, 2), True),
+    (Channel(6, 0.1), 3.0, 2, "two-sided: the even-symbol product attains L", 1.0 / 9.0, True),
+    (Channel(5, 0.1), 6.0, 2, "two-sided: the pentagon product attains L", 0.2, True),
+    (Channel(7, 0.1), 5.0, 1, "one-sided", 1.0 / theta_cycle(7), False),
+    (Channel(5, 0.1), 6.0, 1, "one-sided", 5.0 ** -0.5, False),
 ]
 
 
-@pytest.mark.parametrize("ch, rho, n, label, target, two_sided", REGIMES)
+@pytest.mark.parametrize("ch, rho, n, how, target, two_sided", REGIMES)
 @pytest.mark.parametrize("k", [-2.0, -0.5, 0.5, 2.0])
-def test_regime_check_holds_within_its_relative_tolerance(ch, rho, n, label, target, two_sided,
-                                                          k):
-    passed, line = regime_check(ch, _result_at(ch, rho, n, target * (1.0 + k * REGIME_RTOL)))
-    # half the tolerance passes and twice it fails; the odd-q bound fails only from below
+def test_regime_check_holds_within_its_relative_tolerance(ch, rho, n, how, target, two_sided, k):
+    lower = min_q_lower_bound(ch, rho, n)
+    assert lower == pytest.approx(target, rel=1e-14, abs=0.0)  # L is each regime's closed form
+    passed, line = regime_check(ch, _result_at(ch, rho, n, lower * (1.0 + k * REGIME_RTOL)))
+    # half the tolerance passes and twice it fails; without a witness it fails only from below
     assert passed == (abs(k) < 1.0 or (k > 0.0 and not two_sided))
-    assert line.startswith(f"{label}: min_Q ") and f"{target!r} (rel tol 1e-09" in line
+    assert line.startswith("min_Q ") and f"vs L = {lower!r}, min_Q/L - 1 = " in line
+    assert f"(rel tol 1e-09; {how}" in line
 
 
-def test_regime_check_takes_the_convex_branch_from_the_result_flag():
-    ch, rho = Channel(4, 0.1), 3.0
-    uniform, even = uniform_value(ch, rho, 1), 0.5
-    for convex, label, target in ((True, "convex regime", uniform), (False, "even q", even)):
-        for value, passed in ((uniform, convex), (even, not convex)):
-            ok, line = regime_check(ch, _result_at(ch, rho, 1, value, convex=convex))
-            assert ok == passed and line.startswith(f"{label}: ") and repr(target) in line
+def test_regime_check_takes_the_witness_from_the_result_flag():
+    # q = 7 has a witness in the convex regime alone, so 10% above L fails only there
+    ch, rho = Channel(7, 0.1), 3.0
+    for convex in (True, False):
+        res = _result_at(ch, rho, 1, 1.1 * min_q_lower_bound(ch, rho, 1), convex=convex)
+        ok, line = regime_check(ch, res)
+        assert ok != convex and ("the uniform row attains L" in line) == convex
+        assert "min_Q/L - 1 = 0.1 " in line
 
 
-def test_structured_seeds_match_tuple_built_reference():
+def test_witnesses_match_tuple_built_reference():
     for q in range(4, 10):
         n = 1
         while q**n <= SIZE_CAP:
-            got, want = oracle._structured_seeds(q, n), structured_seeds(q, n)
-            assert len(got) == len(want) == 1 + (q % 2 == 0) + (q == 5 and n % 2 == 0)
-            # the batcher sizes its runs by this count, not by building the seeds
-            assert oracle._structured_seed_count(q, n) == len(want)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b), (q, n)
+            want = structured_seeds(q, n)  # the uniform row, then the product past rho_bar
+            assert len(want) == 1 + (q % 2 == 0) + (q == 5 and n % 2 == 0)
+            assert oracle._witness_name(q, n, True) == "uniform row"
+            assert np.array_equal(oracle._witness_row(q, n, True), want[0]), (q, n)
+            assert (oracle._witness_name(q, n, False) is None) == (len(want) == 1)
+            if len(want) == 2:
+                assert np.array_equal(oracle._witness_row(q, n, False), want[1]), (q, n)
             n += 1
+
+
+@pytest.mark.parametrize("q", range(4, 12))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lower_bound_is_each_closed_form_rounded_down(q, n):
+    # in exact arithmetic on the floats: the uniform value at the float a, (2/q)^n, and
+    # theta^(-n) at the float theta, which the margins in L keep above it too
+    ch = Channel(q, 0.1)
+    rb = rho_bar(ch)
+    for rho in (0.5 * rb, rb, 2.0 * rb, 1e12):
+        lower = Fraction(min_q_lower_bound(ch, rho, n))
+        if rho <= rb:
+            target = ((1 + 2 * Fraction(bhattacharyya(0.1) ** (1.0 / rho))) / q) ** n
+        else:
+            target = Fraction(2, q) ** n if q % 2 == 0 else Fraction(theta_cycle(q)) ** -n
+        assert target * (1 - Fraction(1, 10**14)) <= lower < target
 
 
 def test_ex_n_blocklength_free_in_convex_regime():
@@ -255,7 +294,7 @@ def test_determinism_and_flags(monkeypatch):
     assert np.array_equal(r1.distribution, r2.distribution)
     assert r1.restarts == 10
     # starved of iterations the flag must report non-convergence; q=7 has
-    # no instantly optimal structured seed to mask the starvation
+    # no witness to mask the starvation
     ch7 = Channel(7, 0.1)
     rho7 = 3.0 * rho_bar(ch7)
     full = minimize_q(ch7, rho7, 1, restarts=8, seed=42)
@@ -288,14 +327,18 @@ def test_slowest_convex_case_converges_in_few_iterations():
     # fixed-step solver needs 7 406 iterations on this case
     ch = Channel(5, 0.5)
     rho = 0.5 * (1.0 + rho_bar(ch))
-    res = minimize_q(ch, rho, 2, restarts=6, seed=0)
-    assert res.convex and res.converged
-    assert res.min_q == pytest.approx(uniform_value(ch, rho, 2), abs=1e-9)
-    assert res.iterations <= 1000
+    assert rho <= rho_bar(ch)
+    value, converged, iterations, _ = _search(ch, rho, 2, 6, 0)
+    assert converged
+    assert value == pytest.approx(_uniform_value(ch, rho, 2), abs=1e-9)
+    assert iterations <= 1000
 
 
-@pytest.mark.parametrize("q,mult,n", [(5, 0.5, 2), (5, 2.0, 2), (7, 3.0, 1), (4, 2.5, 2)])
-def test_converged_point_carries_the_certificate(q, mult, n, monkeypatch):
+# (q, rho / rho_bar, n, searched): a witness certifies all but the odd-q cases past rho_bar
+@pytest.mark.parametrize("q,mult,n,searched", [(5, 0.5, 2, False), (5, 2.0, 2, False),
+                                               (7, 3.0, 1, True), (4, 2.5, 2, False),
+                                               (5, 2.0, 1, True)])
+def test_converged_point_carries_the_certificate(q, mult, n, searched, monkeypatch):
     ch = Channel(q, 0.1)
     rho = max(1.0, mult * rho_bar(ch))
     res = minimize_q(ch, rho, n, restarts=12, seed=3)
@@ -307,7 +350,8 @@ def test_converged_point_carries_the_certificate(q, mult, n, monkeypatch):
     assert np.linalg.norm(d) / step <= GRAD_MAP_TOL or np.all(x + d == x)
     monkeypatch.setattr(oracle, "MAX_ITER", 1)
     starved = minimize_q(ch, rho, n, restarts=12, seed=3)
-    assert starved.iterations == 1
+    # the cap stops a search after one iteration; a certified problem runs none
+    assert starved.iterations == (1 if searched else 0)
 
 
 @st.composite
@@ -341,23 +385,25 @@ CH_NEAR = Channel(5, 0.3)
 @example((CH_NEAR, 0.995 * rho_bar(CH_NEAR), 2, 10, 2))
 @example((CH_NEAR, 1.005 * rho_bar(CH_NEAR), 2, 10, 2))
 def test_accelerated_solver_matches_fixed_step_oracle(case):
+    # the search itself, also where minimize_q would return a certified witness
     ch, rho, n, restarts, seed = case
-    res = minimize_q(ch, rho, n, restarts=restarts, seed=seed)
+    value, converged, _, _ = _search(ch, rho, n, restarts, seed)
+    convex = rho <= rho_bar(ch)
     g = gram_matrix(ch, rho, n)
     starts = _start_points(ch, n, restarts, seed)
     _, values, conv = projected_gradient_fixed_step(g, starts, max_iter=ORACLE_MAX_ITER)
     best = int(np.argmin(values))
-    assert res.converged
+    assert converged
     # the oracle descends monotonically, so where the cap stops it its
     # value still bounds the value it would reach from above
-    assert res.min_q <= values[best] + 1e-12 * values[best]
+    assert value <= values[best] + 1e-12 * values[best]
     if conv[best]:
-        assert res.min_q == pytest.approx(values[best], rel=1e-12, abs=0.0)
+        assert value == pytest.approx(values[best], rel=1e-12, abs=0.0)
     else:
         # only near-singular convex cases outlast the cap; the closed form pins them
-        assert res.convex
-    if res.convex:
-        assert res.min_q == pytest.approx(uniform_value(ch, rho, n), abs=1e-9)
+        assert convex
+    if convex:
+        assert value == pytest.approx(_uniform_value(ch, rho, n), abs=1e-9)
 
 
 @st.composite
@@ -396,19 +442,62 @@ def test_solver_reaches_exact_minimum_just_above_rho_bar(case):
     (6, 0.466, 1.0, 200, 0),  # rho_bar = 1.0033; 5 755 iterations without the face step
 ])
 def test_slow_cases_below_rho_bar_finish_by_face_steps(q, eps, rho, restarts, seed):
+    # the search itself: minimize_q returns the uniform witness here without one
     ch = Channel(q, eps)
-    res = minimize_q(ch, rho, 2, restarts=restarts, seed=seed)
-    assert res.convex and res.converged
-    assert res.iterations <= 500
-    assert res.face_steps >= 1
-    assert res.min_q == pytest.approx(uniform_value(ch, rho, 2), abs=1e-9)
+    value, converged, iterations, face_steps = _search(ch, rho, 2, restarts, seed)
+    assert rho <= rho_bar(ch) and converged
+    assert iterations <= 500
+    assert face_steps >= 1
+    assert value == pytest.approx(_uniform_value(ch, rho, 2), abs=1e-9)
+
+
+@st.composite
+def lower_bound_cases(draw):
+    """q in 4..9, n <= 2, rho on both sides of rho_bar, 1-30 restarts, any seed."""
+    q = draw(st.integers(min_value=4, max_value=9))
+    ch = Channel(q, draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True)))
+    rho = rho_bar(ch) * draw(st.one_of(st.floats(min_value=0.2, max_value=5.0),
+                                       st.floats(min_value=0.99, max_value=1.01)))
+    n = draw(st.integers(min_value=1, max_value=2))
+    restarts = draw(st.integers(min_value=1, max_value=30))
+    return ch, rho, n, restarts, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@PROPERTY
+@given(lower_bound_cases())
+@example((Channel(9, 0.1), 2.0 * rho_bar(Channel(9, 0.1)), 2, 10, 0))  # searched, q^n = 81
+@example((Channel(5, 0.1), 2.0 * rho_bar(Channel(5, 0.1)), 2, 1, 0))  # the pentagon product
+def test_min_q_is_at_least_l_and_meets_it_where_a_witness_does(case):
+    ch, rho, n, restarts, seed = case
+    res = minimize_q(ch, rho, n, restarts=restarts, seed=seed)
+    assert res.lower == min_q_lower_bound(ch, rho, n)
+    assert res.min_q >= res.lower * (1.0 - 1e-12)
+    assert res.distribution.min() >= 0.0
+    assert abs(res.distribution.sum() - 1.0) <= 1e-12
+    if oracle._witness_name(ch.q, n, res.convex) is not None:
+        assert res.min_q <= res.lower * (1.0 + 1e-12)
+        assert res.iterations == 0
+
+
+# the cases each of which once ran for seconds to minutes, now certified by their witness
+@pytest.mark.parametrize("ch, rho, n, restarts, seed, value", [
+    (Channel(38, 0.0769), 1e7, 1, 4, 38, 1.0 / 19.0),  # 18 018 iterations
+    (Channel(8, 0.01), 1e9, 1, 200, 0, 0.25),  # every row ran to MAX_ITER
+    (Channel(5, 0.15184), 2.1254, 3, 20, 485, _uniform_value(Channel(5, 0.15184), 2.1254, 3)),
+    (Channel(5, 0.1), 2.49, 5, 20, 1, _uniform_value(Channel(5, 0.1), 2.49, 5)),
+])
+def test_slow_cases_with_a_witness_are_certified_without_a_search(ch, rho, n, restarts, seed,
+                                                                   value):
+    res = minimize_q(ch, rho, n, restarts=restarts, seed=seed)
+    assert res.converged and res.iterations == 0 and res.face_steps == 0
+    assert res.min_q == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def _assert_same_results(batch, alone):
     assert len(batch) == len(alone)
     for got, ref in zip(batch, alone):
         for field in ("rho", "n", "min_q", "ex_n", "converged", "convex", "restarts",
-                      "iterations", "face_steps"):
+                      "iterations", "face_steps", "lower"):
             assert getattr(got, field) == getattr(ref, field), field
         assert np.array_equal(got.distribution, ref.distribution)
 
@@ -451,34 +540,40 @@ def oracle_batches(draw):
 
 @PROPERTY
 @given(oracle_batches())
-# q^n = 64 for both, so the batch must group by (q, n), not by q^n
-@example([(Channel(4, 0.1), 1.0, 3, 5, 1), (Channel(8, 0.1), 1.0, 2, 5, 2)])
-@example([(Channel(8, 0.3), 3.0 * rho_bar(Channel(8, 0.3)), 2, 12, 3),
-          (Channel(4, 0.3), 0.99 * rho_bar(Channel(4, 0.3)), 3, 7, 4),
-          (Channel(4, 0.2), 2.5 * rho_bar(Channel(4, 0.2)), 3, 9, 5)])
-@example([(Channel(5, 0.1), 3.0, 2, 10, 42)] * 3)  # exact duplicates
+# every example but the certified twins at rho_bar is searched: odd q >= 7 past rho_bar
+# q^n = 49 for both, so the batch must group by (q, n), not by q^n
+@example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 2, 5, 1),
+          (Channel(49, 0.1), 3.0 * rho_bar(Channel(49, 0.1)), 1, 5, 2)])
+# two (q, n) groups, one of them with two problems, beside a certified problem
+@example([(Channel(9, 0.3), 3.0 * rho_bar(Channel(9, 0.3)), 2, 12, 3),
+          (Channel(7, 0.3), 1.5 * rho_bar(Channel(7, 0.3)), 2, 7, 4),
+          (Channel(7, 0.2), 2.5 * rho_bar(Channel(7, 0.2)), 2, 9, 5),
+          (Channel(4, 0.3), 0.99 * rho_bar(Channel(4, 0.3)), 3, 7, 4)])
+@example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 2, 10, 42)] * 3)  # exact duplicates
 # a = 0.5 exactly at rho_bar for q = 4, whatever eps, so these are twins whose rho and
 # ex_n differ
 @example([(Channel(4, eps), rho_bar(Channel(4, eps)), 1, 6, 0) for eps in (0.01, 0.1, 0.5)])
-# the oracle criterion's pentagon problems: one a for the three eps
-@example([(Channel(5, eps), 2.0 * rho_bar(Channel(5, eps)), 2, 20, 0)
+# a = alpha^(1/(3 rho_bar)) has the same bits for these three eps at q = 7: searched
+# twins whose rho and ex_n differ
+@example([(Channel(7, eps), 3.0 * rho_bar(Channel(7, eps)), 1, 6, 0)
           for eps in (0.01, 0.1, 0.5)])
-# q = 7 has no structured seed that is optimal, so the random starts decide the result
+# q = 7 has no witness past rho_bar, so the random starts decide the result
 @example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 1, 8, seed) for seed in (1, 2)])
-@example([(Channel(6, 0.1), 3.0 * rho_bar(Channel(6, 0.1)), 1, restarts, 1)
+# the same seed and one restart more: not twins
+@example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 1, restarts, 1)
           for restarts in (8, 9)])
 def test_batch_equals_separate_calls(problems):
     _assert_same_results(minimize_q_batch(problems), [minimize_q(*p) for p in problems])
 
 
 def test_problems_one_ulp_apart_in_a_are_solved_apart(monkeypatch):
-    # 3 rho_bar leaves a one ulp apart for these two; a key on a rounded a would merge them
-    problems = [(Channel(4, eps), 3.0 * rho_bar(Channel(4, eps)), 1, 16, 0) for eps in (0.01, 0.1)]
+    # 2 rho_bar leaves a one ulp apart for these two; a key on a rounded a would merge them
+    problems = [(Channel(7, eps), 2.0 * rho_bar(Channel(7, eps)), 1, 16, 0) for eps in (0.01, 0.05)]
     runs = _spy_on_runs(monkeypatch)
     batch = minimize_q_batch(problems)
     assert len(runs) == 1
-    assert [w.hex() for w in runs[0][0].tolist()] == ["0x1.965fea53d6e3cp-1",
-                                                      "0x1.965fea53d6e3dp-1"]
+    assert [w.hex() for w in runs[0][0].tolist()] == ["0x1.7d6ac1f21da37p-1",
+                                                      "0x1.7d6ac1f21da36p-1"]
     _assert_same_results(batch, [minimize_q(*p) for p in problems])
 
 
@@ -490,23 +585,38 @@ def test_problems_without_a_seed_are_never_twins(monkeypatch):
 
 
 def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
-    # 61 problems, but at c rho_bar a depends on q alone, so only 41 are distinct
+    # 58 problems, but at c rho_bar a depends on q alone, so only 40 are distinct; a
+    # witness certifies each of them with one product, and only (c)'s two random-row
+    # searches reach the solver
     runs = _spy_on_runs(monkeypatch)
+    products = []
+    times_gram = oracle._times_gram
+
+    def count(x, *args):
+        products.append(len(x))
+        return times_gram(x, *args)
+
     batches = []
     batch = oracle.minimize_q_batch
 
     def keep(problems, **kwargs):
+        products.clear()
         batches.append(batch(problems, **kwargs))
-        return batches[-1]
+        batches.append(list(products))
+        return batches[-2]
 
+    monkeypatch.setattr(oracle, "_times_gram", count)
     monkeypatch.setattr(oracle, "minimize_q_batch", keep)
     assert acceptance.check_oracle(0).ok
-    assert sum(len(a) for a, _ in runs) == 41
-    assert sum(rows * m for _, (rows, m) in runs) == 8600
-    (results,) = batches
-    assert len(results) == 61
-    # the three pentagon problems are twins; each owns its distribution
-    twin, other = results[-3], results[-2]
+    assert [shape for _, shape in runs] == [(150, 25), (20, 16)]
+    results, witness_products = batches
+    assert witness_products == [1] * 40
+    assert len(results) == 58
+    assert all(res.converged and res.iterations == res.face_steps == 0 for res in results)
+    # a = 1/2 at rho_bar for q = 4, whatever eps: these two (a) problems are twins, and
+    # each owns its distribution
+    twin, other = (next(res for res in results if (res.rho, res.n) == (rho_bar(Channel(4, eps)), 1))
+                   for eps in (0.01, 0.1))
     assert np.array_equal(twin.distribution, other.distribution)
     kept = other.distribution.copy()
     twin.distribution[:] = -1.0
@@ -514,8 +624,8 @@ def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
 
 
 def test_batch_keeps_an_unconverged_problem_apart(monkeypatch):
-    # the uniform start is optimal at once in the convex regime; q = 7 past
-    # rho_bar has no structured seed to mask a starved search
+    # the uniform witness certifies the convex problem without a search; q = 7 past
+    # rho_bar has no witness to mask a starved search
     ch7 = Channel(7, 0.1)
     problems = [(Channel(4, 0.1), 1.0, 1, 4, 0), (ch7, 3.0 * rho_bar(ch7), 1, 8, 42),
                 (Channel(7, 0.2), 1.0, 1, 3, 5)]
@@ -527,13 +637,15 @@ def test_batch_keeps_an_unconverged_problem_apart(monkeypatch):
 
 
 def test_batch_past_the_entry_cap_runs_in_several_stacks(monkeypatch):
-    # g is nearly the identity, so every row settles within a few iterations
-    ch = Channel(6, 1e-6)
-    problems = [(ch, 1.0, 2, 15_000, 1), (ch, 1.0, 2, 15_000, 2)]
-    assert sum(restarts * 36 for *_, restarts, _ in problems) > BATCH_CAP
+    # q = 7 past rho_bar is searched; a lowered cap keeps the two stacks small
+    monkeypatch.setattr(oracle, "BATCH_CAP", 600)
+    ch = Channel(7, 0.1)
+    problems = [(ch, 3.0, 2, 10, 1), (ch, 3.0, 2, 10, 2)]
+    assert all(restarts * 49 <= oracle.BATCH_CAP for *_, restarts, _ in problems)
+    assert sum(restarts * 49 for *_, restarts, _ in problems) > oracle.BATCH_CAP
     runs = _spy_on_runs(monkeypatch)
     batch = minimize_q_batch(problems)
-    assert [shape for _, shape in runs] == [(15_000, 36)] * 2
+    assert [shape for _, shape in runs] == [(10, 49)] * 2
     _assert_same_results(batch, [minimize_q(*p) for p in problems])
 
 
@@ -543,7 +655,7 @@ def test_memory_at_the_size_cap_stays_a_few_rows_of_words(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ITER", 50)
     tracemalloc.start()
     try:
-        minimize_q(Channel(5, 0.1), 2.0, 5, restarts=20)
+        minimize_q(Channel(5, 0.1), 3.0, 5, restarts=20)  # odd n past rho_bar: searched
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -638,7 +750,7 @@ def test_face_step_accepts_definite_and_singular_convex_faces():
         m = ch.q**2
         z, ok = _minimizers(ch, rho, 2, np.ones((1, m), dtype=bool))
         assert ok[0] and z.min() >= 0.0
-        assert z[0] @ g @ z[0] == pytest.approx(uniform_value(ch, rho, 2), rel=1e-14)
+        assert z[0] @ g @ z[0] == pytest.approx(_uniform_value(ch, rho, 2), rel=1e-14)
 
 
 def test_size_and_restart_caps_refuse_without_work():

@@ -49,9 +49,11 @@ def test_solvers_alone_name_the_scalar_root_finders():
 
 
 def test_oracle_alone_names_the_regime_targets():
-    # oracle.regime_check decides which closed form applies and how close counts;
-    # a second copy of a target in the CLI or the acceptance suite would drift from it
-    assert _uses({"uniform_value", "REGIME_RTOL"}, skip={"oracle.py"}) == []
+    # one certified lower bound L replaced the per-regime closed forms, and oracle.py
+    # alone computes it and decides how close counts; a second copy in the CLI or the
+    # acceptance suite would drift from it
+    assert _uses({"min_q_lower_bound", "REGIME_RTOL"}, skip={"oracle.py"}) == []
+    assert _uses({"uniform_value"}) == []
 
 
 def test_no_module_builds_a_dense_gram_matrix():
