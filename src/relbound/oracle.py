@@ -21,22 +21,14 @@ L it is the certified global minimum and nothing is searched.
 Every other problem (odd q past rho_bar, except q = 5 with even n) is
 searched: a multi-start accelerated projected gradient (FISTA momentum
 with adaptive restart) from the uniform row and random ones, all starts
-in one batch, and its value is an upper bound on the true minimum.
-`minimize_q_batch` stacks the starts of many problems of one (q, n) into
-the same batch, and solves twins once: problems with the same q, n,
-restarts, integer seed and, bit for bit, the same a are one quadratic
-program from the same start rows, so they share every solver output
-(each row's trajectory is independent of the rows stacked with it).
-Twins are common at rho = c rho_bar: rho_bar = log(alpha) / log(phi)
-makes alpha^(1/rho_bar) = phi, which depends on q alone, so a = phi^(1/c)
-for every eps, up to rounding (one ulp can still part two eps, and
-then they are two programs). A start stops, as converged, where the
-gradient mapping at the point it returns is at most GRAD_MAP_TOL or where no
-representable projected step is left; MAX_ITER caps the run.
-A start whose support has settled finishes with one face-restricted
-Newton step (projected Newton, Bertsekas 1982): the exact minimizer of
-the form on its face, taken only where it is a nonnegative, not worse,
-certified local minimum.
+in one batch, and its value is an upper bound on the true minimum. One
+call serves one problem (`minimize_q`). A start stops, as converged,
+where the gradient mapping at the point it returns is at most
+GRAD_MAP_TOL or where no representable projected step is left; MAX_ITER
+caps the run. A start whose support has settled finishes with one
+face-restricted Newton step (projected Newton, Bertsekas 1982): the
+exact minimizer of the form on its face, taken only where it is a
+nonnegative, not worse, certified local minimum.
 """
 
 import math
@@ -48,7 +40,7 @@ from .channel import bhattacharyya, cycle_constants
 from .codes import _power_within, all_words, pentagon_code, word_indices
 
 SIZE_CAP = 3125
-# start rows x q^n in one solver run: it keeps ~10 float64 arrays of this many entries
+# start rows x q^n of one search: it keeps ~10 float64 arrays of this many entries
 # (~80 MB at the cap) and a face-step stack (a few FACE_BYTES); the default 200 restarts
 # fit at SIZE_CAP
 BATCH_CAP = 1 << 20
@@ -120,8 +112,13 @@ def _stationary(x, d, step, tol):
     return (np.linalg.norm(d, axis=1) / step <= tol) | np.all(x + d == x, axis=1)
 
 
+def _step_size(a, n):
+    """The solver's step 1/L, L = 2 (1 + 2a)^n = 2 max row sum of G >= 2 max |eigenvalue|."""
+    return 1.0 / (2.0 * (1.0 + 2.0 * a) ** n)
+
+
 def _times_gram(x, a, q, n):
-    """Each row x[i] times its n-letter Gram matrix, the one whose base has weight a[i].
+    """Each row of x times the n-letter Gram matrix whose base has weight a.
 
     The base is applied along each of the n letter axes in turn (Van Loan
     2000): y = x + a (x shifted by +1 + x shifted by -1, cyclically). It
@@ -144,7 +141,7 @@ def _times_gram(x, a, q, n):
 
 
 def _face_grams(a, q, n, idx):
-    """G[S, S] for each row S of word indices idx, in the problem whose base has weight a[i].
+    """G[S, S] for each row S of word indices idx, with base weight a.
 
     G[i, j] is the product over the n letters of g[(i_k - j_k) mod q],
     with g = (1, a, 0, ..., 0, a) the base's first row. Every factor is
@@ -152,24 +149,22 @@ def _face_grams(a, q, n, idx):
     at a time, as np.kron multiplies it: the entries equal the Kronecker
     power's bit for bit.
     """
-    g = np.zeros((len(a), 2 * q - 1))  # the weight of letter difference d sits in column d + q - 1
-    g[:, q - 1] = 1.0
-    g[:, [0, q - 2, q, 2 * q - 2]] = a[:, None]  # d = +-1 and +-(q - 1) are cyclic neighbours
-    rows = np.arange(len(a))[:, None, None]
+    g = np.zeros(2 * q - 1)  # the weight of letter difference d sits at d + q - 1
+    g[q - 1] = 1.0
+    g[[0, q - 2, q, 2 * q - 2]] = a  # d = +-1 and +-(q - 1) are cyclic neighbours
     out = np.ones(idx.shape + idx.shape[-1:])
     for k in range(n):
         letter = idx // q ** (n - 1 - k) % q
         d = letter[:, :, None] - letter[:, None, :]
         d += q - 1
-        out *= g[rows, d]
+        out *= g[d]
     return out
 
 
-def _face_minimizers(a, q, n, owner, supports, steps):
+def _face_minimizers(a, q, n, supports):
     """Minimizer z of p^T G p on each simplex face in a stack of equal-size supports.
 
-    Support i lies in problem owner[i], with base weight a[owner[i]] and
-    step steps[owner[i]]. Solves the KKT system
+    G has base weight a. Solves the KKT system
     G_SS z = lambda 1, 1^T z = 1 in null-space form:
     with r the last index of S and the tangent basis e_i - e_r (i in S
     other than r), z = e_r + sum_i u_i (e_i - e_r), where H u = g_rr - g_ir
@@ -185,7 +180,7 @@ def _face_minimizers(a, q, n, owner, supports, steps):
     b = len(supports)
     idx = np.nonzero(supports)[1].reshape(b, -1)
     r = idx[:, -1]
-    gss = _face_grams(a[owner], q, n, idx)
+    gss = _face_grams(a, q, n, idx)
     grr, col = gss[:, -1, -1], gss[:, :-1, -1]
     h = gss[:, :-1, :-1]  # in place: col and grr lie outside it
     h -= col[:, :, None]
@@ -202,33 +197,28 @@ def _face_minimizers(a, q, n, owner, supports, steps):
     ok = np.all(w >= -noise[:, None], axis=1) & np.all(np.isfinite(z), axis=1)
     ok[ok] = z[ok].min(axis=1) >= 0.0
     z[ok] /= z[ok].sum(axis=1, keepdims=True)
-    zk, own = z[ok], owner[ok]
-    step = steps[own]
-    d = _project_simplex_rows(zk - 2.0 * step[:, None] * _times_gram(zk, a[own], q, n)) - zk
+    zk, step = z[ok], _step_size(a, n)
+    d = _project_simplex_rows(zk - 2.0 * step * _times_gram(zk, a, q, n)) - zk
     ok[ok] = _stationary(zk, d, step, GRAD_MAP_TOL)
     return z, ok
 
 
-def _face_steps(a, q, n, owner, x, xg, steps, faces):
-    """Face step for each row of x, row i in problem owner[i]: (points, accepted flags).
+def _face_steps(a, q, n, x, xg, faces):
+    """Face step for each row of x: (points, accepted flags).
 
-    Rows are grouped by (problem, support); `faces` maps a (problem,
-    support bytes) key to its (z, z^T G z), or to None where
-    `_face_minimizers` refused it, so each support is solved once per
-    problem and batch. New supports are solved in stacks of one size,
-    across problems, whose faces' Gram blocks fit in FACE_BYTES; a support
-    too large for one is not solved, and its rows take no step. A row
-    accepts z only where z^T G z <= x^T G x.
+    Rows are grouped by support; `faces` maps the packed support bytes to
+    (z, z^T G z), or to None where `_face_minimizers` refused it, so each
+    support is solved once per search. New supports are solved in stacks
+    of one size whose faces' Gram blocks fit in FACE_BYTES; a support too
+    large for one is not solved, and its rows take no step. A row accepts
+    z only where z^T G z <= x^T G x.
     """
     support = x > 0.0
-    # one opaque key per row, big-endian owner then packed support bits: its
-    # bytewise order is the (problem, support) order
-    packed = np.column_stack((owner.astype(">u8").view(np.uint8).reshape(-1, 8),
-                              np.packbits(support, axis=1)))
+    packed = np.packbits(support, axis=1)
     _, first, group = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True,
                                 return_inverse=True)
-    owners, supports = owner[first], support[first]
-    keys = [(o, s.tobytes()) for o, s in zip(owners.tolist(), supports)]
+    supports = support[first]
+    keys = [row.tobytes() for row in packed[first]]
     sizes = supports.sum(axis=1)
     new = np.array([key not in faces for key in keys]) & (8 * sizes * sizes <= FACE_BYTES)
     for k in sorted(set(sizes[new].tolist())):
@@ -236,11 +226,11 @@ def _face_steps(a, q, n, owner, x, xg, steps, faces):
         chunk = FACE_BYTES // (8 * k * k)
         for lo in range(0, len(todo), chunk):
             part = todo[lo:lo + chunk]
-            z, ok = _face_minimizers(a, q, n, owners[part], supports[part], steps)
+            z, ok = _face_minimizers(a, q, n, supports[part])
             for j in part[~ok]:
                 faces[keys[j]] = None
             z = z[ok]
-            values = np.einsum("bi,bi->b", _times_gram(z, a[owners[part[ok]]], q, n), z)
+            values = np.einsum("bi,bi->b", _times_gram(z, a, q, n), z)
             for j, zj, value in zip(part[ok], z, values):
                 faces[keys[j]] = (zj, value)
     values = np.einsum("bi,bi->b", x, xg)
@@ -255,23 +245,21 @@ def _face_steps(a, q, n, owner, x, xg, steps, faces):
     return z, took
 
 
-def _projected_gradient_batch(a, q, n, starts, owner):
-    """Minimize p^T G p over the simplex from every start of every problem at once.
+def _projected_gradient_batch(a, q, n, starts):
+    """Minimize p^T G p over the simplex from every row of starts at once.
 
-    Every problem has q^n words; problem p's Gram matrix G is the n-fold
-    Kronecker power of the base with weight a[p], and row i of starts
-    belongs to problem owner[i]. Step sizes are taken per problem, and
-    products with G row by row (`_times_gram`), so each row follows bit
-    for bit the trajectory it follows when its problem runs alone.
+    G, on q^n words, is the n-fold Kronecker power of the base with
+    weight a. Products with G are taken row by row (`_times_gram`), so
+    each row follows bit for bit the trajectory it follows alone.
 
     Accelerated projected gradient (FISTA, Beck-Teboulle 2009) with the
-    step 1/L, L = 2 (1 + 2a)^n = 2 max row sum of G >= 2 max |eigenvalue|,
-    and the adaptive gradient restart of O'Donoghue-Candes (2015): a row's
-    momentum is reset when (y - x+).(x+ - x) > 0, and also when x+ has
-    another support than x. Momentum so builds up only within one face
-    of the simplex; past the PSD threshold, where the form has many
-    local minima, that keeps it from carrying a row out of the basin
-    plain projected gradient would settle in.
+    step 1/L (`_step_size`) and the adaptive gradient restart of
+    O'Donoghue-Candes (2015): a row's momentum is reset when
+    (y - x+).(x+ - x) > 0, and also when x+ has another support than x.
+    Momentum so builds up only within one face of the simplex; past the
+    PSD threshold, where the form has many local minima, that keeps it
+    from carrying a row out of the basin plain projected gradient would
+    settle in.
 
     Every iteration first takes the gradient mapping at each row's
     current point x; a row is frozen at x when that mapping meets the
@@ -291,28 +279,26 @@ def _projected_gradient_batch(a, q, n, starts, owner):
     and nonnegative, the reduced Hessian on the face is PSD,
     z^T G z <= x^T G x, and z passes the same stopping test;
     every other row carries on with FISTA unchanged. Returns (points,
-    values, converged_flags, iterations, face_steps), the last two per
-    problem: the iteration at which its last row froze (MAX_ITER where
-    one never did) and the number of its rows the face step finished.
+    values, converged_flags, iterations, face_steps), the last two ints:
+    the search's own iteration count, at which its last row froze
+    (MAX_ITER where one never did), and the number of rows the face step
+    finished.
     """
-    steps = np.array([1.0 / (2.0 * (1.0 + 2.0 * w) ** n) for w in a.tolist()])
-    start_owner = owner
+    step = _step_size(a, n)
+    two_step = 2.0 * step
     x = np.asarray(starts, dtype=float)
     points = np.empty_like(x)  # every row is written where it freezes, or after the loop
     conv = np.zeros(x.shape[0], dtype=bool)
     rows = np.arange(x.shape[0])
-    step = steps[owner]
-    xg = _times_gram(x, a[owner], q, n)
+    xg = _times_gram(x, a, q, n)
     y, yg = x, xg
     t = np.ones(x.shape[0])
     settled = np.zeros(x.shape[0], dtype=int)  # iterations since the support last changed
     faces = {}
-    face_steps = np.zeros(len(a), dtype=int)
-    iterations = np.zeros(len(a), dtype=int)
+    face_steps = 0
     it = 0
     while it < MAX_ITER and rows.size:
         it += 1
-        two_step = 2.0 * step[:, None]
         proj = _project_simplex_rows(np.concatenate((x - two_step * xg, y - two_step * yg)))
         done = _stationary(x, proj[: len(x)] - x, step, GRAD_MAP_TOL)
         nxt = proj[len(x):].copy()  # a view would keep the half for x alive
@@ -321,20 +307,19 @@ def _projected_gradient_batch(a, q, n, starts, owner):
         if it % FACE_PERIOD == 0:
             trial = np.flatnonzero(~done & (settled >= FACE_PERIOD))
             if trial.size:
-                z, took = _face_steps(a, q, n, owner[trial], x[trial], xg[trial], steps, faces)
+                z, took = _face_steps(a, q, n, x[trial], xg[trial], faces)
                 points[rows[trial[took]]] = z[took]
                 done[trial[took]] = True
-                face_steps += np.bincount(owner[trial[took]], minlength=len(a))
+                face_steps += int(took.sum())
         if done.any():
             conv[rows[done]] = True
-            iterations[owner[done]] = it
             keep = ~done
-            rows, owner, step, x, xg, y, nxt, t, settled = (
-                arr[keep] for arr in (rows, owner, step, x, xg, y, nxt, t, settled)
+            rows, x, xg, y, nxt, t, settled = (
+                arr[keep] for arr in (rows, x, xg, y, nxt, t, settled)
             )
             if not rows.size:
                 break
-        nxt_g = _times_gram(nxt, a[owner], q, n)
+        nxt_g = _times_gram(nxt, a, q, n)
         move = nxt - x
         resupported = np.any((nxt > 0.0) != (x > 0.0), axis=1)
         restart = resupported | (np.einsum("bi,bi->b", y - nxt, move) > 0.0)
@@ -346,9 +331,8 @@ def _projected_gradient_batch(a, q, n, starts, owner):
         yg = nxt_g + beta * (nxt_g - xg)
         x, xg = nxt, nxt_g
     points[rows] = x
-    iterations[owner] = it  # problems with rows still moving ran to the cap
-    values = np.einsum("bi,bi->b", _times_gram(points, a[start_owner], q, n), points)
-    return points, values, conv, iterations, face_steps
+    values = np.einsum("bi,bi->b", _times_gram(points, a, q, n), points)
+    return points, values, conv, it, face_steps
 
 
 def _witness_name(q, n, convex):
@@ -385,137 +369,54 @@ def _start_points(ch, n, restarts, seed):
 
 
 def _search(ch, rho, n, starts):
-    """`_projected_gradient_batch` from the rows `starts` of the one problem (ch, rho, n)."""
-    a = np.array([bhattacharyya(ch.epsilon) ** (1.0 / rho)])
-    return _projected_gradient_batch(a, ch.q, n, starts, np.zeros(len(starts), dtype=int))
-
-
-def minimize_q_batch(problems):
-    """`minimize_q` on each (channel, rho, n, restarts, seed) of `problems`, in few runs.
-
-    Every problem's tilt, restarts and caps are checked before any work
-    starts. Problems whose (q, n, a, restarts, seed) are equal, with
-    a = alpha^(1/rho) compared as a float (bit for bit) and seed an
-    integer, are twins: one quadratic program from the same start rows,
-    so the first of them is solved and the rest take its solution. A
-    seed that is not an integer (None draws fresh starts on every call)
-    makes no twin. Each distinct problem with a witness (`_witness_name`) first
-    has its witness evaluated, with one product with G; where that value
-    is at most L (1 + 1e-12), the witness is the problem's result,
-    converged after 0 iterations and 0 face steps, and none of its rows
-    is searched. A witness is within a few ulps of L wherever it exists,
-    so only problems without one are searched: they are grouped by
-    (q, n), and the start rows of a group run as one stack in
-    `_projected_gradient_batch`, each row tagged with its problem. A
-    group is cut into several runs where one run would hold more than
-    BATCH_CAP entries in its start rows (restarts x q^n). Each row
-    follows the same arithmetic as when its problem runs alone, so every
-    result equals, field for field, what `minimize_q` returns for that
-    problem; a twin's `rho`, `n`, `ex_n`, `convex` and `lower` come from
-    its own (channel, rho), and its `distribution` is its own copy. Twins
-    arise across eps at a fixed multiple of rho_bar, where a depends on q
-    alone (module docstring); a key on a rounded a would merge problems
-    one ulp apart, which are different programs. `iterations` is the
-    run's iteration at which the problem's last row froze, and
-    `face_steps` counts its own rows. Returns one OracleResult per
-    problem, in order.
-    """
-    problems = list(problems)
-    a = []
-    for ch, rho, n, restarts, _ in problems:
-        if not 0.0 < rho < math.inf:
-            raise ValueError(f"tilt parameter must be positive and finite, got {rho}")
-        if restarts < 1:
-            raise ValueError(f"need at least one restart, got {restarts}")
-        m = word_count(ch.q, n)
-        if restarts * m > BATCH_CAP:
-            raise ValueError(
-                f"{restarts} restarts x q^n = {m} exceeds the cap of {BATCH_CAP} entries"
-            )
-        a.append(bhattacharyya(ch.epsilon) ** (1.0 / rho))
-    first = {}  # twin key -> index of the problem that is solved for all its twins
-    solver = []  # per problem, the index of the problem whose solution it takes
-    for i, ((ch, _, n, restarts, seed), w) in enumerate(zip(problems, a)):
-        key = (ch.q, n, w, restarts, seed) if isinstance(seed, (int, np.integer)) else i
-        solver.append(first.setdefault(key, i))
-    solved, groups = {}, {}
-    for i in first.values():
-        ch, rho, n, _, _ = problems[i]
-        convex = rho <= cycle_constants(ch).rho_bar
-        if _witness_name(ch.q, n, convex) is not None:
-            p = _witness_row(ch.q, n, convex)
-            value = float(p @ _times_gram(p[None, :], np.array(a[i:i + 1]), ch.q, n)[0])
-            if value <= min_q_lower_bound(ch, rho, n) * (1.0 + 1e-12):
-                solved[i] = (p, value, True, 0, 0)
-                continue
-        groups.setdefault((ch.q, n), []).append(i)
-    for (q, n), members in groups.items():
-        run, entries = [], 0
-        for i in members:
-            size = problems[i][3] * q**n  # its start entries
-            if run and entries + size > BATCH_CAP:
-                solved.update(zip(run, _solve_run(problems, a, run)))
-                run, entries = [], 0
-            run.append(i)
-            entries += size
-        solved.update(zip(run, _solve_run(problems, a, run)))
-    results = []
-    for (ch, rho, n, restarts, _), i in zip(problems, solver):
-        point, value, converged, iterations, face_steps = solved[i]
-        results.append(OracleResult(
-            rho=rho,
-            n=n,
-            min_q=value,
-            distribution=point.copy(),
-            ex_n=-(rho / n) * math.log2(value),
-            restarts=restarts,
-            converged=converged,
-            convex=rho <= cycle_constants(ch).rho_bar,
-            iterations=iterations,
-            face_steps=face_steps,
-            lower=min_q_lower_bound(ch, rho, n),
-        ))
-    return results
-
-
-def _solve_run(problems, a, run):
-    """Search the problems with indices `run`, all of one (q, n), as one stack.
-
-    a[i] is problem i's base weight. Returns, per problem of `run`, its
-    (best point, value, converged, iterations, face_steps).
-    """
-    members = [problems[i] for i in run]
-    q, n = members[0][0].q, members[0][2]
-    counts = [restarts for *_, restarts, _ in members]
-    starts = np.concatenate([_start_points(ch, n, r, seed) for ch, _, n, r, seed in members])
-    owner = np.repeat(np.arange(len(run)), counts)
-    pts, values, conv, iterations, face_steps = _projected_gradient_batch(
-        np.array([a[i] for i in run]), q, n, starts, owner
-    )
-    out, lo = [], 0
-    for p, count in enumerate(counts):
-        best = lo + int(np.argmin(values[lo:lo + count]))
-        lo += count
-        out.append((pts[best], float(values[best]), bool(conv[best]), int(iterations[p]),
-                    int(face_steps[p])))
-    return out
+    """`_projected_gradient_batch` from the rows `starts` of the problem (ch, rho, n)."""
+    return _projected_gradient_batch(bhattacharyya(ch.epsilon) ** (1.0 / rho), ch.q, n, starts)
 
 
 def minimize_q(ch, rho, n, restarts=200, seed=0):
     """Global minimum of the n-letter quadratic form over the simplex, or the best local one found.
 
-    Where a witness attains L (`min_q_lower_bound`; the convex regime, even
-    q, and q = 5 with even n) the witness is returned as the certified
-    global minimum, without a search. Elsewhere the search runs from
-    `restarts` start rows, the uniform row and then random simplex draws,
-    as one vectorized batch, and the smallest value wins; min_Q is then an
-    upper bound on the true minimum and at least L. This is
-    `minimize_q_batch` on one problem. Deterministic for a fixed seed.
-    Non-convergence of the winning run is reported through the
-    `converged` flag, never silently. q^n is capped at SIZE_CAP and
-    restarts x q^n at BATCH_CAP.
+    The tilt, the restarts and the caps (q^n at most SIZE_CAP, restarts x
+    q^n at most BATCH_CAP) are checked before any work. Where a witness
+    attains L (`min_q_lower_bound`; the convex regime, even q, and q = 5
+    with even n, `_witness_name`), the witness is evaluated with one
+    product with G; at most L (1 + 1e-12), it is returned as the certified
+    global minimum, converged after 0 iterations and 0 face steps. A
+    witness is within a few ulps of L wherever it exists, so only problems
+    without one are searched: from `restarts` start rows, the uniform row
+    and then random simplex draws, as one vectorized batch, and the
+    smallest value wins; min_Q is then an upper bound on the true minimum
+    and at least L. `iterations` is the search's own iteration count, at
+    which its last row froze, and `face_steps` the number of its rows the
+    face step finished. Deterministic for a fixed seed. Non-convergence of
+    the winning run is reported through the `converged` flag, never
+    silently.
     """
-    return minimize_q_batch([(ch, rho, n, restarts, seed)])[0]
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"tilt parameter must be positive and finite, got {rho}")
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    m = word_count(ch.q, n)
+    if restarts * m > BATCH_CAP:
+        raise ValueError(f"{restarts} restarts x q^n = {m} exceeds the cap of {BATCH_CAP} entries")
+    convex = rho <= cycle_constants(ch).rho_bar
+    lower = min_q_lower_bound(ch, rho, n)
+    point = None
+    if _witness_name(ch.q, n, convex) is not None:
+        p = _witness_row(ch.q, n, convex)
+        a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
+        value = float(p @ _times_gram(p[None, :], a, ch.q, n)[0])
+        if value <= lower * (1.0 + 1e-12):
+            point, converged, iterations, face_steps = p, True, 0, 0
+    if point is None:
+        points, values, conv, iterations, face_steps = _search(
+            ch, rho, n, _start_points(ch, n, restarts, seed))
+        best = int(np.argmin(values))
+        # a copy, so that the result does not keep the whole stack of rows alive
+        point, value, converged = points[best].copy(), float(values[best]), bool(conv[best])
+    return OracleResult(rho=rho, n=n, min_q=value, distribution=point,
+                        ex_n=-(rho / n) * math.log2(value), restarts=restarts, converged=converged,
+                        convex=convex, iterations=iterations, face_steps=face_steps, lower=lower)
 
 
 def min_q_lower_bound(ch, rho, n):
@@ -585,13 +486,13 @@ def search_check(ch, rho, n, rows, seed):
     uniform row and with no certification. It passes where the best row's
     value is within REGIME_RTOL of L; the line counts the rows that are.
     """
-    starts = _start_points(ch, n, rows + 1, seed)[1:]
-    _, values, _, iterations, face_steps = _search(ch, rho, n, starts)
+    _, values, _, iterations, face_steps = _search(ch, rho, n,
+                                                   _start_points(ch, n, rows + 1, seed)[1:])
     lower = min_q_lower_bound(ch, rho, n)
     best = float(values.min())
     hits = int(np.count_nonzero(np.abs(values - lower) <= REGIME_RTOL * lower))
     return abs(best - lower) <= REGIME_RTOL * lower, (
         f"best of {rows} random rows {best!r} vs L = {lower!r}, min_Q/L - 1 = "
         f"{best / lower - 1.0:.3g} (rel tol {REGIME_RTOL:g}); {hits} of {rows} rows reach L; "
-        f"{iterations[0]} iterations, {face_steps[0]} face steps"
+        f"{iterations} iterations, {face_steps} face steps"
     )

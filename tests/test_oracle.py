@@ -37,7 +37,6 @@ from relbound.oracle import (
     eigenvalues_g1,
     min_q_lower_bound,
     minimize_q,
-    minimize_q_batch,
     regime_check,
     word_count,
 )
@@ -58,7 +57,7 @@ def _search(ch, rho, n, restarts, seed):
     _, values, conv, iterations, face_steps = oracle._search(
         ch, rho, n, _start_points(ch, n, restarts, seed))
     best = int(np.argmin(values))
-    return float(values[best]), bool(conv[best]), int(iterations[0]), int(face_steps[0])
+    return float(values[best]), bool(conv[best]), iterations, face_steps
 
 
 def test_gram_base_entries():
@@ -96,38 +95,34 @@ def test_gram_matrix_size_cap():
 
 @st.composite
 def stencil_cases(draw):
-    """q in 4..9, n with q^n <= SIZE_CAP, 1-20 rows, each row in one of up to 3 problems."""
+    """q in 4..9, n with q^n <= SIZE_CAP, one tilt, 1-20 rows."""
     q = draw(st.integers(min_value=4, max_value=9))
     n = draw(st.integers(min_value=1, max_value=max(k for k in range(1, 7) if q**k <= SIZE_CAP)))
     ch = Channel(q, draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True)))
-    rhos = draw(st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=1, max_size=3))
+    rho = draw(st.floats(min_value=0.05, max_value=50.0))
     rows = draw(st.integers(min_value=1, max_value=20))
-    return ch, rhos, n, rows, draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return ch, rho, n, rows, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
 @PROPERTY
 @given(stencil_cases())
-@example((Channel(5, 0.1), [2.0, 1.0], 5, 20, 0))  # q^n = SIZE_CAP
-@example((Channel(4, 0.5), [1.0], 3, 1, 1))  # 4^3 = 8^2
-@example((Channel(8, 0.5), [1.0], 2, 1, 1))
+@example((Channel(5, 0.1), 2.0, 5, 20, 0))  # q^n = SIZE_CAP
+@example((Channel(4, 0.5), 1.0, 3, 1, 1))  # 4^3 = 8^2
+@example((Channel(8, 0.5), 1.0, 2, 1, 1))
 def test_stencil_product_and_face_gather_match_the_kronecker_power(case):
-    ch, rhos, n, rows, seed = case
+    ch, rho, n, rows, seed = case
     q, m = ch.q, ch.q**n
     rng = np.random.default_rng(seed)
-    owner = rng.integers(len(rhos), size=rows)
-    a = np.array([bhattacharyya(ch.epsilon) ** (1.0 / rho) for rho in rhos])[owner]
+    a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
     x = rng.normal(size=(rows, m))
     got = _times_gram(x, a, q, n)
     k = int(rng.integers(1, min(m, 40) + 1))
     idx = np.sort([rng.choice(m, size=k, replace=False) for _ in range(rows)], axis=1)
-    blocks = _face_grams(a, q, n, idx)
-    for p, rho in enumerate(rhos):
-        g = gram_matrix(ch, rho, n)
-        mine = owner == p
-        scale = (np.abs(x[mine]) @ g).sum(axis=1, keepdims=True)
-        assert np.all(np.abs(got[mine] - x[mine] @ g) <= 1e-14 * scale)
-        for s, block in zip(idx[mine], blocks[mine]):
-            assert np.array_equal(block, g[np.ix_(s, s)])
+    g = gram_matrix(ch, rho, n)
+    scale = (np.abs(x) @ g).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(got - x @ g) <= 1e-14 * scale)
+    for s, block in zip(idx, _face_grams(a, q, n, idx)):
+        assert np.array_equal(block, g[np.ix_(s, s)])
 
 
 def test_eigenvalues_closed_form():
@@ -493,160 +488,56 @@ def test_slow_cases_with_a_witness_are_certified_without_a_search(ch, rho, n, re
     assert res.min_q == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
-def _assert_same_results(batch, alone):
-    assert len(batch) == len(alone)
-    for got, ref in zip(batch, alone):
-        for field in ("rho", "n", "min_q", "ex_n", "converged", "convex", "restarts",
-                      "iterations", "face_steps", "lower"):
-            assert getattr(got, field) == getattr(ref, field), field
-        assert np.array_equal(got.distribution, ref.distribution)
-
-
-def _spy_on_runs(monkeypatch):
-    """Record the a and start rows of every `_projected_gradient_batch` call."""
-    runs = []
-    solve = oracle._projected_gradient_batch
-
-    def spy(a, q, n, starts, owner, **kwargs):
-        runs.append((a.copy(), starts.shape))
-        return solve(a, q, n, starts, owner, **kwargs)
-
-    monkeypatch.setattr(oracle, "_projected_gradient_batch", spy)
-    return runs
-
-
-@st.composite
-def oracle_batches(draw):
-    """Lists of 1-5 problems: q in 4..7, n <= 2, restarts 1..40, rho on both sides of rho_bar."""
-    problems = []
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        ch = Channel(draw(st.integers(min_value=4, max_value=7)),
-                     draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True)))
-        rho = rho_bar(ch) * draw(st.one_of(
-            st.floats(min_value=0.5, max_value=3.5),
-            st.floats(min_value=0.99, max_value=1.01),
-        ))
-        problems.append((
-            ch,
-            rho,
-            draw(st.integers(min_value=1, max_value=2)),
-            draw(st.integers(min_value=1, max_value=40)),
-            draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        ))
-    if draw(st.booleans()):  # a twin, solved once
-        problems.append(draw(st.sampled_from(problems)))
-    return problems
-
-
-@PROPERTY
-@given(oracle_batches())
-# every example but the certified twins at rho_bar is searched: odd q >= 7 past rho_bar
-# q^n = 49 for both, so the batch must group by (q, n), not by q^n
-@example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 2, 5, 1),
-          (Channel(49, 0.1), 3.0 * rho_bar(Channel(49, 0.1)), 1, 5, 2)])
-# two (q, n) groups, one of them with two problems, beside a certified problem
-@example([(Channel(9, 0.3), 3.0 * rho_bar(Channel(9, 0.3)), 2, 12, 3),
-          (Channel(7, 0.3), 1.5 * rho_bar(Channel(7, 0.3)), 2, 7, 4),
-          (Channel(7, 0.2), 2.5 * rho_bar(Channel(7, 0.2)), 2, 9, 5),
-          (Channel(4, 0.3), 0.99 * rho_bar(Channel(4, 0.3)), 3, 7, 4)])
-@example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 2, 10, 42)] * 3)  # exact duplicates
-# a = 0.5 exactly at rho_bar for q = 4, whatever eps, so these are twins whose rho and
-# ex_n differ
-@example([(Channel(4, eps), rho_bar(Channel(4, eps)), 1, 6, 0) for eps in (0.01, 0.1, 0.5)])
-# a = alpha^(1/(3 rho_bar)) has the same bits for these three eps at q = 7: searched
-# twins whose rho and ex_n differ
-@example([(Channel(7, eps), 3.0 * rho_bar(Channel(7, eps)), 1, 6, 0)
-          for eps in (0.01, 0.1, 0.5)])
-# q = 7 has no witness past rho_bar, so the random starts decide the result
-@example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 1, 8, seed) for seed in (1, 2)])
-# the same seed and one restart more: not twins
-@example([(Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 1, restarts, 1)
-          for restarts in (8, 9)])
-def test_batch_equals_separate_calls(problems):
-    _assert_same_results(minimize_q_batch(problems), [minimize_q(*p) for p in problems])
-
-
-def test_problems_one_ulp_apart_in_a_are_solved_apart(monkeypatch):
-    # 2 rho_bar leaves a one ulp apart for these two; a key on a rounded a would merge them
-    problems = [(Channel(7, eps), 2.0 * rho_bar(Channel(7, eps)), 1, 16, 0) for eps in (0.01, 0.05)]
-    runs = _spy_on_runs(monkeypatch)
-    batch = minimize_q_batch(problems)
-    assert len(runs) == 1
-    assert [w.hex() for w in runs[0][0].tolist()] == ["0x1.7d6ac1f21da37p-1",
-                                                      "0x1.7d6ac1f21da36p-1"]
-    _assert_same_results(batch, [minimize_q(*p) for p in problems])
-
-
-def test_problems_without_a_seed_are_never_twins(monkeypatch):
-    # seed None draws fresh starts on every call, so equal problems are two searches
-    runs = _spy_on_runs(monkeypatch)
-    minimize_q_batch([(Channel(7, 0.1), 3.0, 1, 8, None)] * 2)
-    assert [len(a) for a, _ in runs] == [2]
-
-
 def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
-    # 58 problems, but at c rho_bar a depends on q alone, so only 40 are distinct; a
-    # witness certifies each of them with one product, and only (c)'s two random-row
-    # searches reach the solver
-    runs = _spy_on_runs(monkeypatch)
-    products = []
-    times_gram = oracle._times_gram
+    # a witness certifies each of the 58 (a)/(b) problems with one product of one row,
+    # and only (c)'s two random-row searches reach the solver
+    runs, products, calls = [], [], []
+    solve, times_gram, minimize = (oracle._projected_gradient_batch, oracle._times_gram,
+                                   oracle.minimize_q)
+
+    def spy(a, q, n, starts):
+        runs.append(starts.shape)
+        return solve(a, q, n, starts)
 
     def count(x, *args):
         products.append(len(x))
         return times_gram(x, *args)
 
-    batches = []
-    batch = oracle.minimize_q_batch
-
-    def keep(problems, **kwargs):
+    def keep(*problem):
         products.clear()
-        batches.append(batch(problems, **kwargs))
-        batches.append(list(products))
-        return batches[-2]
+        calls.append((minimize(*problem), list(products)))
+        return calls[-1][0]
 
+    monkeypatch.setattr(oracle, "_projected_gradient_batch", spy)
     monkeypatch.setattr(oracle, "_times_gram", count)
-    monkeypatch.setattr(oracle, "minimize_q_batch", keep)
+    monkeypatch.setattr(oracle, "minimize_q", keep)
     assert acceptance.check_oracle(0).ok
-    assert [shape for _, shape in runs] == [(150, 25), (20, 16)]
-    results, witness_products = batches
-    assert witness_products == [1] * 40
-    assert len(results) == 58
-    assert all(res.converged and res.iterations == res.face_steps == 0 for res in results)
-    # a = 1/2 at rho_bar for q = 4, whatever eps: these two (a) problems are twins, and
-    # each owns its distribution
-    twin, other = (next(res for res in results if (res.rho, res.n) == (rho_bar(Channel(4, eps)), 1))
-                   for eps in (0.01, 0.1))
-    assert np.array_equal(twin.distribution, other.distribution)
-    kept = other.distribution.copy()
-    twin.distribution[:] = -1.0
-    assert np.array_equal(other.distribution, kept)
+    assert runs == [(150, 25), (20, 16)]
+    assert len(calls) == 58
+    assert all(witness_products == [1] for _, witness_products in calls)
+    assert all(res.converged and res.iterations == res.face_steps == 0 for res, _ in calls)
 
 
 def test_batch_keeps_an_unconverged_problem_apart(monkeypatch):
-    # the uniform witness certifies the convex problem without a search; q = 7 past
-    # rho_bar has no witness to mask a starved search
+    # q = 7 past rho_bar has no witness to mask a starved search; the uniform witness
+    # certifies the convex problem without one
     ch7 = Channel(7, 0.1)
-    problems = [(Channel(4, 0.1), 1.0, 1, 4, 0), (ch7, 3.0 * rho_bar(ch7), 1, 8, 42),
-                (Channel(7, 0.2), 1.0, 1, 3, 5)]
     monkeypatch.setattr(oracle, "MAX_ITER", 2)
-    batch = minimize_q_batch(problems)
-    _assert_same_results(batch, [minimize_q(*p) for p in problems])
-    assert [res.converged for res in batch] == [True, False, True]
-    assert batch[1].iterations == 2
+    starved = minimize_q(ch7, 3.0 * rho_bar(ch7), 1, 8, 42)
+    assert not starved.converged and starved.iterations == 2
+    certified = minimize_q(Channel(4, 0.1), 1.0, 1, 4, 0)
+    assert certified.converged and certified.iterations == 0
 
 
-def test_batch_past_the_entry_cap_runs_in_several_stacks(monkeypatch):
-    # q = 7 past rho_bar is searched; a lowered cap keeps the two stacks small
-    monkeypatch.setattr(oracle, "BATCH_CAP", 600)
-    ch = Channel(7, 0.1)
-    problems = [(ch, 3.0, 2, 10, 1), (ch, 3.0, 2, 10, 2)]
-    assert all(restarts * 49 <= oracle.BATCH_CAP for *_, restarts, _ in problems)
-    assert sum(restarts * 49 for *_, restarts, _ in problems) > oracle.BATCH_CAP
-    runs = _spy_on_runs(monkeypatch)
-    batch = minimize_q_batch(problems)
-    assert [shape for _, shape in runs] == [(10, 49)] * 2
-    _assert_same_results(batch, [minimize_q(*p) for p in problems])
+@pytest.mark.parametrize("problem, searched", [
+    ((Channel(7, 0.1), 3.0 * rho_bar(Channel(7, 0.1)), 2, 10, 1), True),
+    ((Channel(5, 0.1), 2.0, 2, 10, 0), False),
+])
+def test_result_owns_its_distribution(problem, searched):
+    # a view into the search's stack of start rows would keep all of it alive
+    res = minimize_q(*problem)
+    assert (res.iterations > 0) == searched
+    assert res.distribution.base is None and res.distribution.shape == (problem[0].q ** 2,)
 
 
 def test_memory_at_the_size_cap_stays_a_few_rows_of_words(monkeypatch):
@@ -667,37 +558,31 @@ def _step(g):
 
 
 def _minimizers(ch, rho, n, supports):
-    """`_face_minimizers` on supports that all lie in the one problem (ch, rho, n)."""
-    a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
-    owner = np.zeros(len(supports), dtype=int)
-    steps = np.array([1.0 / (2.0 * (1.0 + 2.0 * a) ** n)])
-    return _face_minimizers(np.array([a]), ch.q, n, owner, supports, steps)
+    """`_face_minimizers` on supports in the problem (ch, rho, n)."""
+    return _face_minimizers(bhattacharyya(ch.epsilon) ** (1.0 / rho), ch.q, n, supports)
 
 
 def test_face_minimizers_give_each_support_the_same_bits_in_any_stack():
     # the face step cuts its stacks by size alone, so a support's result may
     # not depend on which supports share its stack, or where it sits there
     rng = np.random.default_rng(7)
-    a = np.array([bhattacharyya(eps) ** (1.0 / rho) for eps, rho in ((0.1, 1.0), (0.3, 4.0),
-                                                                       (0.5, 1.2))])
-    steps = 1.0 / (2.0 * (1.0 + 2.0 * a) ** 2)
     supports = np.zeros((12, 25), dtype=bool)
     supports[:6] = True  # the uniform point is accepted on the full face where G is PSD
     for row in supports[6:]:
         row[rng.choice(25, size=25 if rng.random() < 0.5 else 9, replace=False)] = True
     supports = supports[np.argsort(supports.sum(axis=1), kind="stable")]
-    owner = rng.integers(3, size=12)
     accepted = 0
-    for size in (9, 25):
-        same = supports.sum(axis=1) == size
-        z, ok = _face_minimizers(a, 5, 2, owner[same], supports[same], steps)
-        accepted += ok.sum()
-        zr, okr = _face_minimizers(a, 5, 2, owner[same][::-1], supports[same][::-1], steps)
-        assert np.array_equal(zr[::-1], z) and np.array_equal(okr[::-1], ok)
-        for i in range(len(z)):
-            zi, oki = _face_minimizers(a, 5, 2, owner[same][i:i + 1], supports[same][i:i + 1],
-                                       steps)
-            assert np.array_equal(zi[0], z[i]) and oki[0] == ok[i]
+    for eps, rho in ((0.1, 1.0), (0.3, 4.0), (0.5, 1.2)):
+        a = bhattacharyya(eps) ** (1.0 / rho)
+        for size in (9, 25):
+            same = supports[supports.sum(axis=1) == size]
+            z, ok = _face_minimizers(a, 5, 2, same)
+            accepted += ok.sum()
+            zr, okr = _face_minimizers(a, 5, 2, same[::-1])
+            assert np.array_equal(zr[::-1], z) and np.array_equal(okr[::-1], ok)
+            for i in range(len(z)):
+                zi, oki = _face_minimizers(a, 5, 2, same[i:i + 1])
+                assert np.array_equal(zi[0], z[i]) and oki[0] == ok[i]
     assert accepted > 0
 
 
@@ -740,7 +625,7 @@ def test_face_step_skips_a_face_too_large_for_one_stack():
     assert 8 * m * m > FACE_BYTES
     x = np.full((1, m), 1.0 / m)
     faces = {}
-    z, took = _face_steps(np.zeros(1), m, 1, np.zeros(1, dtype=int), x, x, np.array([0.5]), faces)
+    z, took = _face_steps(0.0, m, 1, x, x, faces)
     assert not took[0] and not faces
 
 
@@ -774,13 +659,14 @@ def test_non_finite_tilt_refused(rho):
 
 def test_batch_refuses_a_bad_problem_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("solver ran")
+        raise AssertionError("work started")
 
+    # neither a witness product nor a search runs
+    monkeypatch.setattr(oracle, "_times_gram", no_work)
     monkeypatch.setattr(oracle, "_projected_gradient_batch", no_work)
-    good = (Channel(5, 0.1), 2.0, 2, 10, 0)
     for bad, match in (((Channel(5, 0.1), -1.0, 1, 4, 0), "positive"),
                        ((Channel(5, 0.1), 2.0, 1, 0, 0), "restart"),
                        ((Channel(5, 0.1), 2.0, 6, 4, 0), "size cap"),
                        ((Channel(5, 0.1), 2.0, 5, 400, 0), "restarts")):
         with pytest.raises(ValueError, match=match):
-            minimize_q_batch([good, bad])
+            minimize_q(*bad)

@@ -56,6 +56,12 @@ def test_oracle_alone_names_the_regime_targets():
     assert _uses({"uniform_value"}) == []
 
 
+def test_oracle_solves_one_problem_per_call():
+    # minimize_q is the one entry point and its solver serves one problem: no
+    # multi-problem batch, run packing or per-row problem index to keep in step
+    assert _uses({"minimize_q_batch", "_solve_run", "owner"}) == []
+
+
 def test_no_module_builds_a_dense_gram_matrix():
     # the oracle applies the circulant base along each letter axis and gathers
     # face blocks from the letters; a Kronecker power would bring back the
