@@ -20,6 +20,7 @@ from . import lower_bounds as lob
 from . import oracle as orc
 from . import upper_bounds as upb
 from .channel import Channel
+from .constants import CRITERIA_ABOUT
 
 
 @dataclass
@@ -311,18 +312,8 @@ def check_fig7_ordering(seed=0):
     return rec
 
 
-CRITERIA = [
-    ("theta", "zero-error constants and the cycle Lovasz number", check_theta),
-    ("eps_bar", "junction threshold and figure-caption ratios", check_eps_bar),
-    ("oracle", "simplex minimizer against its certified lower bound L", check_oracle),
-    ("psd_boundary", "Gram matrix loses PSD exactly at rho_bar", check_psd_boundary),
-    ("endpoints", "LP endpoint identities and the entropy identity", check_endpoints),
-    ("counterexample", "coset bounds strictly beat the expurgated bound", check_counterexample),
-    ("shift_laws", "rate-shift identities between channels", check_shift_laws),
-    ("envelope", "lower envelope never exceeds upper envelope", check_envelope),
-    ("simulator", "simulator ground truth on explicit codes", check_simulator),
-    ("fig7_ordering", "converse ordering at eps = 1/2, q = 5", check_fig7_ordering),
-]
+# each criterion's check is the function named check_<name>
+CRITERIA = [(name, about, globals()[f"check_{name}"]) for name, about in CRITERIA_ABOUT.items()]
 
 
 def run_checks(only=None, seed=0):

@@ -11,6 +11,11 @@ a verify criterion that raised included; 2 on any refused input, an
 unreadable config or code file and an unwritable --out included. `main`
 is the one place that turns a ValueError or OSError into
 `error: <message>` on stderr and exit 2.
+
+`acceptance`, `codes`, `oracle` and `svgplot` are lazy modules (see the
+package docstring): this module binds them at import and reads their
+attributes only inside the `cmd_*` that runs them, and `main` builds the
+options of the one command it runs.
 """
 
 import argparse
@@ -18,13 +23,15 @@ import math
 import os
 import sys
 
+from . import acceptance as acc
 from . import codes as cod
 from . import curves as crv
-from .acceptance import CRITERIA, run_checks
+from . import oracle as orc
+from . import svgplot
 from .channel import Channel, capacity
 from .classical import rho_bar
-from .oracle import BATCH_CAP, minimize_q, regime_check
-from .svgplot import render_svg
+from .constants import BATCH_CAP, CRITERIA_ABOUT, MC_PAIR_CAP
+from .lower_bounds import coset_spectrum_check
 
 # name: (type, default, help), in --help order; a tuple type lists the allowed strings
 OPTIONS = {
@@ -44,8 +51,8 @@ OPTIONS = {
     "restarts": (int, 200, "start rows of a search, the uniform row first; unused where a "
                  f"witness attains the lower bound L (restarts x q^n at most {BATCH_CAP})"),
     "code": (str, None, "code file path, or builtin: pentagon | coset:N:K:SEED | q5plus:N:K:SEED"),
-    "trials": (int, 0, f"Monte-Carlo trials (0 = skip; trials x M at most {cod.MC_PAIR_CAP})"),
-    "only": (str, None, "run a single criterion: " + ", ".join(n for n, _, _ in CRITERIA)),
+    "trials": (int, 0, f"Monte-Carlo trials (0 = skip; trials x M at most {MC_PAIR_CAP})"),
+    "only": (str, None, "run a single criterion: " + ", ".join(CRITERIA_ABOUT)),
 }
 COMMON = ("q", "eps", "seed", "out", "config")
 _GRID = ("rmin", "rmax", "points", "bounds", "format", "ceiling")
@@ -59,18 +66,21 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
+    """The CLI's parser; given a command, only that subcommand gets its options."""
     ap = argparse.ArgumentParser(
         prog="relbound",
         description="Reliability-function bounds for q-ary cyclic-shift channels.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (about, own) in COMMANDS.items():
-        p = sub.add_parser(command, help=about)
-        for name in COMMON + own:
-            typ, _, helptext = OPTIONS[name]
+    for name, (about, own) in COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        if command not in (None, name):
+            continue
+        for opt in COMMON + own:
+            typ, _, helptext = OPTIONS[opt]
             kind = {"choices": typ} if isinstance(typ, tuple) else {"type": typ}
-            p.add_argument(f"--{name}", help=helptext, **kind)
+            p.add_argument(f"--{opt}", help=helptext, **kind)
     return ap
 
 
@@ -135,7 +145,7 @@ def cmd_bounds(s, default_format):
     if (s["format"] or default_format) == "csv":
         _emit(crv.curves_to_csv(curves), s["out"])
     else:
-        _emit(render_svg(curves, ceiling=s["ceiling"]), s["out"])
+        _emit(svgplot.render_svg(curves, ceiling=s["ceiling"]), s["out"])
     return 0
 
 
@@ -145,7 +155,7 @@ def cmd_oracle(s):
         raise ValueError("oracle requires --rho")
     if not 1.0 <= s["rho"] < math.inf:
         raise ValueError(f"slope parameter must satisfy 1 <= rho < inf, got {s['rho']}")
-    res = minimize_q(ch, s["rho"], s["n"], restarts=s["restarts"], seed=s["seed"])
+    res = orc.minimize_q(ch, s["rho"], s["n"], restarts=s["restarts"], seed=s["seed"])
     rb = rho_bar(ch)
     lines = [
         f"q={ch.q} eps={ch.epsilon:g} rho={res.rho:g} n={res.n} restarts={res.restarts}",
@@ -158,7 +168,7 @@ def cmd_oracle(s):
         + str(int((res.distribution > 1e-9).sum()))
         + f" of {ch.q ** res.n} points",
     ]
-    ok, check = regime_check(ch, res)
+    ok, check = orc.regime_check(ch, res)
     lines.append(f"{'PASS' if ok else 'FAIL'} {check}")
     _emit("\n".join(lines) + "\n", s["out"])
     return 0 if ok else 1
@@ -220,8 +230,6 @@ def cmd_simulate(s):
             f"(95% interval [{mc.lower:.6g}, {mc.upper:.6g}], {mc.trials} trials)"
         )
     if c2 is not None:
-        from .lower_bounds import coset_spectrum_check
-
         res = coset_spectrum_check(c2, code.q)
         lines.append(f"coset spectrum relation A_z = 2^z B_z: {'holds' if res.ok else 'FAILS'}")
         for z, (az, bz) in res.table.items():
@@ -231,7 +239,7 @@ def cmd_simulate(s):
 
 
 def cmd_verify(s):
-    results = run_checks(only=s["only"], seed=s["seed"])
+    results = acc.run_checks(only=s["only"], seed=s["seed"])
     lines = []
     failed = False
     for res in results:
@@ -245,7 +253,9 @@ def cmd_verify(s):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command builds only its own options; --help or a bad command gets them all
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         s = effective_settings(args)
         if args.command in ("bounds", "plot"):

@@ -46,14 +46,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import pcg64
 from .channel import bhattacharyya
+from .constants import MC_PAIR_CAP
 
 OUTPUT_CAP = 10**7
 REACH_CAP = 1 << 22  # reachable (codeword, output) pairs in exact_pe
 M_CAP = 4096
-# (trial, codeword) pairs scored by one mc_pe call; below 2^32, so that
-# pcg64's tables reach every uniform of a draw's tie-breaking stream
-MC_PAIR_CAP = 1 << 28
 CODE_CAP = 1 << 16  # words in a constructed code
 BLOCK_BYTES = 1 << 23  # temporaries of one row block of the pairwise kernel
 # one-hot columns n q of the pairwise kernel: the widest constructed code
@@ -593,8 +592,6 @@ def mc_pe(code, ch, trials, seed=0):
         maximizers, blocks = _candidate_maximizers(code, rank), (1 << n, 24, 0)
     else:
         maximizers, blocks = _kernel_maximizers(code, rank), (m, 48, n * q)
-    from . import pcg64  # imported on first use: only Monte Carlo reads the stream
-
     rng = np.random.default_rng(seed)
     bits = rng.bit_generator
     tables = pcg64.step_tables(bits.state["state"]["inc"])

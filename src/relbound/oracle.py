@@ -38,12 +38,9 @@ import numpy as np
 
 from .channel import bhattacharyya, cycle_constants
 from .codes import _power_within, all_words, pentagon_code, word_indices
+from .constants import BATCH_CAP
 
 SIZE_CAP = 3125
-# start rows x q^n of one search: it keeps ~10 float64 arrays of this many entries
-# (~80 MB at the cap) and a face-step stack (a few FACE_BYTES); the default 200 restarts
-# fit at SIZE_CAP
-BATCH_CAP = 1 << 20
 GRAD_MAP_TOL = 1e-10
 MAX_ITER = 100_000  # read by the solver on each call
 FACE_PERIOD = 8  # a face step is tried every FACE_PERIOD iterations, on supports that old

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import relbound
 from relbound import acceptance, cli
 from relbound import codes as codes_mod
+from relbound import oracle as oracle_mod
 from relbound.channel import Channel, bhattacharyya, cycle_constants, theta_cycle
 from relbound.classical import rho_bar
 from relbound.cli import COMMANDS, COMMON, OPTIONS, build_parser, effective_settings, main
@@ -135,7 +136,7 @@ def test_oracle_fails_a_min_q_off_by_twice_the_regime_tolerance(capsys, monkeypa
         return dataclasses.replace(minimize_q(*args, **kwargs),
                                    min_q=target * (1.0 - 2.0 * REGIME_RTOL))
 
-    monkeypatch.setattr(cli, "minimize_q", off)
+    monkeypatch.setattr(oracle_mod, "minimize_q", off)
     rc, out, err = run(capsys, "oracle", *argv)
     assert rc == 1 and re.search(f"^FAIL min_Q .*; {how}", out, re.M)
 
@@ -601,3 +602,35 @@ def test_cli_exits_cleanly_on_valid_ranges(argv):
         avg, worst = _printed(out, "exact avg ML error"), _printed(out, "exact max ML error")
         assert avg <= _printed(out, "union bound on avg error") + 1e-15
         assert worst >= avg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_a_command_parser_parses_as_the_full_parser(argv):
+    # main builds only argv[0]'s options; the settings must be those the full parser gives
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def _help(parser, *argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(list(argv))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_parser_prints_the_full_parsers_help(command):
+    assert _help(build_parser(command), command, "--help") == _help(build_parser(), command,
+                                                                     "--help")
+
+
+def test_help_names_the_caps_and_criteria_the_code_enforces():
+    # the help reads these from relbound.constants, so that building the parser loads no
+    # lazy module; the modules that enforce or run them must hold the same values
+    def shown(command):
+        return " ".join(_help(build_parser(), command, "--help").split())
+
+    assert f"(restarts x q^n at most {oracle_mod.BATCH_CAP})" in shown("oracle")
+    assert f"trials x M at most {codes_mod.MC_PAIR_CAP})" in shown("simulate")
+    names = ", ".join(name for name, _, _ in acceptance.CRITERIA)
+    assert f"--only ONLY run a single criterion: {names}" in shown("verify")

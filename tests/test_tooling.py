@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -76,15 +77,90 @@ def test_codes_hand_back_plain_numpy_values():
     assert _uses({"Fraction", "Spectrum", "exact_pe_avg_max"}) == []
 
 
-def test_cli_import_leaves_out_fractions_and_decimal():
-    # fractions also imports decimal; no relbound module needs exact
-    # rationals, so no command should pay for importing them
+LAZY = ("codes", "oracle", "acceptance", "svgplot", "pcg64")
+# run in a fresh interpreter: unexecuted() lists the lazy modules whose body has not run
+PROBE = f"""
+import contextlib, io, sys, types
+import relbound.cli
+def unexecuted():
+    return [n for n in {LAZY!r} if type(sys.modules["relbound." + n]) is not types.ModuleType]
+"""
+
+
+def _probe(code):
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
-    probe = "import sys, relbound.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", PROBE + code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_leaves_out_fractions_and_decimal(tmp_path):
+    # fractions also imports decimal; no relbound module needs exact
+    # rationals, so no command should pay for importing them.
+    # The lazy modules are in sys.modules, unexecuted, from import on, not
+    # imported inside the functions that use them: the benchmark's tracer
+    # rebinds functions only in modules it finds there when it starts.
+    # bounds runs none of them, and plot only svgplot.
+    svg = str(tmp_path / "curves.svg")
+    assert _probe(f"""
+print(sorted({{'fractions', 'decimal'}} & set(sys.modules)))
+print(unexecuted())
+with contextlib.redirect_stdout(io.StringIO()):
+    relbound.cli.main(["bounds", "--points", "3"])
+print(unexecuted())
+relbound.cli.main(["plot", "--points", "3", "--out", {svg!r}])
+print(unexecuted())
+""") == ["[]", str(list(LAZY)), str(list(LAZY)), str([n for n in LAZY if n != "svgplot"])]
+
+
+@pytest.mark.parametrize("argv, unexecuted", [
+    (["simulate", "--code", "coset:4:2:1", "--trials", "100"], ["oracle", "acceptance", "svgplot"]),
+    (["oracle", "--rho", "2"], ["acceptance", "svgplot", "pcg64"]),
+])
+def test_a_command_runs_only_the_lazy_modules_it_needs(argv, unexecuted):
+    assert _probe(f"""
+with contextlib.redirect_stdout(io.StringIO()):
+    relbound.cli.main({argv!r})
+print(unexecuted())
+""") == [str(unexecuted)]
+
+
+# what `import relbound` offered before codes and oracle became lazy modules
+PUBLIC = [
+    "Channel", "Code", "CycleConstants", "LP2Point", "OracleResult", "ParametricPoint",
+    "SpectrumBoundPoint", "StraightLine", "ZeroErrorCapacity", "bhattacharyya",
+    "binary_reduction_bound", "bsc_expurgated_exponent", "build_coset_code", "build_q5_code",
+    "capacity", "channel", "classical", "codes", "coset_spectrum_check", "critical_rate",
+    "cycle_constants", "delta_lp2", "delta_lp2_point", "eigenvalues_g1", "entropy_h",
+    "entropy_h_inv", "envelope", "eps_bar", "eps_rho", "exact_pe", "exact_word_errors",
+    "expurgated_exponent", "expurgated_is_exact", "expurgated_junction_rate",
+    "expurgated_parametric_point", "gv_delta", "junction_rate_even", "junction_rate_q5",
+    "lower_bound_even", "lower_bound_q5", "lower_bounds", "lp1_rate", "make_code", "mc_pe",
+    "min_distance_bound", "minimize_q", "oracle", "pentagon_code", "random_coding_exponent",
+    "random_coset_code", "random_linear_code", "random_q5_code", "rho_bar", "solvers",
+    "spectrum", "spectrum_half_bound", "spectrum_half_point", "sphere_packing_exponent",
+    "straight_line_bound", "theta_cycle", "union_bound_pe", "upper_bounds",
+    "zero_error_capacity",
+]
+
+
+def test_package_keeps_its_public_names():
+    import relbound
+
+    for name in ("codes", "oracle"):
+        assert vars(relbound)[name] is sys.modules[f"relbound.{name}"]
+    listed = set(dir(relbound))
+    for name in PUBLIC:
+        value = getattr(relbound, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"relbound.{name}"], name
+        else:
+            assert value is getattr(sys.modules[value.__module__], name), name
+        assert name in listed, name
+    namespace = {}
+    exec("from relbound import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
