@@ -46,9 +46,6 @@ from .upper_bounds import (
 )
 
 
-_FIRST = operator.itemgetter(0)
-
-
 @dataclass(frozen=True)
 class BoundCurve:
     """One named bound sampled on a strictly increasing rate grid."""
@@ -59,7 +56,7 @@ class BoundCurve:
     params: tuple = ()
 
     def __post_init__(self):
-        rates = list(map(_FIRST, self.points))
+        rates = self.rates
         # compared in C; a nan rate compares false both ways and passes
         if any(map(operator.le, rates[1:], rates)):
             raise ValueError(f"rates must be strictly increasing in curve {self.name}")
@@ -110,10 +107,14 @@ class BoundSpec(NamedTuple):
     def curve(self, ch, rates, values):
         """The curve on a rate array: evaluated inside the domain, inf outside.
 
-        `values` is the per-grid dict of evaluate_curve and envelope; the
-        `shared` intermediate is kept in it, keyed by its function and the
-        domain it was evaluated on.
+        `values` is the per-grid memo of evaluate_curves and envelope, and
+        this method alone reads and fills it: the curve is taken from it
+        under its name when present and stored there otherwise. The
+        `shared` intermediate is kept in it too, keyed by its function and
+        the domain it was evaluated on.
         """
+        if self.name in values:
+            return values[self.name]
         out = np.full(rates.shape, INF)
         inside = self.domain(ch, rates)
         extra = ()
@@ -123,6 +124,7 @@ class BoundSpec(NamedTuple):
                 values[key] = self.shared(ch, rates[inside])
             extra = (values[key],)
         out[inside] = self.evaluate(ch, rates[inside], *extra)
+        values[self.name] = out
         return out
 
 
@@ -257,19 +259,18 @@ def rate_grid(r_min, r_max, points):
 def evaluate_curve(ch, name, grid, values=None):
     """One registry curve on a rate grid.
 
-    `values` maps curve names to arrays already evaluated on this grid;
-    the curve is taken from it when present and added to it otherwise,
-    and the envelopes reuse and add their component curves the same way.
+    `values` is the grid's memo, passed on to BoundSpec.curve, which
+    reads and fills it; an envelope folds its components through it and
+    is not stored itself.
     """
     spec = BOUNDS[name]
     rates = np.asarray(grid, dtype=float)
     values = {} if values is None else values
-    if name not in values:
-        if spec.evaluate is None:
-            values[name] = envelope(ch, rates, spec.kind, values)
-        else:
-            values[name] = spec.curve(ch, rates, values)
-    pts = tuple(zip(rates.tolist(), values[name].tolist()))
+    if spec.evaluate is None:
+        out = envelope(ch, rates, spec.kind, values)
+    else:
+        out = spec.curve(ch, rates, values)
+    pts = tuple(zip(rates.tolist(), out.tolist()))
     return BoundCurve(name=name, points=pts, channel=ch, params=tuple(sorted(spec.params(ch).items())))
 
 

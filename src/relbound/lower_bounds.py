@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codes as cod
-from .channel import bhattacharyya, capacity, entropy_h, gv_delta
+from .channel import Channel, bhattacharyya, capacity, entropy_h, gv_delta
 from .classical import bsc_expurgated_exponent, expurgated_junction_rate
 from .solvers import elementwise, require
 
@@ -62,7 +62,7 @@ def lower_bound_q5(epsilon, r):
     """
     log5 = math.log2(5.0)
     lo = 0.5 * log5
-    c = log5 - entropy_h(2.0, epsilon)
+    c = capacity(Channel(5, epsilon))
     ok = (r >= lo - 1e-12) & (r <= c + 1e-12)
     require(ok, r, f"rate must lie in [log2 sqrt5, C] = [{lo}, {c}]")
     r_in = np.maximum(r, lo)

@@ -140,9 +140,7 @@ def delta_lp2_point(r):
     search's temporaries are a few arrays of the rates' size.
     """
     rates = np.asarray(r, dtype=float)
-    inside = (rates >= -1e-12) & (rates <= 1.0 + 1e-12)
-    if not np.all(inside):
-        raise ValueError(f"binary rate must lie in [0, 1], got {rates[~inside].ravel()[0]}")
+    require((rates >= -1e-12) & (rates <= 1.0 + 1e-12), rates, "binary rate must lie in [0, 1]")
     out = _lp2_rows(np.clip(rates, 0.0, 1.0).ravel())
     if rates.ndim == 0:
         return LP2Point(*(float(v[0]) for v in out))
@@ -161,8 +159,7 @@ def binary_reduction_bound(ch, r):
     """
     shift = math.log2(ch.q / 2)
     rates = np.asarray(r, dtype=float)
-    if not np.all(rates > shift):
-        raise ValueError(f"rate must exceed log2(q/2) = {shift}, got {np.min(rates)}")
+    require(rates > shift, rates, f"rate must exceed log2(q/2) = {shift}")
     alpha = bhattacharyya(ch.epsilon)
     return delta_lp2(np.minimum(rates - shift, 1.0)) * math.log2(1.0 / alpha)
 
@@ -386,22 +383,23 @@ def envelope(ch, r, which="both", values=None):
     odd q) and only at rates inside its BoundSpec.domain. which="lower"
     or "upper" evaluates only the curves of that kind.
 
-    r may be a scalar or an array of rates in (0, C]; the result is a
-    float or an array of r's shape, and a (lower, upper) pair for
-    which="both". `values` maps curve names to arrays already evaluated
-    on the same rates: those are reused, and every curve evaluated here
-    is added, so curves shared by several calls are computed once.
+    r may be a scalar or an array of rates in (0, C + 1e-12]; the
+    result is a float or an array of r's shape, and a (lower, upper)
+    pair for which="both". Rates are folded as given, with no clamp to
+    C: from C on every lower curve reads <= 0 with random_coding at 0,
+    and every upper curve reads >= 0 or lies outside its domain with
+    sphere_packing at 0, so both folds read 0 there. `values` is the
+    per-grid memo of BoundSpec.curve, which reuses the curves already
+    in it and adds the ones evaluated here, so curves shared by several
+    calls are computed once.
     """
     if which not in ("both", "lower", "upper"):
         raise ValueError(f"selector must be 'both', 'lower' or 'upper', got {which}")
     rates = np.asarray(r, dtype=float)
     c = capacity(ch)
-    inside = (rates > 0.0) & (rates <= c + 1e-12)
-    if not np.all(inside):
-        raise ValueError(f"rate must lie in (0, C] = (0, {c}], got {rates[~inside].ravel()[0]}")
-    if values is None or np.any(rates > c):
-        values = {}  # curves given for rates above C are not the clamped ones
-    grid = np.minimum(rates, c).ravel()
+    require((rates > 0.0) & (rates <= c + 1e-12), rates, f"rate must lie in (0, C] = (0, {c}]")
+    values = {} if values is None else values
+    grid = rates.ravel()
     from .curves import BOUNDS  # the registry module imports this one
 
     folded = {}
@@ -409,12 +407,10 @@ def envelope(ch, r, which="both", values=None):
         if which not in ("both", kind):
             continue
         acc = np.full(grid.shape, absent)
-        for name, spec in BOUNDS.items():
+        for spec in BOUNDS.values():
             if spec.kind != kind or not spec.in_envelope(ch):
                 continue
-            if name not in values:
-                values[name] = spec.curve(ch, grid, values)
-            acc = fold(acc, np.where(spec.domain(ch, grid), values[name], absent))
+            acc = fold(acc, np.where(spec.domain(ch, grid), spec.curve(ch, grid, values), absent))
         folded[kind] = float(acc[0]) if rates.ndim == 0 else acc.reshape(rates.shape)
     if which == "both":
         return folded["lower"], folded["upper"]

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbound
-from relbound import acceptance, cli
+from relbound import acceptance
 from relbound import codes as codes_mod
 from relbound import oracle as oracle_mod
 from relbound.channel import Channel, bhattacharyya, cycle_constants, theta_cycle

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,7 +22,7 @@ from relbound.curves import (
     rate_grid,
     resolve_selection,
 )
-from relbound.svgplot import render_svg
+from relbound.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, render_svg
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -190,8 +191,8 @@ def reference_curves_to_csv(curves):
     return buf.getvalue()
 
 
-# every character csv quotes or a str.format template would read, and "" alone
-CSV_TEXT = st.one_of(st.just(""), st.text(st.sampled_from('ab ,"{};=\n\r'), max_size=6))
+# every character csv quotes, a str.format template would read or XML escapes, and "" alone
+CSV_TEXT = st.one_of(st.just(""), st.text(st.sampled_from('ab ,"{};=\n\r<&'), max_size=6))
 CSV_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e308, -1e308]),
     st.floats(),
@@ -303,6 +304,10 @@ def test_bounds_at_capacity(q, eps):
     assert BOUNDS["sphere_packing"].evaluate(ch, cap)[0] == 0.0
     assert upper_bounds.envelope(ch, cap, "lower")[0] == 0.0
     assert upper_bounds.envelope(ch, cap, "upper")[0] == 0.0
+    # envelope folds the rates it is given, with no clamp to C: past C both folds still read +0
+    for r in (math.nextafter(cap[0], math.inf), cap[0] + 1e-12):
+        folds = upper_bounds.envelope(ch, r)
+        assert folds == (0.0, 0.0) and not np.any(np.signbit(folds)), r
 
 
 @pytest.mark.parametrize("q", [4, 5, 6])
@@ -407,3 +412,43 @@ def test_svg_ceiling_clips():
     svg = render_svg(curves, ceiling=1.0)
     ET.fromstring(svg)
     assert "nan" not in svg
+
+
+def _drawn_points(svg):
+    """(x, y) of every polyline point and circle centre of an SVG, which must be well-formed."""
+    root = ET.fromstring(svg)
+    ns = "{http://www.w3.org/2000/svg}"
+    points = [p.split(",") for line in root.iter(ns + "polyline") for p in line.get("points").split()]
+    points += [(dot.get("cx"), dot.get("cy")) for dot in root.iter(ns + "circle")]
+    return [(float(x), float(y)) for x, y in points]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(csv_curve_lists())
+@example([BoundCurve("a<b&c", ((0.0, math.inf), (0.5, -math.inf), (1.0, math.nan), (1.5, -0.2)), _CH)])
+@example([BoundCurve("x", ((0.5, 1.0),), _CH), BoundCurve("y", ((0.5, 2.0),), _CH)])
+# ticks must stop on a span of one ulp, whose tick step moves no float, and on ends
+# where the bound of the tick loop overflows to inf
+@example([BoundCurve("x", ((1.0, 1.0), (math.nextafter(1.0, 2.0), 0.5)), _CH)])
+@example([BoundCurve("x", ((1e308, 1.0), (sys.float_info.max, sys.float_info.max)), _CH)])
+def test_svg_draws_any_curves_inside_the_plot_area(curves):
+    rates = [r for c in curves for r, _ in c.points]
+    drawable = [v for c in curves for _, v in c.points if v < math.inf]
+    if not drawable or not 0.0 < max(rates) - min(rates) < math.inf:
+        with pytest.raises(ValueError, match="^(nothing to plot|no finite values to plot|rates must span)"):
+            render_svg(curves)
+        return
+    for x, y in _drawn_points(render_svg(curves)):
+        # a nan or inf coordinate fails these comparisons too
+        assert MARGIN_L <= x <= WIDTH - MARGIN_R and MARGIN_T <= y <= HEIGHT - MARGIN_B, (x, y)
+
+
+def test_svg_draws_values_below_zero_on_the_axis():
+    # the expurgated curve reaches -0.209 at C here, and values below 0 are drawn on the x axis
+    ch = Channel(4, 0.1)
+    curves = evaluate_curves(ch, ["expurgated"], rate_grid(0.1, capacity(ch), 50))
+    assert curves[0].values[-1] < -0.2
+    svg = render_svg(curves)
+    assert max(y for _, y in _drawn_points(svg)) == HEIGHT - MARGIN_B
+    assert ">expurgated</text>" in svg
+    assert ">a&lt;b&amp;c</text>" in render_svg([BoundCurve("a<b&c", curves[0].points, ch)])

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbound import acceptance, oracle
-from relbound.channel import Channel, bhattacharyya, cycle_constants, theta_cycle
+from relbound.channel import Channel, bhattacharyya, theta_cycle
 from relbound.classical import rho_bar
 from relbound.oracle import (
     BATCH_CAP,

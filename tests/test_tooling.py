@@ -77,6 +77,22 @@ def test_codes_hand_back_plain_numpy_values():
     assert _uses({"Fraction", "Spectrum", "exact_pe_avg_max"}) == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # an import left behind by a deleted caller still loads its module and
+    # reads as a dependency; __init__.py is left out, its imports are re-exports
+    unused = []
+    for path in sorted([*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                names = {alias.asname or alias.name.split(".")[0] for alias in node.names}
+                unused += [f"{path.parent.name}/{path.name}:{node.lineno} {n}" for n in sorted(names - used)]
+    assert unused == []
+
+
 LAZY = ("codes", "oracle", "acceptance", "svgplot", "pcg64")
 # run in a fresh interpreter: unexecuted() lists the lazy modules whose body has not run
 PROBE = f"""
