@@ -1,10 +1,13 @@
-"""Command-line interface: bounds | oracle | simulate | verify | plot.
+"""Command-line interface: bounds | plot | oracle | simulate | verify.
+
+`bounds` writes the selected curves as CSV and `plot` draws the same
+curves as SVG; the other three print a text report.
 
 Each option is one OPTIONS entry and each subcommand one COMMANDS entry;
 the parser, the config file and the merged settings all read these two
 tables. Option precedence is flags over config file over the OPTIONS
 defaults; the config file is flat key=value text that may set any
-option but config.
+option but config. A flag value of `--` is refused.
 
 Exit codes: 0 on success; 1 when `oracle` or `verify` prints a FAIL line,
 a verify criterion that raised included; 2 on any refused input, an
@@ -33,7 +36,7 @@ from .classical import rho_bar
 from .constants import BATCH_CAP, CRITERIA_ABOUT, MC_PAIR_CAP
 from .lower_bounds import coset_spectrum_check
 
-# name: (type, default, help), in --help order; a tuple type lists the allowed strings
+# name: (type, default, help), in --help order
 OPTIONS = {
     "q": (int, 4, "alphabet size (>= 4)"),
     "eps": (float, 0.1, "crossover probability in (0, 1/2]"),
@@ -44,7 +47,6 @@ OPTIONS = {
     "rmax": (float, None, "grid end (default capacity)"),
     "points": (int, 200, f"grid size (2 to {crv.MAX_GRID_POINTS})"),
     "bounds": (str, "all", "comma list of bound names, or 'all'"),
-    "format": (("csv", "svg"), None, None),
     "ceiling": (float, None, "SVG clipping ceiling for infinite/large values"),
     "rho": (float, None, "slope parameter (>= 1)"),
     "n": (int, 1, "blocklength (q^n capped)"),
@@ -55,11 +57,11 @@ OPTIONS = {
     "only": (str, None, "run a single criterion: " + ", ".join(CRITERIA_ABOUT)),
 }
 COMMON = ("q", "eps", "seed", "out", "config")
-_GRID = ("rmin", "rmax", "points", "bounds", "format", "ceiling")
+_GRID = ("rmin", "rmax", "points", "bounds")
 # name: (help, its options after the common ones)
 COMMANDS = {
-    "bounds": ("evaluate bound curves on a rate grid (CSV or SVG)", _GRID),
-    "plot": ("like bounds, but defaults to SVG output", _GRID),
+    "bounds": ("evaluate bound curves on a rate grid as CSV", _GRID),
+    "plot": ("draw bound curves on a rate grid as SVG", _GRID + ("ceiling",)),
     "oracle": ("brute-force expurgated exponent at small blocklength", ("rho", "n", "restarts")),
     "simulate": ("exact/Monte-Carlo error of an explicit code", ("code", "trials")),
     "verify": ("run the acceptance suite", ("only",)),
@@ -79,8 +81,7 @@ def build_parser(command=None):
             continue
         for opt in COMMON + own:
             typ, _, helptext = OPTIONS[opt]
-            kind = {"choices": typ} if isinstance(typ, tuple) else {"type": typ}
-            p.add_argument(f"--{opt}", help=helptext, **kind)
+            p.add_argument(f"--{opt}", type=typ, help=helptext)
     return ap
 
 
@@ -102,21 +103,28 @@ def load_config(path):
         key, value = key.strip(), value.strip()
         if key not in OPTIONS or key == "config":
             raise ValueError(f"{path}:{i}: unknown key {key!r}")
-        typ = OPTIONS[key][0]
         try:
-            settings[key] = typ[typ.index(value)] if isinstance(typ, tuple) else typ(value)
+            settings[key] = OPTIONS[key][0](value)
         except ValueError:
             raise ValueError(f"{path}:{i}: bad value for {key}: {value!r}") from None
     return settings
 
 
 def effective_settings(args):
-    """Flags beat config-file values beat defaults; a negative seed is refused."""
-    cfg = load_config(args.config) if args.config else {}
+    """Flags beat config-file values beat defaults.
+
+    A flag that holds no single value is refused (argparse hands
+    `--opt=--` over as []), before the config file is read; so is a
+    negative seed.
+    """
+    flags = {key: getattr(args, key, None) for key in OPTIONS}
+    for key, flag in flags.items():
+        if isinstance(flag, list):
+            raise ValueError(f"--{key} takes one value, got {flag!r}")
+    cfg = load_config(flags["config"]) if flags["config"] else {}
     merged = {}
     for key, (_, default, _) in OPTIONS.items():
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else cfg.get(key, default)
+        merged[key] = flags[key] if flags[key] is not None else cfg.get(key, default)
     if merged["seed"] < 0:
         raise ValueError(f"--seed must be >= 0, got {merged['seed']}")
     return merged
@@ -130,7 +138,8 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def cmd_bounds(s, default_format):
+def _curves(s):
+    """The selected curves on the checked rate grid of s."""
     ch = Channel(s["q"], s["eps"])
     cap = capacity(ch)
     rmin = s["rmin"] if s["rmin"] is not None else cap / 50.0
@@ -141,11 +150,16 @@ def cmd_bounds(s, default_format):
         raise ValueError(f"need 0 < rmin < rmax, got {rmin}, {rmax}")
     names = crv.resolve_selection(ch, s["bounds"])
     grid = crv.rate_grid(rmin, min(rmax, cap), s["points"])
-    curves = crv.evaluate_curves(ch, names, grid)
-    if (s["format"] or default_format) == "csv":
-        _emit(crv.curves_to_csv(curves), s["out"])
-    else:
-        _emit(svgplot.render_svg(curves, ceiling=s["ceiling"]), s["out"])
+    return crv.evaluate_curves(ch, names, grid)
+
+
+def cmd_bounds(s):
+    _emit(crv.curves_to_csv(_curves(s)), s["out"])
+    return 0
+
+
+def cmd_plot(s):
+    _emit(svgplot.render_svg(_curves(s), ceiling=s["ceiling"]), s["out"])
     return 0
 
 
@@ -257,11 +271,9 @@ def main(argv=None):
     # a command builds only its own options; --help or a bad command gets them all
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
-        s = effective_settings(args)
-        if args.command in ("bounds", "plot"):
-            return cmd_bounds(s, "svg" if args.command == "plot" else "csv")
-        command = {"oracle": cmd_oracle, "simulate": cmd_simulate, "verify": cmd_verify}
-        return command[args.command](s)
+        command = {"bounds": cmd_bounds, "plot": cmd_plot, "oracle": cmd_oracle,
+                   "simulate": cmd_simulate, "verify": cmd_verify}
+        return command[args.command](effective_settings(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,6 @@ from .constants import MC_PAIR_CAP
 
 OUTPUT_CAP = 10**7
 REACH_CAP = 1 << 22  # reachable (codeword, output) pairs in exact_pe
-M_CAP = 4096
 CODE_CAP = 1 << 16  # words in a constructed code
 BLOCK_BYTES = 1 << 23  # temporaries of one row block of the pairwise kernel
 # one-hot columns n q of the pairwise kernel: the widest constructed code
@@ -359,8 +358,6 @@ def exact_word_errors(code, ch):
     q, n, m = code.q, code.n, code.M
     if not _power_within(q, n, OUTPUT_CAP):
         raise ValueError(f"q^n = {q}^{n} exceeds the enumeration cap {OUTPUT_CAP}")
-    if m > M_CAP:
-        raise ValueError(f"code size {m} exceeds the cap {M_CAP}")
     if m * 2**n > REACH_CAP:
         raise ValueError("reachable-output enumeration exceeds the cap")
     patterns = all_words((0, 1), n)

@@ -289,8 +289,11 @@ _POINT_CELLS = operator.itemgetter(0, 2)  # R and value
 
 
 def curves_to_csv(curves):
-    # writerow returns what its file's write returns: with str as write, the line
-    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    # writerow returns what its file's write returns: here the line. csv quotes a
+    # field that holds a character of the line terminator, so "\r\n" gets "\r"
+    # quoted as well as "\n"; write then ends the line with "\n" alone
+    line = csv.writer(SimpleNamespace(write=lambda row: row[:-2] + "\n"),
+                      lineterminator="\r\n").writerow
     out = [line(CSV_HEADER)]
     r_cells = {}
     for c in curves:
@@ -319,7 +322,11 @@ def csv_to_curves(text):
     before the first of a wrong column count are read before it is
     refused, so the first bad row is the one reported.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"row {len(rows) + 1}: {exc}") from None
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError("missing or malformed CSV header")
     body = rows[1:]

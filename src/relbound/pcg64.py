@@ -7,11 +7,10 @@ So the state k steps on is an affine map of the state now,
 a^k s + g_k inc with g_k = 1 + a + ... + a^(k-1) (O'Neill 2014; Brown
 1994, "Random number generation with arbitrary strides"), and any
 uniform of the stream can be computed without drawing the ones before
-it. The maps at k = d 256^L are tabulated; the 128-bit arithmetic runs
-on uint64 arrays, with 32-bit limbs where a product needs its high half.
+it. The maps at k = d 256^L are tabulated per stream; the 128-bit
+arithmetic runs on uint64 arrays, with 32-bit limbs where a product
+needs its high half.
 """
-
-import functools
 
 import numpy as np
 
@@ -42,43 +41,23 @@ def _mul_add(a, x, c):
     return lo, hi
 
 
-def _split(v):
-    """(a0, a1, lo, hi) of a 128-bit integer, as _mul_add takes its first factor."""
-    return tuple(map(np.uint64, (v & 0xFFFFFFFF, v >> 32 & 0xFFFFFFFF, v & _M64, v >> 64 & _M64)))
-
-
-@functools.cache
-def _powers():
-    """a^k's (a0, a1, lo, hi) and g_k's (lo, hi) at k = d 256^L.
-
-    Each is a read-only (_LEVELS, 256) uint64 array indexed [L, d].
-    Built on first use, from Python integers.
-    """
-    step, powers, sums = (MULT, 1), [], []
-    for _ in range(_LEVELS):
-        a, g = 1, 0
-        for _ in range(1 << _DIGIT):
-            powers.append(a)
-            sums.append(g)
-            a, g = a * step[0] & _M128, (g * step[0] + step[1]) & _M128
-        step = (a, g)  # 256 steps of this level: one step of the next
-    lo, hi = (np.array([v >> k & _M64 for v in powers + sums], dtype=np.uint64)
-              .reshape(2, _LEVELS, -1) for k in (0, 64))
-    tables = lo[0] & _U32, lo[0] >> _32, lo[0], hi[0], lo[1], hi[1]
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
 def step_tables(inc):
     """The table steps of a stream of increment inc: a (_LEVELS, 6, 256) uint64 array.
 
     Entry [L, :, d] holds the step by k = d 256^L states, s -> a^k s +
-    g_k inc, as the (a0, a1, lo, hi) of a^k and the (lo, hi) of g_k inc.
+    c_k, as the (a0, a1, lo, hi) of a^k and the (lo, hi) of c_k = g_k
+    inc. Built from Python integers, one entry after another:
+    a^(k+1) = a^k A and c_(k+1) = c_k A + C, where s -> A s + C is
+    one step of the level.
     """
-    *a, glo, ghi = _powers()
-    zero = np.uint64(0)
-    return np.stack([*a, *_mul_add(_split(inc), (glo, ghi), (zero, zero))], axis=1)
+    step, entries = (MULT, inc), []
+    for _ in range(_LEVELS):
+        a, c = 1, 0
+        for _ in range(1 << _DIGIT):
+            entries.append((a & 0xFFFFFFFF, a >> 32 & 0xFFFFFFFF, a & _M64, a >> 64, c & _M64, c >> 64))
+            a, c = a * step[0] & _M128, (c * step[0] + step[1]) & _M128
+        step = (a, c)  # 256 steps of this level: one step of the next
+    return np.array(entries, dtype=np.uint64).reshape(_LEVELS, -1, 6).transpose(0, 2, 1).copy()
 
 
 def _advance(steps, x, offsets, levels):

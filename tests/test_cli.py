@@ -23,10 +23,11 @@ from relbound import codes as codes_mod
 from relbound import oracle as oracle_mod
 from relbound.channel import Channel, bhattacharyya, cycle_constants, theta_cycle
 from relbound.classical import rho_bar
-from relbound.cli import COMMANDS, COMMON, OPTIONS, build_parser, effective_settings, main
+from relbound.cli import (COMMANDS, COMMON, OPTIONS, build_parser, effective_settings, load_config,
+                          main)
 from relbound.cli import run as run_cli
 from relbound.codes import KEY_CAP, WIDTH_CAP, format_code, make_code, pentagon_code
-from relbound.curves import csv_to_curves
+from relbound.curves import CSV_HEADER, csv_to_curves
 from relbound.oracle import REGIME_RTOL, _witness_name, minimize_q
 
 
@@ -285,7 +286,7 @@ def test_simulate_runs_a_builtin_past_the_key_cap_and_refuses_a_file_code_above_
         # an SVG ceiling that is not finite and > 0
         ("plot", "--ceiling", "nan"),
         ("plot", "--ceiling", "0"),
-        ("bounds", "--format", "svg", "--ceiling", "-1"),
+        ("plot", "--ceiling", "-1"),
         # q^n past oracle.SIZE_CAP with a power too big to form, and restarts x q^n
         # past oracle.BATCH_CAP
         ("oracle", "--q", "5", "--eps", "0.1", "--rho", "2", "--n", "100000000"),
@@ -360,6 +361,32 @@ def test_negative_seed_from_config_names_the_option(tmp_path, capsys, command):
     rc, out, err = run(capsys, command, "--config", str(cfg))
     assert rc == 2 and out == ""
     assert err == "error: --seed must be >= 0, got -4\n"
+
+
+@pytest.mark.parametrize("argv", [("bounds", "--format", "svg"), ("bounds", "--ceiling", "2"),
+                                  ("plot", "--format", "csv")])
+def test_each_grid_command_has_its_one_output_format(capsys, argv):
+    # bounds writes CSV and plot SVG; neither takes --format, and only plot --ceiling
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and f"unrecognized arguments: {argv[1]}" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "plot"])
+def test_format_in_a_config_file_is_an_unknown_key(tmp_path, capsys, command):
+    cfg = tmp_path / "format.cfg"
+    cfg.write_text("format=svg\n")
+    rc, out, err = run(capsys, command, "--config", str(cfg))
+    assert rc == 2 and out == "" and err == f"error: {cfg}:1: unknown key 'format'\n"
+
+
+@pytest.mark.parametrize("command, name", [(command, name) for command, (_, own) in COMMANDS.items()
+                                           for name in COMMON + own])
+def test_a_flag_value_of_two_dashes_is_refused(capsys, command, name):
+    # argparse strips the "--" of `--name=--` and hands the option [] instead of a value
+    rc, out, err = run(capsys, command, f"--{name}=--")
+    assert rc == 2 and out == "" and err.startswith(f"error: --{name} takes one value")
 
 
 def test_verify_only(capsys):
@@ -458,8 +485,6 @@ def test_file_errors_are_usage_errors_that_name_the_file(tmp_path, capsys, case)
 
 def _option_values(name):
     typ = OPTIONS[name][0]
-    if isinstance(typ, tuple):
-        return st.sampled_from(typ)
     if typ is int:
         return st.integers(min_value=0 if name == "seed" else None)  # a negative seed is refused
     if typ is float:
@@ -468,12 +493,17 @@ def _option_values(name):
 
 
 @pytest.mark.parametrize("name", [name for name in OPTIONS if name != "config"])
+# the flag value "--", refused before the config file (where None may be a bad value) is read
+@example(data=None, in_file=True, as_flag=True)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), in_file=st.booleans(), as_flag=st.booleans())
 def test_flag_beats_file_beats_default(tmp_path_factory, name, data, in_file, as_flag):
-    command = data.draw(st.sampled_from([c for c, (_, own) in COMMANDS.items()
-                                         if name in COMMON + own]))
-    file_value, flag_value = data.draw(_option_values(name)), data.draw(_option_values(name))
+    commands = [c for c, (_, own) in COMMANDS.items() if name in COMMON + own]
+    if data is None:
+        command, file_value, flag_value = commands[0], OPTIONS[name][1], "--"
+    else:
+        command = data.draw(st.sampled_from(commands))
+        file_value, flag_value = data.draw(_option_values(name)), data.draw(_option_values(name))
     argv = [command]
     if in_file:
         cfg = tmp_path_factory.getbasetemp() / "precedence.cfg"
@@ -481,7 +511,12 @@ def test_flag_beats_file_beats_default(tmp_path_factory, name, data, in_file, as
         argv += ["--config", str(cfg)]
     if as_flag:
         argv.append(f"--{name}={flag_value}")  # the = form takes values that start with -
-    merged = effective_settings(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    if as_flag and flag_value == "--":  # argparse hands it over as []
+        with pytest.raises(ValueError, match=f"^--{name} takes one value"):
+            effective_settings(args)
+        return
+    merged = effective_settings(args)
     expected = flag_value if as_flag else file_value if in_file else OPTIONS[name][1]
     assert merged[name] == expected and type(merged[name]) is type(expected)
     others = {key: entry[1] for key, entry in OPTIONS.items() if key not in (name, "config")}
@@ -520,6 +555,25 @@ def test_config_file_errors(tmp_path, capsys):
     cfg.write_text("unknown_key=3\n")
     rc, out, err = run(capsys, "bounds", "--config", str(cfg))
     assert rc == 2
+
+
+# any text, and text in the alphabets of the three formats after a header that parses
+_ANY_TEXT = st.tuples(
+    st.sampled_from(["", ",".join(CSV_HEADER) + "\n", "5 2 2\n", "q=5\n"]),
+    st.text() | st.text(st.sampled_from('0123456789 .,;=#"\r\n\tinfaqx-')),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_TEXT)
+@example(",".join(CSV_HEADER) + "\n0,\r,0,4,0.5,\n")  # an unquoted "\r": csv.reader raises csv.Error
+def test_any_text_is_read_or_refused_with_a_value_error(tmp_path_factory, text):
+    # curve, code and config files come from outside: each reader returns or raises ValueError
+    path = tmp_path_factory.getbasetemp() / "any.txt"
+    path.write_text(text, encoding="utf-8")
+    for read, arg in ((csv_to_curves, text), (codes_mod.parse_code, text), (load_config, str(path))):
+        with contextlib.suppress(ValueError):
+            read(arg)
 
 
 def test_cli_deterministic(capsys):

@@ -523,6 +523,10 @@ def test_exact_pe_matches_tuple_oracles():
         for eps in (0.5, 1e-300, 0.2):
             codes.append((_random_code(rng, q, n, m), Channel(q, eps)))
     codes.append((make_code([(3,) * 6, (0, 3, 1, 3, 2, 3)], 4), Channel(4, 1e-300)))  # every wrap
+    # more than 4096 words with M 2^n within REACH_CAP, labelled by index (8192 <= 5000 * 2)
+    # and by rank (256^2 > 5000 * 4)
+    for q, n in ((8192, 1), (256, 2)):
+        codes.append((_random_code(rng, q, n, 5000), Channel(q, 0.3)))
     assert sides == {True, False}
     for code, ch in codes:
         errs = exact_word_errors(code, ch)

@@ -1,8 +1,8 @@
 import csv
-import io
 import math
 import sys
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,8 +178,9 @@ def reference_curves_to_csv(curves):
             return "inf"
         return f"{x:.17g}"
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    # "\r\n" has csv quote a field that holds "\r" as well as "\n"; each line then ends in "\n"
+    lines = []
+    w = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     w.writerow(["R", "bound", "value", "q", "epsilon", "params"])
     for c in curves:
         params = ";".join(f"{k}={v}" for k, v in c.params)
@@ -188,7 +189,7 @@ def reference_curves_to_csv(curves):
                 [format_value(r), c.name, format_value(v), c.channel.q,
                  format_value(c.channel.epsilon), params]
             )
-    return buf.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 # every character csv quotes, a str.format template would read or XML escapes, and "" alone
@@ -228,6 +229,14 @@ _CH = Channel(5, 0.1)
 @example([BoundCurve("a", ((0.0, 1.0), (1.0, 2.0)), _CH), BoundCurve("b", ((-0.0, 1.0), (1.0, 2.0)), _CH)])
 def test_csv_writer_matches_the_row_writer(curves):
     assert curves_to_csv(curves) == reference_curves_to_csv(curves)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(CSV_TEXT, unique=True, max_size=4))
+@example(["\r", "a\rb", "\r\n"])
+def test_csv_round_trip_on_generated_names(names):
+    curves = [BoundCurve(name, ((0.5, 1.0), (0.75, math.inf)), _CH) for name in names]
+    assert csv_to_curves(curves_to_csv(curves)) == curves
 
 
 def test_csv_rejects_bad_header():
