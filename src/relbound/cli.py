@@ -1,13 +1,21 @@
 """Command-line interface: bounds | plot | oracle | simulate | verify.
 
 `bounds` writes the selected curves as CSV and `plot` draws the same
-curves as SVG; the other three print a text report.
+curves as SVG; the other three print a text report. `verify` prints one
+`PASS <name> (<what it checks>)` or FAIL line per criterion, each
+detail line under it, and a summary; no line holds a run time, so a
+seed gives the same text on every run.
 
 Each option is one OPTIONS entry and each subcommand one COMMANDS entry;
 the parser, the config file and the merged settings all read these two
-tables. Option precedence is flags over config file over the OPTIONS
-defaults; the config file is flat key=value text that may set any
-option but config. A flag value of `--` is refused.
+tables. A command takes as flags only the options it reads: COMMON
+(`--out`, `--config`) and those its COMMANDS entry names, so any other
+flag, such as `verify --q` or `bounds --seed`, is an argparse usage
+error. Option precedence is flags over config file over the OPTIONS
+defaults; the config file is flat key=value text shared by all commands,
+which may set any option but config, and every value in it is checked
+(a negative seed= is refused by every command). A flag value of `--` is
+refused.
 
 Exit codes: 0 on success; 1 when `oracle` or `verify` prints a FAIL line,
 a verify criterion that raised included; 2 on any refused input, an
@@ -56,15 +64,17 @@ OPTIONS = {
     "trials": (int, 0, f"Monte-Carlo trials (0 = skip; trials x M at most {MC_PAIR_CAP})"),
     "only": (str, None, "run a single criterion: " + ", ".join(CRITERIA_ABOUT)),
 }
-COMMON = ("q", "eps", "seed", "out", "config")
-_GRID = ("rmin", "rmax", "points", "bounds")
-# name: (help, its options after the common ones)
+COMMON = ("out", "config")
+_GRID = ("q", "eps", "rmin", "rmax", "points", "bounds")
+# name: (help, the options it reads besides the common ones)
 COMMANDS = {
     "bounds": ("evaluate bound curves on a rate grid as CSV", _GRID),
     "plot": ("draw bound curves on a rate grid as SVG", _GRID + ("ceiling",)),
-    "oracle": ("brute-force expurgated exponent at small blocklength", ("rho", "n", "restarts")),
-    "simulate": ("exact/Monte-Carlo error of an explicit code", ("code", "trials")),
-    "verify": ("run the acceptance suite", ("only",)),
+    "oracle": ("brute-force expurgated exponent at small blocklength",
+               ("q", "eps", "seed", "rho", "n", "restarts")),
+    "simulate": ("exact/Monte-Carlo error of an explicit code",
+                 ("q", "eps", "seed", "code", "trials")),
+    "verify": ("run the acceptance suite", ("seed", "only")),
 }
 
 
@@ -79,9 +89,9 @@ def build_parser(command=None):
         p = sub.add_parser(name, help=about)
         if command not in (None, name):
             continue
-        for opt in COMMON + own:
-            typ, _, helptext = OPTIONS[opt]
-            p.add_argument(f"--{opt}", type=typ, help=helptext)
+        for opt, (typ, _, helptext) in OPTIONS.items():
+            if opt in COMMON + own:
+                p.add_argument(f"--{opt}", type=typ, help=helptext)
     return ap
 
 
@@ -257,7 +267,7 @@ def cmd_verify(s):
     lines = []
     failed = False
     for res in results:
-        lines.append(f"{'PASS' if res.passed else 'FAIL'} {res.name} ({res.seconds:.1f}s)")
+        lines.append(f"{'PASS' if res.passed else 'FAIL'} {res.name} ({CRITERIA_ABOUT[res.name]})")
         for detail in res.lines:
             lines.append("  " + detail)
         failed |= not res.passed

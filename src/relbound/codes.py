@@ -15,8 +15,9 @@ row block's one-hot rows stay within budget, and codes whose dense
 The maximum-likelihood decoder breaks ties uniformly at random and the
 enumeration accounts for that exactly, by accumulating per-sender error
 mass term by term (so a zero-error code really evaluates to 0.0, not to
-1 minus float noise). Each output letter comes from exactly two inputs,
-y and y - 1, so both decoders address outputs as word +- noise pattern:
+1 minus float noise), through one tie rule on both of its paths. Each
+output letter comes from exactly two inputs, y and y - 1, so both
+decoders address outputs as word +- noise pattern:
 `_pattern_outputs` gives the base-q index of w + p (the enumeration,
 from each codeword) or of y - p (the Monte-Carlo decoder, the 2^n
 possible senders of a received y), with the wraps or borrows tabulated
@@ -336,7 +337,8 @@ def exact_word_errors(code, ch):
     """Exact ML error probability of each codeword, by output enumeration.
 
     Ties are charged their exact expected cost under a uniformly random
-    choice among the maximizers.
+    choice among the maximizers, by one function on both paths below
+    (`_tie_losses`, over (codeword, pattern) pairs and their outputs).
 
     A code marked linear is a subgroup of Z_q^n, and the channel adds
     its noise mod q, so translating by a codeword maps every decision
@@ -345,13 +347,15 @@ def exact_word_errors(code, ch):
     outputs can be addressed directly (`code.linear and _addressable`),
     only the zero word is scored, over its 2^n outputs p; p's
     competitors are the codewords p - p', p' a 0/1 pattern, found in a
-    q^n membership table. The zero word's outputs, competitors and
-    losses are then those of any codeword, in the same pattern order,
-    so each error has the bits the enumeration gives. That rule gives
-    4^n <= q^n <= M 2^n, so neither the table nor the 2^n x 2^n
-    competitor grid is longer than the M 2^n pairs. Every other code
-    enumerates all M 2^n (codeword, pattern) pairs. The caps refuse the
-    same codes on both paths.
+    q^n membership table. The pairs (p - p', p') the table finds go
+    through `_tie_losses`, and the losses of the zero word's own pairs
+    (p' = p) are summed in pattern order. They are then those of any
+    codeword, in the same order, so each error has the bits the
+    enumeration gives. The addressing rule gives 4^n <= q^n <= M 2^n,
+    so neither the table nor the 2^n x 2^n competitor grid is longer
+    than the M 2^n pairs. Every other code enumerates all M 2^n
+    (codeword, pattern) pairs. The caps refuse the same codes on both
+    paths.
     """
     if code.q != ch.q:
         raise ValueError("code and channel alphabet sizes differ")
@@ -367,15 +371,11 @@ def exact_word_errors(code, ch):
     if code.linear and _addressable(q, n, m):
         member = np.zeros(q**n, dtype=bool)
         member[word_indices(code.array, q)] = True
-        # row: the zero word's output p; column: the competitor p - p' if it is a codeword
-        rival = member[_pattern_outputs(patterns, q, -1)]
-        best = np.where(rival, pw, 0.0).max(axis=1)
-        hit = pw == best
-        cnt = np.count_nonzero(rival & (pw == best[:, None]), axis=1)
-        share = np.where(hit, 1.0 / np.maximum(cnt, 1), 0.0)
-        loss = np.subtract(1.0, share, out=share)
-        loss *= pw
-        return np.full(m, loss.sum())
+        # the pairs that reach the zero word's outputs: output p from the codeword
+        # p - p' through pattern p', in row-major order; p' = p is the zero word's own
+        out, pattern = np.nonzero(member[_pattern_outputs(patterns, q, -1)])
+        loss = _tie_losses(out, pw[pattern], pw.size)
+        return np.full(m, loss[out == pattern].sum())
     # output index of every (codeword, noise pattern) pair, in the order of
     # all_words((0, 1), n); a word reaches distinct outputs through distinct
     # patterns. Dense output labels: the index itself where the outputs can
@@ -387,7 +387,16 @@ def exact_word_errors(code, ch):
     else:
         outputs, out = np.unique(reach, return_inverse=True)
         size = outputs.size
-    w = np.tile(pw, m)
+    return _tie_losses(out, np.tile(pw, m), size).reshape(m, -1).sum(axis=1)
+
+
+def _tie_losses(out, w, size):
+    """Expected ML loss of each (codeword, pattern) pair, of likelihood w, at its output out < size.
+
+    A pair loses its likelihood unless it is one of the cnt maximizers
+    at its output, and then loses it with probability 1 - 1/cnt under a
+    uniformly random choice among them.
+    """
     best = np.zeros(size)
     np.maximum.at(best, out, w)
     hit = w == best[out]
@@ -395,7 +404,7 @@ def exact_word_errors(code, ch):
     share = np.where(hit, (1.0 / np.maximum(cnt, 1))[out], 0.0)
     loss = np.subtract(1.0, share, out=share)
     loss *= w
-    return loss.reshape(m, -1).sum(axis=1)
+    return loss
 
 
 def exact_pe(code, ch):
@@ -806,16 +815,11 @@ def random_linear_code(q_prime, n, k, seed=0):
     return _constructed(all_words(range(q_prime), k) @ g % q_prime, q_prime, True)
 
 
-def format_code(code):
-    """Plain-text form: header 'q n M', then one word per line."""
-    lines = [f"{code.q} {code.n} {code.M}"]
-    for w in code.array.tolist():
-        lines.append(" ".join(str(s) for s in w))
-    return "\n".join(lines) + "\n"
-
-
 def parse_code(text):
-    """Inverse of format_code; errors carry the offending line number."""
+    """The code in a plain-text code file: header 'q n M', then one word of n symbols per line.
+
+    Errors carry the offending line number.
+    """
     lines = [ln for ln in text.splitlines()]
     if not lines or not lines[0].strip():
         raise ValueError("line 1: expected header 'q n M'")

@@ -4,7 +4,8 @@ These are the earlier per-word implementations of code validation,
 spectrum, exact_pe, mc_pe, the per-suffix q = 5 weight census and the
 per-code coset spectrum check, kept as oracles: the array kernels in
 relbound.codes and relbound.lower_bounds must agree with them exactly
-(bit for bit on floats).
+(bit for bit on floats). format_code writes the plain-text code files
+that relbound.codes.parse_code reads; only tests write them.
 """
 
 import math
@@ -15,6 +16,14 @@ import numpy as np
 
 from relbound.channel import INF
 from relbound.codes import MCResult, coset_lift, weight_counts, wilson_interval, word_indices
+
+
+def format_code(code):
+    """Plain-text form: header 'q n M', then one word per line."""
+    lines = [f"{code.q} {code.n} {code.M}"]
+    for w in code.array.tolist():
+        lines.append(" ".join(str(s) for s in w))
+    return "\n".join(lines) + "\n"
 
 
 def validate_words(words, q):

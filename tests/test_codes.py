@@ -17,7 +17,6 @@ from relbound.codes import (
     build_q5_code,
     exact_pe,
     exact_word_errors,
-    format_code,
     make_code,
     mc_pe,
     parse_code,
@@ -360,7 +359,7 @@ def test_linear_code_spectrum_matches_pairwise_kernel(code, eps):
     assert spectrum(code).tolist() == spectrum(plain).tolist()
     ch = Channel(code.q, eps)
     assert union_bound_pe(code, ch) == union_bound_pe(plain, ch)  # bit for bit
-    back = parse_code(format_code(code))
+    back = parse_code(oracle.format_code(code))
     assert not back.linear and back == code
 
 
@@ -837,7 +836,7 @@ def test_gv_spectrum_concentration():
 
 def test_code_serialization_roundtrip():
     code = build_coset_code(random_linear_code(2, 3, 2, seed=4), 4)
-    text = format_code(code)
+    text = oracle.format_code(code)
     assert text.splitlines()[0] == "4 3 32"
     back = parse_code(text)
     assert back == code
@@ -851,7 +850,7 @@ def test_format_parse_roundtrip_on_generated_codes(case):
         code = make_code(words, q)
     except ValueError:
         return
-    assert parse_code(format_code(code)) == code
+    assert parse_code(oracle.format_code(code)) == code
 
 
 def test_parse_code_errors_name_the_line():

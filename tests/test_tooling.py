@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import types
@@ -75,6 +76,43 @@ def test_codes_hand_back_plain_numpy_values():
     # enumeration: no rational type, spectrum class or second entry point to
     # convert back and forth or to drift apart
     assert _uses({"Fraction", "Spectrum", "exact_pe_avg_max"}) == []
+
+
+def _named(path):
+    """(name, line) of every name, attribute, import and exact string in the file at path."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            found.add((node.name.rsplit(".", 1)[-1], node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add((node.value, node.lineno))  # such as bench/spans.py's TARGETS
+        else:
+            found |= {(getattr(node, f), node.lineno) for f in ("id", "attr") if hasattr(node, f)}
+    return found
+
+
+def test_no_library_function_is_reached_only_from_tests():
+    # a function only tests call is a test helper: it belongs under tests/. A
+    # module-level def is reached if another line of the package names it, or
+    # the benchmark, the acceptance criteria or an entry point in pyproject.toml
+    # does; dunders are called by Python itself
+    from relbound.acceptance import CRITERIA
+
+    root = PACKAGE.parents[1]
+    outside = {name for path in (root / "bench").glob("*.py") for name, _ in _named(path)}
+    outside |= {fn.__name__ for _, _, fn in CRITERIA}
+    # entry points such as `relbound = "relbound.cli:run"` (tomllib needs Python 3.11)
+    outside |= set(re.findall(r'"relbound[\w.]*:(\w+)"', (root / "pyproject.toml").read_text()))
+    named = {(name, path.name, line) for path in PACKAGE.glob("*.py") for name, line in _named(path)}
+    unreached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__") or node.name in outside:
+                continue
+            if not any(name == node.name and (file, line) != (path.name, node.lineno)
+                       for name, file, line in named):
+                unreached.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreached == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
