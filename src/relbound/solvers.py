@@ -1,11 +1,16 @@
 """Small numeric workhorses: the array bracket, scalar bisection, golden-section search.
 
-`bracket` is the library's one root finder; `bisect_root` and `golden_min`
-are only scalar references for tests and targets the traced benchmark wraps.
+`bracket` is the library's one root finder. It bisects float bit
+patterns, one pass (one call of f) per bit of the widest gap between
+its ends, runs a single point on Python ints with the same bits as an
+array entry, and refuses negative, nan or inverted ends. `bisect_root`
+and `golden_min` are only scalar references for tests and targets the
+traced benchmark wraps.
 """
 
 import functools
 import math
+import struct
 
 import numpy as np
 
@@ -46,29 +51,62 @@ def bracket(f, y, lo, hi):
     """Elementwise bisection bracket of a rising function's crossing of y.
 
     f maps a float array to an array of the same shape and rises on
-    [lo, hi]; y, lo and hi broadcast together, with lo, hi >= 0. A step
-    moves hi only to points where f > y and lo only to points where
-    f <= y, as f evaluates in floating point. So where f(lo) <= y < f(hi)
-    holds at the start, the returned ends hold it too, at adjacent
-    floats: lo is the crossing rounded down and hi rounded up. Where
-    y < f(lo), hi ends one float above lo; where f(hi) <= y, lo ends at
-    hi unless f, as evaluated, rises above y on the way. A falling
-    function is inverted by negating f and y.
+    [lo, hi]; y, lo and hi broadcast together, with 0 <= lo <= hi
+    (-0.0 counts as 0.0; a negative, nan or inverted end is refused
+    with ValueError). A step moves hi only to points where f > y and
+    lo only to points where f <= y, as f evaluates in floating point.
+    So where f(lo) <= y < f(hi) holds at the start, the returned ends
+    hold it too, at adjacent floats: lo is the crossing rounded down
+    and hi rounded up. Where y < f(lo), hi ends one float above lo;
+    where f(hi) <= y, lo ends at hi unless f, as evaluated, rises above
+    y on the way. A falling function is inverted by negating f and y.
 
     The bisection halves the gap between the ends' bit patterns, which
-    for floats >= 0 are ordered like their values, so after as many
-    passes as hi's largest pattern has bits the ends are adjacent.
+    for floats >= 0 are ordered like their values. It makes as many
+    passes as the widest gap has bits, one call of f each; after them
+    every element's ends are adjacent or equal. A single point (y, lo
+    and hi broadcast to size 1) runs the same passes on Python ints and
+    hands f the same float arrays, so it gives the same bits as an
+    entry of a larger array, without numpy's per-call cost on the ends.
     """
     y, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, lo, hi)))
-    lo = lo.copy().view(np.int64)  # copies: the ends are written in place
-    hi = hi.copy().view(np.int64)
-    for _ in range(int(hi.max(initial=0)).bit_length()):
-        mid = lo + ((hi - lo + 1) >> 1)
+    require(lo >= 0.0, lo, "bracket needs lo >= 0")
+    require(hi >= lo, hi, "bracket needs hi >= lo")
+    lo = lo + 0.0  # -0.0 + 0.0 is +0.0, whose bit pattern is 0, not 2^63
+    hi = hi + 0.0
+    if lo.size == 1:
+        return _bracket_point(f, y.item(), lo.item(), hi.item(), lo.shape)
+    # patterns of floats >= +0 are below 2^63, so lo + hi + 1 fits in a uint64
+    lo = lo.view(np.uint64)
+    hi = hi.view(np.uint64)
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = lo + hi
+        mid += 1
+        mid >>= 1  # lo + ceil((hi - lo) / 2)
         up = f(mid.view(np.float64)) > y
-        # selects by arithmetic: several times faster than a masked copy
-        hi -= (hi - mid) * up
-        lo += (mid - lo) * ~up
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
     return lo.view(np.float64), hi.view(np.float64)
+
+
+_FLOAT = struct.Struct("<d")
+_BITS = struct.Struct("<q")
+
+
+def _bracket_point(f, y, lo, hi, shape):
+    """bracket's passes for one point: ends as Python ints, f on float arrays of `shape`."""
+
+    def point(bits):
+        return np.array(_FLOAT.unpack(_BITS.pack(bits))[0]).reshape(shape)
+
+    lo, hi = (_BITS.unpack(_FLOAT.pack(v))[0] for v in (lo, hi))
+    for _ in range((hi - lo).bit_length()):
+        mid = (lo + hi + 1) >> 1
+        if f(point(mid)) > y:
+            hi = mid
+        else:
+            lo = mid
+    return point(lo), point(hi)
 
 
 def elementwise(fn):

@@ -68,8 +68,14 @@ def _lp2_trial(slack, beta, start):
     target = slack + _h2(beta)
     alpha = np.maximum(start, beta)
     for _ in range(LP2_NEWTON):
-        slope = np.log2(1.0 - alpha) - np.log2(np.maximum(alpha, _TINY))
-        step = np.divide(target - _h2(alpha), slope, out=np.zeros_like(alpha), where=slope > 0.0)
+        # h2(a) as _h2 evaluates it, from the two logs its slope needs too;
+        # a stays at or near 1/2 and below, so 1 - a needs no floor
+        rest = 1.0 - alpha
+        la = np.log2(np.maximum(alpha, _TINY))
+        lb = np.log2(rest)
+        h = alpha * (0.0 - la) - rest * lb
+        slope = lb - la
+        step = np.divide(target - h, slope, out=np.zeros(alpha.shape), where=slope > 0.0)
         alpha = np.minimum(np.maximum(alpha + step, beta), 0.5)
     return alpha, _lp2_objective(alpha, beta)
 
@@ -82,11 +88,11 @@ def _lp2_rows(r):
     # a(b) rises with b, so the a at a smaller b starts a trial from below;
     # a(0) >= (1 - sqrt(1 - (1 - r)^ln 4)) / 2, as h2(x) <= (4x(1-x))^(1/ln 4)
     alpha_lo = 0.5 * (1.0 - np.sqrt(1.0 - slack ** math.log(4.0)))
-    # the inner points (u, a, objective), u = sqrt(b)
+    # the inner points, each a (3, N) stack of rows u, a, objective, u = sqrt(b)
     u = hi - _GOLDEN * hi
-    c = (u, *_lp2_trial(slack, u * u, alpha_lo))
+    c = np.array((u, *_lp2_trial(slack, u * u, alpha_lo)))
     u = _GOLDEN * hi
-    d = (u, *_lp2_trial(slack, u * u, c[1]))
+    d = np.array((u, *_lp2_trial(slack, u * u, c[1])))
     for _ in range(LP2_STEPS):
         if not np.any(hi > lo):
             break  # every interval has collapsed
@@ -95,11 +101,12 @@ def _lp2_rows(r):
         hi = np.where(left, d[0], hi)
         lo = np.where(left, lo, c[0])
         alpha_lo = np.where(left, alpha_lo, c[1])
-        kept = [np.where(left, x, y) for x, y in zip(c, d)]
-        u = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-        new = (u, *_lp2_trial(slack, u * u, np.where(left, alpha_lo, kept[1])))
-        c = [np.where(left, x, y) for x, y in zip(new, kept)]
-        d = [np.where(left, y, x) for x, y in zip(new, kept)]
+        kept = np.where(left, c, d)
+        width = hi - lo
+        u = np.where(left, hi - _GOLDEN * width, lo + _GOLDEN * width)
+        new = np.array((u, *_lp2_trial(slack, u * u, np.where(left, alpha_lo, kept[1]))))
+        c = np.where(left, new, kept)
+        d = np.where(left, kept, new)
     # u^2 can round above the cap once an interval has collapsed onto it
     beta = np.stack([np.zeros_like(r), np.minimum(c[0] ** 2, cap), np.minimum(d[0] ** 2, cap), cap])
     alpha = bracket(_h2, slack + _h2(beta), beta, 0.5)[1]

@@ -7,15 +7,22 @@ one point. The codes kernel, the oracle's Gram matrices and the bound
 curves compute these on arrays; the tests check them against these
 definitions. delta_lp2_scan is the exhaustive grid search that
 relbound's golden-section delta_lp2 is checked against.
+
+plain_bracket and plain_lp2_rows are plain forms of solvers.bracket
+and upper_bounds._lp2_rows, with every pass through numpy on whole
+arrays and no shortcut: the library's versions must give the same
+bits.
 """
 
 import math
 
 import numpy as np
 
-from relbound.channel import INF, bhattacharyya, cycle_constants
+from relbound.channel import _TINY, INF, bhattacharyya, cycle_constants
 from relbound.channel import entropy_h as array_entropy_h
-from relbound.solvers import bracket
+from relbound.classical import _h2
+from relbound.solvers import _GOLDEN, bracket
+from relbound.upper_bounds import LP2_NEWTON, LP2_STEPS, _lp2_objective
 
 
 def transition_prob(ch, y, x):
@@ -119,3 +126,65 @@ def delta_lp2_scan(r):
         lo = beta[rows, np.maximum(i - 1, 0)][:, None]
         hi = beta[rows, np.minimum(i + 1, points - 1)][:, None]
     return best
+
+
+def plain_bracket(f, y, lo, hi):
+    """solvers.bracket's bisection on int64 bit patterns, every pass on whole arrays.
+
+    As many passes as the largest pattern of hi has bits, each with its
+    midpoint lo + ceil((hi - lo) / 2) and ends selected by arithmetic.
+    Only for valid ends, 0.0 <= lo <= hi.
+    """
+    y, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y, lo, hi)))
+    lo = lo.copy().view(np.int64)
+    hi = hi.copy().view(np.int64)
+    for _ in range(int(hi.max(initial=0)).bit_length()):
+        mid = lo + ((hi - lo + 1) >> 1)
+        up = f(mid.view(np.float64)) > y
+        hi -= (hi - mid) * up
+        lo += (mid - lo) * ~up
+    return lo.view(np.float64), hi.view(np.float64)
+
+
+def _plain_lp2_trial(slack, beta, start):
+    target = slack + _h2(beta)
+    alpha = np.maximum(start, beta)
+    for _ in range(LP2_NEWTON):
+        slope = np.log2(1.0 - alpha) - np.log2(np.maximum(alpha, _TINY))
+        step = np.divide(target - _h2(alpha), slope, out=np.zeros_like(alpha), where=slope > 0.0)
+        alpha = np.minimum(np.maximum(alpha + step, beta), 0.5)
+    return alpha, _lp2_objective(alpha, beta)
+
+
+def plain_lp2_rows(r):
+    """upper_bounds._lp2_rows with each inner point a list of three arrays and _h2 called whole.
+
+    The same golden-section search on sqrt(b), Newton a per trial and
+    final brackets (plain_bracket), on a 1-D array of rates in [0, 1];
+    returns (alpha, beta, objective).
+    """
+    cap = plain_bracket(_h2, r, 0.0, 0.5)[0]
+    slack = 1.0 - r
+    lo, hi = np.zeros_like(r), np.sqrt(cap)
+    alpha_lo = 0.5 * (1.0 - np.sqrt(1.0 - slack ** math.log(4.0)))
+    u = hi - _GOLDEN * hi
+    c = (u, *_plain_lp2_trial(slack, u * u, alpha_lo))
+    u = _GOLDEN * hi
+    d = (u, *_plain_lp2_trial(slack, u * u, c[1]))
+    for _ in range(LP2_STEPS):
+        if not np.any(hi > lo):
+            break
+        left = c[2] < d[2]
+        hi = np.where(left, d[0], hi)
+        lo = np.where(left, lo, c[0])
+        alpha_lo = np.where(left, alpha_lo, c[1])
+        kept = [np.where(left, x, y) for x, y in zip(c, d)]
+        u = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        new = (u, *_plain_lp2_trial(slack, u * u, np.where(left, alpha_lo, kept[1])))
+        c = [np.where(left, x, y) for x, y in zip(new, kept)]
+        d = [np.where(left, y, x) for x, y in zip(new, kept)]
+    beta = np.stack([np.zeros_like(r), np.minimum(c[0] ** 2, cap), np.minimum(d[0] ** 2, cap), cap])
+    alpha = plain_bracket(_h2, slack + _h2(beta), beta, 0.5)[1]
+    value = _lp2_objective(alpha, beta)
+    best = np.argmin(value, axis=0), np.arange(r.size)
+    return alpha[best], beta[best], value[best]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_oracles import delta_lp2_scan
+from scalar_oracles import delta_lp2_scan, plain_lp2_rows
 from scalar_oracles import entropy_h as scalar_entropy_h
 
 from relbound import upper_bounds
@@ -119,6 +119,25 @@ def test_delta_lp2_sound_and_matches_scalar_oracle(rates):
         assert abs(value - _delta_lp2_oracle(rate)) <= 1e-8
         # a scalar rate runs the same search as an entry of an array
         assert delta_lp2_point(rate) == (a, b, value)
+
+
+FLAT_TOPS = [1.0 - 10.0**-k for k in range(1, 16)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(), (1,), (1, 1)]) | st.tuples(st.integers(1, 3), st.integers(2, 5)),
+    st.data(),
+)
+def test_delta_lp2_point_matches_the_plain_search_bit_for_bit(shape, data):
+    rate = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_RATES + FLAT_TOPS))
+    size = math.prod(shape)
+    r = np.array(data.draw(st.lists(rate, min_size=size, max_size=size))).reshape(shape)
+    got = delta_lp2_point(r)
+    for field, want in zip(got, plain_lp2_rows(r.ravel())):
+        field = np.asarray(field)
+        assert field.shape == shape
+        assert np.array_equal(field.view(np.int64), want.reshape(shape).view(np.int64))
 
 
 def test_delta_lp2_memory_grows_with_the_rates_only():
