@@ -99,9 +99,11 @@ def check_oracle(seed=0):
     for label, problem in checks:
         rec.require(label, *orc.regime_check(problem[0], orc.minimize_q(*problem)))
     # (c): random rows alone, with no witness and no certification, must find L. At
-    # 2 rho_bar, a = phi^(1/2) depends on q alone, so one eps stands for all. On the
-    # pentagon about 1 row in 10 reaches L, so 150 rows all miss with probability ~3e-7
-    # (seeds 0-999 each had 5 to 27 hits)
+    # 2 rho_bar, a = phi^(1/2) depends on q alone, so one eps stands for all. Run until
+    # every row froze, about 1 row in 10 reaches L on the pentagon, so 150 rows all miss
+    # with probability ~3e-7 (seeds 0-999 each had 5 to 27 hits). The search stops at
+    # the first row that freezes at L, and a frozen row never moves again, so the
+    # verdict is the same; the line says after how many iterations it stopped
     for q, rows in ((5, 150), (4, 20)):
         ch = Channel(q, 0.1)
         rec.require(f"(c) q={q} n=2 rho=2 rho_bar, random rows only",

@@ -14,8 +14,9 @@ flag, such as `verify --q` or `bounds --seed`, is an argparse usage
 error. Option precedence is flags over config file over the OPTIONS
 defaults; the config file is flat key=value text shared by all commands,
 which may set any option but config, and every value in it is checked
-(a negative seed= is refused by every command). A flag value of `--` is
-refused.
+(a negative seed= is refused by every command); the keys the running
+command does not read are named in one stderr warning. A flag value of
+`--` is refused.
 
 Exit codes: 0 on success; 1 when `oracle` or `verify` prints a FAIL line,
 a verify criterion that raised included; 2 on any refused input, an
@@ -125,7 +126,8 @@ def effective_settings(args):
 
     A flag that holds no single value is refused (argparse hands
     `--opt=--` over as []), before the config file is read; so is a
-    negative seed.
+    negative seed. Once the settings are accepted, the config keys that
+    args.command does not read are named in one `warning:` line on stderr.
     """
     flags = {key: getattr(args, key, None) for key in OPTIONS}
     for key, flag in flags.items():
@@ -137,6 +139,10 @@ def effective_settings(args):
         merged[key] = flags[key] if flags[key] is not None else cfg.get(key, default)
     if merged["seed"] < 0:
         raise ValueError(f"--seed must be >= 0, got {merged['seed']}")
+    ignored = [key for key in cfg if key not in COMMON + COMMANDS[args.command][1]]
+    if ignored:
+        print(f"warning: {flags['config']}: {args.command} does not read {', '.join(ignored)}",
+              file=sys.stderr)
     return merged
 
 
@@ -186,6 +192,7 @@ def cmd_oracle(s):
         f"min_Q = {res.min_q:.12g}",
         f"Ex_n  = {res.ex_n:.12g} bits",
         f"converged = {res.converged}",
+        f"found by = {orc.how_found(ch, res)}",
         f"regime = {'convex (rho <= rho_bar)' if res.convex else 'nonconvex (rho > rho_bar)'}"
         f", rho_bar = {rb:.6g}",
         "distribution support = "

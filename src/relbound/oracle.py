@@ -28,9 +28,12 @@ GRAD_MAP_TOL or where no representable projected step is left; MAX_ITER
 caps the run. A start whose support has settled finishes with one
 face-restricted Newton step (projected Newton, Bertsekas 1982): the
 exact minimizer of the form on its face, taken only where it is a
-nonnegative, not worse, certified local minimum.
+nonnegative, not worse, certified local minimum. The search ends at the
+first start that stops at a value at most L (1 + CERTIFY_RTOL): L
+certifies it as the global minimum, so no other start can do better.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +51,10 @@ FACE_PERIOD = 8  # a face step is tried every FACE_PERIOD iterations, on support
 # (more than 1024 points) takes no face step, which bounds its memory and its O(|S|^3)
 # eigensolve
 FACE_BYTES = 1 << 23
+# a value at most L (1 + CERTIFY_RTOL) is certified as the global minimum: a witness's
+# value is within a few ulps of L, far inside it, and a search stops at the first
+# row that freezes there
+CERTIFY_RTOL = 1e-12
 
 
 def word_count(q, n):
@@ -71,7 +78,13 @@ def eigenvalues_g1(ch, rho):
 
 @dataclass
 class OracleResult:
-    """Outcome of one quadratic-form minimization over the simplex."""
+    """Outcome of one quadratic-form minimization over the simplex.
+
+    `iterations` is 0 where a witness certifies min_Q, and otherwise the
+    iteration at which the search ended: its last row froze, a row froze
+    at a value L certifies (the search stops there), or MAX_ITER.
+    `converged` is the winning row's flag; `how_found` says which case it was.
+    """
 
     rho: float
     n: int
@@ -106,7 +119,8 @@ def _stationary(x, d, step, tol):
     x + d rounds back to x (no representable step is left, which is as
     converged as float64 gets).
     """
-    return (np.linalg.norm(d, axis=1) / step <= tol) | np.all(x + d == x, axis=1)
+    # the same bits as np.linalg.norm(d, axis=1), in fewer calls
+    return (np.sqrt(np.add.reduce(d * d, axis=1)) / step <= tol) | np.all(x + d == x, axis=1)
 
 
 def _step_size(a, n):
@@ -114,23 +128,41 @@ def _step_size(a, n):
     return 1.0 / (2.0 * (1.0 + 2.0 * a) ** n)
 
 
+@functools.cache
+def _neighbours(q, n):
+    """For each letter k, the indices of the q^n words with letter k moved by -1, then by +1.
+
+    Row k holds both halves, cyclically in the letter, with letter 0 the
+    most significant digit of a word's index. Read-only, since it is shared.
+    """
+    m = q**n
+    words = np.arange(m)
+    out = np.empty((n, 2 * m), dtype=np.intp)
+    for k in range(n):
+        place = q ** (n - 1 - k)
+        letter = words // place % q
+        out[k, :m] = words + ((letter - 1) % q - letter) * place
+        out[k, m:] = words + ((letter + 1) % q - letter) * place
+    out.flags.writeable = False
+    return out
+
+
 def _times_gram(x, a, q, n):
-    """Each row of x times the n-letter Gram matrix whose base has weight a.
+    """Each row of x times the n-letter Gram matrix whose base has weight a, C-ordered.
 
     The base is applied along each of the n letter axes in turn (Van Loan
-    2000): y = x + a (x shifted by +1 + x shifted by -1, cyclically). It
-    works on x transposed, one word per row, so that every shift copies
-    contiguous blocks. Every entry is computed elementwise, so a row gets
-    the same bits in any stack.
+    2000): y = y + a (y at letter - 1 + y at letter + 1, cyclically), the
+    neighbours gathered through `_neighbours`. It works on x transposed,
+    one word per row, so that the gather copies whole rows. Every entry is
+    computed elementwise, so a row gets the same bits in any stack. The
+    result is C-ordered, which `np.einsum("bi,bi->b", ...)` relies on to
+    sum each row in one order.
     """
+    m = q**n
     y = np.ascontiguousarray(x.T)
-    for k in range(n):
-        y3 = y.reshape(q**k, q, -1)  # letter k on the middle axis
-        s = np.empty_like(y3)
-        np.add(y3[:, :-2], y3[:, 2:], out=s[:, 1:-1])
-        np.add(y3[:, -1], y3[:, 1], out=s[:, 0])
-        np.add(y3[:, -2], y3[:, 0], out=s[:, -1])
-        s = s.reshape(y.shape)
+    for idx in _neighbours(q, n):
+        both = np.take(y, idx, axis=0)
+        s = np.add(both[:m], both[m:])
         s *= a
         s += y
         y = s
@@ -201,7 +233,7 @@ def _face_minimizers(a, q, n, supports):
 
 
 def _face_steps(a, q, n, x, xg, faces):
-    """Face step for each row of x: (points, accepted flags).
+    """Face step for each row of x: (points, their values z^T G z, accepted flags).
 
     Rows are grouped by support; `faces` maps the packed support bytes to
     (z, z^T G z), or to None where `_face_minimizers` refused it, so each
@@ -232,17 +264,19 @@ def _face_steps(a, q, n, x, xg, faces):
                 faces[keys[j]] = (zj, value)
     values = np.einsum("bi,bi->b", x, xg)
     z = np.empty_like(x)
+    z_values = np.empty(len(x))
     took = np.zeros(len(x), dtype=bool)
     for j, key in enumerate(keys):
         if faces.get(key) is not None:
             zj, value = faces[key]
             rows = (group == j) & (value <= values)
             z[rows] = zj
+            z_values[rows] = value
             took |= rows
-    return z, took
+    return z, z_values, took
 
 
-def _projected_gradient_batch(a, q, n, starts):
+def _projected_gradient_batch(a, q, n, starts, stop_at):
     """Minimize p^T G p over the simplex from every row of starts at once.
 
     G, on q^n words, is the n-fold Kronecker power of the base with
@@ -261,8 +295,8 @@ def _projected_gradient_batch(a, q, n, starts):
     Every iteration first takes the gradient mapping at each row's
     current point x; a row is frozen at x when that mapping meets the
     tolerance or when the plain projected step from x is not
-    representable (which is as converged as float64 gets). Only rows
-    still moving at the iteration cap come back unconverged. Frozen rows
+    representable (which is as converged as float64 gets). Rows still
+    moving at the iteration cap come back unconverged. Frozen rows
     leave the working arrays, and y G is carried by linearity from x G,
     so an iteration costs one product with G and one projection call on
     the steps from x and from y stacked.
@@ -275,11 +309,24 @@ def _projected_gradient_batch(a, q, n, starts):
     accepts z, and is frozen there as converged, only where z is finite
     and nonnegative, the reduced Hessian on the face is PSD,
     z^T G z <= x^T G x, and z passes the same stopping test;
-    every other row carries on with FISTA unchanged. Returns (points,
-    values, converged_flags, iterations, face_steps), the last two ints:
-    the search's own iteration count, at which its last row froze
-    (MAX_ITER where one never did), and the number of rows the face step
-    finished.
+    every other row carries on with FISTA unchanged.
+
+    Stop at stop_at: after every iteration, the values x^T G x of the rows
+    that froze in it (from x G, or the face's value) are compared with
+    stop_at; where one is at most stop_at, the search ends there. The
+    rows still moving come back at their current points, unconverged
+    unless their value is at most stop_at too. A frozen row never moves
+    again, so the best value is at most the frozen row's, and a check of
+    the best value against a bound at or above stop_at (as `search_check`
+    makes) gets the verdict it gets from a search run until every row
+    froze. `_search` passes L (1 + CERTIFY_RTOL), which certifies the row
+    as the global minimum; where no row reaches stop_at, every bit of the
+    result is the one the search gives without the stop.
+
+    Returns (points, values, converged_flags, iterations, face_steps), the
+    last two ints: the search's own iteration count, at which it stopped
+    at stop_at or its last row froze (MAX_ITER where neither happened),
+    and the number of rows the face step finished.
     """
     step = _step_size(a, n)
     two_step = 2.0 * step
@@ -300,20 +347,28 @@ def _projected_gradient_batch(a, q, n, starts):
         done = _stationary(x, proj[: len(x)] - x, step, GRAD_MAP_TOL)
         nxt = proj[len(x):].copy()  # a view would keep the half for x alive
         del proj
-        points[rows[done]] = x[done]
+        reached = False  # whether a row that froze in this iteration is at most stop_at
+        if done.any():
+            points[rows[done]] = x[done]
+            reached = np.einsum("bi,bi->b", x[done], xg[done]).min() <= stop_at
         if it % FACE_PERIOD == 0:
             trial = np.flatnonzero(~done & (settled >= FACE_PERIOD))
             if trial.size:
-                z, took = _face_steps(a, q, n, x[trial], xg[trial], faces)
+                z, z_values, took = _face_steps(a, q, n, x[trial], xg[trial], faces)
                 points[rows[trial[took]]] = z[took]
                 done[trial[took]] = True
                 face_steps += int(took.sum())
+                reached |= bool(np.any(z_values[took] <= stop_at))
         if done.any():
             conv[rows[done]] = True
             keep = ~done
             rows, x, xg, y, nxt, t, settled = (
                 arr[keep] for arr in (rows, x, xg, y, nxt, t, settled)
             )
+            if reached:
+                # a row still moving at a value certified by L needs no more iterations either
+                conv[rows[np.einsum("bi,bi->b", x, xg) <= stop_at]] = True
+                break
             if not rows.size:
                 break
         nxt_g = _times_gram(nxt, a, q, n)
@@ -366,8 +421,13 @@ def _start_points(ch, n, restarts, seed):
 
 
 def _search(ch, rho, n, starts):
-    """`_projected_gradient_batch` from the rows `starts` of the problem (ch, rho, n)."""
-    return _projected_gradient_batch(bhattacharyya(ch.epsilon) ** (1.0 / rho), ch.q, n, starts)
+    """`_projected_gradient_batch` from the rows `starts` of the problem (ch, rho, n).
+
+    It stops at the first row that freezes at a value certified by L
+    (`min_q_lower_bound`, within CERTIFY_RTOL).
+    """
+    return _projected_gradient_batch(bhattacharyya(ch.epsilon) ** (1.0 / rho), ch.q, n, starts,
+                                     min_q_lower_bound(ch, rho, n) * (1.0 + CERTIFY_RTOL))
 
 
 def minimize_q(ch, rho, n, restarts=200, seed=0):
@@ -377,14 +437,19 @@ def minimize_q(ch, rho, n, restarts=200, seed=0):
     q^n at most BATCH_CAP) are checked before any work. Where a witness
     attains L (`min_q_lower_bound`; the convex regime, even q, and q = 5
     with even n, `_witness_name`), the witness is evaluated with one
-    product with G; at most L (1 + 1e-12), it is returned as the certified
-    global minimum, converged after 0 iterations and 0 face steps. A
-    witness is within a few ulps of L wherever it exists, so only problems
-    without one are searched: from `restarts` start rows, the uniform row
-    and then random simplex draws, as one vectorized batch, and the
-    smallest value wins; min_Q is then an upper bound on the true minimum
-    and at least L. `iterations` is the search's own iteration count, at
-    which its last row froze, and `face_steps` the number of its rows the
+    product with G; at most L (1 + CERTIFY_RTOL), it is returned as the
+    certified global minimum, converged after 0 iterations and 0 face
+    steps. A witness is within a few ulps of L wherever it exists, so only
+    problems without one are searched: from `restarts` start rows, the
+    uniform row and then random simplex draws, as one vectorized batch,
+    and the smallest value wins; min_Q is then an upper bound on the true
+    minimum and at least L. The search stops at the first row that freezes
+    at most L (1 + CERTIFY_RTOL), the same threshold, since L certifies
+    that row as the global minimum (`_projected_gradient_batch`); where no
+    row gets there the stop changes nothing, and where one does min_Q is
+    within CERTIFY_RTOL of the value a search run to the end would give.
+    `iterations` is the search's own iteration count, at which it stopped
+    or its last row froze, and `face_steps` the number of its rows the
     face step finished. Deterministic for a fixed seed. Non-convergence of
     the winning run is reported through the `converged` flag, never
     silently.
@@ -403,7 +468,7 @@ def minimize_q(ch, rho, n, restarts=200, seed=0):
         p = _witness_row(ch.q, n, convex)
         a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
         value = float(p @ _times_gram(p[None, :], a, ch.q, n)[0])
-        if value <= lower * (1.0 + 1e-12):
+        if value <= lower * (1.0 + CERTIFY_RTOL):
             point, converged, iterations, face_steps = p, True, 0, 0
     if point is None:
         points, values, conv, iterations, face_steps = _search(
@@ -476,20 +541,40 @@ def regime_check(ch, res):
                     f"(rel tol {REGIME_RTOL:g}; {how})")
 
 
+def how_found(ch, res):
+    """How `minimize_q` reached res, for a report line.
+
+    The witness that attains L (0 iterations), a search stopped at L (its
+    winning row converged at a value L certifies), or a search of its
+    iterations and face steps.
+    """
+    if res.iterations == 0:
+        return f"the {_witness_name(ch.q, res.n, res.convex)}, which attains L; no search"
+    if res.converged and res.min_q <= res.lower * (1.0 + CERTIFY_RTOL):
+        return f"a search stopped at L after {res.iterations} iterations"
+    return f"a search of {res.iterations} iterations and {res.face_steps} face steps"
+
+
 def search_check(ch, rho, n, rows, seed):
     """(passed, line): the search alone, from `rows` random rows, finds L where a witness does.
 
     The rows are `_start_points`' Dirichlet draws from `seed`, without its
     uniform row and with no certification. It passes where the best row's
-    value is within REGIME_RTOL of L; the line counts the rows that are.
+    value is within REGIME_RTOL of L. The search stops at the first row
+    that freezes at a value L certifies (`_search`); a frozen row never
+    moves again, so the verdict is the one a search run until every row
+    froze would give. The line says whether, and after how many
+    iterations, the search stopped there.
     """
-    _, values, _, iterations, face_steps = _search(ch, rho, n,
-                                                   _start_points(ch, n, rows + 1, seed)[1:])
+    _, values, conv, iterations, face_steps = _search(ch, rho, n,
+                                                      _start_points(ch, n, rows + 1, seed)[1:])
     lower = min_q_lower_bound(ch, rho, n)
     best = float(values.min())
-    hits = int(np.count_nonzero(np.abs(values - lower) <= REGIME_RTOL * lower))
+    if np.any(conv & (values <= lower * (1.0 + CERTIFY_RTOL))):
+        how = f"row at L after {iterations} iterations; the search stopped there"
+    else:
+        how = f"no row at L; {iterations} iterations, {face_steps} face steps"
     return abs(best - lower) <= REGIME_RTOL * lower, (
         f"best of {rows} random rows {best!r} vs L = {lower!r}, min_Q/L - 1 = "
-        f"{best / lower - 1.0:.3g} (rel tol {REGIME_RTOL:g}); {hits} of {rows} rows reach L; "
-        f"{iterations} iterations, {face_steps} face steps"
+        f"{best / lower - 1.0:.3g} (rel tol {REGIME_RTOL:g}); {how}"
     )

@@ -171,6 +171,21 @@ def test_oracle_prints_how_far_a_search_without_a_witness_stays_above_l(capsys):
     assert rc == 0 and gap == pytest.approx(0.17, abs=0.005)
 
 
+@pytest.mark.parametrize("argv, found_by", [
+    (("--q", "5", "--eps", "0.1", "--rho", "6", "--n", "2"),
+     "the pentagon product, which attains L; no search"),
+    (("--q", "7", "--eps", "0.1", "--rho", "5", "--n", "1", "--restarts", "20"),
+     r"a search of [1-9]\d* iterations and \d+ face steps"),
+    # one ulp past rho_bar the uniform row, a saddle, is within 1e-15 of L and freezes at once
+    (("--q", "7", "--eps", "0.1", "--rho", repr(math.nextafter(rho_bar(Channel(7, 0.1)), math.inf)),
+      "--n", "1", "--restarts", "8"), "a search stopped at L after 1 iterations"),
+])
+def test_oracle_says_how_it_found_its_result(capsys, argv, found_by):
+    rc, out, err = run(capsys, "oracle", *argv)
+    assert rc == 0 and err == ""
+    assert re.search(f"^converged = True\nfound by = {found_by}\nregime = ", out, re.M), out
+
+
 def test_oracle_usage_errors(capsys):
     rc, _, err = run(capsys, "oracle", "--q", "5", "--eps", "0.1")
     assert rc == 2 and "--rho" in err
@@ -556,6 +571,21 @@ def test_config_key_that_is_no_option_is_refused(tmp_path_factory, key):
     cfg.write_text(f"{key}=1\n")
     with pytest.raises(ValueError, match=re.escape(f"{cfg}:1: unknown key {key!r}")):
         effective_settings(build_parser().parse_args(["verify", "--config", str(cfg)]))
+
+
+def test_config_keys_a_command_does_not_read_are_named_on_stderr(tmp_path, capsys):
+    # one config file serves every command; a key the command ignores is still
+    # checked, and named, so that a run never looks as if it used it
+    rc, plain, err = run(capsys, "verify", "--only", "theta")
+    assert rc == 0 and err == ""
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("q=7\nseed=3\neps=0.2\n")
+    rc, out, err = run(capsys, "verify", "--only", "theta", "--config", str(cfg))
+    assert rc == 0 and out == plain
+    assert err == f"warning: {cfg}: verify does not read q, eps\n"
+    cfg.write_text("seed=3\nonly=theta\n")
+    rc, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert rc == 0 and out == plain and err == ""
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -22,6 +22,7 @@ from relbound.channel import Channel, bhattacharyya, theta_cycle
 from relbound.classical import rho_bar
 from relbound.oracle import (
     BATCH_CAP,
+    CERTIFY_RTOL,
     FACE_BYTES,
     GRAD_MAP_TOL,
     REGIME_RTOL,
@@ -56,6 +57,18 @@ def _search(ch, rho, n, restarts, seed):
     """
     _, values, conv, iterations, face_steps = oracle._search(
         ch, rho, n, _start_points(ch, n, restarts, seed))
+    best = int(np.argmin(values))
+    return float(values[best]), bool(conv[best]), iterations, face_steps
+
+
+def _random_rows_search(ch, rho, n, restarts, seed):
+    """`_search` from the random start rows alone, as check (c) runs it.
+
+    In the convex regime the uniform row is the optimum, and a search that
+    holds it stops there, certified by L, in its first iteration.
+    """
+    _, values, conv, iterations, face_steps = oracle._search(
+        ch, rho, n, _start_points(ch, n, restarts, seed)[1:])
     best = int(np.argmin(values))
     return float(values[best]), bool(conv[best]), iterations, face_steps
 
@@ -123,6 +136,25 @@ def test_stencil_product_and_face_gather_match_the_kronecker_power(case):
     assert np.all(np.abs(got - x @ g) <= 1e-14 * scale)
     for s, block in zip(idx, _face_grams(a, q, n, idx)):
         assert np.array_equal(block, g[np.ix_(s, s)])
+
+
+@pytest.mark.parametrize("q, n", [(4, 1), (4, 2), (5, 2), (5, 3), (7, 2), (4, 5)])
+def test_gram_product_gives_each_row_its_own_bits_in_c_order(q, n):
+    # the solver compares values x G x taken in stacks of any size with the
+    # values of single rows; einsum sums an F-ordered operand's rows in another
+    # order, so the product is C-ordered whatever the order of x (the solver's x is)
+    rng = np.random.default_rng(10 * q + n)
+    a = bhattacharyya(0.1) ** 0.5
+    x = rng.dirichlet(np.ones(q**n), size=9)
+    for stack in (x[:1], x):
+        for given in (stack, np.asfortranarray(stack)):
+            xg = _times_gram(given, a, q, n)
+            assert xg.flags.c_contiguous
+            values = np.einsum("bi,bi->b", xg, stack)
+            for i, row in enumerate(stack):
+                alone = _times_gram(row[None, :], a, q, n)
+                assert np.array_equal(xg[i], alone[0])
+                assert values[i] == np.einsum("bi,bi->b", alone, row[None, :])[0]
 
 
 def test_eigenvalues_closed_form():
@@ -323,7 +355,7 @@ def test_slowest_convex_case_converges_in_few_iterations():
     ch = Channel(5, 0.5)
     rho = 0.5 * (1.0 + rho_bar(ch))
     assert rho <= rho_bar(ch)
-    value, converged, iterations, _ = _search(ch, rho, 2, 6, 0)
+    value, converged, iterations, _ = _random_rows_search(ch, rho, 2, 6, 0)
     assert converged
     assert value == pytest.approx(_uniform_value(ch, rho, 2), abs=1e-9)
     assert iterations <= 1000
@@ -439,7 +471,7 @@ def test_solver_reaches_exact_minimum_just_above_rho_bar(case):
 def test_slow_cases_below_rho_bar_finish_by_face_steps(q, eps, rho, restarts, seed):
     # the search itself: minimize_q returns the uniform witness here without one
     ch = Channel(q, eps)
-    value, converged, iterations, face_steps = _search(ch, rho, 2, restarts, seed)
+    value, converged, iterations, face_steps = _random_rows_search(ch, rho, 2, restarts, seed)
     assert rho <= rho_bar(ch) and converged
     assert iterations <= 500
     assert face_steps >= 1
@@ -495,9 +527,9 @@ def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
     solve, times_gram, minimize = (oracle._projected_gradient_batch, oracle._times_gram,
                                    oracle.minimize_q)
 
-    def spy(a, q, n, starts):
+    def spy(a, q, n, starts, stop_at):
         runs.append(starts.shape)
-        return solve(a, q, n, starts)
+        return solve(a, q, n, starts, stop_at)
 
     def count(x, *args):
         products.append(len(x))
@@ -516,6 +548,64 @@ def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
     assert len(calls) == 58
     assert all(witness_products == [1] for _, witness_products in calls)
     assert all(res.converged and res.iterations == res.face_steps == 0 for res, _ in calls)
+
+
+def _stop_free_search(ch, rho, n, starts):
+    """`oracle._search` without its stop at L: every row runs until it freezes."""
+    return oracle._projected_gradient_batch(bhattacharyya(ch.epsilon) ** (1.0 / rho), ch.q, n,
+                                            starts, -math.inf)
+
+
+@pytest.mark.parametrize("problem", [
+    (Channel(7, 0.1), 5.0, 2, 200, 0),
+    (Channel(9, 0.3), 10.0, 2, 200, 0),
+    (Channel(5, 0.1), 3.0, 3, 40, 0),
+    (Channel(11, 0.1), 5.0, 1, 200, 0),
+])
+def test_stop_at_l_changes_nothing_where_no_row_reaches_l(problem, monkeypatch):
+    # odd q past rho_bar, where min_Q stays above L
+    with_stop = minimize_q(*problem)
+    monkeypatch.setattr(oracle, "_search", _stop_free_search)
+    without = minimize_q(*problem)
+    assert with_stop.iterations > 0 and with_stop.min_q > with_stop.lower * 1.01
+    assert with_stop.distribution.tobytes() == without.distribution.tobytes()
+    assert (with_stop.min_q, with_stop.converged, with_stop.iterations, with_stop.face_steps) == (
+        without.min_q, without.converged, without.iterations, without.face_steps)
+
+
+# (ch, rho, n, restarts, seed, first start row)
+@pytest.mark.parametrize("ch, rho, n, restarts, seed, first", [
+    # check (c)'s two searches, from the random rows alone
+    (Channel(5, 0.1), 2.0 * rho_bar(Channel(5, 0.1)), 2, 151, 0, 1),
+    (Channel(4, 0.1), 2.0 * rho_bar(Channel(4, 0.1)), 2, 21, 0, 1),
+    (Channel(5, 0.1), 2.0 * rho_bar(Channel(5, 0.1)), 2, 151, 7, 1),
+    # one ulp past rho_bar, the uniform row is a saddle within 1e-15 of L
+    (Channel(7, 0.1), math.nextafter(rho_bar(Channel(7, 0.1)), math.inf), 1, 8, 0, 0),
+])
+def test_stop_at_l_ends_the_search_within_certify_rtol_of_its_end(ch, rho, n, restarts, seed,
+                                                                 first):
+    starts = _start_points(ch, n, restarts, seed)[first:]
+    _, values, conv, iterations, _ = oracle._search(ch, rho, n, starts)
+    _, full, full_conv, full_iterations, _ = _stop_free_search(ch, rho, n, starts)
+    lower = min_q_lower_bound(ch, rho, n)
+    best, full_best = values.min(), full.min()
+    assert iterations < full_iterations and full_conv.all()
+    assert conv[np.argmin(values)] and best <= lower * (1.0 + CERTIFY_RTOL)
+    assert best == pytest.approx(full_best, rel=CERTIFY_RTOL, abs=0.0)
+    # check (c)'s verdict, within REGIME_RTOL of L, is the one the full search gives
+    assert (abs(best - lower) <= REGIME_RTOL * lower) == (abs(full_best - lower) <= REGIME_RTOL * lower)
+
+
+def test_a_row_still_moving_at_l_when_the_search_stops_is_certified_too():
+    # even q past rho_bar, L = 1/3: when the first row freezes at L, a row still
+    # moving already sits at L too and is the best; L certifies it as well
+    ch, rho = Channel(6, 0.29004961705758286), 3.1722810699281485
+    starts = _start_points(ch, 1, 11, 3267007164)
+    _, values, conv, iterations, _ = oracle._search(ch, rho, 1, starts)
+    full_iterations = _stop_free_search(ch, rho, 1, starts)[3]
+    best = int(np.argmin(values))
+    assert iterations < full_iterations
+    assert conv[best] and values[best] <= min_q_lower_bound(ch, rho, 1) * (1.0 + CERTIFY_RTOL)
 
 
 def test_batch_keeps_an_unconverged_problem_apart(monkeypatch):
@@ -625,7 +715,7 @@ def test_face_step_skips_a_face_too_large_for_one_stack():
     assert 8 * m * m > FACE_BYTES
     x = np.full((1, m), 1.0 / m)
     faces = {}
-    z, took = _face_steps(0.0, m, 1, x, x, faces)
+    z, _, took = _face_steps(0.0, m, 1, x, x, faces)
     assert not took[0] and not faces
 
 

@@ -168,6 +168,25 @@ print(unexecuted())
 """) == ["[]", str(list(LAZY)), str(list(LAZY)), str([n for n in LAZY if n != "svgplot"])]
 
 
+def test_commands_that_draw_no_random_numbers_leave_numpy_random_unimported(tmp_path):
+    # numpy.random imports secrets, hmac and _hashlib, about 10 ms a process; only
+    # a search's random start rows, Monte Carlo and random codes need it, and a
+    # witnessed oracle problem is certified without a search
+    svg = str(tmp_path / "curves.svg")
+    assert _probe(f"""
+print("numpy.random" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    relbound.cli.main(["bounds", "--bounds", "all", "--points", "3"])
+    relbound.cli.main(["plot", "--points", "3", "--out", {svg!r}])
+    relbound.cli.main(["oracle", "--q", "5", "--eps", "0.1", "--rho", "6", "--n", "2"])
+print("numpy.random" in sys.modules)
+# the probe sees the import where a search does draw start rows
+with contextlib.redirect_stdout(io.StringIO()):
+    relbound.cli.main(["oracle", "--q", "7", "--eps", "0.1", "--rho", "5", "--restarts", "2"])
+print("numpy.random" in sys.modules)
+""") == ["False", "False", "True"]
+
+
 @pytest.mark.parametrize("argv, unexecuted", [
     (["simulate", "--code", "coset:4:2:1", "--trials", "100"], ["oracle", "acceptance", "svgplot"]),
     (["oracle", "--rho", "2"], ["acceptance", "svgplot", "pcg64"]),
