@@ -33,7 +33,6 @@ first start that stops at a value at most L (1 + CERTIFY_RTOL): L
 certifies it as the global minimum, so no other start can do better.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +54,14 @@ FACE_BYTES = 1 << 23
 # value is within a few ulps of L, far inside it, and a search stops at the first
 # row that freezes there
 CERTIFY_RTOL = 1e-12
+
+
+def _certified(value, lower):
+    """Whether L = lower certifies value as the global minimum: value <= L (1 + CERTIFY_RTOL).
+
+    No point of the simplex is below L. Elementwise where value is an array.
+    """
+    return value <= lower * (1.0 + CERTIFY_RTOL)
 
 
 def word_count(q, n):
@@ -128,41 +135,24 @@ def _step_size(a, n):
     return 1.0 / (2.0 * (1.0 + 2.0 * a) ** n)
 
 
-@functools.cache
-def _neighbours(q, n):
-    """For each letter k, the indices of the q^n words with letter k moved by -1, then by +1.
-
-    Row k holds both halves, cyclically in the letter, with letter 0 the
-    most significant digit of a word's index. Read-only, since it is shared.
-    """
-    m = q**n
-    words = np.arange(m)
-    out = np.empty((n, 2 * m), dtype=np.intp)
-    for k in range(n):
-        place = q ** (n - 1 - k)
-        letter = words // place % q
-        out[k, :m] = words + ((letter - 1) % q - letter) * place
-        out[k, m:] = words + ((letter + 1) % q - letter) * place
-    out.flags.writeable = False
-    return out
-
-
 def _times_gram(x, a, q, n):
     """Each row of x times the n-letter Gram matrix whose base has weight a, C-ordered.
 
     The base is applied along each of the n letter axes in turn (Van Loan
-    2000): y = y + a (y at letter - 1 + y at letter + 1, cyclically), the
-    neighbours gathered through `_neighbours`. It works on x transposed,
-    one word per row, so that the gather copies whole rows. Every entry is
-    computed elementwise, so a row gets the same bits in any stack. The
-    result is C-ordered, which `np.einsum("bi,bi->b", ...)` relies on to
-    sum each row in one order.
+    2000): y = x + a (x shifted by +1 + x shifted by -1, cyclically). It
+    works on x transposed, one word per row, so that every shift copies
+    contiguous blocks. Every entry is computed elementwise, so a row gets
+    the same bits in any stack. The result is C-ordered, which
+    `np.einsum("bi,bi->b", ...)` relies on to sum each row in one order.
     """
-    m = q**n
     y = np.ascontiguousarray(x.T)
-    for idx in _neighbours(q, n):
-        both = np.take(y, idx, axis=0)
-        s = np.add(both[:m], both[m:])
+    for k in range(n):
+        y3 = y.reshape(q**k, q, -1)  # letter k on the middle axis
+        s = np.empty_like(y3)
+        np.add(y3[:, :-2], y3[:, 2:], out=s[:, 1:-1])
+        np.add(y3[:, -1], y3[:, 1], out=s[:, 0])
+        np.add(y3[:, -2], y3[:, 0], out=s[:, -1])
+        s = s.reshape(y.shape)
         s *= a
         s += y
         y = s
@@ -276,7 +266,7 @@ def _face_steps(a, q, n, x, xg, faces):
     return z, z_values, took
 
 
-def _projected_gradient_batch(a, q, n, starts, stop_at):
+def _projected_gradient_batch(a, q, n, starts, lower):
     """Minimize p^T G p over the simplex from every row of starts at once.
 
     G, on q^n words, is the n-fold Kronecker power of the base with
@@ -311,22 +301,21 @@ def _projected_gradient_batch(a, q, n, starts, stop_at):
     z^T G z <= x^T G x, and z passes the same stopping test;
     every other row carries on with FISTA unchanged.
 
-    Stop at stop_at: after every iteration, the values x^T G x of the rows
-    that froze in it (from x G, or the face's value) are compared with
-    stop_at; where one is at most stop_at, the search ends there. The
-    rows still moving come back at their current points, unconverged
-    unless their value is at most stop_at too. A frozen row never moves
-    again, so the best value is at most the frozen row's, and a check of
-    the best value against a bound at or above stop_at (as `search_check`
-    makes) gets the verdict it gets from a search run until every row
-    froze. `_search` passes L (1 + CERTIFY_RTOL), which certifies the row
-    as the global minimum; where no row reaches stop_at, every bit of the
-    result is the one the search gives without the stop.
+    Stop at L = lower: after every iteration, the values x^T G x of the
+    rows that froze in it (from x G, or the face's value) are compared
+    with L; where L certifies one (`_certified`), the search ends there.
+    The rows still moving come back at their current points, unconverged
+    unless L certifies their value too. A frozen row never moves again, so
+    the best value is at most the frozen row's, and a check of the best
+    value against a bound at or above L (1 + CERTIFY_RTOL) (as
+    `search_check` makes) gets the verdict it gets from a search run until
+    every row froze. Where L certifies no row (lower = -inf never does),
+    every bit of the result is the one the search gives without the stop.
 
     Returns (points, values, converged_flags, iterations, face_steps), the
     last two ints: the search's own iteration count, at which it stopped
-    at stop_at or its last row froze (MAX_ITER where neither happened),
-    and the number of rows the face step finished.
+    at L or its last row froze (MAX_ITER where neither happened), and the
+    number of rows the face step finished.
     """
     step = _step_size(a, n)
     two_step = 2.0 * step
@@ -347,10 +336,10 @@ def _projected_gradient_batch(a, q, n, starts, stop_at):
         done = _stationary(x, proj[: len(x)] - x, step, GRAD_MAP_TOL)
         nxt = proj[len(x):].copy()  # a view would keep the half for x alive
         del proj
-        reached = False  # whether a row that froze in this iteration is at most stop_at
+        reached = False  # whether L certifies a row that froze in this iteration
         if done.any():
             points[rows[done]] = x[done]
-            reached = np.einsum("bi,bi->b", x[done], xg[done]).min() <= stop_at
+            reached = _certified(np.einsum("bi,bi->b", x[done], xg[done]).min(), lower)
         if it % FACE_PERIOD == 0:
             trial = np.flatnonzero(~done & (settled >= FACE_PERIOD))
             if trial.size:
@@ -358,7 +347,7 @@ def _projected_gradient_batch(a, q, n, starts, stop_at):
                 points[rows[trial[took]]] = z[took]
                 done[trial[took]] = True
                 face_steps += int(took.sum())
-                reached |= bool(np.any(z_values[took] <= stop_at))
+                reached |= bool(np.any(_certified(z_values[took], lower)))
         if done.any():
             conv[rows[done]] = True
             keep = ~done
@@ -367,7 +356,7 @@ def _projected_gradient_batch(a, q, n, starts, stop_at):
             )
             if reached:
                 # a row still moving at a value certified by L needs no more iterations either
-                conv[rows[np.einsum("bi,bi->b", x, xg) <= stop_at]] = True
+                conv[rows[_certified(np.einsum("bi,bi->b", x, xg), lower)]] = True
                 break
             if not rows.size:
                 break
@@ -423,11 +412,11 @@ def _start_points(ch, n, restarts, seed):
 def _search(ch, rho, n, starts):
     """`_projected_gradient_batch` from the rows `starts` of the problem (ch, rho, n).
 
-    It stops at the first row that freezes at a value certified by L
-    (`min_q_lower_bound`, within CERTIFY_RTOL).
+    It stops at the first row that freezes at a value that L
+    (`min_q_lower_bound`) certifies.
     """
     return _projected_gradient_batch(bhattacharyya(ch.epsilon) ** (1.0 / rho), ch.q, n, starts,
-                                     min_q_lower_bound(ch, rho, n) * (1.0 + CERTIFY_RTOL))
+                                     min_q_lower_bound(ch, rho, n))
 
 
 def minimize_q(ch, rho, n, restarts=200, seed=0):
@@ -437,16 +426,15 @@ def minimize_q(ch, rho, n, restarts=200, seed=0):
     q^n at most BATCH_CAP) are checked before any work. Where a witness
     attains L (`min_q_lower_bound`; the convex regime, even q, and q = 5
     with even n, `_witness_name`), the witness is evaluated with one
-    product with G; at most L (1 + CERTIFY_RTOL), it is returned as the
-    certified global minimum, converged after 0 iterations and 0 face
+    product with G; where L certifies it (`_certified`), it is returned as
+    the global minimum, converged after 0 iterations and 0 face
     steps. A witness is within a few ulps of L wherever it exists, so only
     problems without one are searched: from `restarts` start rows, the
     uniform row and then random simplex draws, as one vectorized batch,
     and the smallest value wins; min_Q is then an upper bound on the true
     minimum and at least L. The search stops at the first row that freezes
-    at most L (1 + CERTIFY_RTOL), the same threshold, since L certifies
-    that row as the global minimum (`_projected_gradient_batch`); where no
-    row gets there the stop changes nothing, and where one does min_Q is
+    at a value L certifies, by the same test, since that row is then the
+    global minimum (`_projected_gradient_batch`); where no row gets there the stop changes nothing, and where one does min_Q is
     within CERTIFY_RTOL of the value a search run to the end would give.
     `iterations` is the search's own iteration count, at which it stopped
     or its last row froze, and `face_steps` the number of its rows the
@@ -468,7 +456,7 @@ def minimize_q(ch, rho, n, restarts=200, seed=0):
         p = _witness_row(ch.q, n, convex)
         a = bhattacharyya(ch.epsilon) ** (1.0 / rho)
         value = float(p @ _times_gram(p[None, :], a, ch.q, n)[0])
-        if value <= lower * (1.0 + CERTIFY_RTOL):
+        if _certified(value, lower):
             point, converged, iterations, face_steps = p, True, 0, 0
     if point is None:
         points, values, conv, iterations, face_steps = _search(
@@ -550,7 +538,7 @@ def how_found(ch, res):
     """
     if res.iterations == 0:
         return f"the {_witness_name(ch.q, res.n, res.convex)}, which attains L; no search"
-    if res.converged and res.min_q <= res.lower * (1.0 + CERTIFY_RTOL):
+    if res.converged and _certified(res.min_q, res.lower):
         return f"a search stopped at L after {res.iterations} iterations"
     return f"a search of {res.iterations} iterations and {res.face_steps} face steps"
 
@@ -570,7 +558,7 @@ def search_check(ch, rho, n, rows, seed):
                                                       _start_points(ch, n, rows + 1, seed)[1:])
     lower = min_q_lower_bound(ch, rho, n)
     best = float(values.min())
-    if np.any(conv & (values <= lower * (1.0 + CERTIFY_RTOL))):
+    if np.any(conv & _certified(values, lower)):
         how = f"row at L after {iterations} iterations; the search stopped there"
     else:
         how = f"no row at L; {iterations} iterations, {face_steps} face steps"

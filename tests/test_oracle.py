@@ -50,19 +50,27 @@ def _uniform_value(ch, rho, n):
     return ((1.0 + 2.0 * bhattacharyya(ch.epsilon) ** (1.0 / rho)) / ch.q) ** n
 
 
-def _search(ch, rho, n, restarts, seed):
+def _stop_free_search(ch, rho, n, starts):
+    """`oracle._search` without its stop at L: every row runs until it freezes."""
+    return oracle._projected_gradient_batch(bhattacharyya(ch.epsilon) ** (1.0 / rho), ch.q, n,
+                                            starts, -math.inf)
+
+
+def _full_search(ch, rho, n, restarts, seed):
     """The search `minimize_q` runs where no witness certifies the problem, on any problem.
 
+    Every row runs until it freezes: with the stop at L, a search holding
+    the uniform row in the convex regime would end at it in iteration 1.
     Returns (best value, its converged flag, iterations, face steps).
     """
-    _, values, conv, iterations, face_steps = oracle._search(
+    _, values, conv, iterations, face_steps = _stop_free_search(
         ch, rho, n, _start_points(ch, n, restarts, seed))
     best = int(np.argmin(values))
     return float(values[best]), bool(conv[best]), iterations, face_steps
 
 
 def _random_rows_search(ch, rho, n, restarts, seed):
-    """`_search` from the random start rows alone, as check (c) runs it.
+    """`oracle._search` from the random start rows alone, as check (c) runs it.
 
     In the convex regime the uniform row is the optimum, and a search that
     holds it stops there, certified by L, in its first iteration.
@@ -414,7 +422,7 @@ CH_NEAR = Channel(5, 0.3)
 def test_accelerated_solver_matches_fixed_step_oracle(case):
     # the search itself, also where minimize_q would return a certified witness
     ch, rho, n, restarts, seed = case
-    value, converged, _, _ = _search(ch, rho, n, restarts, seed)
+    value, converged, _, _ = _full_search(ch, rho, n, restarts, seed)
     convex = rho <= rho_bar(ch)
     g = gram_matrix(ch, rho, n)
     starts = _start_points(ch, n, restarts, seed)
@@ -527,9 +535,9 @@ def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
     solve, times_gram, minimize = (oracle._projected_gradient_batch, oracle._times_gram,
                                    oracle.minimize_q)
 
-    def spy(a, q, n, starts, stop_at):
+    def spy(a, q, n, starts, lower):
         runs.append(starts.shape)
-        return solve(a, q, n, starts, stop_at)
+        return solve(a, q, n, starts, lower)
 
     def count(x, *args):
         products.append(len(x))
@@ -548,12 +556,6 @@ def test_oracle_criterion_solves_each_distinct_problem_once(monkeypatch):
     assert len(calls) == 58
     assert all(witness_products == [1] for _, witness_products in calls)
     assert all(res.converged and res.iterations == res.face_steps == 0 for res, _ in calls)
-
-
-def _stop_free_search(ch, rho, n, starts):
-    """`oracle._search` without its stop at L: every row runs until it freezes."""
-    return oracle._projected_gradient_batch(bhattacharyya(ch.epsilon) ** (1.0 / rho), ch.q, n,
-                                            starts, -math.inf)
 
 
 @pytest.mark.parametrize("problem", [
