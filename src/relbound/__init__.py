@@ -8,7 +8,7 @@ the first attribute access. The names the package exports from `codes`
 and `oracle` resolve through a PEP 562 `__getattr__`, so reading one
 loads its module.
 `relbound bounds` loads none of the five but `svgplot` for SVG output;
-`simulate` loads `codes`, and `pcg64` for Monte Carlo; `oracle` loads
+`simulate` loads `codes`, and `pcg64` once a Monte-Carlo row ties; `oracle` loads
 `oracle` and `codes`; `verify` loads `acceptance`, `oracle` and `codes`.
 `channel`, `solvers`, `classical`, `upper_bounds`, `lower_bounds`,
 `curves`, `constants` and `cli` load eagerly, since every `bounds` call

@@ -36,7 +36,12 @@ pairs. The Monte-Carlo decoder finds ties among small-integer ranks of
 the likelihoods, equal floats sharing a rank, instead of among float64
 scores, and computes only the tied rows' tie-breaking uniforms, each
 where it lies in the seeded PCG64 stream, whose state there is an
-affine map of the stream's start.
+affine map of the stream's start. Geometric uniformity serves it too:
+a trial of a linear code that sends c_s with noise pattern p receives
+y = c_s + p, whose maximizers are c_s plus those of p. So where 2^n <=
+min(trials, MC_DRAW), no more patterns than trials, it decodes the 2^n
+patterns once and each trial by its pattern alone; every other code,
+and a longer linear one, is decoded trial by trial.
 """
 
 import functools
@@ -553,10 +558,73 @@ def _tied_batches(maximizers, received, blocks, m, pick):
         tied = (np.bincount(rows, minlength=hi - lo) > 1)[rows]
         order = np.argsort(rows[tied], kind="stable")
         yield rows[tied][order] + lo, cols[tied][order]
-        step = max(1, _QUEUE_CAP // m)
-        for i in range(0, open_rows.size, step):
-            few = open_rows[i:i + step] + lo
-            yield np.repeat(few, m), np.tile(np.arange(m), few.size)
+        yield from _open_batches(open_rows + lo, m)
+
+
+def _open_batches(open_rows, m):
+    """(rows, cols) listing all m codewords at each open row, in batches of rows of about _QUEUE_CAP pairs."""
+    step = max(1, _QUEUE_CAP // m)
+    for i in range(0, open_rows.size, step):
+        few = open_rows[i:i + step]
+        yield np.repeat(few, m), np.tile(np.arange(m), few.size)
+
+
+def _pattern_decoder(code, maximizers, blocks):
+    """What _tied_batches does for each draw of a linear code, from the maximizers of its 0/1 noise patterns.
+
+    The maximizers of the 2^n patterns, received as sent from the zero
+    word, are found once, in row blocks as _tied_batches scores them.
+    The returned decode(senders, noise, pick) then needs only each
+    trial's pattern: pick is set to the sender where the pattern's one
+    maximizer is the zero word, and to m (no codeword) where it is
+    another; a pattern's tied maximizers c are yielded as the numbers of
+    sender + c, in batches of about _QUEUE_CAP pairs, and an open
+    pattern yields all m codewords. Word indices label the translates,
+    found by one searchsorted in the sorted indices of the code.
+    """
+    q, n, m = code.q, code.n, code.M
+    arr = code.array.astype(np.min_scalar_type(2 * q - 2))  # the smallest dtype that holds a sum of two symbols
+    patterns = all_words((0, 1), n)
+    rows, cols, open_rows = [], [], []
+    for lo, hi in _row_blocks(1 << n, *blocks, _MC_BLOCK_BYTES):
+        r, c, o = maximizers(patterns[lo:hi])
+        rows.append(r + lo)
+        cols.append(c)
+        open_rows.append(o + lo)
+    rows, cols, open_rows = map(np.concatenate, (rows, cols, open_rows))
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    count = np.bincount(rows, minlength=1 << n)
+    start = np.cumsum(count) - count  # of each pattern's maximizers in cols
+    count[open_rows] = m
+    index = word_indices(arr, q)
+    by_index = np.argsort(index)
+    index = index[by_index]
+    # whether the zero word (index 0, the least) is among a pattern's
+    # maximizers, as it is among an open pattern's m; where m = 1, that
+    # pattern has one maximizer, and its trials are right
+    right = np.zeros(1 << n, dtype=bool)
+    right[rows[cols == by_index[0]]] = True
+    right[open_rows] = True
+    step = max(1, _QUEUE_CAP // int(count[count < m].max(initial=1)))
+
+    def decode(senders, noise, pick):
+        masks = word_indices(noise, 2)  # a pattern's position is its 0/1 mask
+        size = count[masks]
+        pick[:] = np.where(right[masks], senders, m)  # right for the rows with one maximizer
+        tied = np.flatnonzero(size > 1)
+        every = size[tied] == m  # all m codewords tie: their translates are the code
+        few_tied = tied[~every]
+        for i in range(0, few_tied.size, step):
+            few = few_tied[i:i + step]
+            sizes = size[few]
+            rows = np.repeat(few, sizes)
+            at = np.arange(rows.size) + np.repeat(start[masks[few]] - np.cumsum(sizes) + sizes, sizes)
+            words = (arr[senders[rows]] + arr[cols[at]]) % q
+            yield rows, by_index[np.searchsorted(index, word_indices(words, q))]
+        yield from _open_batches(tied[every], m)
+
+    return decode
 
 
 def mc_pe(code, ch, trials, seed=0):
@@ -569,7 +637,8 @@ def mc_pe(code, ch, trials, seed=0):
     lies in PCG64's stream (pcg64.uniforms_at): its state there is an
     affine map of the stream's start. One `advance` then passes the
     draw's stream. So the result depends only on the seed, as if the
-    whole stream were drawn.
+    whole stream were drawn. The stream's step tables are built at the
+    first tied row, so a zero-error code never builds them.
     A received word y can only have been sent as one of the 2^n words
     y - p, p a 0/1 noise pattern. Where the outputs can be addressed
     directly (_addressable, the rule exact_word_errors also follows),
@@ -580,6 +649,18 @@ def mc_pe(code, ch, trials, seed=0):
     trials x M pairs, is capped at MC_PAIR_CAP; on the kernel path
     only, the code's one-hot width n q is capped at WIDTH_CAP and its
     key at KEY_CAP.
+    A code marked linear decodes its noise patterns instead of its
+    trials. A trial that sends c_s with pattern p receives y = c_s + p,
+    and y - c = p - (c - c_s) with c - c_s again a codeword, so the
+    maximizers at y are c_s plus the maximizers at p, open rows
+    included. So the 2^n patterns are decoded once (_pattern_decoder),
+    and a trial is wrong when its pattern's one maximizer is not the
+    zero word, or else picks among the translates of its pattern's
+    maximizers, with the same uniforms. This holds where 2^n <=
+    min(trials, MC_DRAW), so that decoding the patterns costs no more
+    than decoding the trials, and where q^n fits int64, so that word
+    indices label the translates; every other code, and a linear one
+    such as random_linear_code(5, 300, 2), is decoded trial by trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -598,20 +679,26 @@ def mc_pe(code, ch, trials, seed=0):
         maximizers, blocks = _candidate_maximizers(code, rank), (1 << n, 24, 0)
     else:
         maximizers, blocks = _kernel_maximizers(code, rank), (m, 48, n * q)
+    if code.linear and _power_within(q, n, _INT64_MAX) and _power_within(2, n, min(trials, MC_DRAW)):
+        decode = _pattern_decoder(code, maximizers, blocks)
+    else:
+        def decode(senders, noise, pick):
+            return _tied_batches(maximizers, (arr[senders] + noise) % q, blocks, m, pick)
     rng = np.random.default_rng(seed)
     bits = rng.bit_generator
-    tables = pcg64.step_tables(bits.state["state"]["inc"])
+    inc = bits.state["state"]["inc"]
+    tables = functools.cache(lambda: pcg64.step_tables(inc))  # at the first tied row
     errors = 0
     done = 0
     while done < trials:
         b = min(MC_DRAW, trials - done)
         senders = rng.integers(0, m, size=b)
-        received = (arr[senders] + (rng.random((b, n)) < eps)) % q
+        noise = rng.random((b, n)) < eps
         state = bits.state
         pick = np.empty(b, dtype=np.intp)
-        ties = _tied_batches(maximizers, received, blocks, m, pick)
-        uniforms = functools.partial(pcg64.uniforms_at, tables, state["state"]["state"], m)
-        _pick_batches(ties, pick, uniforms, m)
+        start = state["state"]["state"]
+        _pick_batches(decode(senders, noise, pick), pick,
+                      lambda rows, cols, start=start: pcg64.uniforms_at(tables(), start, m, rows, cols), m)
         errors += int(np.count_nonzero(pick != senders))
         # past the draw's stream; `advance` drops the 32-bit half `integers`
         # may have buffered for the next draw, so it is put back

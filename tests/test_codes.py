@@ -281,23 +281,102 @@ def test_mc_pe_where_every_likelihood_underflows_matches_tuple_oracle(monkeypatc
         assert mc_pe(code, ch, 60, seed=draw) == oracle.mc_pe(code, ch, 60, seed=draw, block=draw)
 
 
-def test_mc_pe_builds_no_array_of_trials_by_codewords():
+def test_mc_pe_builds_no_array_of_trials_by_codewords(monkeypatch):
     # q5plus:3:1 (M = 625): a (MC_DRAW, M) array of even one byte an entry
     # would be 10 MB, above BLOCK_BYTES; the row blocks stay far below it
     code = random_q5_code(3, 1, seed=0)
     ch = Channel(5, 0.2)
     assert codes_mod.MC_DRAW * code.M > codes_mod.BLOCK_BYTES
-    mc_pe(code, ch, 10)  # the stream's tables are built on first use
+    mc_pe(code, ch, 10)  # the lazy pcg64 module loads at the first tied row
     assert _traced_peak(mc_pe, code, ch, 20000) < codes_mod.BLOCK_BYTES
+    # every rank 0, as where every likelihood underflows: all M codewords
+    # tie on every row, and both decoders list them in batches. (At eps =
+    # 1e-300 no row ties at this length: a flip is never drawn, and one
+    # flip's likelihood, 1e-300, does not underflow.)
+    monkeypatch.setattr(codes_mod, "_weight_ranks", lambda n, eps: np.zeros(n + 1, dtype=np.uint8))
+    assert _traced_peak(mc_pe, code, ch, codes_mod.MC_DRAW) < codes_mod.BLOCK_BYTES
+    one = random_linear_code(5, 3, 0)  # the one-word code, where no row errs
+    for c in (code, one):
+        assert mc_pe(c, ch, 1000, seed=2) == mc_pe(make_code(c.array, 5), ch, 1000, seed=2)
+    assert mc_pe(one, ch, 1000).errors == 0
+
+
+def _bench_codes():
+    """The linear codes of the benchmark's Monte-Carlo ops: coset:6:3 at q = 4, q5plus:3:1, pentagon."""
+    return random_coset_code(4, 6, 3, seed=0)[0], random_q5_code(3, 1, seed=0), pentagon_code()
+
+
+@pytest.mark.parametrize("eps", [1e-300, 0.01, 0.2, 0.5])
+def test_pattern_decoder_matches_the_per_trial_decoder(eps):
+    # the same words not marked linear are decoded trial by trial
+    for code in _bench_codes():
+        plain = make_code(code.array, code.q)
+        assert code.linear and not plain.linear
+        ch = Channel(code.q, eps)
+        for seed, trials in ((0, 1), (1, 16384), (2, 16385), (3, 40000)):
+            assert mc_pe(code, ch, trials, seed=seed) == mc_pe(plain, ch, trials, seed=seed)
+
+
+def test_mc_pe_decodes_noise_patterns_only_for_linear_codes_with_few_of_them(monkeypatch):
+    def never(*args):
+        raise AssertionError("the other decoder ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(codes_mod, "_tied_batches", never)
+        for code, trials in zip(_bench_codes(), (20000, 20000, 100000)):
+            assert mc_pe(code, Channel(code.q, 0.2), trials, seed=1).trials == trials
+    monkeypatch.setattr(codes_mod, "_pattern_decoder", never)
+    coset = _bench_codes()[0]
+    # not marked linear; 2^300 patterns; 2^6 patterns, more than the 63 trials;
+    # word indices past int64 (1009^7 > 2^63), which would wrap
+    huge = random_linear_code(1009, 7, 1, seed=0)
+    for code, trials in ((_spec_code(THREE_WORDS), 2000), (random_linear_code(5, 300, 2, seed=0), 50),
+                         (coset, 63), (huge, 200)):
+        assert mc_pe(code, Channel(code.q, 0.5), trials, seed=1).trials == trials
+    assert huge.linear and mc_pe(huge, Channel(huge.q, 0.5), 200, seed=1).errors == 0
+
+
+def test_a_zero_error_code_never_builds_the_stream_tables(monkeypatch):
+    def no_tables(inc):
+        raise AssertionError("step tables built")
+
+    monkeypatch.setattr(pcg64, "step_tables", no_tables)
+    pentagon = pentagon_code()
+    for code in (pentagon, make_code(pentagon.array, 5)):  # both decoders
+        assert mc_pe(code, Channel(5, 0.2), 100000, seed=1).errors == 0
+    with pytest.raises(AssertionError, match="step tables built"):  # built at a tied row
+        mc_pe(random_q5_code(3, 1, seed=0), Channel(5, 0.2), 100)
 
 
 @st.composite
 def mc_cases(draw):
-    """Small codes (q 4..7, n <= 3), a channel, trials, seed, draw size and stream reader block."""
-    q = draw(st.integers(4, 7))
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, q**n))
-    code = _random_code(np.random.default_rng(draw(st.integers(0, 2**32))), q, n, m)
+    """Small codes, a channel, trials, seed, draw size and stream reader block.
+
+    Half the codes are random words (q 4..7, n <= 3), decoded trial by
+    trial; the others are built linear (coset lifts, q5plus codes, random
+    linear codes over Z_5 and Z_7, the pentagon), decoded from their
+    noise patterns where 2^n <= min(trials, draw size).
+    """
+    code_seed = draw(st.integers(0, 999))
+    kind = draw(st.just("words") if draw(st.booleans())
+                else st.sampled_from(["coset", "q5plus", "linear", "pentagon"]))
+    if kind == "coset":
+        n = draw(st.integers(1, 3))
+        code = random_coset_code(draw(st.sampled_from([4, 6])), n, draw(st.integers(0, n)), seed=code_seed)[0]
+    elif kind == "q5plus":
+        n = draw(st.integers(1, 2))
+        code = random_q5_code(n, draw(st.integers(0, 1)), seed=code_seed)
+    elif kind == "linear":
+        n = draw(st.integers(1, 3))
+        code = random_linear_code(draw(st.sampled_from([5, 7])), n, draw(st.integers(0, min(n, 2))), seed=code_seed)
+    elif kind == "pentagon":
+        code = pentagon_code()
+    else:
+        q = draw(st.integers(4, 7))
+        n = draw(st.integers(1, 3))
+        m = draw(st.integers(1, q**n))
+        code = _random_code(np.random.default_rng(draw(st.integers(0, 2**32))), q, n, m)
+    q, n = code.q, code.n
     eps = draw(st.sampled_from([0.01, 0.3, 0.5]))
     # draws of MC_DRAW trials, or shorter ones to keep the oracle's arrays small
     block = draw(st.sampled_from([codes_mod.MC_DRAW, 1000, 7]))
@@ -309,7 +388,7 @@ def mc_cases(draw):
     return code, Channel(q, eps), trials, seed, block, pair_block
 
 
-@settings(PROPERTY, max_examples=100)
+@settings(PROPERTY, max_examples=200)
 @given(mc_cases())
 def test_mc_pe_matches_tuple_oracle_on_generated_codes(case):
     code, ch, trials, seed, block, pair_block = case
