@@ -13,35 +13,29 @@ row block's one-hot rows stay within budget, and codes whose dense
 (n q, M) key exceeds KEY_CAP entries.
 
 The maximum-likelihood decoder breaks ties uniformly at random and the
-enumeration accounts for that exactly, by accumulating per-sender error
-mass term by term (so a zero-error code really evaluates to 0.0, not to
-1 minus float noise), through one tie rule on both of its paths. Each
-output letter comes from exactly two inputs, y and y - 1, so both
-decoders address outputs as word +- noise pattern:
-`_pattern_outputs` gives the base-q index of w + p (the enumeration,
-from each codeword) or of y - p (the Monte-Carlo decoder, the 2^n
-possible senders of a received y), with the wraps or borrows tabulated
-once per 0/1 mask. One rule, `_addressable` (q^n <= M 2^n and q^n <=
-OUTPUT_CAP), decides for both whether that index labels tables of q^n
-entries directly. Otherwise the enumeration ranks the reached outputs
-by one sort, and the Monte-Carlo decoder scores each trial against all
-M codewords through the pairwise kernel; only there do WIDTH_CAP and
-KEY_CAP bind it. A code marked linear is geometrically uniform: every
-codeword has the zero word's error, so within the rule the enumeration
-scores only the zero word's 2^n outputs, each against its competitors
-p - p' in a q^n membership table, and every other code enumerates all
-M 2^n (codeword, pattern) pairs. The rule gives 4^n <= q^n <= M 2^n,
-so on either path no enumeration table is longer than the M 2^n
-pairs. The Monte-Carlo decoder finds ties among small-integer ranks of
-the likelihoods, equal floats sharing a rank, instead of among float64
-scores, and computes only the tied rows' tie-breaking uniforms, each
-where it lies in the seeded PCG64 stream, whose state there is an
-affine map of the stream's start. Geometric uniformity serves it too:
-a trial of a linear code that sends c_s with noise pattern p receives
-y = c_s + p, whose maximizers are c_s plus those of p. So where 2^n <=
-min(trials, MC_DRAW), no more patterns than trials, it decodes the 2^n
-patterns once and each trial by its pattern alone; every other code,
-and a longer linear one, is decoded trial by trial.
+exact error accounts for that exactly, term by term (so a zero-error
+code really evaluates to 0.0, not to 1 minus float noise). Each output
+letter comes from exactly two inputs, y and y - 1, so outputs are
+addressed as word +- 0/1 noise pattern: `_pattern_outputs` gives the
+base-q index of w + p or y - p, with the wraps or borrows tabulated
+once per mask. One rule, `_addressable` (q^n <= M 2^n and q^n <=
+OUTPUT_CAP), decides whether that index labels tables of q^n entries
+directly. Within it the decoder finds a received row's maximizers among
+its 2^n possible senders y - p by table lookup; otherwise it scores all
+M codewords through the pairwise kernel, and only there do WIDTH_CAP
+and KEY_CAP bind it. It finds ties among small-integer ranks of the
+likelihoods, equal floats sharing a rank, and computes only the tied
+rows' tie-breaking uniforms, each where it lies in the seeded PCG64
+stream, whose state there is an affine map of the stream's start.
+
+A code marked linear is geometrically uniform: translating by a
+codeword maps every decision region, and every tie, onto another one.
+So the decoder runs once on the zero word's 2^n outputs
+(`_pattern_table`). Within the rule the exact error, which every
+codeword shares, is read from it, and so, for 2^n <= min(trials,
+MC_DRAW), is Monte Carlo: a trial sending c_s with pattern p has c_s
+plus p's maximizers. Otherwise the exact error enumerates the M 2^n
+(codeword, pattern) pairs, and Monte Carlo decodes each trial.
 """
 
 import functools
@@ -57,7 +51,7 @@ from .channel import bhattacharyya
 from .constants import MC_PAIR_CAP
 
 OUTPUT_CAP = 10**7
-REACH_CAP = 1 << 22  # reachable (codeword, output) pairs in exact_pe
+REACH_CAP = 1 << 22  # (codeword, pattern) pairs, or a linear code's pattern table, in exact_pe
 CODE_CAP = 1 << 16  # words in a constructed code
 BLOCK_BYTES = 1 << 23  # temporaries of one row block of the pairwise kernel
 # one-hot columns n q of the pairwise kernel: the widest constructed code
@@ -157,7 +151,7 @@ class Code:
 
     @property
     def linear(self):
-        """Whether a constructor built the words as a subgroup of Z_q^n.
+        """Whether a constructor built the words as a subgroup of Z_q^n, listed from the zero word.
 
         Only random_linear_code, build_q5_code and build_coset_code (from
         a linear shift code) set it; codes from make_code and parse_code,
@@ -342,45 +336,37 @@ def exact_word_errors(code, ch):
     """Exact ML error probability of each codeword, by output enumeration.
 
     Ties are charged their exact expected cost under a uniformly random
-    choice among the maximizers, by one function on both paths below
-    (`_tie_losses`, over (codeword, pattern) pairs and their outputs).
-
-    A code marked linear is a subgroup of Z_q^n, and the channel adds
-    its noise mod q, so translating by a codeword maps every decision
-    region, and every tie, onto another one: each codeword has the error
-    of the zero word (the code is geometrically uniform). Where the
-    outputs can be addressed directly (`code.linear and _addressable`),
-    only the zero word is scored, over its 2^n outputs p; p's
-    competitors are the codewords p - p', p' a 0/1 pattern, found in a
-    q^n membership table. The pairs (p - p', p') the table finds go
-    through `_tie_losses`, and the losses of the zero word's own pairs
-    (p' = p) are summed in pattern order. They are then those of any
-    codeword, in the same order, so each error has the bits the
-    enumeration gives. The addressing rule gives 4^n <= q^n <= M 2^n,
-    so neither the table nor the 2^n x 2^n competitor grid is longer
-    than the M 2^n pairs. Every other code enumerates all M 2^n
-    (codeword, pattern) pairs. The caps refuse the same codes on both
-    paths.
+    choice among the maximizers. A code marked linear is a subgroup of
+    Z_q^n, and the channel adds its noise mod q, so each codeword has
+    the error of the zero word. Where the outputs can be addressed
+    directly (`code.linear and _addressable`), that error is read from
+    the _pattern_table: pattern p loses its likelihood pw(p) unless the
+    zero word is among p's count[p] maximizers, and then loses it with
+    probability 1 - 1/count[p]. With the ops and the pattern-order sum
+    of _tie_losses, this has the bits the enumeration gives. REACH_CAP
+    caps the table's 2^n x 2^n = 4^n candidates (4^n <= q^n, so at the
+    default caps OUTPUT_CAP refuses first). Every other code enumerates
+    its M 2^n (codeword, pattern) pairs, within the same cap.
     """
     if code.q != ch.q:
         raise ValueError("code and channel alphabet sizes differ")
     q, n, m = code.q, code.n, code.M
     if not _power_within(q, n, OUTPUT_CAP):
         raise ValueError(f"q^n = {q}^{n} exceeds the enumeration cap {OUTPUT_CAP}")
-    if m * 2**n > REACH_CAP:
+    table = code.linear and _addressable(q, n, m)
+    if table and 4**n > REACH_CAP:
+        raise ValueError(f"pattern table of 4^{n} entries exceeds the cap REACH_CAP = {REACH_CAP}")
+    if not table and m << n > REACH_CAP:
         raise ValueError("reachable-output enumeration exceeds the cap")
-    patterns = all_words((0, 1), n)
-    weights = patterns.sum(axis=1)
-    eps = ch.epsilon
-    pw = (1.0 - eps) ** (n - weights) * eps**weights
-    if code.linear and _addressable(q, n, m):
-        member = np.zeros(q**n, dtype=bool)
-        member[word_indices(code.array, q)] = True
-        # the pairs that reach the zero word's outputs: output p from the codeword
-        # p - p' through pattern p', in row-major order; p' = p is the zero word's own
-        out, pattern = np.nonzero(member[_pattern_outputs(patterns, q, -1)])
-        loss = _tie_losses(out, pw[pattern], pw.size)
-        return np.full(m, loss[out == pattern].sum())
+    likelihood = _likelihoods(n, ch.epsilon)
+    pw = likelihood[all_words((0, 1), n).sum(axis=1)]  # of each pattern, whose position is its 0/1 mask
+    if table:
+        # the likelihoods order and tie as their _weight_ranks do
+        count, right = _pattern_table(code, _candidate_maximizers(code, likelihood), (1 << n, 24, 0))[2:]
+        share = np.where(right, 1.0 / count, 0.0)
+        loss = np.subtract(1.0, share, out=share)
+        loss *= pw
+        return np.full(m, loss.sum())
     # output index of every (codeword, noise pattern) pair, in the order of
     # all_words((0, 1), n); a word reaches distinct outputs through distinct
     # patterns. Dense output labels: the index itself where the outputs can
@@ -472,6 +458,11 @@ def _pick_batches(batches, pick, uniforms, m):
             queue, queued = [], 0
 
 
+def _likelihoods(n, eps):
+    """Likelihood of a 0/1 noise pattern of each weight 0..n."""
+    return (1.0 - eps) ** (n - np.arange(n + 1)) * eps ** np.arange(n + 1)
+
+
 def _weight_ranks(n, eps):
     """Rank of the likelihood of each noise-pattern weight 0..n among those and 0.
 
@@ -479,8 +470,7 @@ def _weight_ranks(n, eps):
     level and so rank 0. Equal floats share a rank: a likelihood that
     underflows to 0 ties with the unreachable outputs.
     """
-    pw = (1.0 - eps) ** (n - np.arange(n + 1)) * eps ** np.arange(n + 1)
-    levels, rank = np.unique(np.append(pw, 0.0), return_inverse=True)
+    levels, rank = np.unique(np.append(_likelihoods(n, eps), 0.0), return_inverse=True)
     return rank[:-1].astype(np.min_scalar_type(levels.size - 1))
 
 
@@ -526,7 +516,8 @@ def _candidate_maximizers(code, rank):
     A q^n table maps each candidate's index to its codeword number, or
     to M where the candidate is not in the code, which has likelihood 0
     (rank 0). Distinct patterns give distinct candidates, so a row never
-    lists a codeword twice.
+    lists a codeword twice. `rank` is _weight_ranks, or the likelihoods
+    of weights 0..n themselves, which order and tie as those do.
     """
     arr, q, n, m = code.array, code.q, code.n, code.M
     table = np.full(q**n, m, dtype=np.min_scalar_type(m))
@@ -569,21 +560,16 @@ def _open_batches(open_rows, m):
         yield np.repeat(few, m), np.tile(np.arange(m), few.size)
 
 
-def _pattern_decoder(code, maximizers, blocks):
-    """What _tied_batches does for each draw of a linear code, from the maximizers of its 0/1 noise patterns.
+def _pattern_table(code, maximizers, blocks):
+    """(rows, cols, count, right): a linear code's 2^n noise patterns decoded as sent from the zero word.
 
-    The maximizers of the 2^n patterns, received as sent from the zero
-    word, are found once, in row blocks as _tied_batches scores them.
-    The returned decode(senders, noise, pick) then needs only each
-    trial's pattern: pick is set to the sender where the pattern's one
-    maximizer is the zero word, and to m (no codeword) where it is
-    another; a pattern's tied maximizers c are yielded as the numbers of
-    sender + c, in batches of about _QUEUE_CAP pairs, and an open
-    pattern yields all m codewords. Word indices label the translates,
-    found by one searchsorted in the sorted indices of the code.
+    The patterns, in all_words((0, 1), n) order (a pattern's position is
+    its mask), are decoded once in row blocks. rows and cols are the
+    (pattern, codeword) maximizer pairs of the patterns that are not
+    open; count is each pattern's number of maximizers, m at an open
+    one, and right whether the zero word, codeword 0, is among them.
     """
-    q, n, m = code.q, code.n, code.M
-    arr = code.array.astype(np.min_scalar_type(2 * q - 2))  # the smallest dtype that holds a sum of two symbols
+    n, m = code.n, code.M
     patterns = all_words((0, 1), n)
     rows, cols, open_rows = [], [], []
     for lo, hi in _row_blocks(1 << n, *blocks, _MC_BLOCK_BYTES):
@@ -592,20 +578,33 @@ def _pattern_decoder(code, maximizers, blocks):
         cols.append(c)
         open_rows.append(o + lo)
     rows, cols, open_rows = map(np.concatenate, (rows, cols, open_rows))
+    count = np.bincount(rows, minlength=1 << n)
+    count[open_rows] = m
+    right = np.zeros(1 << n, dtype=bool)
+    right[rows[cols == 0]] = True
+    right[open_rows] = True
+    return rows, cols, count, right
+
+
+def _pattern_decoder(code, maximizers, blocks):
+    """What _tied_batches does for each draw of a linear code, from its _pattern_table.
+
+    The returned decode(senders, noise, pick) sets pick to the sender
+    where the trial's pattern has the one maximizer 0, and to m (no
+    codeword) where it has another; a pattern's tied maximizers c are
+    yielded as the numbers of sender + c, found by searchsorted in the
+    code's sorted word indices, in batches of about _QUEUE_CAP pairs,
+    and an open pattern yields all m codewords.
+    """
+    q, n, m = code.q, code.n, code.M
+    arr = code.array.astype(np.min_scalar_type(2 * q - 2))  # the smallest dtype that holds a sum of two symbols
+    rows, cols, count, right = _pattern_table(code, maximizers, blocks)
     order = np.argsort(rows, kind="stable")
     rows, cols = rows[order], cols[order]
-    count = np.bincount(rows, minlength=1 << n)
-    start = np.cumsum(count) - count  # of each pattern's maximizers in cols
-    count[open_rows] = m
+    start = np.searchsorted(rows, np.arange(1 << n))  # of each pattern's maximizers in cols
     index = word_indices(arr, q)
     by_index = np.argsort(index)
     index = index[by_index]
-    # whether the zero word (index 0, the least) is among a pattern's
-    # maximizers, as it is among an open pattern's m; where m = 1, that
-    # pattern has one maximizer, and its trials are right
-    right = np.zeros(1 << n, dtype=bool)
-    right[rows[cols == by_index[0]]] = True
-    right[open_rows] = True
     step = max(1, _QUEUE_CAP // int(count[count < m].max(initial=1)))
 
     def decode(senders, noise, pick):
@@ -653,14 +652,15 @@ def mc_pe(code, ch, trials, seed=0):
     trials. A trial that sends c_s with pattern p receives y = c_s + p,
     and y - c = p - (c - c_s) with c - c_s again a codeword, so the
     maximizers at y are c_s plus the maximizers at p, open rows
-    included. So the 2^n patterns are decoded once (_pattern_decoder),
-    and a trial is wrong when its pattern's one maximizer is not the
-    zero word, or else picks among the translates of its pattern's
-    maximizers, with the same uniforms. This holds where 2^n <=
-    min(trials, MC_DRAW), so that decoding the patterns costs no more
-    than decoding the trials, and where q^n fits int64, so that word
-    indices label the translates; every other code, and a linear one
-    such as random_linear_code(5, 300, 2), is decoded trial by trial.
+    included. So the 2^n patterns are decoded once (_pattern_table,
+    which exact_word_errors reads too), and a trial is wrong when its
+    pattern's one maximizer is not the zero word, or else picks among
+    the translates of its pattern's maximizers, with the same uniforms.
+    This holds where 2^n <= min(trials, MC_DRAW), so that decoding the
+    patterns costs no more than decoding the trials, and where q^n fits
+    int64, so that word indices label the translates; every other code,
+    and a linear one such as random_linear_code(5, 300, 2), is decoded
+    trial by trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

@@ -235,6 +235,14 @@ def test_simulate_takes_both_exact_lines_from_one_exact_pe_call(capsys, monkeypa
     assert "exact avg ML error: " in plain and "exact max ML error: " in plain
 
 
+def test_simulate_gives_the_exact_error_of_a_coset_code_past_the_pair_cap(capsys):
+    # 2^15 words of length 10: M 2^n = 2^25 (codeword, pattern) pairs, past
+    # REACH_CAP, but its pattern table has only 4^10 candidates
+    rc, out, err = run(capsys, "simulate", "--code", "coset:10:5:1", "--q", "4", "--eps", "0.1")
+    assert rc == 0 and "q=4 n=10 M=32768" in out
+    assert "exact avg ML error: " in out and "exact enumeration skipped:" not in out
+
+
 def test_simulate_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("5 2 2\n0 0\n9 9\n")

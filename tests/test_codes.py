@@ -448,15 +448,24 @@ def test_linear_codes_are_closed_under_subtraction(code):
     # the mark lets spectrum and exact_word_errors work from the zero word
     # alone, which holds only for a subgroup of Z_q^n
     assert code.linear
+    assert not code.array[0].any()  # listed from the zero word, codeword 0 of _pattern_table
     index = word_indices(code.array, code.q)
     for word in code.array:  # M^2 differences, a row of M at a time
         assert np.isin(word_indices((word - code.array) % code.q, code.q), index).all()
 
 
 # the benchmark's coset:8:4 code and a q5plus:4:1 code, both within the
-# addressing rule; random_q5_code(1, 0) is the pentagon, outside it
+# addressing rule; random_q5_code(1, 0) is the pentagon, outside it, where
+# a code marked linear enumerates its pairs too. The pentagon again with
+# every pattern tied (eps = 1/2), then with every likelihood past one flip
+# underflowing to 0 (eps = 1e-300), as for a q5plus:2:0 code (outside the
+# rule) and a coset code (within it)
 @example(random_coset_code(4, 8, 4, seed=293407)[0], 0.1)
 @example(random_q5_code(4, 1, seed=0), 0.3)
+@example(pentagon_code(), 0.5)
+@example(pentagon_code(), 1e-300)
+@example(random_q5_code(2, 0, seed=0), 1e-300)
+@example(random_coset_code(4, 5, 2, seed=1)[0], 1e-300)
 @PROPERTY
 @given(linear_codes(), st.sampled_from([1e-300, 0.01, 0.3, 0.5]))
 def test_linear_code_errors_match_the_enumeration(code, eps):
@@ -631,13 +640,63 @@ def test_exact_word_errors_memory():
     assert 5**10 <= codes_mod.OUTPUT_CAP
     assert _traced_peak(exact_word_errors, sparse, Channel(5, 0.1)) < 2e6
     # the benchmark's coset:8:4 code scores only its zero word: a 2^8 x 2^8
-    # competitor grid and a 4^8 membership table
+    # candidate grid and a 4^8 lookup table
     dense = random_coset_code(4, 8, 4, seed=293407)[0]
     assert dense.linear and _traced_peak(exact_word_errors, dense, Channel(4, 0.1)) < 4e6
     # its unmarked copy enumerates all 2^20 (word, pattern) pairs, and stays
     # well below the 50-52 MB the enumeration took when it sorted the pairs
     plain = make_code(dense.array, 4)
     assert _traced_peak(exact_word_errors, plain, Channel(4, 0.1)) < 45e6
+
+
+def test_linear_exact_pe_refuses_a_pattern_table_above_its_cap_before_allocating(monkeypatch):
+    # a linear code's table has 4^n candidates where its outputs are
+    # addressed directly (coset:8:4 at q = 4, whose M 2^n = 2^20 pairs the
+    # enumeration would need); outside that rule (a code over Z_7 with
+    # 7^8 > 2401 * 2^8) it enumerates its M 2^n pairs, as any code does
+    for code, entries, message in (
+            (random_coset_code(4, 8, 4, seed=293407)[0], 4**8, "pattern table of 4\\^8 entries .* REACH_CAP = {}"),
+            (random_linear_code(7, 8, 4, seed=0), 7**4 * 2**8, "reachable-output enumeration exceeds the cap")):
+        ch = Channel(code.q, 0.1)
+        monkeypatch.undo()
+        whole = exact_pe(code, ch)
+        monkeypatch.setattr(codes_mod, "REACH_CAP", entries - 1)
+
+        def refused():
+            with pytest.raises(ValueError, match=message.format(entries - 1)):
+                exact_pe(code, ch)
+
+        assert _traced_peak(refused) < entries  # under a byte per entry
+        monkeypatch.setattr(codes_mod, "REACH_CAP", entries)
+        assert exact_pe(code, ch) == whole
+
+
+def test_linear_exact_pe_outside_the_addressing_rule_enumerates_its_pairs():
+    # q^n = 211^3 > M 2^n = 211^2 * 8: the 356 168 (codeword, pattern) pairs,
+    # not the pairwise kernel's (n q, M) key of 28 million entries
+    code = random_linear_code(211, 3, 2, seed=0)
+    ch = Channel(211, 0.3)
+    assert code.linear and not codes_mod._addressable(211, 3, code.M)
+    assert _traced_peak(exact_pe, code, ch) < 40e6
+    assert exact_pe(code, ch) == exact_pe(make_code(code.array, 211), ch)
+    # a one-word code over a prime alphabet wider than the kernel's cap
+    one = random_linear_code(131101, 1, 0)
+    assert one.q > codes_mod.WIDTH_CAP
+    assert exact_pe(one, Channel(one.q, 0.3)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n, k", [(10, 5), (10, 6), (11, 5)])
+def test_exact_pe_of_coset_codes_past_the_pair_cap_matches_monte_carlo(n, k):
+    # M = 2^(n + k) words at q = 4, whose M 2^n (codeword, pattern) pairs pass
+    # REACH_CAP: only the zero word's 4^n-candidate pattern table is scored
+    code = random_coset_code(4, n, k, seed=1)[0]
+    assert code.M * 2**n > codes_mod.REACH_CAP
+    ch = Channel(4, 0.1)
+    avg, worst = exact_pe(code, ch)
+    assert 0 < avg <= worst
+    trials = codes_mod.MC_PAIR_CAP // code.M
+    mc = mc_pe(code, ch, trials, seed=3)
+    assert abs(mc.estimate - avg) <= 5 * math.sqrt(avg * (1 - avg) / trials)
 
 
 def test_pairwise_kernel_refuses_a_code_wider_than_its_cap():
