@@ -1,15 +1,15 @@
 """Reliability-function bounds for q-ary cyclic-shift (typewriter) channels.
 
-Each command loads only what it runs. `codes`, `oracle`, `acceptance`,
-`svgplot` and `pcg64` are lazy modules (`importlib.util.LazyLoader`, as
-in Scientific Python SPEC 1): from `import relbound` on, each module
+Each command loads only what it runs. `codes`, `oracle`, `acceptance`
+and `svgplot` are lazy modules (`importlib.util.LazyLoader`, as in
+Scientific Python SPEC 1): from `import relbound` on, each module
 object sits in `sys.modules` and on the package, and its body runs at
 the first attribute access. The names the package exports from `codes`
 and `oracle` resolve through a PEP 562 `__getattr__`, so reading one
 loads its module.
-`relbound bounds` loads none of the five but `svgplot` for SVG output;
-`simulate` loads `codes`, and `pcg64` once a Monte-Carlo row ties; `oracle` loads
-`oracle` and `codes`; `verify` loads `acceptance`, `oracle` and `codes`.
+`relbound bounds` loads none of the four but `svgplot` for SVG output;
+`simulate` loads `codes`; `oracle` loads `oracle` and `codes`; `verify`
+loads `acceptance`, `oracle` and `codes`.
 `channel`, `solvers`, `classical`, `upper_bounds`, `lower_bounds`,
 `curves`, `constants` and `cli` load eagerly, since every `bounds` call
 runs them.
@@ -41,7 +41,6 @@ codes = _lazy("codes")
 oracle = _lazy("oracle")
 acceptance = _lazy("acceptance")
 svgplot = _lazy("svgplot")
-pcg64 = _lazy("pcg64")
 
 from .channel import (
     Channel,
@@ -117,7 +116,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # what `from relbound import *` binds: the eager names, their modules, codes and
 # oracle, and the names those two export
 __all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} - {"acceptance", "svgplot", "pcg64"}
+    {name for name in globals() if not name.startswith("_")} - {"acceptance", "svgplot"}
     | _HOME.keys()
 )
 

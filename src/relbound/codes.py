@@ -24,9 +24,11 @@ directly. Within it the decoder finds a received row's maximizers among
 its 2^n possible senders y - p by table lookup; otherwise it scores all
 M codewords through the pairwise kernel, and only there do WIDTH_CAP
 and KEY_CAP bind it. It finds ties among small-integer ranks of the
-likelihoods, equal floats sharing a rank, and computes only the tied
-rows' tie-breaking uniforms, each where it lies in the seeded PCG64
-stream, whose state there is an affine map of the stream's start.
+likelihoods, equal floats sharing a rank, and keeps of each row only
+what the error needs (`_decoded`): its number of maximizers K, M where
+all tie, and whether the sender is among them. A uniform tie-break
+then picks the sender with probability 1/K, which the exact error
+charges and Monte Carlo draws with one uniform per trial.
 
 A code marked linear is geometrically uniform: translating by a
 codeword maps every decision region, and every tie, onto another one.
@@ -38,15 +40,12 @@ plus p's maximizers. Otherwise the exact error enumerates the M 2^n
 (codeword, pattern) pairs, and Monte Carlo decodes each trial.
 """
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import pcg64
 from .channel import bhattacharyya
 from .constants import MC_PAIR_CAP
 
@@ -60,11 +59,8 @@ WIDTH_CAP = 2 * CODE_CAP
 # entries n q M of the pairwise kernel's dense key (512 MiB of float64): the
 # largest key of a builtin of length >= 2, coset:2:0:S at q = 512, fits
 KEY_CAP = 1 << 26
-# trials per random draw in mc_pe; fixes its random stream, of which
-# mc_pe computes only the uniforms its tied rows read
-MC_DRAW = 1 << 14
+MC_DRAW = 1 << 14  # trials per random draw in mc_pe; fixes its random stream
 _INT64_MAX = (1 << 63) - 1
-_QUEUE_CAP = 1 << 13  # tied pairs queued before they are picked
 # temporaries of one mc_pe row block: within BLOCK_BYTES, and small enough
 # that its arrays stay in cache and are not fresh pages
 _MC_BLOCK_BYTES = 1 << 21
@@ -362,7 +358,7 @@ def exact_word_errors(code, ch):
     pw = likelihood[all_words((0, 1), n).sum(axis=1)]  # of each pattern, whose position is its 0/1 mask
     if table:
         # the likelihoods order and tie as their _weight_ranks do
-        count, right = _pattern_table(code, _candidate_maximizers(code, likelihood), (1 << n, 24, 0))[2:]
+        count, right = _pattern_table(code, _candidate_maximizers(code, likelihood), (1 << n, 24, 0))
         share = np.where(right, 1.0 / count, 0.0)
         loss = np.subtract(1.0, share, out=share)
         loss *= pw
@@ -428,34 +424,6 @@ def wilson_interval(errors, trials):
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == trials else min(1.0, center + half)
     return lo, hi
-
-
-def _tie_picks(u, rows, cols, m):
-    """Each run of equal rows and its pick: the col of the largest uniform u, the lowest col on equal ones.
-
-    That is where argmax over the row's full run of m uniforms, masked
-    to its cols, would land.
-    """
-    first = np.flatnonzero(np.diff(rows, prepend=-1))
-    top = np.repeat(np.maximum.reduceat(u, first), np.diff(first, append=rows.size))
-    return rows[first], np.minimum.reduceat(np.where(u == top, cols, m), first)
-
-
-def _pick_batches(batches, pick, uniforms, m):
-    """Set pick at the rows of each batch of tied (rows, cols), reading uniforms(rows, cols).
-
-    Batches are picked together (_tie_picks), about _QUEUE_CAP pairs at once.
-    """
-    queue, queued = [], 0
-    for batch in itertools.chain(batches, [None]):
-        if batch is not None and batch[0].size:
-            queue.append(batch)
-            queued += batch[0].size
-        if queue and (batch is None or queued >= _QUEUE_CAP):
-            rows, cols = map(np.concatenate, zip(*queue))
-            at, pick_at = _tie_picks(uniforms(rows, cols), rows, cols, m)
-            pick[at] = pick_at
-            queue, queued = [], 0
 
 
 def _likelihoods(n, eps):
@@ -535,109 +503,45 @@ def _candidate_maximizers(code, rank):
     return maximizers
 
 
-def _tied_batches(maximizers, received, blocks, m, pick):
-    """Set pick at each received row with one maximizer; yield the other rows' (rows, cols), grouped by row.
+def _decoded(maximizers, received, senders, blocks, m):
+    """(count, right) of each received row: its number of maximizers, m where all tie, and whether its sender is one.
 
     The rows are scored in row blocks of _MC_BLOCK_BYTES, blocks being
     the (columns, bytes per entry, one-hot width) of their temporaries.
-    A row whose every codeword ties yields all m of them, in batches of
-    rows of about _QUEUE_CAP pairs.
+    A uniformly random choice among a row's maximizers picks its sender
+    with probability right / count.
     """
+    count = np.empty(len(received), dtype=np.intp)
+    right = np.zeros(len(received), dtype=bool)
     for lo, hi in _row_blocks(len(received), *blocks, _MC_BLOCK_BYTES):
         rows, cols, open_rows = maximizers(received[lo:hi])
-        pick[rows + lo] = cols  # right for the rows with one maximizer
-        tied = (np.bincount(rows, minlength=hi - lo) > 1)[rows]
-        order = np.argsort(rows[tied], kind="stable")
-        yield rows[tied][order] + lo, cols[tied][order]
-        yield from _open_batches(open_rows + lo, m)
-
-
-def _open_batches(open_rows, m):
-    """(rows, cols) listing all m codewords at each open row, in batches of rows of about _QUEUE_CAP pairs."""
-    step = max(1, _QUEUE_CAP // m)
-    for i in range(0, open_rows.size, step):
-        few = open_rows[i:i + step]
-        yield np.repeat(few, m), np.tile(np.arange(m), few.size)
+        count[lo:hi] = np.bincount(rows, minlength=hi - lo)
+        count[open_rows + lo] = m
+        right[rows[cols == senders[lo:hi][rows]] + lo] = True
+        right[open_rows + lo] = True
+    return count, right
 
 
 def _pattern_table(code, maximizers, blocks):
-    """(rows, cols, count, right): a linear code's 2^n noise patterns decoded as sent from the zero word.
+    """_decoded of a linear code's 2^n noise patterns, each received as sent from the zero word, codeword 0.
 
-    The patterns, in all_words((0, 1), n) order (a pattern's position is
-    its mask), are decoded once in row blocks. rows and cols are the
-    (pattern, codeword) maximizer pairs of the patterns that are not
-    open; count is each pattern's number of maximizers, m at an open
-    one, and right whether the zero word, codeword 0, is among them.
+    The patterns are in all_words((0, 1), n) order, so a pattern's
+    position is its 0/1 mask.
     """
-    n, m = code.n, code.M
-    patterns = all_words((0, 1), n)
-    rows, cols, open_rows = [], [], []
-    for lo, hi in _row_blocks(1 << n, *blocks, _MC_BLOCK_BYTES):
-        r, c, o = maximizers(patterns[lo:hi])
-        rows.append(r + lo)
-        cols.append(c)
-        open_rows.append(o + lo)
-    rows, cols, open_rows = map(np.concatenate, (rows, cols, open_rows))
-    count = np.bincount(rows, minlength=1 << n)
-    count[open_rows] = m
-    right = np.zeros(1 << n, dtype=bool)
-    right[rows[cols == 0]] = True
-    right[open_rows] = True
-    return rows, cols, count, right
-
-
-def _pattern_decoder(code, maximizers, blocks):
-    """What _tied_batches does for each draw of a linear code, from its _pattern_table.
-
-    The returned decode(senders, noise, pick) sets pick to the sender
-    where the trial's pattern has the one maximizer 0, and to m (no
-    codeword) where it has another; a pattern's tied maximizers c are
-    yielded as the numbers of sender + c, found by searchsorted in the
-    code's sorted word indices, in batches of about _QUEUE_CAP pairs,
-    and an open pattern yields all m codewords.
-    """
-    q, n, m = code.q, code.n, code.M
-    arr = code.array.astype(np.min_scalar_type(2 * q - 2))  # the smallest dtype that holds a sum of two symbols
-    rows, cols, count, right = _pattern_table(code, maximizers, blocks)
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], cols[order]
-    start = np.searchsorted(rows, np.arange(1 << n))  # of each pattern's maximizers in cols
-    index = word_indices(arr, q)
-    by_index = np.argsort(index)
-    index = index[by_index]
-    step = max(1, _QUEUE_CAP // int(count[count < m].max(initial=1)))
-
-    def decode(senders, noise, pick):
-        masks = word_indices(noise, 2)  # a pattern's position is its 0/1 mask
-        size = count[masks]
-        pick[:] = np.where(right[masks], senders, m)  # right for the rows with one maximizer
-        tied = np.flatnonzero(size > 1)
-        every = size[tied] == m  # all m codewords tie: their translates are the code
-        few_tied = tied[~every]
-        for i in range(0, few_tied.size, step):
-            few = few_tied[i:i + step]
-            sizes = size[few]
-            rows = np.repeat(few, sizes)
-            at = np.arange(rows.size) + np.repeat(start[masks[few]] - np.cumsum(sizes) + sizes, sizes)
-            words = (arr[senders[rows]] + arr[cols[at]]) % q
-            yield rows, by_index[np.searchsorted(index, word_indices(words, q))]
-        yield from _open_batches(tied[every], m)
-
-    return decode
+    n = code.n
+    return _decoded(maximizers, all_words((0, 1), n), np.zeros(1 << n, dtype=np.intp), blocks, code.M)
 
 
 def mc_pe(code, ch, trials, seed=0):
     """Monte-Carlo average ML error with randomized tie-breaking.
 
     Each draw of MC_DRAW trials takes the senders, then the noise, then
-    a stream of one tie-breaking uniform per (trial, codeword) pair, row
-    by row; a tied row picks its maximizer of largest uniform. Only the
-    tied rows' maximizers read theirs, and each is computed where it
-    lies in PCG64's stream (pcg64.uniforms_at): its state there is an
-    affine map of the stream's start. One `advance` then passes the
-    draw's stream. So the result depends only on the seed, as if the
-    whole stream were drawn. The stream's step tables are built at the
-    first tied row, so a zero-error code never builds them.
+    one uniform u per trial. A trial is right when its sender is among
+    the K maximizers of its received row (K = M at an open row, where
+    every codeword ties) and u K < 1: a uniformly random tie-break picks
+    the sender with probability 1/K, and which wrong codeword it would
+    pick never changes the count. So the estimate is unbiased for
+    exact_pe's average and depends only on the seed.
     A received word y can only have been sent as one of the 2^n words
     y - p, p a 0/1 noise pattern. Where the outputs can be addressed
     directly (_addressable, the rule exact_word_errors also follows),
@@ -652,15 +556,12 @@ def mc_pe(code, ch, trials, seed=0):
     trials. A trial that sends c_s with pattern p receives y = c_s + p,
     and y - c = p - (c - c_s) with c - c_s again a codeword, so the
     maximizers at y are c_s plus the maximizers at p, open rows
-    included. So the 2^n patterns are decoded once (_pattern_table,
-    which exact_word_errors reads too), and a trial is wrong when its
-    pattern's one maximizer is not the zero word, or else picks among
-    the translates of its pattern's maximizers, with the same uniforms.
-    This holds where 2^n <= min(trials, MC_DRAW), so that decoding the
-    patterns costs no more than decoding the trials, and where q^n fits
-    int64, so that word indices label the translates; every other code,
-    and a linear one such as random_linear_code(5, 300, 2), is decoded
-    trial by trial.
+    included: as many, and c_s among them exactly when the zero word is
+    among p's. So the 2^n patterns are decoded once (_pattern_table,
+    which exact_word_errors reads too). This holds where 2^n <=
+    min(trials, MC_DRAW), so that decoding the patterns costs no more
+    than decoding the trials; every other code, and a linear one such
+    as random_linear_code(5, 300, 2), is decoded trial by trial.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -679,31 +580,25 @@ def mc_pe(code, ch, trials, seed=0):
         maximizers, blocks = _candidate_maximizers(code, rank), (1 << n, 24, 0)
     else:
         maximizers, blocks = _kernel_maximizers(code, rank), (m, 48, n * q)
-    if code.linear and _power_within(q, n, _INT64_MAX) and _power_within(2, n, min(trials, MC_DRAW)):
-        decode = _pattern_decoder(code, maximizers, blocks)
+    if code.linear and _power_within(2, n, min(trials, MC_DRAW)):
+        pattern_count, pattern_right = _pattern_table(code, maximizers, blocks)
+
+        def decode(senders, noise):
+            masks = word_indices(noise, 2)  # a pattern's position is its 0/1 mask
+            return pattern_count[masks], pattern_right[masks]
     else:
-        def decode(senders, noise, pick):
-            return _tied_batches(maximizers, (arr[senders] + noise) % q, blocks, m, pick)
+        def decode(senders, noise):
+            return _decoded(maximizers, (arr[senders] + noise) % q, senders, blocks, m)
     rng = np.random.default_rng(seed)
-    bits = rng.bit_generator
-    inc = bits.state["state"]["inc"]
-    tables = functools.cache(lambda: pcg64.step_tables(inc))  # at the first tied row
     errors = 0
     done = 0
     while done < trials:
         b = min(MC_DRAW, trials - done)
         senders = rng.integers(0, m, size=b)
         noise = rng.random((b, n)) < eps
-        state = bits.state
-        pick = np.empty(b, dtype=np.intp)
-        start = state["state"]["state"]
-        _pick_batches(decode(senders, noise, pick), pick,
-                      lambda rows, cols, start=start: pcg64.uniforms_at(tables(), start, m, rows, cols), m)
-        errors += int(np.count_nonzero(pick != senders))
-        # past the draw's stream; `advance` drops the 32-bit half `integers`
-        # may have buffered for the next draw, so it is put back
-        bits.advance(b * m)
-        bits.state = state | {"state": bits.state["state"]}
+        u = rng.random(b)
+        count, right = decode(senders, noise)
+        errors += int(np.count_nonzero(~right | (u * count >= 1.0)))
         done += b
     lo, hi = wilson_interval(errors, trials)
     return MCResult(errors / trials, lo, hi, trials, errors)

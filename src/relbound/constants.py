@@ -9,8 +9,7 @@ none of those lazy modules (see the package docstring).
 # (~80 MB at the cap) and a face-step stack (a few oracle.FACE_BYTES); the default 200
 # restarts fit at oracle.SIZE_CAP
 BATCH_CAP = 1 << 20
-# (trial, codeword) pairs scored by one codes.mc_pe call; below 2^32, so that
-# pcg64's tables reach every uniform of a draw's tie-breaking stream
+# (trial, codeword) pairs scored by one codes.mc_pe call
 MC_PAIR_CAP = 1 << 28
 # the acceptance criteria in run order, each acceptance.check_<name>: name -> what it checks
 CRITERIA_ABOUT = {

@@ -119,7 +119,12 @@ def exact_word_errors(code, ch, dense=True):
 
 
 def mc_pe(code, ch, trials, seed=0, block=1 << 14):
-    """Monte-Carlo ML error with the full block x M x n difference array."""
+    """Monte-Carlo ML error with the full block x M x n difference array.
+
+    After each block's senders and noise, one uniform u per trial: a
+    trial is right when its sender ties for the best likelihood with K
+    codewords in all and u K < 1.
+    """
     rng = np.random.default_rng(seed)
     q, n, m = code.q, code.n, code.M
     eps = ch.epsilon
@@ -138,8 +143,8 @@ def mc_pe(code, ch, trials, seed=0, block=1 << 14):
         scores = np.where(valid, pw[np.minimum(k, n)], 0.0)
         best = scores.max(axis=1, keepdims=True)
         tie = scores == best
-        pick = np.where(tie, rng.random(tie.shape), -1.0).argmax(axis=1)
-        errors += int(np.sum(pick != senders))
+        u = rng.random(b)
+        errors += int(np.count_nonzero(~(tie[np.arange(b), senders] & (u * tie.sum(axis=1) < 1.0))))
         done += b
     lo, hi = wilson_interval(errors, trials)
     return MCResult(errors / trials, lo, hi, trials, errors)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scalar_oracles import semidistance
 
 from relbound import codes as codes_mod
-from relbound import pcg64
 from relbound.channel import Channel
 from relbound.codes import (
     all_words,
@@ -158,15 +157,11 @@ def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
     # trial counts below, at and off multiples of the 16384-trial draw
     for seed, trials in ((0, 1), (1, 999), (2, 16384), (3, 16385), (4, 40000)):
         assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed)
-    # many small row blocks read the same tie-breaking stream
+    # many small row blocks give each trial the count and sender of its own row
     monkeypatch.setattr(codes_mod, "_MC_BLOCK_BYTES", 7 * code.M * 48)
     assert mc_pe(code, ch, 20001, seed=5) == oracle.mc_pe(code, ch, 20001, seed=5)
-    # so do blocks of 1 and 3 pairs, which split a tied row's maximizers,
-    # and the M of a row where all tie, between blocks of the stream
-    # reader; those blocks cross row-block edges and, in draws of 100
-    # trials, draw edges
-    for pair_block, draw, seed in ((1, codes_mod.MC_DRAW, 6), (3, 100, 7)):
-        monkeypatch.setattr(pcg64, "_PAIR_BLOCK", pair_block)
+    # and so do those blocks within draws of 100 trials, whose edges they cross
+    for draw, seed in ((codes_mod.MC_DRAW, 6), (100, 7)):
         monkeypatch.setattr(codes_mod, "MC_DRAW", draw)
         assert mc_pe(code, ch, 999, seed=seed) == oracle.mc_pe(code, ch, 999, seed=seed, block=draw)
 
@@ -174,7 +169,8 @@ def test_mc_pe_matches_tuple_oracle_bit_for_bit(code_spec, eps, monkeypatch):
 @pytest.mark.parametrize("draw", [7, 1])
 def test_mc_pe_keeps_the_buffered_half_across_odd_draws(draw, monkeypatch):
     # an odd draw of senders leaves half of a 64-bit word buffered for the
-    # next draw's senders; skipping uniforms with `advance` must not lose it
+    # next draw's senders, which the noise and tie-break draws between must
+    # not disturb
     monkeypatch.setattr(codes_mod, "MC_DRAW", draw)
     for spec, eps in ((("coset", 4, 3, 2, 1), 0.3), (("q5", 2, 1, 3), 0.2), (THREE_WORDS, 0.5)):
         code = _spec_code(spec)
@@ -184,101 +180,68 @@ def test_mc_pe_keeps_the_buffered_half_across_odd_draws(draw, monkeypatch):
             assert mc_pe(code, ch, trials, seed=seed) == expected
 
 
-def _xsl_rr(state):
-    """PCG64's 64-bit output from a 128-bit state: the halves' xor, rotated right by the top 6 bits."""
-    x, rot = (state >> 64 ^ state) & (2**64 - 1), state >> 122
-    return (x >> rot | x << (64 - rot)) & (2**64 - 1)
-
-
-def test_numpy_stream_facts_mc_pe_relies_on():
-    """mc_pe computes tie-breaking uniforms where they lie in PCG64's stream; these facts make that exact."""
-    rng = np.random.default_rng(3)
-    assert isinstance(rng.bit_generator, np.random.PCG64), (
-        f"default_rng now uses {type(rng.bit_generator).__name__}, not PCG64, whose stream pcg64 reads"
-    )
-    k, j = 1000, 37
-    whole = np.random.default_rng(3).random(k + j)
-    rng.bit_generator.advance(k)
-    assert np.array_equal(rng.random(j), whole[k:]), "advance(k) no longer skips k float64 uniforms"
-    bits = np.random.default_rng(4).bit_generator
-    state, inc = bits.state["state"]["state"], bits.state["state"]["inc"]
-    raw = [int(v) for v in bits.random_raw(3)]
-    for v in raw:
-        state = (pcg64.MULT * state + inc) % 2**128
-        assert v == _xsl_rr(state), (
-            "PCG64 no longer steps s -> a s + inc mod 2^128 with pcg64.MULT and then "
-            "outputs XSL-RR of the new state: pcg64's tables and output are wrong"
-        )
-    assert bits.state["state"]["state"] == state, "PCG64 no longer takes one step per 64-bit output"
-    assert np.random.default_rng(4).random(3).tolist() == [(v >> 11) * 2.0**-53 for v in raw], (
-        "random() no longer makes a double of the top 53 bits of one 64-bit output"
-    )
-    rng = np.random.default_rng(5)
-    rng.integers(0, 5, size=1)
-    rng.random(3)
-    assert rng.bit_generator.state["has_uint32"] == 1, (
-        "a bounded 32-bit draw no longer leaves half a word buffered past float draws"
-    )
-    rng.bit_generator.advance(0)
-    assert rng.bit_generator.state["has_uint32"] == 0, (
-        "advance keeps the buffered half now; mc_pe restores it after each draw's stream"
-    )
-
-
-_BOUNDARIES = [256**k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1)]
-
-
-@st.composite
-def stream_reads(draw):
-    """A PCG64 state, some with a buffered half, an M and sorted (row, col) pairs at generated positions."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
-    rng.integers(0, 7, size=draw(st.integers(0, 3)))  # an odd count leaves half a word buffered
-    rng.random(draw(st.integers(0, 5)))
-    m = draw(st.one_of(st.integers(1, 300), st.sampled_from([255, 256, 257, 65535]),
-                       st.integers(1, codes_mod.CODE_CAP)))
-    top = codes_mod.MC_PAIR_CAP - 1
-    # positions, some at a base-256 digit boundary of the position, of its
-    # row's offset or of its col
-    position = st.one_of(st.integers(0, top), st.sampled_from(_BOUNDARIES + [top]),
-                         st.sampled_from(_BOUNDARIES).map(lambda p: p * m % (top + 1)),
-                         st.tuples(st.integers(0, top // m), st.sampled_from([0, 254, 255, 256, m - 1]))
-                         .map(lambda rc: rc[0] * m + min(rc[1], m - 1)))
-    positions = sorted(draw(st.lists(position, min_size=1, max_size=12)))
-    return rng, m, np.array(positions) // m, np.array(positions) % m
-
-
-@settings(PROPERTY, max_examples=60)
-@given(stream_reads())
-def test_uniforms_at_are_the_doubles_random_draws_at_their_positions(case):
-    rng, m, rows, cols = case
-    assert codes_mod.MC_PAIR_CAP <= 256**pcg64._LEVELS  # every position of a draw is in reach
-    state = rng.bit_generator.state
-    tables = pcg64.step_tables(state["state"]["inc"])
-    got = pcg64.uniforms_at(tables, state["state"]["state"], m, rows, cols)
-    for u, p in zip(got.tolist(), (rows * m + cols).tolist()):
-        at = np.random.default_rng()
-        at.bit_generator.state = state
-        at.bit_generator.advance(p)
-        assert u == at.random(), f"position {p} (row {p // m}, col {p % m}, M = {m})"
-    # what is drawn in full, from the start
-    for p in range(3):
-        assert pcg64.uniforms_at(tables, state["state"]["state"], 1, np.array([p]), np.array([0]))[0] \
-            == rng.random()
-
-
 def test_mc_pe_where_every_likelihood_underflows_matches_tuple_oracle(monkeypatch):
     # at length 2200 and eps 0.3 every noise pattern's likelihood underflows
     # to 0, so each row's best rank is 0 and all M codewords tie; with
-    # blocks of 3 pairs and draws of 7 and 1 trials, a row's M pairs are
-    # split between blocks, and rows cross row-block and draw edges
+    # draws of 7 and 1 trials, rows cross draw edges
     code = random_linear_code(5, 2200, 1, seed=0)
     ch = Channel(5, 0.3)
     assert not codes_mod._weight_ranks(code.n, ch.epsilon).any()
     assert mc_pe(code, ch, 300, seed=1) == oracle.mc_pe(code, ch, 300, seed=1)
-    monkeypatch.setattr(pcg64, "_PAIR_BLOCK", 3)
     for draw in (7, 1):
         monkeypatch.setattr(codes_mod, "MC_DRAW", draw)
         assert mc_pe(code, ch, 60, seed=draw) == oracle.mc_pe(code, ch, 60, seed=draw, block=draw)
+
+
+@pytest.mark.parametrize("draw", [7, 1])
+def test_a_trial_where_all_tie_errs_exactly_when_its_uniform_times_m_reaches_1(draw, monkeypatch):
+    # every rank 0: every row is an M-way tie holding its sender, so a
+    # trial errs iff u M >= 1 for its uniform u, drawn after its draw's
+    # senders and noise. THREE_WORDS is decoded by the kernel, coset:2:1
+    # by candidate lookup and the pentagon by the kernel; the two linear
+    # codes are decoded from their 4 patterns in draws of 7 from 8 trials
+    # on, and trial by trial otherwise
+    monkeypatch.setattr(codes_mod, "_weight_ranks", lambda n, eps: np.zeros(n + 1, dtype=np.uint8))
+    monkeypatch.setattr(codes_mod, "MC_DRAW", draw)
+    for code in (_spec_code(THREE_WORDS), random_coset_code(4, 2, 1, seed=0)[0], pentagon_code()):
+        ch = Channel(code.q, 0.3)
+        for seed, trials in ((0, 1), (1, 8), (2, 61), (3, 200)):
+            rng = np.random.default_rng(seed)
+            errors = 0
+            for done in range(0, trials, draw):
+                b = min(draw, trials - done)
+                rng.integers(0, code.M, size=b)
+                rng.random((b, code.n))
+                errors += int(np.count_nonzero(rng.random(b) * code.M >= 1.0))
+            assert mc_pe(code, ch, trials, seed=seed).errors == errors
+
+    class Quarters:
+        """A stand-in generator: sender 0, and every uniform 1/4."""
+
+        def integers(self, low, high, size):
+            return np.zeros(size, dtype=np.int64)
+
+        def random(self, size):
+            return np.full(size, 0.25)
+
+    # u M = 1 exactly, at 4 words (the second decoded from its 2 patterns
+    # in draws of 7): the sender loses
+    codes = (make_code([(0,), (1,), (2,), (3,)], 4), random_coset_code(4, 1, 1, seed=0)[0])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Quarters())
+    for code in codes:
+        assert code.M == 4 and mc_pe(code, Channel(4, 0.3), 9).errors == 9
+
+
+# at eps 1/2 every row of the coset code ties (4 maximizers; exact error
+# 3/4), and about a sixth of THREE_WORDS' rows do
+@pytest.mark.parametrize("spec", [THREE_WORDS, ("coset", 4, 4, 2, 3)])
+def test_mc_pe_where_rows_tie_lands_within_5_sigma_of_exact_pe(spec):
+    code = _spec_code(spec)
+    ch = Channel(code.q, 0.5)
+    avg, _ = exact_pe(code, ch)
+    trials = 200000
+    mc = mc_pe(code, ch, trials, seed=11)
+    assert abs(mc.estimate - avg) <= 5 * math.sqrt(avg * (1 - avg) / trials)
 
 
 def test_mc_pe_builds_no_array_of_trials_by_codewords(monkeypatch):
@@ -287,10 +250,10 @@ def test_mc_pe_builds_no_array_of_trials_by_codewords(monkeypatch):
     code = random_q5_code(3, 1, seed=0)
     ch = Channel(5, 0.2)
     assert codes_mod.MC_DRAW * code.M > codes_mod.BLOCK_BYTES
-    mc_pe(code, ch, 10)  # the lazy pcg64 module loads at the first tied row
+    mc_pe(code, ch, 10)  # a first call, so that no one-time setup is traced
     assert _traced_peak(mc_pe, code, ch, 20000) < codes_mod.BLOCK_BYTES
     # every rank 0, as where every likelihood underflows: all M codewords
-    # tie on every row, and both decoders list them in batches. (At eps =
+    # tie on every row, which counts M of them and lists none. (At eps =
     # 1e-300 no row ties at this length: a flip is never drawn, and one
     # flip's likelihood, 1e-300, does not underflow.)
     monkeypatch.setattr(codes_mod, "_weight_ranks", lambda n, eps: np.zeros(n + 1, dtype=np.uint8))
@@ -318,39 +281,37 @@ def test_pattern_decoder_matches_the_per_trial_decoder(eps):
 
 
 def test_mc_pe_decodes_noise_patterns_only_for_linear_codes_with_few_of_them(monkeypatch):
-    def never(*args):
-        raise AssertionError("the other decoder ran")
+    decoded = []
+    real = codes_mod._decoded
 
-    with monkeypatch.context() as mp:
-        mp.setattr(codes_mod, "_tied_batches", never)
-        for code, trials in zip(_bench_codes(), (20000, 20000, 100000)):
-            assert mc_pe(code, Channel(code.q, 0.2), trials, seed=1).trials == trials
-    monkeypatch.setattr(codes_mod, "_pattern_decoder", never)
-    coset = _bench_codes()[0]
-    # not marked linear; 2^300 patterns; 2^6 patterns, more than the 63 trials;
-    # word indices past int64 (1009^7 > 2^63), which would wrap
+    def recorded(maximizers, received, *args):
+        decoded.append(len(received))
+        return real(maximizers, received, *args)
+
+    # the linear benchmark codes, and one whose word indices pass int64
+    # (1009^7 > 2^63), decode their 2^n patterns in one call, and no trial
+    monkeypatch.setattr(codes_mod, "_decoded", recorded)
     huge = random_linear_code(1009, 7, 1, seed=0)
-    for code, trials in ((_spec_code(THREE_WORDS), 2000), (random_linear_code(5, 300, 2, seed=0), 50),
-                         (coset, 63), (huge, 200)):
-        assert mc_pe(code, Channel(code.q, 0.5), trials, seed=1).trials == trials
+    for code, trials in zip((*_bench_codes(), huge), (20000, 20000, 100000, 200)):
+        decoded.clear()
+        assert mc_pe(code, Channel(code.q, 0.2), trials, seed=1).trials == trials
+        assert decoded == [1 << code.n]
     assert huge.linear and mc_pe(huge, Channel(huge.q, 0.5), 200, seed=1).errors == 0
 
+    def never(*args):
+        raise AssertionError("the pattern table was built")
 
-def test_a_zero_error_code_never_builds_the_stream_tables(monkeypatch):
-    def no_tables(inc):
-        raise AssertionError("step tables built")
-
-    monkeypatch.setattr(pcg64, "step_tables", no_tables)
-    pentagon = pentagon_code()
-    for code in (pentagon, make_code(pentagon.array, 5)):  # both decoders
-        assert mc_pe(code, Channel(5, 0.2), 100000, seed=1).errors == 0
-    with pytest.raises(AssertionError, match="step tables built"):  # built at a tied row
-        mc_pe(random_q5_code(3, 1, seed=0), Channel(5, 0.2), 100)
+    monkeypatch.setattr(codes_mod, "_pattern_table", never)
+    coset = _bench_codes()[0]
+    # not marked linear; 2^300 patterns; 2^6 patterns, more than the 63 trials
+    for code, trials in ((_spec_code(THREE_WORDS), 2000), (random_linear_code(5, 300, 2, seed=0), 50),
+                         (coset, 63)):
+        assert mc_pe(code, Channel(code.q, 0.5), trials, seed=1).trials == trials
 
 
 @st.composite
 def mc_cases(draw):
-    """Small codes, a channel, trials, seed, draw size and stream reader block.
+    """Small codes, a channel, trials, seed and draw size.
 
     Half the codes are random words (q 4..7, n <= 3), decoded trial by
     trial; the others are built linear (coset lifts, q5plus codes, random
@@ -384,17 +345,15 @@ def mc_cases(draw):
         block = 1000
     trials = draw(st.integers(1, 40000 if block > 7 else 500))
     seed = draw(st.integers(0, 2**64 - 1))
-    pair_block = draw(st.sampled_from([1, 5, pcg64._PAIR_BLOCK]))
-    return code, Channel(q, eps), trials, seed, block, pair_block
+    return code, Channel(q, eps), trials, seed, block
 
 
 @settings(PROPERTY, max_examples=200)
 @given(mc_cases())
 def test_mc_pe_matches_tuple_oracle_on_generated_codes(case):
-    code, ch, trials, seed, block, pair_block = case
+    code, ch, trials, seed, block = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes_mod, "MC_DRAW", block)
-        mp.setattr(pcg64, "_PAIR_BLOCK", pair_block)
         assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed, block=block)
 
 
@@ -763,7 +722,7 @@ def test_mc_pe_matches_tuple_oracle_on_both_sides_of_the_addressing_rule(q, n, e
         assert codes_mod._addressable(q, n, m) == candidates
         for seed, trials in ((0, 999), (1, 16385)):
             assert mc_pe(code, ch, trials, seed=seed) == oracle.mc_pe(code, ch, trials, seed=seed)
-        # an odd draw leaves a buffered half that each draw's skips must keep
+        # an odd draw leaves a buffered half that the next draw's senders read
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codes_mod, "MC_DRAW", 7)
             assert mc_pe(code, ch, 200, seed=2) == oracle.mc_pe(code, ch, 200, seed=2, block=7)

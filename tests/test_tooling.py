@@ -131,7 +131,7 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-LAZY = ("codes", "oracle", "acceptance", "svgplot", "pcg64")
+LAZY = ("codes", "oracle", "acceptance", "svgplot")
 # run in a fresh interpreter: unexecuted() lists the lazy modules whose body has not run
 PROBE = f"""
 import contextlib, io, sys, types
@@ -189,7 +189,7 @@ print("numpy.random" in sys.modules)
 
 @pytest.mark.parametrize("argv, unexecuted", [
     (["simulate", "--code", "coset:4:2:1", "--trials", "100"], ["oracle", "acceptance", "svgplot"]),
-    (["oracle", "--rho", "2"], ["acceptance", "svgplot", "pcg64"]),
+    (["oracle", "--rho", "2"], ["acceptance", "svgplot"]),
 ])
 def test_a_command_runs_only_the_lazy_modules_it_needs(argv, unexecuted):
     assert _probe(f"""
