@@ -26,11 +26,15 @@ is the one place that turns a ValueError or OSError into
 
 `acceptance`, `codes`, `oracle` and `svgplot` are lazy modules (see the
 package docstring): this module binds them at import and reads their
-attributes only inside the `cmd_*` that runs them, and `main` builds the
-options of the one command it runs.
+attributes only inside the `cmd_*` that runs them. `main` parses with
+the one command's own parser (COMMON plus its options), built at its
+first call and reused for the rest of the process; the full tree of
+subparsers is built only for --help, an empty argv or an unknown command.
+A usage error after a known command prints that command's usage line.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -79,21 +83,42 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command=None):
-    """The CLI's parser; given a command, only that subcommand gets its options."""
+    """The parser of one command, built on first use and kept for the process.
+
+    Given a command it is that command's own parser, which reads the
+    arguments after the command name; with none it is the full tree of
+    subparsers, which serves --help, an empty argv and an unknown command.
+    """
+    if command is not None:
+        return _add_options(argparse.ArgumentParser(prog=f"relbound {command}"), command)
     ap = argparse.ArgumentParser(
         prog="relbound",
         description="Reliability-function bounds for q-ary cyclic-shift channels.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (about, own) in COMMANDS.items():
-        p = sub.add_parser(name, help=about)
-        if command not in (None, name):
-            continue
-        for opt, (typ, _, helptext) in OPTIONS.items():
-            if opt in COMMON + own:
-                p.add_argument(f"--{opt}", type=typ, help=helptext)
+    for name, (about, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=about), name)
     return ap
+
+
+def _add_options(parser, command):
+    """parser with command's flags, COMMON and its own options, in OPTIONS order."""
+    own = COMMON + COMMANDS[command][1]
+    for opt, (typ, _, helptext) in OPTIONS.items():
+        if opt in own:
+            parser.add_argument(f"--{opt}", type=typ, help=helptext)
+    return parser
+
+
+def parse_args(argv):
+    """The Namespace, command included, that the full parser gives argv, from its command's own parser."""
+    if argv and argv[0] in COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+    return build_parser().parse_args(argv)
 
 
 def load_config(path):
@@ -285,8 +310,7 @@ def cmd_verify(s):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a command builds only its own options; --help or a bad command gets them all
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = parse_args(argv)
     try:
         command = {"bounds": cmd_bounds, "plot": cmd_plot, "oracle": cmd_oracle,
                    "simulate": cmd_simulate, "verify": cmd_verify}

@@ -298,32 +298,36 @@ def _addressable(q, n, m):
     return _power_within(q, n, OUTPUT_CAP) and q**n <= m << n
 
 
-def _pattern_outputs(words, q, sign):
+def _pattern_outputs(words, q, sign, digits):
     """Base-q index of w + sign p mod q for each word w (row) and 0/1 pattern p (column).
 
     The patterns are in all_words((0, 1), n) order, so a pattern's
-    position is its 0/1 mask. Adding p (sign 1) wraps where w_j = q - 1
-    meets p_j = 1, and subtracting it (sign -1) borrows where w_j = 0
-    does:
+    position is its 0/1 mask; digits holds their base-q indices. Adding
+    p (sign 1) wraps where w_j = q - 1 meets p_j = 1, and subtracting it
+    (sign -1) borrows where w_j = 0 does:
       idx(w + p) = idx(w) + idx(p) - q idx(p AND [w == q - 1]),
       idx(w - p) = idx(w) - idx(p) + q idx(p AND [w == 0]).
     A word's wraps or borrows depend only on its mask of those symbols,
     so they are tabulated once per distinct mask (_pattern_shifts).
     """
-    index, shift, kind = _pattern_shifts(words, q, sign)
+    index, shift, kind = _pattern_shifts(words, q, sign, digits)
     return index[:, None] + shift[kind]
 
 
-def _pattern_shifts(words, q, sign):
+def _pattern_shifts(words, q, sign, digits):
     """(index, shift, kind) with index[i] + shift[kind[i], p] the _pattern_outputs of word i and pattern p.
 
     index is each word's base-q index; shift has a row per distinct
-    mask of wraps or borrows and a column per pattern, and kind gives
-    each word's row.
+    mask of wraps or borrows, in increasing mask order, and a column per
+    pattern, and kind gives each word's row. The distinct masks are read
+    from an occupancy table over the 2^n masks, not sorted: every caller
+    has q^n <= OUTPUT_CAP, so the table is no longer than digits.
     """
-    n = words.shape[1]
-    digits = word_indices(all_words((0, 1), n), q)  # base-q index of each pattern, that is of each mask
-    masks, kind = np.unique(word_indices(words == (q - 1 if sign > 0 else 0), 2), return_inverse=True)
+    wraps = word_indices(words == (q - 1 if sign > 0 else 0), 2)
+    seen = np.zeros(digits.size, dtype=bool)
+    seen[wraps] = True
+    masks = np.flatnonzero(seen)
+    kind = np.cumsum(seen, dtype=np.intp)[wraps] - 1  # each mask's row among the distinct masks
     shift = sign * (digits - q * digits[masks[:, None] & np.arange(digits.size)])
     return word_indices(words, q), shift, kind
 
@@ -355,10 +359,12 @@ def exact_word_errors(code, ch):
     if not table and m << n > REACH_CAP:
         raise ValueError("reachable-output enumeration exceeds the cap")
     likelihood = _likelihoods(n, ch.epsilon)
-    pw = likelihood[all_words((0, 1), n).sum(axis=1)]  # of each pattern, whose position is its 0/1 mask
+    patterns = all_words((0, 1), n)
+    pw = likelihood[patterns.sum(axis=1)]  # of each pattern, whose position is its 0/1 mask
     if table:
         # the likelihoods order and tie as their _weight_ranks do
-        count, right = _pattern_table(code, _candidate_maximizers(code, likelihood), (1 << n, 24, 0))
+        maximizers = _candidate_maximizers(code, likelihood, patterns)
+        count, right = _pattern_table(code, maximizers, (1 << n, 24, 0), patterns)
         share = np.where(right, 1.0 / count, 0.0)
         loss = np.subtract(1.0, share, out=share)
         loss *= pw
@@ -368,7 +374,7 @@ def exact_word_errors(code, ch):
     # patterns. Dense output labels: the index itself where the outputs can
     # be addressed directly, else the rank among the reached outputs; so no
     # table below is longer than reach
-    reach = _pattern_outputs(code.array, q, 1).ravel()
+    reach = _pattern_outputs(code.array, q, 1, word_indices(patterns, q)).ravel()
     if _addressable(q, n, m):
         size, out = q**n, reach
     else:
@@ -478,9 +484,10 @@ def _kernel_maximizers(code, rank):
     return maximizers
 
 
-def _candidate_maximizers(code, rank):
+def _candidate_maximizers(code, rank, patterns):
     """What _kernel_maximizers returns, from each received row's 2^n possible senders y - p.
 
+    patterns is all_words((0, 1), n), built once by the caller.
     A q^n table maps each candidate's index to its codeword number, or
     to M where the candidate is not in the code, which has likelihood 0
     (rank 0). Distinct patterns give distinct candidates, so a row never
@@ -490,10 +497,11 @@ def _candidate_maximizers(code, rank):
     arr, q, n, m = code.array, code.q, code.n, code.M
     table = np.full(q**n, m, dtype=np.min_scalar_type(m))
     table[word_indices(arr, q)] = np.arange(m)
-    pattern_rank = rank[all_words((0, 1), n).sum(axis=1)][:, None]
+    pattern_rank = rank[patterns.sum(axis=1)][:, None]
+    digits = word_indices(patterns, q)
 
     def maximizers(received):
-        index, shift, kind = _pattern_shifts(received, q, -1)
+        index, shift, kind = _pattern_shifts(received, q, -1, digits)
         cand = np.ascontiguousarray(shift.T).take(kind, axis=1)  # a row per pattern
         cand += index
         cand = table[cand]
@@ -522,14 +530,13 @@ def _decoded(maximizers, received, senders, blocks, m):
     return count, right
 
 
-def _pattern_table(code, maximizers, blocks):
+def _pattern_table(code, maximizers, blocks, patterns):
     """_decoded of a linear code's 2^n noise patterns, each received as sent from the zero word, codeword 0.
 
-    The patterns are in all_words((0, 1), n) order, so a pattern's
-    position is its 0/1 mask.
+    The patterns are all_words((0, 1), n), so a pattern's position is
+    its 0/1 mask.
     """
-    n = code.n
-    return _decoded(maximizers, all_words((0, 1), n), np.zeros(1 << n, dtype=np.intp), blocks, code.M)
+    return _decoded(maximizers, patterns, np.zeros(len(patterns), dtype=np.intp), blocks, code.M)
 
 
 def mc_pe(code, ch, trials, seed=0):
@@ -576,12 +583,16 @@ def mc_pe(code, ch, trials, seed=0):
     eps = ch.epsilon
     # ties are equal likelihoods, found among small-integer ranks
     rank = _weight_ranks(n, eps)
-    if _addressable(q, n, m):
-        maximizers, blocks = _candidate_maximizers(code, rank), (1 << n, 24, 0)
+    addressable = _addressable(q, n, m)
+    by_pattern = code.linear and _power_within(2, n, min(trials, MC_DRAW))
+    # both paths that read the patterns have 2^n <= q^n <= OUTPUT_CAP or 2^n <= MC_DRAW
+    patterns = all_words((0, 1), n) if addressable or by_pattern else None
+    if addressable:
+        maximizers, blocks = _candidate_maximizers(code, rank, patterns), (1 << n, 24, 0)
     else:
         maximizers, blocks = _kernel_maximizers(code, rank), (m, 48, n * q)
-    if code.linear and _power_within(2, n, min(trials, MC_DRAW)):
-        pattern_count, pattern_right = _pattern_table(code, maximizers, blocks)
+    if by_pattern:
+        pattern_count, pattern_right = _pattern_table(code, maximizers, blocks, patterns)
 
         def decode(senders, noise):
             masks = word_indices(noise, 2)  # a pattern's position is its 0/1 mask

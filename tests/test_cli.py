@@ -20,14 +20,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbound
-from relbound import acceptance
+from relbound import acceptance, cli
 from relbound import codes as codes_mod
 from relbound import oracle as oracle_mod
 from relbound.channel import Channel, bhattacharyya, cycle_constants, theta_cycle
 from relbound.classical import rho_bar
 from relbound.constants import CRITERIA_ABOUT
 from relbound.cli import (COMMANDS, COMMON, OPTIONS, build_parser, effective_settings, load_config,
-                          main)
+                          main, parse_args)
 from relbound.cli import run as run_cli
 from relbound.codes import KEY_CAP, WIDTH_CAP, make_code, pentagon_code
 from relbound.curves import CSV_HEADER, csv_to_curves
@@ -725,28 +725,62 @@ def test_cli_exits_cleanly_on_valid_ranges(argv):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(cli_argvs())
 def test_a_command_parser_parses_as_the_full_parser(argv):
-    # main builds only argv[0]'s options; the settings must be those the full parser gives
-    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+    # main parses argv[1:] with argv[0]'s own parser; the settings must be those the full parser gives
+    assert parse_args(argv) == build_parser().parse_args(argv)
 
 
-def _help(parser, *argv):
+def _help(parse, *argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
-        parser.parse_args(list(argv))
+        parse(list(argv))
     return out.getvalue()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_command_parser_prints_the_full_parsers_help(command):
-    assert _help(build_parser(command), command, "--help") == _help(build_parser(), command,
-                                                                     "--help")
+    assert _help(parse_args, command, "--help") == _help(build_parser().parse_args, command,
+                                                         "--help")
+
+
+def test_a_second_call_does_not_see_the_first_calls_flags(monkeypatch):
+    # the command parser is kept for the process; each call must start from no flags
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda s: seen.append(s) or 0)
+    argv = ["simulate", "--code", "pentagon", "--eps", "0.2"]
+    assert main(argv + ["--trials", "5"]) == 0 and main(argv) == 0
+    assert [s["trials"] for s in seen] == [5, 0]
+    assert parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_a_flag_value_of_dashes_is_still_refused(capsys):
+    argv = ["simulate", "--code", "pentagon", "--trials=--"]
+    assert parse_args(argv) == build_parser().parse_args(argv)
+    assert run(capsys, *argv) == (2, "", "error: --trials takes one value, got []\n")
+
+
+def test_an_abbreviated_flag_is_still_accepted():
+    argv = ["simulate", "--code", "pentagon", "--tri", "5"]
+    args = parse_args(argv)
+    assert args == build_parser().parse_args(argv) and args.trials == 5
+
+
+@pytest.mark.parametrize("argv", [["verify", "--q", "5"], ["bounds", "--seed", "1"]])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    # as from the full parser, but main's usage line is the command's own
+    for parse, prog in ((main, f"relbound {argv[0]}"), (build_parser().parse_args, "relbound")):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.endswith(f"{prog}: error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
 
 def test_help_names_the_caps_and_criteria_the_code_enforces():
     # the help reads these from relbound.constants, so that building the parser loads no
     # lazy module; the modules that enforce or run them must hold the same values
     def shown(command):
-        return " ".join(_help(build_parser(), command, "--help").split())
+        return " ".join(_help(build_parser().parse_args, command, "--help").split())
 
     assert f"(restarts x q^n at most {oracle_mod.BATCH_CAP})" in shown("oracle")
     assert f"trials x M at most {codes_mod.MC_PAIR_CAP})" in shown("simulate")

@@ -737,8 +737,9 @@ def test_candidate_scores_rank_underflowed_likelihoods_with_the_unreachable():
     rank = codes_mod._weight_ranks(3, 1e-200)
     assert rank.tolist() == [2, 1, 0, 0]
     received = np.array([(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (3, 3, 3), (3, 1, 2)])
-    for maximizers in (codes_mod._candidate_maximizers, codes_mod._kernel_maximizers):
-        rows, cols, open_rows = maximizers(code, rank)(received)
+    for maximizers in (codes_mod._candidate_maximizers(code, rank, all_words((0, 1), 3)),
+                       codes_mod._kernel_maximizers(code, rank)):
+        rows, cols, open_rows = maximizers(received)
         assert rows.size == cols.size == 0
         assert open_rows.tolist() == list(range(len(received)))
 
@@ -766,7 +767,30 @@ def test_pattern_outputs_address_word_plus_and_minus_each_pattern():
         words[5:10] = q - 1
         for sign in (1, -1):
             expected = codes_mod.word_indices((words[:, None, :] + sign * pats) % q, q)
-            assert np.array_equal(codes_mod._pattern_outputs(words, q, sign), expected)
+            got = codes_mod._pattern_outputs(words, q, sign, codes_mod.word_indices(pats, q))
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("case", ["random", "all equal", "all distinct"])
+def test_pattern_shifts_find_the_distinct_masks_np_unique_finds(case):
+    # the occupancy table over the 2^n masks gives np.unique's sorted masks and inverse
+    rng = np.random.default_rng(11)
+    for q, n in ((4, 1), (4, 3), (5, 4), (8, 6)):
+        digits = codes_mod.word_indices(all_words((0, 1), n), q)
+        if case == "random":
+            words = rng.integers(0, q, (int(rng.integers(1, 300)), n))
+        elif case == "all equal":
+            words = np.tile(rng.integers(0, q, n), (40, 1))
+        else:  # every mask of wraps (q - 1) and of borrows (0) once, in shuffled order
+            words = rng.permutation(all_words((0, q - 1), n))
+        for sign in (1, -1):
+            wraps = codes_mod.word_indices(words == (q - 1 if sign > 0 else 0), 2)
+            masks, kind = np.unique(wraps, return_inverse=True)
+            index, shift, got = codes_mod._pattern_shifts(words, q, sign, digits)
+            assert np.array_equal(got, kind.ravel()) and got.dtype == kind.dtype
+            assert np.array_equal(shift, sign * (digits - q * digits[masks[:, None] & np.arange(1 << n)]))
+            assert np.array_equal(index, codes_mod.word_indices(words, q))
+            assert len(masks) == {"all equal": 1, "all distinct": 1 << n}.get(case, len(masks))
 
 
 @st.composite

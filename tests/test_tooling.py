@@ -141,9 +141,9 @@ def unexecuted():
 """
 
 
-def _probe(code):
+def _probe(code, head=PROBE):
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", PROBE + code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", head + code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -197,6 +197,27 @@ with contextlib.redirect_stdout(io.StringIO()):
     relbound.cli.main({argv!r})
 print(unexecuted())
 """) == [str(unexecuted)]
+
+
+def test_the_cli_builds_one_parser_per_command_once_per_process():
+    # building the parser costs about 1 ms a call: import builds none, and
+    # repeated calls of one command build its own parser once
+    assert _probe("""
+print(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(3):
+        relbound.cli.main(["bounds", "--points", "3"])
+print(built)
+""", head="""
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import relbound.cli
+""") == ["[]", "['relbound bounds']"]
 
 
 # what `import relbound` offered before codes and oracle became lazy modules
